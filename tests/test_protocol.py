@@ -1,6 +1,7 @@
 """Protocol ledger tests: one-time pad, key buffer, the three schemes."""
 
 import csv
+import hashlib
 import io
 import math
 
@@ -258,3 +259,116 @@ class TestDeterminismAndSerialization:
         assert len(doc["records"]["m"]) == 20
         assert set(doc["records"]) >= {"m", "l", "h_m", "h_e", "power",
                                        "key_consumed", "outage"}
+
+
+# sha256 of to_json() + csv_text() at n1 = 1000, keyed by
+# (scheme, init, delta, seed, a, b).  a = 2 starves full and main often;
+# a = 50, b = 6 starves main.  Any change to the ledger's output shows here.
+LEDGER_DIGESTS = {
+    ("full", "insecure", 0.0, 0, 2, 100):
+        "2d3a98d6180d694128a9fafe0bb17ed80b501256e63e25e1deba12edd97e5e98",
+    ("full", "insecure", 0.0, 0, 50, 6):
+        "6abd48115553f00bf9703b4c304a047a4ed50e538502af475d21f2eb55cc5805",
+    ("full", "insecure", 0.0, 1, 2, 100):
+        "3afa8685ed75c40a3266f2005d48a56c00166b169b5ddf506768f37d3baf1566",
+    ("full", "insecure", 0.0, 1, 50, 6):
+        "c07470e2d4b1deda233d3379c70cff30b60cebae5bc20d3e3665efd3341b09fa",
+    ("full", "insecure", 0.05, 0, 2, 100):
+        "ce5f503f29681c9ad338d96c8fd8a81840b383519983e21e5a152d7b6c734359",
+    ("full", "insecure", 0.05, 0, 50, 6):
+        "c28451ebb43d7d426ee849d4ee164e102ca2afc26a34798ba8b806a927689e25",
+    ("full", "insecure", 0.05, 1, 2, 100):
+        "00cf4cb463276ca3b94cede2af7c93ae05c868ea7045e270c9b4bd0887efa554",
+    ("full", "insecure", 0.05, 1, 50, 6):
+        "5c423a07b0fbaa3557fa74bb895e17bf088273423bd7aa3fd223f91fb7bccf91",
+    ("full", "dedicated", 0.0, 0, 2, 100):
+        "3baca382f6d1f5d3012eca5cef582096cd9012519084631c71a0c07b966f6b6a",
+    ("full", "dedicated", 0.0, 0, 50, 6):
+        "bb2d8c431f190433772f91336f48181b2992ecd5536e2a9497e4c20a155ea3bc",
+    ("full", "dedicated", 0.0, 1, 2, 100):
+        "bfe009019992a9ff11a54dc23dd4dde6a10728ea9f5963fc8afc08948cf7f904",
+    ("full", "dedicated", 0.0, 1, 50, 6):
+        "91bbf4a299c48c1147c4128b0d46ce8a94d980d89277d0c5abb14219f5d81f50",
+    ("full", "dedicated", 0.05, 0, 2, 100):
+        "2465f4f6e3313d4553c35734dad87095fb6f2cadaf0b08f4f7b7cc9562020db0",
+    ("full", "dedicated", 0.05, 0, 50, 6):
+        "91c81e0fe1b8b317c94d664a9feeb550d0e6debe4050582ee5466467dc3b173e",
+    ("full", "dedicated", 0.05, 1, 2, 100):
+        "95d1d3b17372cf0fdda35b8c36b4f43866015a861e8d598b9ec6de43c7dd09c3",
+    ("full", "dedicated", 0.05, 1, 50, 6):
+        "84e84035c19ab1d496442843571e7e68218ae1ba1c026f03feab408dacdd4ca5",
+    ("main", "insecure", 0.0, 0, 2, 100):
+        "fc2b1c81c826210438c4e0af87dc1f2b121a1af92a28e3c4aad6e7349e79834d",
+    ("main", "insecure", 0.0, 0, 50, 6):
+        "1bcd1f43c941e82d0c8a6e171a489fe9491e74a9319011d80ed06ad9c95c6550",
+    ("main", "insecure", 0.0, 1, 2, 100):
+        "55ea5785ad4822c76349dbd570bc2677fc68a9d684c93316c002222353ef8f6e",
+    ("main", "insecure", 0.0, 1, 50, 6):
+        "7621c2860f49cce2cda034721ef2844a7608aca879121588f93c281913fae8d6",
+    ("main", "insecure", 0.05, 0, 2, 100):
+        "b42c27d377ef1482e8609e166626772b52d7830d47a0626ba42ee0708a5ea22b",
+    ("main", "insecure", 0.05, 0, 50, 6):
+        "9417b036cdf6008f6eea77063cd28afc78adf33674360184c810aa377269d991",
+    ("main", "insecure", 0.05, 1, 2, 100):
+        "3088a2046abbe7c1b8a972617a5e7d9ae0036e25296264565b9ecf8b0593a41c",
+    ("main", "insecure", 0.05, 1, 50, 6):
+        "e095c334aa798d1295bbe006d9480517468eed78e43fed0adb01a02885bf6274",
+    ("main", "dedicated", 0.0, 0, 2, 100):
+        "a72211028411a113c305de78028ac19cbcf2f462d7ffc2eb55e7da3ed34d11b8",
+    ("main", "dedicated", 0.0, 0, 50, 6):
+        "3d34f5e1e7bafa5b24cd14b3902278b839f5cbda76241ded71b699f0e4f36222",
+    ("main", "dedicated", 0.0, 1, 2, 100):
+        "78091a8fc38b947fef51c0bb563f2859e0319b3bd91fa15a2e1f786110aee964",
+    ("main", "dedicated", 0.0, 1, 50, 6):
+        "5cb58afc320619086ed7a476ce77fc7f8c9ab498b21d524d4cfedeaf6456e150",
+    ("main", "dedicated", 0.05, 0, 2, 100):
+        "efb2ec5d5652f0581bb1b2d9f2e6e059fd326d699081ffdc62b708d43dcd80f0",
+    ("main", "dedicated", 0.05, 0, 50, 6):
+        "8d073f758155aeb5287a28c7c4088382824958de1b14e1a5a4250b2e40c801fc",
+    ("main", "dedicated", 0.05, 1, 2, 100):
+        "1f1c2fae4357a2c4ede2b3d2235affd5ada8eec6dd7ab8866465300dae29ceba",
+    ("main", "dedicated", 0.05, 1, 50, 6):
+        "2f4d6da4961b32a9f1e8872415aef83007f4edd79821164704a4f1860be7dbcf",
+    ("baseline", "insecure", 0.0, 0, 2, 100):
+        "19557761ad4b73ccde78ecec97c8860794798dd96e787a0b7e135d32d3f9c7c2",
+    ("baseline", "insecure", 0.0, 0, 50, 6):
+        "9a941593e872dd9aa0d69d17bd6c723256bf7c1ce337565af65a3fff21db8709",
+    ("baseline", "insecure", 0.0, 1, 2, 100):
+        "b041af71a9eb627a25caf2c05bbeb72efc57cf7769aa2d198e9d847b4fb46c5d",
+    ("baseline", "insecure", 0.0, 1, 50, 6):
+        "5ad24f714bceb2cbad7faca47c6ac92fcfc92fd933e0bcd8d10a16b5d0b8da11",
+    ("baseline", "insecure", 0.05, 0, 2, 100):
+        "bdfbb410f3c15eeb523143b1a689d21f0b552044ca1cb2c693485b89d1961e53",
+    ("baseline", "insecure", 0.05, 0, 50, 6):
+        "b1c8ac64fec7310478ad79085cf37ba133d504eeb5c6c891b4bf3f8e2eb9e309",
+    ("baseline", "insecure", 0.05, 1, 2, 100):
+        "7a5b6e30c095787f28a5793c54c00c5c2e17598799b94f4818d71b0d52178091",
+    ("baseline", "insecure", 0.05, 1, 50, 6):
+        "88374f0a9952fa56b3d05f42c7c3834a24146b2bc7d07732d128edcef188c028",
+    ("baseline", "dedicated", 0.0, 0, 2, 100):
+        "54b291a89edd941d6e7265437d9f20f77ea975efc1d50959e142a625f5d327e2",
+    ("baseline", "dedicated", 0.0, 0, 50, 6):
+        "3e1efd137b175d2685062294b397eb99cf9adb60b346c43dc8d6d2dae07e76ea",
+    ("baseline", "dedicated", 0.0, 1, 2, 100):
+        "8186b87092a96aec899866f1668574f9b4aaa844b9f812af1f7c6f06e45354d3",
+    ("baseline", "dedicated", 0.0, 1, 50, 6):
+        "14a8a997cdad9adc4f9e77bee951ef6a096c15070d0735bff57d31c051cf14ae",
+    ("baseline", "dedicated", 0.05, 0, 2, 100):
+        "c81161cc04aa58f31e838a0bb11a217dd85fac4524db7f1a0517d6d17df53a26",
+    ("baseline", "dedicated", 0.05, 0, 50, 6):
+        "829385e2eb82b226c6c5b24811c49bd62124679651ee71de7a997f9ec8e7fcd0",
+    ("baseline", "dedicated", 0.05, 1, 2, 100):
+        "25fe045d169e8b29202b145c0ed98c3916998a8b787c297f40d70b92e4ce886d",
+    ("baseline", "dedicated", 0.05, 1, 50, 6):
+        "1562c80b41917307a3d27d1daf42b57525f439ff2e2c86a08aa9c12dfe512303",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("key", sorted(LEDGER_DIGESTS, key=repr), ids=repr)
+    def test_report_bytes_unchanged(self, key):
+        scheme, init, delta, seed, a, b = key
+        rep = simulate(make_config(scheme=scheme, init=init, delta=delta,
+                                   seed=RngSeed(seed), a=a, b=b))
+        text = rep.to_json() + rep.csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_DIGESTS[key]
