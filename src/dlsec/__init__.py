@@ -10,24 +10,22 @@ from .bounds import (BoundResult, HighSnrLimit, fixed_point_rate,
                      upper_main)
 from .fading import (ChannelState, FadingDistribution, expectation,
                      inverse_min_moment, inverse_moment, parse_distribution)
-from .numerics import (Estimate, RngSeed, bisect, golden_max,
-                       integrate_halfline, mc_expect, pool_estimates)
+from .numerics import (Estimate, RngSeed, integrate_halfline, mc_expect,
+                       pool_estimates)
 from .policy import (CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, expected_power, parse_policy)
-from .protocol import (BlockRecord, KeyBuffer, SimConfig, SimReport,
-                       key_balance_check, otp, simulate)
+from .protocol import SimConfig, SimReport, key_balance_check, otp, simulate
 from .rates import (RateBreakdown, delay_floor, ergodic_secrecy_rate,
                     expected_key_share, per_state_rates, q_threshold)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockRecord", "BoundResult", "ChannelState", "CsiError", "Estimate",
-    "FadingDistribution", "HighSnrLimit", "KeyBuffer",
-    "NonInvertibleChannelError", "PowerPolicy", "RateBreakdown", "RngSeed",
-    "SimConfig", "SimReport", "bisect", "calibrate", "delay_floor",
-    "ergodic_secrecy_rate", "expectation", "expected_key_share",
-    "expected_power", "fixed_point_rate", "golden_max", "high_snr_limit",
+    "BoundResult", "ChannelState", "CsiError", "Estimate",
+    "FadingDistribution", "HighSnrLimit", "NonInvertibleChannelError",
+    "PowerPolicy", "RateBreakdown", "RngSeed", "SimConfig", "SimReport",
+    "calibrate", "delay_floor", "ergodic_secrecy_rate", "expectation",
+    "expected_key_share", "expected_power", "fixed_point_rate", "high_snr_limit",
     "integrate_halfline", "inverse_min_moment", "inverse_moment",
     "key_balance_check", "lower_full", "lower_main", "mc_expect", "otp",
     "parse_distribution", "parse_policy", "per_state_rates",

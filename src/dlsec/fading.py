@@ -200,16 +200,6 @@ def parse_distribution(text: str) -> FadingDistribution:
     return FadingDistribution(kind, args)
 
 
-def pdf(dist: FadingDistribution, x) -> float | np.ndarray:
-    """Density of ``dist`` at x (module-level form of FadingDistribution.pdf)."""
-    return dist.pdf(x)
-
-
-def sample(dist: FadingDistribution, seed: RngSeed, n: int) -> np.ndarray:
-    """n iid draws from ``dist``, deterministic given ``seed``."""
-    return dist.sample(seed, n)
-
-
 def inverse_moment(dist: FadingDistribution) -> float:
     """E[1/h], or math.inf when the integral diverges.
 

@@ -4,13 +4,16 @@ The simulator is a rate and secrecy LEDGER, not a waveform simulator:
 channel coding is abstracted away, every block carries exactly its
 scheduled bit load with no decoding errors, and "security" is tracked by
 provenance (which lane a bit used, and which key generation covered it).
-Key material is real seeded pseudo-random bits and the one-time pad lane
-performs the actual XOR, so round-trip integrity is checked bit for bit.
+The ledger itself is columnar: bit loads are computed for all blocks at
+once and a single integer scan tracks the pad pool.  Key material is real
+seeded pseudo-random bits: each super-block's pad bits are drawn from the
+key stream in FIFO order, XORed with fresh data bits and decrypted again,
+so round-trip integrity is checked bit for bit.
 
 Time structure: b super-blocks of a blocks of n1 symbols (n = b*a*n1).
 Rates are nats per use throughout the package; this module converts to
-bits at the ledger boundary, round(n1 * rate / ln 2), dropping fractional
-remainders (never banking them).
+bits at the ledger boundary: n1 * rate / ln 2 rounded to the nearest bit,
+ties to even.  The rounding residue is never banked in later blocks.
 
 Schemes:
     full      per-block key messages ride alongside a direct secret lane;
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +53,16 @@ INIT_MODES = ("insecure", "dedicated")
 
 _STATE_LANE, _DATA_LANE, _KEY_LANE = 1, 2, 3
 
-_CSV_HEADER = ("m,l,h_m,h_e,power,r_main,r_eve,r_s,r_s_prime,r_s_dprime,"
-               "key_consumed,key_generated,data_delivered,insecure_bits,outage")
+# The ledger's per-block columns, in CSV order; JSON and CSV both read them.
+_COLUMNS = (
+    ("m", np.int64), ("l", np.int64),
+    ("h_m", np.float64), ("h_e", np.float64), ("power", np.float64),
+    ("r_main", np.float64), ("r_eve", np.float64), ("r_s", np.float64),
+    ("r_s_prime", np.float64), ("r_s_dprime", np.float64),
+    ("key_consumed", np.int64), ("key_generated", np.int64),
+    ("data_delivered", np.int64), ("insecure_bits", np.int64),
+    ("outage", np.int64),
+)
 
 
 @dataclass(frozen=True)
@@ -104,89 +114,15 @@ class SimConfig:
 
 
 @dataclass
-class BlockRecord:
-    """Ledger line for one fading block."""
+class SimReport:
+    """Complete ledger of one protocol run.
 
-    m: int
-    l: int
-    h_m: float
-    h_e: float
-    power: float
-    r_main: float
-    r_eve: float
-    r_s: float
-    r_s_prime: float
-    r_s_dprime: float
-    key_consumed: int
-    key_generated: int
-    data_delivered: int
-    insecure_bits: int
-    outage: bool
-
-
-class KeyBuffer:
-    """FIFO ledger of pad bits.
-
-    ``available`` bits may be consumed for encryption; ``pending`` bits are
-    generated but not yet decodable and join the pool via
-    :meth:`commit_pending` (used by the main-CSI scheme at super-block
-    boundaries).  Consumption never exceeds the available count.
+    ``records`` is a record array with one row per block (super-block m,
+    block l) and the fields of ``_COLUMNS``.
     """
 
-    def __init__(self):
-        self._segments: deque[np.ndarray] = deque()
-        self._head_offset = 0
-        self._pending: list[np.ndarray] = []
-        self.available = 0
-        self.pending = 0
-
-    def generate(self, bits: np.ndarray, immediate: bool) -> None:
-        if bits.size == 0:
-            return
-        if immediate:
-            self._segments.append(bits)
-            self.available += bits.size
-        else:
-            self._pending.append(bits)
-            self.pending += bits.size
-
-    def commit_pending(self) -> None:
-        for seg in self._pending:
-            self._segments.append(seg)
-        self.available += self.pending
-        self._pending = []
-        self.pending = 0
-
-    def consume(self, nbits: int) -> np.ndarray:
-        if nbits < 0:
-            raise ValueError("cannot consume a negative bit count")
-        if nbits > self.available:
-            raise ValueError(
-                f"consumption ({nbits}) exceeds available key bits ({self.available})"
-            )
-        parts = []
-        remaining = nbits
-        while remaining > 0:
-            head = self._segments[0]
-            take = min(remaining, head.size - self._head_offset)
-            parts.append(head[self._head_offset:self._head_offset + take])
-            self._head_offset += take
-            remaining -= take
-            if self._head_offset == head.size:
-                self._segments.popleft()
-                self._head_offset = 0
-        self.available -= nbits
-        if not parts:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(parts)
-
-
-@dataclass
-class SimReport:
-    """Complete ledger of one protocol run."""
-
     config: SimConfig
-    records: list[BlockRecord]
+    records: np.recarray
     buffer_trajectory: list[int]
     starvation_events: int
     insecure_fraction: float
@@ -198,13 +134,6 @@ class SimReport:
 
     def to_json_dict(self) -> dict:
         cfg = self.config
-        columns = {
-            name: [getattr(r, name) for r in self.records]
-            for name in ("m", "l", "h_m", "h_e", "power", "r_main", "r_eve",
-                         "r_s", "r_s_prime", "r_s_dprime", "key_consumed",
-                         "key_generated", "data_delivered", "insecure_bits")
-        }
-        columns["outage"] = [int(r.outage) for r in self.records]
         return {
             "config": {
                 "scheme": cfg.scheme,
@@ -229,25 +158,16 @@ class SimReport:
             "outage_fraction": self.outage_fraction,
             "roundtrip_ok": self.roundtrip_ok,
             "buffer_trajectory": self.buffer_trajectory,
-            "records": columns,
+            "records": {name: self.records[name].tolist() for name, _ in _COLUMNS},
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
     def csv_text(self) -> str:
-        lines = [_CSV_HEADER]
-        for r in self.records:
-            lines.append(",".join([
-                str(r.m), str(r.l),
-                repr(r.h_m), repr(r.h_e), repr(r.power),
-                repr(r.r_main), repr(r.r_eve), repr(r.r_s),
-                repr(r.r_s_prime), repr(r.r_s_dprime),
-                str(r.key_consumed), str(r.key_generated),
-                str(r.data_delivered), str(r.insecure_bits),
-                str(int(r.outage)),
-            ]))
-        return "\n".join(lines) + "\n"
+        names = [name for name, _ in _COLUMNS]
+        cols = [map(repr, self.records[name].tolist()) for name in names]
+        return "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
 
 
 def otp(data, key) -> np.ndarray:
@@ -261,9 +181,13 @@ def otp(data, key) -> np.ndarray:
     return np.bitwise_xor(d, k)
 
 
-def _bits(rate_nats: float, n1: int) -> int:
-    """Bit load of one block at the given rate; remainders are dropped."""
-    return int(round(n1 * max(rate_nats, 0.0) / LN2))
+def _bits(rate_nats, n1: int) -> np.ndarray:
+    """Bit load of a block at each given rate: n1 * rate / ln 2 rounded to
+    the nearest bit, ties to even; the fractional residue is not carried."""
+    load = np.rint(n1 * np.maximum(rate_nats, 0.0) / LN2)
+    if not np.all(np.isfinite(load)):
+        raise ValueError("non-finite rate: the block bit load is undefined")
+    return load.astype(np.int64)
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -274,7 +198,8 @@ def simulate(config: SimConfig) -> SimReport:
     """
     family, h_min = parse_policy(config.policy_spec())
     pol = calibrate(family, config.dist_m, config.dist_e, config.p_bar, h_min)
-    nblocks = config.a * config.b
+    a, b, n1 = config.a, config.b, config.n1
+    nblocks = a * b
     state_rng = config.seed.generator(_STATE_LANE)
     h_m = config.dist_m.sample(state_rng, nblocks)
     h_e = config.dist_e.sample(state_rng, nblocks)
@@ -282,205 +207,122 @@ def simulate(config: SimConfig) -> SimReport:
     rb = per_state_rates(pol, ChannelState(h_m, h_e), q)
     power = np.broadcast_to(np.asarray(pol.power(h_m, h_e), dtype=float), h_m.shape)
 
+    # The scheme picks the pad schedule, the key and direct-lane loads, and
+    # after how many blocks generated key bits become spendable (0: never).
+    zeros = np.zeros(nblocks, dtype=np.int64)
+    outage = zeros
     if config.scheme == "full":
-        return _run_full(config, pol, h_m, h_e, power, rb)
-    if config.scheme == "main":
-        return _run_main(config, pol, h_m, h_e, power, rb)
-    return _run_baseline(config, pol, h_m, h_e, power, rb)
+        key_mean = expected_key_share(pol, config.dist_m, config.dist_e, q, config.nodes)
+        cap = common_rate_floor(pol, config.dist_m, config.dist_e)
+        r_o = (1.0 - config.delta) * min(key_mean, cap)
+        sched = int(_bits(r_o, n1))
+        schedule = {"r_o": r_o, "otp_bits_per_block": sched,
+                    "key_share_expected": key_mean, "r_o_cap": cap,
+                    "backoff": config.delta}
+        gen, direct, spendable_every = _bits(rb.r_s_prime, n1), _bits(rb.r_s_dprime, n1), 1
+    elif config.scheme == "main":
+        r_star, fp_diag = fixed_point_rate(pol, config.dist_m, config.dist_e, config.nodes)
+        data_rate = (1.0 - config.delta) * r_star
+        sched = int(_bits(data_rate, n1))
+        schedule = {"fixed_point_rate": r_star, "data_rate": data_rate,
+                    "otp_bits_per_block": sched,
+                    "r_d_floor": fp_diag.get("r_d_floor", 0.0),
+                    "backoff": config.delta}
+        # key generation leaves room for the unscaled fixed-point rate;
+        # binning codewords decode only once the super-block completes
+        gen = _bits(rb.r_main - r_star - rb.r_eve, n1)
+        direct, spendable_every = zeros, a
+    else:
+        sched, schedule = 0, {"per_block_wiretap": True}
+        gen, direct, spendable_every = zeros, _bits(rb.r_s, n1), 0
+        outage = (h_e >= h_m).astype(np.int64)
 
+    # The one sequential part: pool level and starvation.  From super-block
+    # 2 on every block asks for sched pad bits and is served iff the pool
+    # holds them; a starved block skips its pad lane.
+    served = np.zeros(nblocks, dtype=bool)
+    trajectory: list[int] = []
+    available = pending = 0
+    for i, g in enumerate(gen.tolist()):
+        if i >= a and available >= sched:
+            available -= sched
+            served[i] = True
+        pending += g
+        if spendable_every and (i + 1) % spendable_every == 0:
+            available += pending
+            pending = 0
+        trajectory.append(available)
 
-def _assemble(config, records, trajectory, starvation, roundtrip_ok,
-              otp_total, otp_insecure, schedule) -> SimReport:
-    delivered = sum(r.data_delivered for r in records)
-    insecure = sum(r.insecure_bits for r in records)
-    totals = {
-        "data_delivered": delivered,
-        "insecure_bits": insecure,
-        "otp_bits": otp_total,
-        "otp_insecure_bits": otp_insecure,
-        "key_generated": sum(r.key_generated for r in records),
-        "key_consumed": sum(r.key_consumed for r in records),
-    }
-    outage_fraction = sum(1 for r in records if r.outage) / len(records)
+    consumed = np.where(served, sched, 0)
+    delivered = direct + consumed
+    insecure = zeros.copy()
+    if config.init == "insecure":
+        # no earlier pool exists; super-block 1's pad lane runs in the clear
+        delivered[:a] += sched
+        insecure[:a] = sched
+    elif spendable_every:
+        delivered[:a] = 0
+    # every insecure bit is a pad-lane bit sent in the clear
+    insecure_bits = int(insecure.sum())
+    otp_total = insecure_bits + sched * int(served.sum())
+
+    m, l = np.divmod(np.arange(nblocks), a)
+    records = np.rec.fromarrays(
+        [m + 1, l + 1, h_m, h_e, power, rb.r_main, rb.r_eve, rb.r_s,
+         rb.r_s_prime, rb.r_s_dprime, consumed, gen, delivered, insecure, outage],
+        dtype=list(_COLUMNS))
+    sb_consumed = consumed.reshape(b, a).sum(axis=1).tolist()
+    total_delivered = int(delivered.sum())
     return SimReport(
         config=config,
         records=records,
         buffer_trajectory=trajectory,
-        starvation_events=starvation,
-        insecure_fraction=(insecure / delivered) if delivered else 0.0,
-        otp_insecure_fraction=(otp_insecure / otp_total) if otp_total else 0.0,
-        outage_fraction=outage_fraction,
-        roundtrip_ok=roundtrip_ok,
+        starvation_events=int(nblocks - a - served.sum()),
+        insecure_fraction=(insecure_bits / total_delivered) if total_delivered else 0.0,
+        otp_insecure_fraction=(insecure_bits / otp_total) if otp_total else 0.0,
+        outage_fraction=int(outage.sum()) / nblocks,
+        roundtrip_ok=_roundtrip(config, sb_consumed),
         schedule=schedule,
-        totals=totals,
+        totals={
+            "data_delivered": total_delivered,
+            "insecure_bits": insecure_bits,
+            "otp_bits": otp_total,
+            "otp_insecure_bits": insecure_bits,
+            "key_generated": int(gen.sum()),
+            "key_consumed": int(consumed.sum()),
+        },
     )
 
 
-def _encrypt_and_verify(buffer: KeyBuffer, data_rng, nbits: int) -> bool:
-    """Consume pad bits, XOR fresh data bits, and decrypt them back."""
-    key_bits = buffer.consume(nbits)
-    data_bits = data_rng.integers(0, 2, nbits, dtype=np.uint8)
-    cipher = otp(data_bits, key_bits)
-    return bool(np.array_equal(otp(cipher, key_bits), data_bits))
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n pseudo-random 0/1 bits; each random byte yields eight."""
+    return np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
 
 
-def _run_full(config, pol, h_m, h_e, power, rb) -> SimReport:
-    key_mean = expected_key_share(pol, config.dist_m, config.dist_e,
-                                  q_threshold(config.q_kappa), config.nodes)
-    cap = common_rate_floor(pol, config.dist_m, config.dist_e)
-    r_o = (1.0 - config.delta) * min(key_mean, cap)
-    sched = _bits(r_o, config.n1)
-    schedule = {
-        "r_o": r_o,
-        "otp_bits_per_block": sched,
-        "key_share_expected": key_mean,
-        "r_o_cap": cap,
-        "backoff": config.delta,
-    }
-    buffer = KeyBuffer()
-    data_rng = config.seed.generator(_DATA_LANE)
+def _roundtrip(config: SimConfig, sb_consumed: list[int]) -> bool:
+    """Encrypt fresh data bits with each super-block's pad and decrypt them.
+
+    Consumption is FIFO, so the pad bits spent by the end of super-block m
+    are a prefix of the key stream: super-block m's pad is the next
+    ``sb_consumed[m]`` bits of the key lane.  One super-block is drawn at a
+    time, which bounds memory by one super-block's traffic.
+    """
     key_rng = config.seed.generator(_KEY_LANE)
-    records: list[BlockRecord] = []
-    trajectory: list[int] = []
-    starvation = 0
-    roundtrip_ok = True
-    otp_total = otp_insecure = 0
-    idx = 0
-    for m in range(1, config.b + 1):
-        for l in range(1, config.a + 1):
-            key_gen = _bits(rb.r_s_prime[idx], config.n1)
-            direct = _bits(rb.r_s_dprime[idx], config.n1)
-            consumed = insecure = 0
-            delivered = direct
-            if m == 1:
-                if config.init == "insecure":
-                    # no earlier pool exists; the pad lane runs in the clear
-                    delivered += sched
-                    insecure = sched
-                    otp_total += sched
-                    otp_insecure += sched
-                else:
-                    delivered = 0
-            else:
-                if buffer.available < sched:
-                    starvation += 1
-                else:
-                    roundtrip_ok &= _encrypt_and_verify(buffer, data_rng, sched)
-                    consumed = sched
-                    delivered += sched
-                    otp_total += sched
-            gen_bits = key_rng.integers(0, 2, key_gen, dtype=np.uint8)
-            buffer.generate(gen_bits, immediate=True)
-            records.append(BlockRecord(
-                m=m, l=l, h_m=float(h_m[idx]), h_e=float(h_e[idx]),
-                power=float(power[idx]), r_main=float(rb.r_main[idx]),
-                r_eve=float(rb.r_eve[idx]), r_s=float(rb.r_s[idx]),
-                r_s_prime=float(rb.r_s_prime[idx]),
-                r_s_dprime=float(rb.r_s_dprime[idx]),
-                key_consumed=consumed, key_generated=key_gen,
-                data_delivered=delivered, insecure_bits=insecure,
-                outage=False,
-            ))
-            trajectory.append(buffer.available)
-            idx += 1
-    return _assemble(config, records, trajectory, starvation, roundtrip_ok,
-                     otp_total, otp_insecure, schedule)
-
-
-def _run_main(config, pol, h_m, h_e, power, rb) -> SimReport:
-    r_star, fp_diag = fixed_point_rate(pol, config.dist_m, config.dist_e, config.nodes)
-    data_rate = (1.0 - config.delta) * r_star
-    sched = _bits(data_rate, config.n1)
-    # key generation leaves room for the unscaled fixed-point rate
-    gen_rate = np.maximum(rb.r_main - r_star - rb.r_eve, 0.0)
-    schedule = {
-        "fixed_point_rate": r_star,
-        "data_rate": data_rate,
-        "otp_bits_per_block": sched,
-        "r_d_floor": fp_diag.get("r_d_floor", 0.0),
-        "backoff": config.delta,
-    }
-    buffer = KeyBuffer()
     data_rng = config.seed.generator(_DATA_LANE)
-    key_rng = config.seed.generator(_KEY_LANE)
-    records: list[BlockRecord] = []
-    trajectory: list[int] = []
-    starvation = 0
-    roundtrip_ok = True
-    otp_total = otp_insecure = 0
-    idx = 0
-    for m in range(1, config.b + 1):
-        for l in range(1, config.a + 1):
-            key_gen = _bits(gen_rate[idx], config.n1)
-            consumed = insecure = delivered = 0
-            if m == 1:
-                if config.init == "insecure":
-                    delivered = sched
-                    insecure = sched
-                    otp_total += sched
-                    otp_insecure += sched
-            else:
-                if buffer.available < sched:
-                    starvation += 1
-                else:
-                    roundtrip_ok &= _encrypt_and_verify(buffer, data_rng, sched)
-                    consumed = sched
-                    delivered = sched
-                    otp_total += sched
-            gen_bits = key_rng.integers(0, 2, key_gen, dtype=np.uint8)
-            buffer.generate(gen_bits, immediate=False)
-            records.append(BlockRecord(
-                m=m, l=l, h_m=float(h_m[idx]), h_e=float(h_e[idx]),
-                power=float(power[idx]), r_main=float(rb.r_main[idx]),
-                r_eve=float(rb.r_eve[idx]), r_s=float(rb.r_s[idx]),
-                r_s_prime=float(rb.r_s_prime[idx]),
-                r_s_dprime=float(rb.r_s_dprime[idx]),
-                key_consumed=consumed, key_generated=key_gen,
-                data_delivered=delivered, insecure_bits=insecure,
-                outage=False,
-            ))
-            trajectory.append(buffer.available)
-            idx += 1
-        # binning codewords decode only once the super-block completes
-        buffer.commit_pending()
-        trajectory[-1] = buffer.available
-    return _assemble(config, records, trajectory, starvation, roundtrip_ok,
-                     otp_total, otp_insecure, schedule)
-
-
-def _run_baseline(config, pol, h_m, h_e, power, rb) -> SimReport:
-    records: list[BlockRecord] = []
-    trajectory: list[int] = []
-    idx = 0
-    outages = h_e >= h_m
-    for m in range(1, config.b + 1):
-        for l in range(1, config.a + 1):
-            delivered = _bits(rb.r_s[idx], config.n1)
-            records.append(BlockRecord(
-                m=m, l=l, h_m=float(h_m[idx]), h_e=float(h_e[idx]),
-                power=float(power[idx]), r_main=float(rb.r_main[idx]),
-                r_eve=float(rb.r_eve[idx]), r_s=float(rb.r_s[idx]),
-                r_s_prime=float(rb.r_s_prime[idx]),
-                r_s_dprime=float(rb.r_s_dprime[idx]),
-                key_consumed=0, key_generated=0,
-                data_delivered=delivered, insecure_bits=0,
-                outage=bool(outages[idx]),
-            ))
-            trajectory.append(0)
-            idx += 1
-    return _assemble(config, records, trajectory, 0, True, 0, 0,
-                     {"per_block_wiretap": True})
+    ok = True
+    for spent in sb_consumed:
+        key = _random_bits(key_rng, spent)
+        data = _random_bits(data_rng, spent)
+        ok &= bool(np.array_equal(otp(otp(data, key), key), data))
+    return ok
 
 
 def key_balance_check(report: SimReport) -> bool:
     """True iff every super-block m >= 2 consumed no more pad bits than
     super-block m-1 generated (recomputed from the ledger)."""
-    if not report.records:
+    if len(report.records) == 0:
         raise ValueError("empty report: nothing to check")
-    b = report.config.b
-    gen = [0] * (b + 1)
-    cons = [0] * (b + 1)
-    for r in report.records:
-        gen[r.m] += r.key_generated
-        cons[r.m] += r.key_consumed
-    return all(cons[m] <= gen[m - 1] for m in range(2, b + 1))
+    cfg = report.config
+    gen = report.records.key_generated.reshape(cfg.b, cfg.a).sum(axis=1)
+    cons = report.records.key_consumed.reshape(cfg.b, cfg.a).sum(axis=1)
+    return bool(np.all(cons[1:] <= gen[:-1]))

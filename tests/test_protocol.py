@@ -1,4 +1,4 @@
-"""Protocol ledger tests: one-time pad, key buffer, the three schemes."""
+"""Protocol ledger tests: one-time pad, pad pool, the three schemes."""
 
 import csv
 import hashlib
@@ -10,8 +10,7 @@ import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import (LN2, KeyBuffer, SimConfig, key_balance_check, otp,
-                            simulate)
+from dlsec.protocol import LN2, SimConfig, key_balance_check, otp, simulate
 
 CHISQ4 = parse_distribution("chisq:4")
 
@@ -48,26 +47,52 @@ class TestOtp:
             otp([2, 0], [1, 0])
 
 
-class TestKeyBuffer:
-    def test_pending_and_commit(self):
-        buf = KeyBuffer()
-        buf.generate(np.ones(10, dtype=np.uint8), immediate=False)
-        assert buf.pending == 10 and buf.available == 0
-        buf.commit_pending()
-        assert buf.pending == 0 and buf.available == 10
+class TestPadPool:
+    """The pool is never overdrawn, and key bits are spent only once they
+    are spendable; checked on the ledger of starving and stable runs."""
 
-    def test_fifo_consumption_across_segments(self):
-        buf = KeyBuffer()
-        buf.generate(np.array([1, 1, 1], dtype=np.uint8), immediate=True)
-        buf.generate(np.array([0, 0, 0, 0], dtype=np.uint8), immediate=True)
-        np.testing.assert_array_equal(buf.consume(5), [1, 1, 1, 0, 0])
-        assert buf.available == 2
+    CASES = [(scheme, delta) for scheme in ("full", "main") for delta in (0.0, 0.05)]
 
-    def test_overdraw_rejected(self):
-        buf = KeyBuffer()
-        buf.generate(np.ones(4, dtype=np.uint8), immediate=True)
-        with pytest.raises(ValueError, match="exceeds available"):
-            buf.consume(5)
+    def run(self, scheme, delta):
+        return simulate(make_config(scheme=scheme, delta=delta, a=5, b=60))
+
+    @pytest.mark.parametrize("scheme,delta", CASES)
+    def test_no_overdraw(self, scheme, delta):
+        rep = self.run(scheme, delta)
+        if delta == 0.0:
+            assert rep.starvation_events > 0
+        sched = rep.schedule["otp_bits_per_block"]
+        traj = rep.buffer_trajectory
+        a = rep.config.a
+        for i, r in enumerate(rep.records):
+            if i >= a and r.key_consumed:
+                assert r.key_consumed == sched
+                assert traj[i - 1] >= sched
+        assert min(traj) >= 0
+
+    @pytest.mark.parametrize("scheme,delta", CASES)
+    def test_nothing_spent_before_the_first_boundary(self, scheme, delta):
+        rep = self.run(scheme, delta)
+        a = rep.config.a
+        assert all(r.key_consumed == 0 for r in rep.records[:a])
+        if scheme == "main":
+            # main's key bits wait for the super-block end: the pool is
+            # empty until the first boundary and only drains within one
+            assert rep.buffer_trajectory[:a - 1] == [0] * (a - 1)
+            for m in range(rep.config.b):
+                sb = rep.buffer_trajectory[m * a:(m + 1) * a - 1]
+                assert all(x >= y for x, y in zip(sb, sb[1:]))
+
+    @pytest.mark.parametrize("scheme,delta", CASES)
+    def test_consumed_never_exceeds_generated(self, scheme, delta):
+        rep = self.run(scheme, delta)
+        gen = np.cumsum(rep.records.key_generated)
+        cons = np.cumsum(rep.records.key_consumed)
+        assert np.all(cons <= gen)
+        assert rep.totals["key_consumed"] <= rep.totals["key_generated"]
+        assert rep.buffer_trajectory[-1] == (rep.totals["key_generated"]
+                                             - rep.totals["key_consumed"])
+        assert rep.roundtrip_ok
 
 
 class TestConfig:
