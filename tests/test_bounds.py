@@ -234,3 +234,75 @@ class TestOrderingAndMonotonicity:
         res = lower_full(CHISQ4, CHISQ4, 1e4, family_menu=["full-inv"], q_kappa=0.0)
         limit = high_snr_limit(CHISQ4, CHISQ4).value
         assert abs(res.value - limit) / limit < 0.02
+
+
+# Bound values pinned at repr precision: the shared gap evaluation and the
+# law-only caches remove repeated work only, so every value stays
+# bit-identical.  gamma:0.5:1 is non-invertible (inversion families
+# infeasible); const:3/const:1 runs the golden-section kappa search.
+PINNED_LIMIT = {
+    ("chisq:4", "chisq:4"): 0.443147180618537,
+    ("gamma:0.5:1", "gamma:0.5:1"): 1.1548886656510473,
+    ("gamma:3:0.01", "exp:2"): 0.014925355291509821,
+    ("gamma:2:1000", "chisq:1"): 8.000065002232448,
+    ("const:2", "chisq:4"): 0.16447904047826095,
+    ("const:3", "const:1"): 1.0986122886681098,
+}
+
+# (dist_m, dist_e, pbar_db): (upper_full, lower_full, upper_main, lower_main)
+PINNED_BOUNDS = {
+    ("chisq:4", "chisq:4", 0.0): (0.31746082115720053, 0.31746082115720053, 0.2204403239821736, 0.15137553985607588),
+    ("chisq:4", "chisq:4", 20.0): (0.4412334868371165, 0.4412334868371165, 0.43714258342905293, 0.30290537633308984),
+    ("chisq:4", "chisq:4", 40.0): (0.44307983967637204, 0.44307983967637204, 0.4430361509275354, 0.30708715761799577),
+    ("gamma:0.5:1", "gamma:0.5:1", 0.0): (0.0, 0.0, 0.0, 0.0),
+    ("gamma:0.5:1", "gamma:0.5:1", 20.0): (0.0, 0.0, 0.0, 0.0),
+    ("gamma:0.5:1", "gamma:0.5:1", 40.0): (0.0, 0.0, 0.0, 0.0),
+    ("gamma:3:0.01", "exp:2", 0.0): (0.00014684082694878584, 0.0, 0.00014684082694878584, 0.00014478563054988594),
+    ("gamma:3:0.01", "exp:2", 20.0): (0.006712326089335674, 0.0, 0.006712326089335674, 0.006618379319791722),
+    ("gamma:3:0.01", "exp:2", 40.0): (0.01451768724133976, 0.0, 0.01451768724133976, 0.01431449538388298),
+    ("gamma:2:1000", "chisq:1", 0.0): (6.440677354676207, 0.0, 6.440677354676207, 3.2255647224300095),
+    ("gamma:2:1000", "chisq:1", 20.0): (8.263995513871969, 0.0, 8.263995513871969, 4.139702876913869),
+    ("gamma:2:1000", "chisq:1", 40.0): (8.5397439373991, 0.0, 8.5397439373991, 4.278172310215375),
+    ("const:2", "chisq:4", 0.0): (0.11664440368915391, 0.11664440368915391, 0.08748699669480454, 0.07024425046782962),
+    ("const:2", "chisq:4", 20.0): (0.16377125870239487, 0.16377125870239487, 0.16269667336596888, 0.13109431525505577),
+    ("const:2", "chisq:4", 40.0): (0.16446948168759148, 0.16446948168759148, 0.1644581872096613, 0.13252512432099023),
+    ("const:3", "const:1", 0.0): (0.6931471805599453, 0.6931471805599453, 0.6931471805599453, 0.34657359027997264),
+    ("const:3", "const:1", 20.0): (1.0919897479076157, 1.0919897479076157, 1.0919897479076157, 0.5459948739667203),
+    ("const:3", "const:1", 40.0): (1.0985456264455653, 1.0985456264455653, 1.0985456264455653, 0.5492728132545756),
+}
+
+# const:2 / gamma:0.5:1: upper_full and lower_full with menu [full-inv]
+# (infeasible, so the const fallback evaluates E[r_s] against its floor)
+# and lower_main with menu [main-inv] (a point-mass main gain)
+PINNED_FALLBACK = {
+    0.0: (0.7755862988273272, 0.7755862988273272, 0.4072663174631122),
+    20.0: (2.327723981872099, 2.327723981872099, 1.261999842464888),
+    40.0: (2.611849678187805, 2.611849678187805, 1.4293079894939522),
+}
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("key", sorted(PINNED_BOUNDS), ids=lambda k: f"{k}")
+    def test_four_bounds(self, key):
+        m, e, db = key
+        dm, de = parse_distribution(m), parse_distribution(e)
+        p_bar = 10.0 ** (db / 10.0)
+        got = tuple(f(dm, de, p_bar).value
+                    for f in (upper_full, lower_full, upper_main, lower_main))
+        assert repr(got) == repr(PINNED_BOUNDS[key])
+
+    @pytest.mark.parametrize("key", sorted(PINNED_LIMIT), ids=lambda k: f"{k}")
+    def test_high_snr_limit(self, key):
+        dm, de = parse_distribution(key[0]), parse_distribution(key[1])
+        assert repr(high_snr_limit(dm, de).value) == repr(PINNED_LIMIT[key])
+
+    @pytest.mark.parametrize("db", sorted(PINNED_FALLBACK))
+    def test_fallback_and_point_mass_main(self, db):
+        dm, de = parse_distribution("const:2"), parse_distribution("gamma:0.5:1")
+        p_bar = 10.0 ** (db / 10.0)
+        uf = upper_full(dm, de, p_bar, family_menu=["full-inv"])
+        lf = lower_full(dm, de, p_bar, family_menu=["full-inv"])
+        lm = lower_main(dm, de, p_bar, family_menu=["main-inv"])
+        assert "warning" in uf.diagnostics and "warning" in lf.diagnostics
+        got = (uf.value, lf.value, lm.value)
+        assert repr(got) == repr(PINNED_FALLBACK[db])
