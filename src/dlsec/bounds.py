@@ -12,12 +12,23 @@ key rate left after carrying R on the main channel.  K is continuous and
 non-increasing in R, so g(R) = R - min{K(R), R_d} is strictly increasing
 with g(0) <= 0 <= g(R_d), and bisection on [0, R_d] finds the unique fixed
 point.
+
+All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
+(upper bounds), E[r_s'] at q = h_e (lower_full) and K(R) (lower_main).
+:func:`dlsec.rates.secrecy_gap` evaluates it once per calibrated policy
+and keeps the last 8, so the bounds at one budget build it once per
+family (the default menus have 4; a new budget rescales every policy, so
+nothing older is hit again).  The law-only inputs of calibration
+(E[1/min(h_m, h_e)], the truncated inverse moment and the trunc-inv
+default cutoff) are cached per law, 64 entries like the quadrature grid,
+so calibrating at a new budget is one division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +38,8 @@ from .numerics import bisect, golden_max, halfline_nodes, unit_nodes
 from .policy import (MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, direct_rate_floor,
-                    ergodic_secrecy_rate, expected_key_share, q_threshold)
+                    ergodic_secrecy_rate, expected_key_share, q_threshold,
+                    secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -53,9 +65,11 @@ class HighSnrLimit(NamedTuple):
     invertible: bool
 
 
+@lru_cache(maxsize=64)
 def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, float]:
     """Menu entries follow the policy grammar; a bare 'trunc-inv' defaults
-    its cutoff to the median main gain."""
+    its cutoff to the median main gain (a law-only quantile, hence the
+    cache)."""
     if entry.strip().lower() == "trunc-inv":
         return "trunc-inv", dist_m.quantile(0.5)
     return parse_policy(entry)
@@ -161,7 +175,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         cap = common_rate_floor(pol, dist_m, dist_e)
 
         def value_at(kappa: float, pol=pol, cap=cap) -> tuple[float, dict]:
-            q = q_threshold(kappa)
+            q = None if kappa == 0.0 else q_threshold(kappa)
             key_mean = expected_key_share(pol, dist_m, dist_e, q, nodes)
             r_o = min(key_mean, cap)
             dfloor = direct_rate_floor(pol, dist_m, dist_e, q)
@@ -204,9 +218,11 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
                      tol: float = _FIXED_POINT_TOL) -> tuple[float, dict]:
     """Solve R = min{K(R), R_d} for one calibrated main-CSI policy.
 
-    K(R) = E[(r_main - R - r_eve)^+] is precomputed on the quadrature grid
-    so each evaluation is a single weighted clip.  Returns the fixed point
-    and a diagnostics dict.
+    K(R) = E[(r_main - R - r_eve)^+] reads the shared gap from
+    :func:`dlsec.rates.secrecy_gap`, so each evaluation is a single
+    weighted clip, and K(0) is E[r_s].  Returns the fixed point and a
+    diagnostics dict; ``fixed_point_iterations`` counts the evaluations
+    of g(R) that bisection made.
     """
     r_d = delay_floor(policy, dist_m)
     diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": 0}
@@ -215,19 +231,18 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
         diag["key_balance_margin"] = 0.0
         diag["feasible"] = True
         return 0.0, diag
-    hm, he, w = joint_grid(dist_m, dist_e, nodes)
-    p = policy.power(hm, he)
-    gap = np.log1p(p * hm) - np.log1p(p * he)
+    gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
+    w = joint_grid(dist_m, dist_e, nodes)[2]
 
     def key_rate(r: float) -> float:
         return float(np.dot(w, np.maximum(gap - r, 0.0)))
 
     def g(r: float) -> float:
+        diag["fixed_point_iterations"] += 1
         return r - min(key_rate(r), r_d)
 
     root = bisect(g, 0.0, r_d, tol)
-    diag["fixed_point_iterations"] = max(int(math.ceil(math.log2(max(r_d / tol, 1.0)))), 1)
-    diag["key_rate_at_zero"] = key_rate(0.0)
+    diag["key_rate_at_zero"] = key_rate_at_zero
     k_root = key_rate(root)
     diag["key_balance_margin"] = min(k_root, r_d) - root
     diag["feasible"] = diag["key_balance_margin"] >= -max(_CERT_TOL, 2.0 * tol)

@@ -34,7 +34,8 @@ from .fading import joint_grid, parse_distribution
 from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import SCHEMES, SimConfig, simulate
-from .rates import delay_floor, ergodic_secrecy_rate, per_state_rates
+from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
+                    secrecy_gap)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -358,9 +359,8 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
     pol = calibrate("main-inv", dist_m, dist_e, p_bar)
     r_star, _ = fixed_point_rate(pol, dist_m, dist_e, nodes)
     r_d = delay_floor(pol, dist_m)
-    hm, he, w = joint_grid(dist_m, dist_e, nodes)
-    p = pol.power(hm, he)
-    gap = np.log1p(p * hm) - np.log1p(p * he)
+    gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
+    w = joint_grid(dist_m, dist_e, nodes)[2]
     grid = np.linspace(0.0, r_d, grid_points)
     g = np.empty_like(grid)
     for i in range(0, grid.size, 512):

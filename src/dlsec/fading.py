@@ -214,8 +214,13 @@ def inverse_moment(dist: FadingDistribution) -> float:
     return 1.0 / ((k - 1.0) * dist.scale)
 
 
+@lru_cache(maxsize=64)
 def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
-    """E[1/h restricted to h >= h_min]; finite for every h_min > 0."""
+    """E[1/h restricted to h >= h_min]; finite for every h_min > 0.
+
+    Law-only, so cached like :func:`joint_grid`: a sweep calibrates
+    trunc-inv at every SNR point against the same moment.
+    """
     if h_min < 0:
         raise ValueError(f"h_min must be >= 0, got {h_min}")
     if dist.is_degenerate:
@@ -228,9 +233,13 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
     return float(np.dot(w, dist.pdf(y) / y))
 
 
+@lru_cache(maxsize=64)
 def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
                        nodes: int = 200) -> float:
     """E[1/min(h_m, h_e)] for independent gains, or math.inf when divergent.
+
+    Law-only, so cached like :func:`joint_grid` (full-inv calibration and
+    the high-SNR invertibility flag read it for every budget).
 
     Finiteness is decided analytically: every continuous component must
     have canonical gamma shape > 1 (density exponent at zero positive); a
@@ -288,8 +297,19 @@ def expectation(f, dist_m: FadingDistribution, dist_e: FadingDistribution,
     ``f`` maps a ChannelState with array fields to an array of values; this
     is the quadrature twin of :func:`dlsec.numerics.mc_expect`.
     """
-    hm, he, w = joint_grid(dist_m, dist_e, nodes)
+    grid = joint_grid(dist_m, dist_e, nodes)
+    hm, he, _ = grid
     y = np.broadcast_to(np.asarray(f(ChannelState(hm, he)), dtype=float), hm.shape)
+    return grid_mean(grid, y)
+
+
+def grid_mean(grid: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> float:
+    """dot(w, y) over a :func:`joint_grid`, after checking y is finite.
+
+    Raises:
+        ValueError: naming the first grid point where ``y`` is not finite.
+    """
+    hm, he, w = grid
     if not np.all(np.isfinite(y)):
         i = int(np.argmax(~np.isfinite(y)))
         raise ValueError(

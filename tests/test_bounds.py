@@ -160,6 +160,23 @@ class TestLowerMain:
         # g strictly increasing across the grid
         assert np.all(np.diff(g) > 0.0)
 
+    def test_iterations_are_observed_evaluations(self, monkeypatch):
+        """fixed_point_iterations counts the g(R) calls bisection made."""
+        import dlsec.bounds as bounds_mod
+        real_bisect = bounds_mod.bisect
+        calls = []
+
+        def counting_bisect(g, lo, hi, tol):
+            def counted(r):
+                calls.append(r)
+                return g(r)
+            return real_bisect(counted, lo, hi, tol)
+
+        monkeypatch.setattr(bounds_mod, "bisect", counting_bisect)
+        pol = calibrate("main-inv", CHISQ4, CHISQ4, 100.0)
+        _, diag = fixed_point_rate(pol, CHISQ4, CHISQ4)
+        assert diag["fixed_point_iterations"] == len(calls) > 2
+
     def test_positive_for_invertible_channel(self):
         assert lower_main(CHISQ4, CHISQ4, 100.0).value > 0.01
 

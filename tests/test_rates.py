@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dlsec.fading import ChannelState, parse_distribution
+from dlsec.fading import ChannelState, expectation, joint_grid, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect
 from dlsec.policy import PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, direct_rate_floor,
                          ergodic_secrecy_rate, expected_key_share,
-                         per_state_rates, q_threshold)
+                         per_state_rates, q_threshold, secrecy_gap)
 
 CHISQ4 = parse_distribution("chisq:4")
 UNIT = PowerPolicy("const", 1.0)
@@ -119,11 +119,35 @@ class TestErgodicSecrecyRate:
                         dm, de, 200_000, RngSeed(99, stream))
         assert abs(quad - est.mean) <= 4.0 * est.stderr
 
-    def test_key_share_equals_secrecy_rate_at_q_he(self):
-        pol = calibrate("main-inv", CHISQ4, CHISQ4, 100.0)
+    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
+    @pytest.mark.parametrize("q_he", [None, q_threshold(0.0)], ids=["None", "kappa0"])
+    def test_key_share_equals_secrecy_rate_at_q_he(self, family, q_he):
+        """q = h_e makes r_s' = r_s at every state, so the two integrals
+        agree bit for bit (the q closure runs the per-state path)."""
+        h_min = CHISQ4.quantile(0.5) if family == "trunc-inv" else 0.0
+        pol = calibrate(family, CHISQ4, CHISQ4, 100.0, h_min)
         a = ergodic_secrecy_rate(pol, CHISQ4, CHISQ4)
-        b = expected_key_share(pol, CHISQ4, CHISQ4, q_threshold(0.0))
-        assert abs(a - b) < 1e-14
+        b = expected_key_share(pol, CHISQ4, CHISQ4, q_he)
+        assert a == b
+
+    def test_non_finite_integrand_raises_and_gap_is_read_only(self):
+        """p * h overflows at p_bar = 1e308 and the gap is inf - inf: every
+        path into the shared finite check names the grid point."""
+        pol = PowerPolicy("const", 1e308)
+        msg = "integrand not finite at grid point"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=msg):
+                ergodic_secrecy_rate(pol, CHISQ4, CHISQ4)
+            with pytest.raises(ValueError, match=msg):
+                expected_key_share(pol, CHISQ4, CHISQ4)
+            with pytest.raises(ValueError, match=msg):
+                expectation(lambda st: per_state_rates(pol, st).r_s, CHISQ4, CHISQ4)
+        gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
+                               CHISQ4, CHISQ4, 200)
+        assert ers == float(np.dot(joint_grid(CHISQ4, CHISQ4, 200)[2],
+                                   np.maximum(gap, 0.0)))
+        with pytest.raises(ValueError, match="read-only"):
+            gap[0] = 0.0
 
 
 class TestDelayFloor:
