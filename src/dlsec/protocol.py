@@ -133,6 +133,9 @@ class SimReport:
     totals: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The report as plain JSON values: the reference structure that
+        ``to_json`` encodes, as ``json.dumps(..., sort_keys=True, indent=1)``
+        would."""
         cfg = self.config
         return {
             "config": {

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -284,6 +285,48 @@ class TestDeterminismAndSerialization:
         assert len(doc["records"]["m"]) == 20
         assert set(doc["records"]) >= {"m", "l", "h_m", "h_e", "power",
                                        "key_consumed", "outage"}
+
+
+# Configs for the encoder-equivalence check: every scheme and init mode, the
+# smallest shape, and a const-power run at p_bar = 1e308 where r_eve
+# overflows to inf (JSON writes Infinity, the CSV repr writes inf).
+ENCODER_CASES = {
+    **{f"{scheme}-{init}": dict(scheme=scheme, init=init, a=20, b=3)
+       for scheme in ("full", "main", "baseline")
+       for init in ("insecure", "dedicated")},
+    **{f"{scheme}-a1b1n1": dict(scheme=scheme, a=1, b=1, n1=1)
+       for scheme in ("full", "main", "baseline")},
+    **{f"{scheme}-inf-r_eve": dict(
+        scheme=scheme, dist_m=parse_distribution("gamma:2:0.001"),
+        dist_e=parse_distribution("const:1000"), p_bar=1e308, policy="const",
+        a=3, b=2, n1=10) for scheme in ("baseline", "main")},
+}
+
+
+class TestEncoders:
+    """`to_json` and `csv_text` write exactly what the reference encoders
+    write: `json.dumps` of `to_json_dict`, and `repr` of each value."""
+
+    @pytest.fixture(params=sorted(ENCODER_CASES), scope="class")
+    def report(self, request):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return simulate(make_config(**ENCODER_CASES[request.param]))
+
+    def test_json_matches_reference_encoder(self, report):
+        want = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
+        assert report.to_json() == want
+
+    def test_csv_matches_reference_formula(self, report):
+        names = list(report.records.dtype.names)
+        cols = [map(repr, report.records[name].tolist()) for name in names]
+        want = "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
+        assert report.csv_text() == want
+
+    def test_non_finite_case_is_reached(self):
+        with np.errstate(over="ignore"):
+            rep = simulate(make_config(**ENCODER_CASES["main-inf-r_eve"]))
+        assert np.isinf(rep.records.r_eve).all()
+        assert "Infinity" in rep.to_json() and ",inf," in rep.csv_text()
 
 
 # sha256 of to_json() + csv_text() at n1 = 1000, keyed by
