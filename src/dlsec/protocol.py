@@ -8,7 +8,10 @@ The ledger itself is columnar: bit loads are computed for all blocks at
 once and a single integer scan tracks the pad pool.  Key material is real
 seeded pseudo-random bits: each super-block's pad bits are drawn from the
 key stream in FIFO order, XORed with fresh data bits and decrypted again,
-so round-trip integrity is checked bit for bit.
+so round-trip integrity is checked bit for bit.  The bits stay packed
+eight per byte as drawn, and the XOR runs on the bytes.  The report's JSON
+and CSV share one text pass: each column's values are turned into their
+``repr`` once, and both writers lay out that text.
 
 Time structure: b super-blocks of a blocks of n1 symbols (n = b*a*n1).
 Rates are nats per use throughout the package; this module converts to
@@ -36,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,10 +136,8 @@ class SimReport:
     schedule: dict = field(default_factory=dict)
     totals: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        """The report as plain JSON values: the reference structure that
-        ``to_json`` encodes, as ``json.dumps(..., sort_keys=True, indent=1)``
-        would."""
+    def _summary(self) -> dict:
+        """Every entry of the JSON document except the per-block arrays."""
         cfg = self.config
         return {
             "config": {
@@ -160,17 +162,67 @@ class SimReport:
             "otp_insecure_fraction": self.otp_insecure_fraction,
             "outage_fraction": self.outage_fraction,
             "roundtrip_ok": self.roundtrip_ok,
+        }
+
+    def to_json_dict(self) -> dict:
+        """The report as plain JSON values: the reference structure that
+        ``to_json`` encodes, as ``json.dumps(..., sort_keys=True, indent=1)``
+        would."""
+        return {
+            **self._summary(),
             "buffer_trajectory": self.buffer_trajectory,
             "records": {name: self.records[name].tolist() for name, _ in _COLUMNS},
         }
 
+    @cached_property
+    def _column_text(self) -> dict[str, str]:
+        """The ``repr`` of each column's values, one value per line.
+
+        One joined string per column keeps the cache small; ``records`` is
+        read-only, so the text cannot go stale.
+        """
+        return {name: "\n".join(map(repr, self.records[name].tolist()))
+                for name, _ in _COLUMNS}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``,
+        with the per-block arrays spliced in from the shared column text."""
+        # json escapes newlines inside strings, so each "\n" below is a line
+        # break of the layout; indenting it by one space nests the value.
+        parts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+                 for key, value in self._summary().items()}
+        parts["buffer_trajectory"] = _json_array(
+            "\n".join(map(repr, self.buffer_trajectory)), 1)
+        columns = self._column_text
+        parts["records"] = _json_object(
+            {name: _json_array(columns[name], 2) for name in columns}, 1)
+        return _json_object(parts, 0)
 
     def csv_text(self) -> str:
         names = [name for name, _ in _COLUMNS]
-        cols = [map(repr, self.records[name].tolist()) for name in names]
+        cols = [self._column_text[name].split("\n") for name in names]
         return "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
+
+
+def _json_object(members: dict[str, str], depth: int) -> str:
+    """An object of already-encoded member values, laid out as ``json.dumps``
+    with ``sort_keys=True, indent=1`` lays it out at nesting depth ``depth``."""
+    inner = "\n" + " " * (depth + 1)
+    items = (f"{json.dumps(key)}: {members[key]}" for key in sorted(members))
+    return "{" + inner + ("," + inner).join(items) + "\n" + " " * depth + "}"
+
+
+def _json_array(lines: str, depth: int) -> str:
+    """A non-empty JSON array at nesting depth ``depth`` from the ``repr``
+    of its values, one per line, in the layout of ``json.dumps(..., indent=1)``.
+
+    ``json`` spells non-finite floats Infinity, -Infinity and NaN where
+    ``repr`` gives inf, -inf and nan; no other float or int repr contains
+    those letters.
+    """
+    lines = lines.replace("inf", "Infinity").replace("nan", "NaN")
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + lines.replace("\n", "," + inner) + "\n" + " " * depth + "]"
 
 
 def otp(data, key) -> np.ndarray:
@@ -274,6 +326,7 @@ def simulate(config: SimConfig) -> SimReport:
         [m + 1, l + 1, h_m, h_e, power, rb.r_main, rb.r_eve, rb.r_s,
          rb.r_s_prime, rb.r_s_dprime, consumed, gen, delivered, insecure, outage],
         dtype=list(_COLUMNS))
+    records.flags.writeable = False
     sb_consumed = consumed.reshape(b, a).sum(axis=1).tolist()
     total_delivered = int(delivered.sum())
     return SimReport(
@@ -297,9 +350,14 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n pseudo-random 0/1 bits; each random byte yields eight."""
-    return np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
+def _packed_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n pseudo-random bits packed eight per byte, first bit in the high bit
+    (``np.unpackbits(..., count=n)`` reads them back); the unused low bits
+    of the last byte are zero."""
+    packed = np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8).copy()
+    if n % 8:
+        packed[-1] &= 0xFF << (8 - n % 8) & 0xFF
+    return packed
 
 
 def _roundtrip(config: SimConfig, sb_consumed: list[int]) -> bool:
@@ -308,15 +366,17 @@ def _roundtrip(config: SimConfig, sb_consumed: list[int]) -> bool:
     Consumption is FIFO, so the pad bits spent by the end of super-block m
     are a prefix of the key stream: super-block m's pad is the next
     ``sb_consumed[m]`` bits of the key lane.  One super-block is drawn at a
-    time, which bounds memory by one super-block's traffic.
+    time, which bounds memory by one super-block's traffic.  Bits stay
+    packed: XOR on bytes is XOR bit for bit, eight bits per byte.
     """
     key_rng = config.seed.generator(_KEY_LANE)
     data_rng = config.seed.generator(_DATA_LANE)
     ok = True
     for spent in sb_consumed:
-        key = _random_bits(key_rng, spent)
-        data = _random_bits(data_rng, spent)
-        ok &= bool(np.array_equal(otp(otp(data, key), key), data))
+        key = _packed_bits(key_rng, spent)
+        data = _packed_bits(data_rng, spent)
+        cipher = np.bitwise_xor(data, key)
+        ok &= bool(np.array_equal(np.bitwise_xor(cipher, key), data))
     return ok
 
 

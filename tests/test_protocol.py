@@ -11,7 +11,8 @@ import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import LN2, SimConfig, key_balance_check, otp, simulate
+from dlsec.protocol import (LN2, SimConfig, _packed_bits, key_balance_check, otp,
+                            simulate)
 
 CHISQ4 = parse_distribution("chisq:4")
 
@@ -46,6 +47,21 @@ class TestOtp:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             otp([2, 0], [1, 0])
+
+
+class TestPackedDraw:
+    """The round trip's packed pad draw holds exactly the bits that unpacking
+    each random byte into eight 0/1 values draws from the same stream."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 8191])
+    def test_unpacks_to_the_bitwise_draw(self, n):
+        packed = _packed_bits(RngSeed(5).generator(3), n)
+        ref_rng = RngSeed(5).generator(3)
+        want = np.unpackbits(np.frombuffer(ref_rng.bytes((n + 7) // 8), dtype=np.uint8),
+                             count=n)
+        assert packed.dtype == np.uint8 and packed.size == (n + 7) // 8
+        np.testing.assert_array_equal(np.unpackbits(packed, count=n), want)
+        assert not np.unpackbits(packed)[n:].any()
 
 
 class TestPadPool:
@@ -276,6 +292,15 @@ class TestDeterminismAndSerialization:
             assert float(row["r_s_prime"]) == rec.r_s_prime
             assert int(row["key_consumed"]) == rec.key_consumed
             assert int(row["outage"]) == int(rec.outage)
+
+    def test_records_are_read_only(self):
+        """The JSON and CSV text is cached per report; the ledger under it
+        cannot change."""
+        rep = simulate(make_config(a=10, b=2))
+        with pytest.raises(ValueError, match="read-only"):
+            rep.records.key_consumed[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            rep.records["h_m"][:] = 0.0
 
     def test_json_document_shape(self):
         rep = simulate(make_config(a=10, b=2))
