@@ -193,9 +193,8 @@ class SimReport:
                  for key, value in self._summary().items()}
         parts["buffer_trajectory"] = _json_array(
             "\n".join(map(repr, self.buffer_trajectory)), 1)
-        columns = self._column_text
         parts["records"] = _json_object(
-            {name: _json_array(columns[name], 2) for name in columns}, 1)
+            {name: _json_array(text, 2) for name, text in self._column_text.items()}, 1)
         return _json_object(parts, 0)
 
     def csv_text(self) -> str:
