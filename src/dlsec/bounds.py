@@ -8,10 +8,11 @@ either closed-form or a golden-section pass.
 
 The main-CSI achievable rate is self-referential: the sustainable one-time
 pad data rate R must satisfy R = min{K(R), R_d}, where K(R) is the secure
-key rate left after carrying R on the main channel.  K is continuous and
-non-increasing in R, so g(R) = R - min{K(R), R_d} is strictly increasing
-with g(0) <= 0 <= g(R_d), and bisection on [0, R_d] finds the unique fixed
-point.
+key rate left after carrying R on the main channel.  On the quadrature
+grid K is convex, piecewise linear and non-increasing in R, so
+R - min{K(R), R_d} is strictly increasing with one root, and Newton's
+method from R = 0 reaches it exactly on the crossing segment of K
+(:func:`fixed_point_rate`).
 
 All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
 (upper bounds), E[r_s'] at q = h_e (lower_full) and K(R) (lower_main).
@@ -34,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fading import FadingDistribution, inverse_min_moment, joint_grid
-from .numerics import bisect, golden_max, halfline_nodes, unit_nodes
+from .numerics import golden_max, halfline_nodes, unit_nodes
 from .policy import (MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, direct_rate_floor,
@@ -44,7 +45,6 @@ from .rates import (common_rate_floor, delay_floor, direct_rate_floor,
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
 
-_FIXED_POINT_TOL = 1e-10
 _CERT_TOL = 1e-9
 
 
@@ -214,15 +214,21 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
 
 
 def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
-                     dist_e: FadingDistribution, nodes: int = 200,
-                     tol: float = _FIXED_POINT_TOL) -> tuple[float, dict]:
+                     dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
     """Solve R = min{K(R), R_d} for one calibrated main-CSI policy.
 
-    K(R) = E[(r_main - R - r_eve)^+] reads the shared gap from
-    :func:`dlsec.rates.secrecy_gap`, so each evaluation is a single
-    weighted clip, and K(0) is E[r_s].  Returns the fixed point and a
-    diagnostics dict; ``fixed_point_iterations`` counts the evaluations
-    of g(R) that bisection made.
+    On the grid, K(R) = sum_i w_i (g_i - R)^+ over the shared gap of
+    :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Only positive
+    gaps count for R >= 0, so they are kept once.  Newton's method from
+    R = 0 on f(R) = R - K(R) then lands each step on the root
+    S / (1 + W) of the current segment's line, where S and W sum w_i g_i
+    and w_i over the gaps above R.  f is concave and increasing, so the
+    steps rise without passing the root.  A step that drops no gap below
+    R returns R itself, the exact root on the crossing segment; between
+    the first step and that last one, each step crosses a breakpoint.  A
+    step that reaches R_d means K(R_d) >= R_d and the answer is R_d.
+    ``fixed_point_iterations`` counts the steps taken, and ``binding`` is
+    "r_d_floor" when R* = R_d, else "key_rate".
     """
     r_d = delay_floor(policy, dist_m)
     diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": 0}
@@ -230,22 +236,31 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
         diag["key_rate_at_zero"] = 0.0
         diag["key_balance_margin"] = 0.0
         diag["feasible"] = True
+        diag["binding"] = "r_d_floor"
         return 0.0, diag
     gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
     w = joint_grid(dist_m, dist_e, nodes)[2]
-
-    def key_rate(r: float) -> float:
-        return float(np.dot(w, np.maximum(gap - r, 0.0)))
-
-    def g(r: float) -> float:
+    positive = gap > 0.0
+    g_pos, w_pos = gap[positive], w[positive]
+    g_act, w_act = g_pos, w_pos
+    root = 0.0
+    while True:
         diag["fixed_point_iterations"] += 1
-        return r - min(key_rate(r), r_d)
-
-    root = bisect(g, 0.0, r_d, tol)
+        above = g_act > root
+        if not above.all():
+            g_act, w_act = g_act[above], w_act[above]
+        step = float(np.dot(w_act, g_act)) / (1.0 + float(w_act.sum()))
+        if step >= r_d:
+            root = r_d
+            break
+        if step <= root:
+            break
+        root = step
     diag["key_rate_at_zero"] = key_rate_at_zero
-    k_root = key_rate(root)
+    k_root = float(np.dot(w_pos, np.maximum(g_pos - root, 0.0)))
     diag["key_balance_margin"] = min(k_root, r_d) - root
-    diag["feasible"] = diag["key_balance_margin"] >= -max(_CERT_TOL, 2.0 * tol)
+    diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
+    diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
     return root, diag
 
 

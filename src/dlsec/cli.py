@@ -355,7 +355,7 @@ def cmd_simulate(args) -> int:
 
 
 def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
-    """|bisection fixed point - brute-force grid argmin of |g|| for main-inv."""
+    """|Newton fixed point - brute-force grid argmin of |g|| for main-inv."""
     pol = calibrate("main-inv", dist_m, dist_e, p_bar)
     r_star, _ = fixed_point_rate(pol, dist_m, dist_e, nodes)
     r_d = delay_floor(pol, dist_m)

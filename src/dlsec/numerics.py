@@ -1,6 +1,6 @@
 """Deterministic numeric kernels shared across the package.
 
-Quadrature on the half line (rational map plus Gauss-Legendre), bisection,
+Quadrature on the half line (rational map plus Gauss-Legendre),
 golden-section maximization, and seeded Monte Carlo expectation with
 standard-error reporting.  Everything here is pure: identical inputs give
 bit-identical outputs, and Monte Carlo is reproducible through the
@@ -24,10 +24,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or +-inf at an evaluation point."""
-
-
-class BracketingError(ValueError):
-    """A root finder was called without a sign change on its bracket."""
 
 
 @dataclass(frozen=True)
@@ -137,43 +133,6 @@ def integrate_halfline(f: Callable[[np.ndarray], np.ndarray], nodes: int = 200) 
             f"integrand not finite at node x={x[i]:.9g} (node {i} of {nodes})"
         )
     return float(np.dot(w, y))
-
-
-def bisect(g: Callable[[float], float], lo: float, hi: float, tol: float,
-           max_iter: int = 200) -> float:
-    """Root of a continuous monotone ``g`` on [lo, hi] by bisection.
-
-    Requires a sign change (or an exact zero) at the endpoints.  Returns
-    the midpoint of the final bracket, whose width is <= tol.
-    """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    glo = float(g(lo))
-    if glo == 0.0:
-        return lo
-    ghi = float(g(hi))
-    if ghi == 0.0:
-        return hi
-    if (glo > 0) == (ghi > 0):
-        raise BracketingError(
-            f"no bracketing: g({lo:.6g})={glo:.6g} and g({hi:.6g})={ghi:.6g} "
-            "have the same sign"
-        )
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = float(g(mid))
-        if gm == 0.0:
-            return mid
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,

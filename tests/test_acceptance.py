@@ -87,7 +87,7 @@ def test_c3_exponential_closed_form():
 
 
 def test_c4_fixed_point_matches_grid_scan():
-    """Bisection answer within one step of a 1e4-point scan of g(R), with g
+    """Newton answer within one step of a 1e4-point scan of g(R), with g
     strictly increasing, over 5 seeded (scale, budget) configurations."""
     rng = np.random.default_rng(2024)
     points = 10_001

@@ -23,7 +23,7 @@ def scan_fixed_point(policy, dist_m, dist_e, points=2001, nodes=200):
     """Brute-force grid scan of g(R) = R - min{K(R), R_d} on [0, R_d].
 
     Returns (grid argmin of |g|, grid step, g values).  Independent check
-    of the bisection answer.
+    of the Newton answer.
     """
     r_d = delay_floor(policy, dist_m)
     hm, he, w = joint_grid(dist_m, dist_e, nodes)
@@ -151,7 +151,7 @@ class TestLowerMain:
         assert abs(r_star - scan) <= step
         assert abs(r_star - r_d / 2.0) < 1e-6
 
-    def test_bisection_matches_grid_scan(self):
+    def test_newton_matches_grid_scan(self):
         pol = calibrate("main-inv", CHISQ4, CHISQ4, 100.0)
         r_star, diag = fixed_point_rate(pol, CHISQ4, CHISQ4)
         scan, step, g = scan_fixed_point(pol, CHISQ4, CHISQ4, points=2001)
@@ -160,22 +160,35 @@ class TestLowerMain:
         # g strictly increasing across the grid
         assert np.all(np.diff(g) > 0.0)
 
-    def test_iterations_are_observed_evaluations(self, monkeypatch):
-        """fixed_point_iterations counts the g(R) calls bisection made."""
+    def test_iterations_are_observed_evaluations(self):
+        """const:3 / const:1 under main-inv has one gap value, so K is
+        linear below it: the first Newton step lands on R* = K(0) / 2
+        exactly and the second confirms it."""
+        dm, de = parse_distribution("const:3"), parse_distribution("const:1")
+        pol = calibrate("main-inv", dm, de, 100.0)
+        r_star, diag = fixed_point_rate(pol, dm, de)
+        assert r_star == diag["key_rate_at_zero"] / 2.0
+        assert r_star < diag["r_d_floor"]
+        assert diag["key_balance_margin"] == 0.0
+        assert diag["fixed_point_iterations"] == 2
+        assert diag["binding"] == "key_rate"
+
+    def test_binding_reports_the_floor(self, monkeypatch):
+        """A zero delay floor (const power on a law reaching 0) binds at
+        R* = 0; a floor below the key-rate crossing binds at R* = R_d."""
+        res = lower_main(CHISQ4, CHISQ4, 100.0, family_menu=["const"])
+        assert res.value == 0.0
+        assert res.diagnostics["binding"] == "r_d_floor"
+        assert lower_main(CHISQ4, CHISQ4, 100.0).diagnostics["binding"] == "key_rate"
+
         import dlsec.bounds as bounds_mod
-        real_bisect = bounds_mod.bisect
-        calls = []
-
-        def counting_bisect(g, lo, hi, tol):
-            def counted(r):
-                calls.append(r)
-                return g(r)
-            return real_bisect(counted, lo, hi, tol)
-
-        monkeypatch.setattr(bounds_mod, "bisect", counting_bisect)
+        monkeypatch.setattr(bounds_mod, "delay_floor", lambda policy, dist_m: 0.1)
         pol = calibrate("main-inv", CHISQ4, CHISQ4, 100.0)
-        _, diag = fixed_point_rate(pol, CHISQ4, CHISQ4)
-        assert diag["fixed_point_iterations"] == len(calls) > 2
+        r_star, diag = fixed_point_rate(pol, CHISQ4, CHISQ4)
+        assert r_star == 0.1
+        assert diag["binding"] == "r_d_floor"
+        assert diag["fixed_point_iterations"] == 1
+        assert diag["key_balance_margin"] == 0.0
 
     def test_positive_for_invertible_channel(self):
         assert lower_main(CHISQ4, CHISQ4, 100.0).value > 0.01
@@ -253,10 +266,10 @@ class TestOrderingAndMonotonicity:
         assert abs(res.value - limit) / limit < 0.02
 
 
-# Bound values pinned at repr precision: the shared gap evaluation and the
-# law-only caches remove repeated work only, so every value stays
-# bit-identical.  gamma:0.5:1 is non-invertible (inversion families
-# infeasible); const:3/const:1 runs the golden-section kappa search.
+# Bound values pinned at repr precision.  gamma:0.5:1 is non-invertible
+# (inversion families infeasible); const:3/const:1 runs the golden-section
+# kappa search.  lower_main is the exact fixed point; the other three
+# bounds and the high-SNR limit are unchanged from earlier pins.
 PINNED_LIMIT = {
     ("chisq:4", "chisq:4"): 0.443147180618537,
     ("gamma:0.5:1", "gamma:0.5:1"): 1.1548886656510473,
@@ -268,33 +281,56 @@ PINNED_LIMIT = {
 
 # (dist_m, dist_e, pbar_db): (upper_full, lower_full, upper_main, lower_main)
 PINNED_BOUNDS = {
-    ("chisq:4", "chisq:4", 0.0): (0.31746082115720053, 0.31746082115720053, 0.2204403239821736, 0.15137553985607588),
-    ("chisq:4", "chisq:4", 20.0): (0.4412334868371165, 0.4412334868371165, 0.43714258342905293, 0.30290537633308984),
-    ("chisq:4", "chisq:4", 40.0): (0.44307983967637204, 0.44307983967637204, 0.4430361509275354, 0.30708715761799577),
+    ("chisq:4", "chisq:4", 0.0): (0.31746082115720053, 0.31746082115720053, 0.2204403239821736, 0.15137553987534907),
+    ("chisq:4", "chisq:4", 20.0): (0.4412334868371165, 0.4412334868371165, 0.43714258342905293, 0.3029053763418198),
+    ("chisq:4", "chisq:4", 40.0): (0.44307983967637204, 0.44307983967637204, 0.4430361509275354, 0.30708715762137634),
     ("gamma:0.5:1", "gamma:0.5:1", 0.0): (0.0, 0.0, 0.0, 0.0),
     ("gamma:0.5:1", "gamma:0.5:1", 20.0): (0.0, 0.0, 0.0, 0.0),
     ("gamma:0.5:1", "gamma:0.5:1", 40.0): (0.0, 0.0, 0.0, 0.0),
-    ("gamma:3:0.01", "exp:2", 0.0): (0.00014684082694878584, 0.0, 0.00014684082694878584, 0.00014478563054988594),
-    ("gamma:3:0.01", "exp:2", 20.0): (0.006712326089335674, 0.0, 0.006712326089335674, 0.006618379319791722),
-    ("gamma:3:0.01", "exp:2", 40.0): (0.01451768724133976, 0.0, 0.01451768724133976, 0.01431449538388298),
-    ("gamma:2:1000", "chisq:1", 0.0): (6.440677354676207, 0.0, 6.440677354676207, 3.2255647224300095),
-    ("gamma:2:1000", "chisq:1", 20.0): (8.263995513871969, 0.0, 8.263995513871969, 4.139702876913869),
-    ("gamma:2:1000", "chisq:1", 40.0): (8.5397439373991, 0.0, 8.5397439373991, 4.278172310215375),
-    ("const:2", "chisq:4", 0.0): (0.11664440368915391, 0.11664440368915391, 0.08748699669480454, 0.07024425046782962),
-    ("const:2", "chisq:4", 20.0): (0.16377125870239487, 0.16377125870239487, 0.16269667336596888, 0.13109431525505577),
-    ("const:2", "chisq:4", 40.0): (0.16446948168759148, 0.16446948168759148, 0.1644581872096613, 0.13252512432099023),
+    ("gamma:3:0.01", "exp:2", 0.0): (0.00014684082694878584, 0.0, 0.00014684082694878584, 0.00014478561905296807),
+    ("gamma:3:0.01", "exp:2", 20.0): (0.006712326089335674, 0.0, 0.006712326089335674, 0.006618379290854909),
+    ("gamma:3:0.01", "exp:2", 40.0): (0.01451768724133976, 0.0, 0.01451768724133976, 0.01431449534936124),
+    ("gamma:2:1000", "chisq:1", 0.0): (6.440677354676207, 0.0, 6.440677354676207, 3.2255647224383357),
+    ("gamma:2:1000", "chisq:1", 20.0): (8.263995513871969, 0.0, 8.263995513871969, 4.139702876954525),
+    ("gamma:2:1000", "chisq:1", 40.0): (8.5397439373991, 0.0, 8.5397439373991, 4.278172310232198),
+    ("const:2", "chisq:4", 0.0): (0.11664440368915391, 0.11664440368915391, 0.08748699669480454, 0.07024425047887943),
+    ("const:2", "chisq:4", 20.0): (0.16377125870239487, 0.16377125870239487, 0.16269667336596888, 0.13109431524378257),
+    ("const:2", "chisq:4", 40.0): (0.16446948168759148, 0.16446948168759148, 0.1644581872096613, 0.13252512428749363),
     ("const:3", "const:1", 0.0): (0.6931471805599453, 0.6931471805599453, 0.6931471805599453, 0.34657359027997264),
-    ("const:3", "const:1", 20.0): (1.0919897479076157, 1.0919897479076157, 1.0919897479076157, 0.5459948739667203),
-    ("const:3", "const:1", 40.0): (1.0985456264455653, 1.0985456264455653, 1.0985456264455653, 0.5492728132545756),
+    ("const:3", "const:1", 20.0): (1.0919897479076157, 1.0919897479076157, 1.0919897479076157, 0.5459948739538079),
+    ("const:3", "const:1", 40.0): (1.0985456264455653, 1.0985456264455653, 1.0985456264455653, 0.5492728132227827),
 }
 
 # const:2 / gamma:0.5:1: upper_full and lower_full with menu [full-inv]
 # (infeasible, so the const fallback evaluates E[r_s] against its floor)
 # and lower_main with menu [main-inv] (a point-mass main gain)
 PINNED_FALLBACK = {
-    0.0: (0.7755862988273272, 0.7755862988273272, 0.4072663174631122),
-    20.0: (2.327723981872099, 2.327723981872099, 1.261999842464888),
-    40.0: (2.611849678187805, 2.611849678187805, 1.4293079894939522),
+    0.0: (0.7755862988273272, 0.7755862988273272, 0.40726631743733266),
+    20.0: (2.327723981872099, 2.327723981872099, 1.2619998424704268),
+    40.0: (2.611849678187805, 2.611849678187805, 1.429307989494493),
+}
+
+# lower_main as bisection to a 1e-10 bracket gave it, for every pinned row
+# the exact solve moved (the const:2 / gamma:0.5:1 rows are the fallback
+# table's main-inv column).  Each move stays within the old half-bracket.
+BISECTION_LOWER_MAIN = {
+    ("chisq:4", "chisq:4", 0.0): 0.15137553985607588,
+    ("chisq:4", "chisq:4", 20.0): 0.30290537633308984,
+    ("chisq:4", "chisq:4", 40.0): 0.30708715761799577,
+    ("gamma:3:0.01", "exp:2", 0.0): 0.00014478563054988594,
+    ("gamma:3:0.01", "exp:2", 20.0): 0.006618379319791722,
+    ("gamma:3:0.01", "exp:2", 40.0): 0.01431449538388298,
+    ("gamma:2:1000", "chisq:1", 0.0): 3.2255647224300095,
+    ("gamma:2:1000", "chisq:1", 20.0): 4.139702876913869,
+    ("gamma:2:1000", "chisq:1", 40.0): 4.278172310215375,
+    ("const:2", "chisq:4", 0.0): 0.07024425046782962,
+    ("const:2", "chisq:4", 20.0): 0.13109431525505577,
+    ("const:2", "chisq:4", 40.0): 0.13252512432099023,
+    ("const:3", "const:1", 20.0): 0.5459948739667203,
+    ("const:3", "const:1", 40.0): 0.5492728132545756,
+    ("const:2", "gamma:0.5:1", 0.0): 0.4072663174631122,
+    ("const:2", "gamma:0.5:1", 20.0): 1.261999842464888,
+    ("const:2", "gamma:0.5:1", 40.0): 1.4293079894939522,
 }
 
 
@@ -323,3 +359,11 @@ class TestPinnedValues:
         assert "warning" in uf.diagnostics and "warning" in lf.diagnostics
         got = (uf.value, lf.value, lm.value)
         assert repr(got) == repr(PINNED_FALLBACK[db])
+
+    @pytest.mark.parametrize("key", sorted(BISECTION_LOWER_MAIN), ids=lambda k: f"{k}")
+    def test_lower_main_moved_within_bisection_bracket(self, key):
+        m, e, db = key
+        pinned = (PINNED_BOUNDS[key][3] if key in PINNED_BOUNDS
+                  else PINNED_FALLBACK[db][2])
+        assert pinned != BISECTION_LOWER_MAIN[key]
+        assert abs(pinned - BISECTION_LOWER_MAIN[key]) <= 5e-11

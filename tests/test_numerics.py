@@ -1,4 +1,4 @@
-"""Numeric kernel tests: quadrature, root finding, golden section, Monte Carlo."""
+"""Numeric kernel tests: quadrature, golden section, Monte Carlo."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from dlsec.numerics import (BracketingError, Estimate, NonFiniteIntegrandError,
-                            RngSeed, bisect, golden_max, integrate_halfline,
-                            mc_expect, pool_estimates)
+from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed,
+                            golden_max, integrate_halfline, mc_expect,
+                            pool_estimates)
 from dlsec.fading import parse_distribution
 
 
@@ -45,32 +45,6 @@ class TestIntegrateHalfline:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             integrate_halfline(lambda x: np.exp(-x), nodes=4)
-
-
-class TestBisect:
-    def test_linear_root(self):
-        assert abs(bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) - 1.0) < 1e-11
-
-    def test_crossing_against_min_branch(self):
-        # x = min(2 - x, 5) crosses at x = 1 (hand-solved)
-        root = bisect(lambda x: x - min(2.0 - x, 5.0), 0.0, 5.0, 1e-9)
-        assert abs(root - 1.0) < 1e-8
-
-    def test_root_at_origin(self):
-        assert abs(bisect(lambda x: x, -1.0, 1.0, 1e-12)) < 1e-11
-
-    def test_no_bracketing(self):
-        with pytest.raises(BracketingError, match="no bracketing"):
-            bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9)
-
-    def test_matches_fine_grid_scan(self):
-        """Bracket answer lands within tol of the grid minimizer of |g|."""
-        g = lambda x: math.expm1(x) - 0.7
-        tol = 1e-6
-        root = bisect(g, 0.0, 2.0, tol)
-        grid = np.linspace(0.0, 2.0, 200_001)
-        best = grid[np.argmin(np.abs(np.expm1(grid) - 0.7))]
-        assert abs(root - best) <= tol + (grid[1] - grid[0])
 
 
 class TestGoldenMax:
