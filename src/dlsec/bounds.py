@@ -35,12 +35,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fading import FadingDistribution, inverse_min_moment, joint_grid
-from .numerics import golden_max, halfline_nodes, unit_nodes
+from .numerics import golden_max, halfline_nodes, unit_nodes, weighted_sum
 from .policy import (MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
-from .rates import (common_rate_floor, delay_floor, direct_rate_floor,
-                    ergodic_secrecy_rate, expected_key_share, q_threshold,
-                    secrecy_gap)
+from .rates import (_pointwise, common_rate_floor, delay_floor,
+                    direct_rate_floor, ergodic_secrecy_rate, expected_key_share,
+                    q_threshold, secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -163,6 +163,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     kappa = 0 (q = h_e) is exactly optimal and the search is skipped.
     """
     menu = DEFAULT_FULL_MENU if family_menu is None else tuple(family_menu)
+    atom = dist_m.is_degenerate and dist_e.is_degenerate
     candidates = []
     infeasible: dict[str, str] = {}
     for entry in menu:
@@ -176,9 +177,14 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
 
         def value_at(kappa: float, pol=pol, cap=cap) -> tuple[float, dict]:
             q = None if kappa == 0.0 else q_threshold(kappa)
-            key_mean = expected_key_share(pol, dist_m, dist_e, q, nodes)
+            if atom:
+                # the law is the atom: E[r_s'] and ess-inf r_s'' are its rates
+                rates = _pointwise(pol, dist_m, dist_e, q)
+                key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
+            else:
+                key_mean = expected_key_share(pol, dist_m, dist_e, q, nodes)
+                dfloor = direct_rate_floor(pol, dist_m, dist_e, q)
             r_o = min(key_mean, cap)
-            dfloor = direct_rate_floor(pol, dist_m, dist_e, q)
             diag = {
                 "q_kappa": kappa,
                 "r_o_chosen": r_o,
@@ -196,7 +202,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             value, diag = value_at(float(q_kappa))
         else:
             value, diag = value_at(0.0)
-            if dist_m.is_degenerate and dist_e.is_degenerate:
+            if atom:
                 # only here can a positive kappa trade key share for a
                 # nonzero direct-share floor
                 kappa_hi = dist_m.params[0] + dist_e.params[0]
@@ -249,7 +255,7 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
         above = g_act > root
         if not above.all():
             g_act, w_act = g_act[above], w_act[above]
-        step = float(np.dot(w_act, g_act)) / (1.0 + float(w_act.sum()))
+        step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
         if step >= r_d:
             root = r_d
             break
@@ -257,7 +263,7 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
             break
         root = step
     diag["key_rate_at_zero"] = key_rate_at_zero
-    k_root = float(np.dot(w_pos, np.maximum(g_pos - root, 0.0)))
+    k_root = weighted_sum(w_pos, np.maximum(g_pos - root, 0.0))
     diag["key_balance_margin"] = min(k_root, r_d) - root
     diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
     diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
@@ -311,16 +317,16 @@ def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
     if dist_m.is_degenerate:
         vm = dist_m.params[0]
         t, wt = unit_nodes(nodes)
-        value = vm * float(np.dot(wt, np.log(1.0 / t) * dist_e.pdf(vm * t)))
+        value = vm * weighted_sum(wt, np.log(1.0 / t) * dist_e.pdf(vm * t))
         return HighSnrLimit(value, invertible)
     if dist_e.is_degenerate:
         ve = dist_e.params[0]
         x, w = halfline_nodes(nodes)
         y = x + ve
-        value = float(np.dot(w, np.log(y / ve) * dist_m.pdf(y)))
+        value = weighted_sum(w, np.log(y / ve) * dist_m.pdf(y))
         return HighSnrLimit(value, invertible)
     x, wx = halfline_nodes(nodes)
     t, wt = unit_nodes(nodes)
-    inner = dist_e.pdf(np.outer(x, t)) @ (wt * np.log(1.0 / t))
-    value = float(np.dot(wx * dist_m.pdf(x) * x, inner))
+    inner = weighted_sum(wt * np.log(1.0 / t), dist_e.pdf(np.outer(x, t)))
+    value = weighted_sum(wx * dist_m.pdf(x) * x, inner)
     return HighSnrLimit(value, invertible)

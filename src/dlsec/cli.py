@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import (fixed_point_rate, high_snr_limit, lower_full, lower_main,
                      resolve_menu_entry, upper_full, upper_main)
 from .fading import joint_grid, parse_distribution
-from .numerics import RngSeed, mc_expect
+from .numerics import RngSeed, mc_expect, weighted_sum
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import SCHEMES, SimConfig, simulate
 from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
@@ -365,7 +365,7 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
     g = np.empty_like(grid)
     for i in range(0, grid.size, 512):
         chunk = grid[i:i + 512]
-        k = np.maximum(gap[None, :] - chunk[:, None], 0.0) @ w
+        k = weighted_sum(w, np.maximum(gap[None, :] - chunk[:, None], 0.0))
         g[i:i + 512] = chunk - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
     return abs(r_star - best)

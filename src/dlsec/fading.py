@@ -9,6 +9,12 @@ Divergence of inverse moments is decided analytically from the density
 exponent near zero (finite iff density ~ C*x^a with a > 0, i.e. canonical
 shape > 1), never numerically: quadrature silently truncates the
 singularity and would report a misleading finite number.
+
+The gamma law is evaluated with numpy and :mod:`math` alone.  The cdf is
+the regularized lower incomplete gamma P(k, y): a power series below
+y = k + 1 and a modified-Lentz continued fraction for Q = 1 - P above it
+(Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2).  Scalars
+take a pure-:mod:`math` path; arrays run the same recurrences elementwise.
 """
 
 from __future__ import annotations
@@ -18,11 +24,162 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
-from .numerics import RngSeed, halfline_nodes, unit_nodes
+from .numerics import RngSeed, halfline_nodes, unit_nodes, weighted_sum
 
 _KINDS = ("chisq", "gamma", "exp", "const")
+
+_EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
+# The fraction's last factors round to within 2 ulps of 1 at random, so it
+# stops at 4 ulps; a test of 1 ulp could wait forever on one element.
+_CF_TOL = 4.0 * _EPS
+_CHECK_EVERY = 8  # array loops test convergence once per this many terms
+_QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
+
+
+def _gamma_pq(k: float, y: float) -> tuple[float, float]:
+    """(P(k, y), Q(k, y)) at one finite y > 0, in pure :mod:`math`.
+
+    Whichever of the two the recurrence computes (P by the series, Q by the
+    continued fraction) is accurate to a few ulps relative, far tails
+    included; the other is its complement.  For y >= k + 1 the fraction's
+    Lentz ratios c and d stay positive (c > b/2 and d > 7e-5/b for shapes
+    1e-4 to 1e5, where b is the current partial denominator), so it needs
+    no guard against a zero denominator.
+    """
+    log_front = k * math.log(y) - y - math.lgamma(k)
+    if y < k + 1.0:
+        term = total = 1.0 / k
+        kn = k
+        while term >= total * _EPS:
+            kn += 1.0
+            term *= y / kn
+            total += term
+        p = math.exp(log_front) * total
+        return p, 1.0 - p
+    b = y + 1.0 - k
+    c = math.inf
+    d = h = 1.0 / b
+    i = 0
+    delta = 0.0
+    while abs(delta - 1.0) > _CF_TOL:
+        i += 1
+        an = -i * (i - k)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+    q = math.exp(log_front) * h
+    return 1.0 - q, q
+
+
+def _gamma_p(k: float, y: np.ndarray) -> np.ndarray:
+    """P(k, y) elementwise over an array: the recurrences of :func:`_gamma_pq`.
+
+    Every element runs as many terms as the slowest in its branch needs;
+    convergence is tested once per ``_CHECK_EVERY`` terms.
+    """
+    out = np.where(y > 0.0, 1.0, 0.0)  # y <= 0 and y = inf are exact
+    out[np.isnan(y)] = np.nan
+    inner = (y > 0.0) & (y < math.inf)
+    lower = inner & (y < k + 1.0)
+    upper = inner & ~lower
+    if lower.any():
+        x = y[lower]
+        term = np.full_like(x, 1.0 / k)
+        total = term.copy()
+        kn = k
+        converged = False
+        while not converged:
+            for _ in range(_CHECK_EVERY):
+                kn += 1.0
+                term *= x
+                term /= kn
+                total += term
+            converged = bool(np.all(term < total * _EPS))
+        out[lower] = np.exp(k * np.log(x) - x - math.lgamma(k)) * total
+    if upper.any():
+        x = y[upper]
+        b = x + (1.0 - k)
+        c = np.full_like(x, math.inf)
+        d = 1.0 / b
+        h = d.copy()
+        i = 0
+        converged = False
+        while not converged:
+            for _ in range(_CHECK_EVERY):
+                i += 1
+                an = -i * (i - k)
+                b += 2.0
+                d *= an
+                d += b
+                np.divide(1.0, d, out=d)
+                np.divide(an, c, out=c)
+                c += b
+                delta = d * c
+                h *= delta
+            converged = bool(np.all(np.abs(delta - 1.0) <= _CF_TOL))
+        out[upper] = 1.0 - np.exp(k * np.log(x) - x - math.lgamma(k)) * h
+    return out
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile to 4.5e-4 (Abramowitz-Stegun 26.2.23).
+
+    Only a starting point for :func:`_gamma_quantile`'s Newton steps.
+    """
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - ((2.515517 + 0.802853 * t + 0.010328 * t * t)
+             / (1.0 + t * (1.432788 + t * (0.189269 + 0.001308 * t))))
+    return z if p > 0.5 else -z
+
+
+def _gamma_quantile(k: float, p: float) -> float:
+    """The y with P(k, y) = p, for 0 < p < 1.
+
+    Newton's method in log y on log P (log Q above the median, so the upper
+    tail keeps its relative accuracy), from the Wilson-Hilferty start, or
+    from the small-y power law when that start is not positive.  Both logs
+    are concave in log y (the law of log y has a log-concave density), so
+    Newton converges from one side; a step that leaves the bracket of
+    points already seen is replaced by its geometric midpoint.  It stops
+    once a step is below 1e-9 in log y, which the quadratic convergence
+    turns into an error near the rounding of P itself.
+    """
+    upper = p > 0.5
+    target = math.log1p(-p) if upper else math.log(p)
+    c = 1.0 / (9.0 * k)
+    y = k * (1.0 - c + _normal_quantile(p) * math.sqrt(c)) ** 3
+    if not y > 0.0:
+        y = math.exp((math.log(p) + math.lgamma(k + 1.0)) / k)
+    lo, hi = 0.0, math.inf
+    for _ in range(_QUANTILE_STEPS):
+        if y == 0.0:
+            return 0.0  # the quantile underflows
+        tail = _gamma_pq(k, y)[1 if upper else 0]
+        # d log(tail) / d log(y) = -+ y f(y) / tail, f the Gamma(k, 1) density
+        slope = math.exp(k * math.log(y) - y - math.lgamma(k)) / tail if tail > 0 else math.inf
+        if upper:
+            slope = -slope
+        g = (math.log(tail) if tail > 0 else -math.inf) - target
+        if g == 0.0:
+            return y
+        if (g > 0.0) != upper:
+            hi = y
+        else:
+            lo = y
+        step = g / slope
+        y_next = y * math.exp(-step) if math.isfinite(step) else math.nan
+        if not lo < y_next < hi:
+            y_next = math.sqrt(lo * hi) if lo > 0.0 and hi < math.inf else (
+                hi / 16.0 if lo == 0.0 else lo * 16.0)
+        elif abs(step) < 1e-9:
+            return y_next
+        if y_next == y:
+            return y
+        y = y_next
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +303,29 @@ class FadingDistribution:
         arr = np.asarray(x, dtype=float)
         if not np.all(arr > 0):
             raise ValueError("pdf is defined for x > 0 only")
-        out = stats.gamma.pdf(arr, a=self.shape, scale=self.scale)
-        return float(out) if out.ndim == 0 else out
+        k, theta = self.shape, self.scale
+        # exp((k - 1) log(y) - y - lgamma(k)) / theta, in place: the
+        # high-SNR limit evaluates it on 160 000 points
+        y = arr.reshape(-1) / theta
+        out = np.log(y)
+        out *= k - 1.0
+        out -= y
+        out -= math.lgamma(k)
+        np.exp(out, out=out)
+        out /= theta
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def cdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
+        """P(h <= x): 0 below the support, 1 at x = inf, NaN at NaN."""
         if self.is_degenerate:
-            out = (arr >= self.params[0]).astype(float)
+            out = (np.asarray(x, dtype=float) >= self.params[0]).astype(float)
+        elif np.ndim(x) == 0:
+            y = float(x) / self.scale
+            if 0.0 < y < math.inf:
+                return _gamma_pq(self.shape, y)[0]
+            return math.nan if math.isnan(y) else float(y > 0.0)
         else:
-            out = stats.gamma.cdf(arr, a=self.shape, scale=self.scale)
+            out = _gamma_p(self.shape, np.asarray(x, dtype=float) / self.scale)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
@@ -162,7 +333,7 @@ class FadingDistribution:
             raise ValueError(f"quantile level must be in (0, 1), got {p}")
         if self.is_degenerate:
             return self.params[0]
-        return float(stats.gamma.ppf(p, a=self.shape, scale=self.scale))
+        return self.scale * _gamma_quantile(self.shape, float(p))
 
     def sample(self, rng: RngSeed | np.random.Generator, n: int) -> np.ndarray:
         """n iid draws; deterministic given an RngSeed."""
@@ -230,7 +401,7 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
         return inverse_moment(dist)
     x, w = halfline_nodes(200)
     y = x + h_min
-    return float(np.dot(w, dist.pdf(y) / y))
+    return weighted_sum(w, dist.pdf(y) / y)
 
 
 @lru_cache(maxsize=64)
@@ -257,12 +428,27 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
         cont = dist_e if dist_m.is_degenerate else dist_m
         # E[1/min(v, Y)] = int_0^v f(y)/y dy + (1/v) P(Y >= v)
         t, wt = unit_nodes(nodes)
-        head = float(np.dot(wt, cont.pdf(v * t) / t))
+        head = weighted_sum(wt, cont.pdf(v * t) / t)
         return head + (1.0 - cont.cdf(v)) / v
     x, w = halfline_nodes(nodes)
     min_density = (dist_m.pdf(x) * (1.0 - dist_e.cdf(x))
                    + dist_e.pdf(x) * (1.0 - dist_m.cdf(x)))
-    return float(np.dot(w, min_density / x))
+    return weighted_sum(w, min_density / x)
+
+
+@lru_cache(maxsize=128)
+def marginal_nodes(dist: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one gain's law, read-only: the half-line nodes
+    with the density folded into the weight, or a point mass's atom with
+    weight 1.  Cached for the two laws of each :func:`joint_grid` entry."""
+    if dist.is_degenerate:
+        x, w = np.array([dist.params[0]]), np.array([1.0])
+    else:
+        x, w = halfline_nodes(nodes)
+        w = w * dist.pdf(x)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @lru_cache(maxsize=64)
@@ -270,18 +456,13 @@ def joint_grid(dist_m: FadingDistribution, dist_e: FadingDistribution,
                nodes: int = 200) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flattened quadrature grid (h_m, h_e, weight) for the joint law.
 
-    Continuous marginals contribute half-line nodes with the density folded
-    into the weight; a point mass contributes its single atom with weight 1.
-    The weights sum to ~1, so a dot product against them is an expectation.
+    The main gain's :func:`marginal_nodes` vary slowest: h_m repeats each
+    main node once per eavesdropper node, and h_e tiles the eavesdropper
+    nodes.  The weights sum to ~1, so a weighted sum against them is an
+    expectation.
     """
-    def marginal(d):
-        if d.is_degenerate:
-            return np.array([d.params[0]]), np.array([1.0])
-        x, w = halfline_nodes(nodes)
-        return x, w * d.pdf(x)
-
-    xm, wm = marginal(dist_m)
-    xe, we = marginal(dist_e)
+    xm, wm = marginal_nodes(dist_m, nodes)
+    xe, we = marginal_nodes(dist_e, nodes)
     hm = np.repeat(xm, xe.size)
     he = np.tile(xe, xm.size)
     w = np.repeat(wm, we.size) * np.tile(we, wm.size)
@@ -304,7 +485,7 @@ def expectation(f, dist_m: FadingDistribution, dist_e: FadingDistribution,
 
 
 def grid_mean(grid: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> float:
-    """dot(w, y) over a :func:`joint_grid`, after checking y is finite.
+    """The weighted sum of y over a :func:`joint_grid`, after checking y is finite.
 
     Raises:
         ValueError: naming the first grid point where ``y`` is not finite.
@@ -315,4 +496,4 @@ def grid_mean(grid: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) ->
         raise ValueError(
             f"integrand not finite at grid point (h_m={hm[i]:.6g}, h_e={he[i]:.6g})"
         )
-    return float(np.dot(w, y))
+    return weighted_sum(w, y)

@@ -3,8 +3,10 @@
 Quadrature on the half line (rational map plus Gauss-Legendre),
 golden-section maximization, and seeded Monte Carlo expectation with
 standard-error reporting.  Everything here is pure: identical inputs give
-bit-identical outputs, and Monte Carlo is reproducible through the
-(seed, stream) contract of :class:`RngSeed`.
+bit-identical outputs on one machine, and Monte Carlo is reproducible
+through the (seed, stream) contract of :class:`RngSeed`.  Every weighted
+sum in the package goes through :func:`weighted_sum`, which never calls
+BLAS, so results do not depend on the BLAS thread count.
 
 All rates handled downstream are in nats; nothing in this module assumes a
 unit beyond "whatever the integrand carries".
@@ -109,6 +111,18 @@ def unit_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
+def weighted_sum(w: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """sum_i w_i y_i over the last axis of ``y``, in a fixed order.
+
+    ``np.einsum`` (without ``optimize``) runs its own summation loop.
+    ``np.dot`` and ``@`` hand large vectors to BLAS, whose multithreaded
+    kernels split the sum by thread count, so the last bit of a result
+    would depend on the machine's BLAS setting.
+    """
+    out = np.einsum("...i,i->...", y, w)
+    return float(out) if out.ndim == 0 else out
+
+
 def integrate_halfline(f: Callable[[np.ndarray], np.ndarray], nodes: int = 200) -> float:
     """Integrate ``f`` over (0, inf) with the fixed rational-map rule.
 
@@ -132,7 +146,7 @@ def integrate_halfline(f: Callable[[np.ndarray], np.ndarray], nodes: int = 200) 
         raise NonFiniteIntegrandError(
             f"integrand not finite at node x={x[i]:.9g} (node {i} of {nodes})"
         )
-    return float(np.dot(w, y))
+    return weighted_sum(w, y)
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float,

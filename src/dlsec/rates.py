@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fading import (ChannelState, FadingDistribution, expectation, grid_mean,
-                     joint_grid)
+                     joint_grid, marginal_nodes)
 from .policy import PowerPolicy
 
 
@@ -87,11 +87,28 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
     this one evaluation.  The cache holds the 4 default families of one
     (law pair, budget) with room to spare (8 gaps at 200 nodes: 2.5 MB);
     a new budget rescales every policy, so no entry is hit across budgets.
+
+    Only full-inv's power depends on h_e.  For the other families
+    r_main = log1p(P(h_m) h_m) is built on the main nodes and repeated
+    along the grid, and for const r_eve = log1p(c h_e) is built on the
+    eavesdropper nodes and tiled: the same elementwise operations on the
+    same values, so the gap is bit-identical to the 2-D evaluation.
     """
     grid = joint_grid(dist_m, dist_e, nodes)
     hm, he, _ = grid
-    p = policy.power(hm, he)
-    gap = np.log1p(p * hm) - np.log1p(p * he)
+    if policy.family == "full-inv":
+        p = policy.power(hm, he)
+        gap = np.log1p(p * hm) - np.log1p(p * he)
+    else:
+        xm = marginal_nodes(dist_m, nodes)[0]
+        xe = marginal_nodes(dist_e, nodes)[0]
+        pm = policy.power(xm)
+        r_main = np.repeat(np.log1p(pm * xm), xe.size)
+        if policy.family == "const":
+            r_eve = np.tile(np.log1p(policy.c * xe), xm.size)
+        else:
+            r_eve = np.log1p(np.repeat(pm, xe.size) * he)
+        gap = r_main - r_eve
     gap.flags.writeable = False
     return gap, grid_mean(grid, np.maximum(gap, 0.0))
 

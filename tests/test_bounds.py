@@ -1,10 +1,14 @@
 """Bound operation tests: the four bounds, the fixed point, the high-SNR limit."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dlsec
 from dlsec.bounds import (fixed_point_rate, high_snr_limit, lower_full,
                           lower_main, upper_full, upper_main)
 from dlsec.fading import joint_grid, parse_distribution
@@ -268,46 +272,46 @@ class TestOrderingAndMonotonicity:
 
 # Bound values pinned at repr precision.  gamma:0.5:1 is non-invertible
 # (inversion families infeasible); const:3/const:1 runs the golden-section
-# kappa search.  lower_main is the exact fixed point; the other three
-# bounds and the high-SNR limit are unchanged from earlier pins.
+# kappa search.  lower_main is the exact fixed point.  Every weighted sum
+# runs in a fixed order, so the pins hold under any BLAS thread count.
 PINNED_LIMIT = {
-    ("chisq:4", "chisq:4"): 0.443147180618537,
-    ("gamma:0.5:1", "gamma:0.5:1"): 1.1548886656510473,
-    ("gamma:3:0.01", "exp:2"): 0.014925355291509821,
-    ("gamma:2:1000", "chisq:1"): 8.000065002232448,
-    ("const:2", "chisq:4"): 0.16447904047826095,
-    ("const:3", "const:1"): 1.0986122886681098,
+    ('chisq:4', 'chisq:4'): 0.4431471806185369,
+    ('const:2', 'chisq:4'): 0.16447904047826095,
+    ('const:3', 'const:1'): 1.0986122886681098,
+    ('gamma:0.5:1', 'gamma:0.5:1'): 1.154888665651046,
+    ('gamma:2:1000', 'chisq:1'): 8.000065002232445,
+    ('gamma:3:0.01', 'exp:2'): 0.014925355291509824,
 }
 
 # (dist_m, dist_e, pbar_db): (upper_full, lower_full, upper_main, lower_main)
 PINNED_BOUNDS = {
-    ("chisq:4", "chisq:4", 0.0): (0.31746082115720053, 0.31746082115720053, 0.2204403239821736, 0.15137553987534907),
-    ("chisq:4", "chisq:4", 20.0): (0.4412334868371165, 0.4412334868371165, 0.43714258342905293, 0.3029053763418198),
-    ("chisq:4", "chisq:4", 40.0): (0.44307983967637204, 0.44307983967637204, 0.4430361509275354, 0.30708715762137634),
-    ("gamma:0.5:1", "gamma:0.5:1", 0.0): (0.0, 0.0, 0.0, 0.0),
-    ("gamma:0.5:1", "gamma:0.5:1", 20.0): (0.0, 0.0, 0.0, 0.0),
-    ("gamma:0.5:1", "gamma:0.5:1", 40.0): (0.0, 0.0, 0.0, 0.0),
-    ("gamma:3:0.01", "exp:2", 0.0): (0.00014684082694878584, 0.0, 0.00014684082694878584, 0.00014478561905296807),
-    ("gamma:3:0.01", "exp:2", 20.0): (0.006712326089335674, 0.0, 0.006712326089335674, 0.006618379290854909),
-    ("gamma:3:0.01", "exp:2", 40.0): (0.01451768724133976, 0.0, 0.01451768724133976, 0.01431449534936124),
-    ("gamma:2:1000", "chisq:1", 0.0): (6.440677354676207, 0.0, 6.440677354676207, 3.2255647224383357),
-    ("gamma:2:1000", "chisq:1", 20.0): (8.263995513871969, 0.0, 8.263995513871969, 4.139702876954525),
-    ("gamma:2:1000", "chisq:1", 40.0): (8.5397439373991, 0.0, 8.5397439373991, 4.278172310232198),
-    ("const:2", "chisq:4", 0.0): (0.11664440368915391, 0.11664440368915391, 0.08748699669480454, 0.07024425047887943),
-    ("const:2", "chisq:4", 20.0): (0.16377125870239487, 0.16377125870239487, 0.16269667336596888, 0.13109431524378257),
-    ("const:2", "chisq:4", 40.0): (0.16446948168759148, 0.16446948168759148, 0.1644581872096613, 0.13252512428749363),
-    ("const:3", "const:1", 0.0): (0.6931471805599453, 0.6931471805599453, 0.6931471805599453, 0.34657359027997264),
-    ("const:3", "const:1", 20.0): (1.0919897479076157, 1.0919897479076157, 1.0919897479076157, 0.5459948739538079),
-    ("const:3", "const:1", 40.0): (1.0985456264455653, 1.0985456264455653, 1.0985456264455653, 0.5492728132227827),
+    ('chisq:4', 'chisq:4', 0.0): (0.31746082115720103, 0.31746082115720103, 0.2204403239821736, 0.15137553987534885),
+    ('chisq:4', 'chisq:4', 20.0): (0.44123348683711666, 0.44123348683711666, 0.43714258342905293, 0.30290537634182013),
+    ('chisq:4', 'chisq:4', 40.0): (0.44307983967637216, 0.44307983967637216, 0.4430361509275358, 0.3070871576213761),
+    ('const:2', 'chisq:4', 0.0): (0.11664440368915391, 0.11664440368915391, 0.08748699669480453, 0.0702442504788794),
+    ('const:2', 'chisq:4', 20.0): (0.16377125870239487, 0.16377125870239487, 0.16269667336596894, 0.1310943152437826),
+    ('const:2', 'chisq:4', 40.0): (0.16446948168759146, 0.16446948168759146, 0.16445818720966138, 0.13252512428749372),
+    ('const:3', 'const:1', 0.0): (0.6931471805599453, 0.6931471805599453, 0.6931471805599453, 0.34657359027997264),
+    ('const:3', 'const:1', 20.0): (1.0919897479076157, 1.0919897479076157, 1.0919897479076157, 0.5459948739538079),
+    ('const:3', 'const:1', 40.0): (1.0985456264455653, 1.0985456264455653, 1.0985456264455653, 0.5492728132227827),
+    ('gamma:0.5:1', 'gamma:0.5:1', 0.0): (0.0, 0.0, 0.0, 0.0),
+    ('gamma:0.5:1', 'gamma:0.5:1', 20.0): (0.0, 0.0, 0.0, 0.0),
+    ('gamma:0.5:1', 'gamma:0.5:1', 40.0): (0.0, 0.0, 0.0, 0.0),
+    ('gamma:2:1000', 'chisq:1', 0.0): (6.440677354676205, 0.0, 6.440677354676205, 3.225564722438335),
+    ('gamma:2:1000', 'chisq:1', 20.0): (8.263995513871958, 0.0, 8.263995513871958, 4.139702876954521),
+    ('gamma:2:1000', 'chisq:1', 40.0): (8.539743937399097, 0.0, 8.539743937399097, 4.278172310232195),
+    ('gamma:3:0.01', 'exp:2', 0.0): (0.00014684082694878603, 0.0, 0.00014684082694878603, 0.00014478561905296788),
+    ('gamma:3:0.01', 'exp:2', 20.0): (0.006712326089335673, 0.0, 0.006712326089335673, 0.006618379290854893),
+    ('gamma:3:0.01', 'exp:2', 40.0): (0.014517687241339759, 0.0, 0.014517687241339759, 0.014314495349361208),
 }
 
 # const:2 / gamma:0.5:1: upper_full and lower_full with menu [full-inv]
 # (infeasible, so the const fallback evaluates E[r_s] against its floor)
 # and lower_main with menu [main-inv] (a point-mass main gain)
 PINNED_FALLBACK = {
-    0.0: (0.7755862988273272, 0.7755862988273272, 0.40726631743733266),
-    20.0: (2.327723981872099, 2.327723981872099, 1.2619998424704268),
-    40.0: (2.611849678187805, 2.611849678187805, 1.429307989494493),
+    0.0: (0.7755862988273268, 0.7755862988273268, 0.4072663174373325),
+    20.0: (2.3277239818720976, 2.3277239818720976, 1.261999842470426),
+    40.0: (2.6118496781878036, 2.6118496781878036, 1.4293079894944924),
 }
 
 # lower_main as bisection to a 1e-10 bracket gave it, for every pinned row
@@ -332,6 +336,84 @@ BISECTION_LOWER_MAIN = {
     ("const:2", "gamma:0.5:1", 20.0): 1.261999842464888,
     ("const:2", "gamma:0.5:1", 40.0): 1.4293079894939522,
 }
+
+
+# Every pin above that moved when scipy's gamma law gave way to the
+# numpy/math one and every weighted sum to the fixed-order einsum, keyed by
+# (bound, dist_m, dist_e, pbar_db), with the value it had before (pbar_db is
+# None for the high-SNR limit).  Each moved by a few ulps.
+SCIPY_LAW_PINS = {
+    ('high_snr_limit', 'chisq:4', 'chisq:4', None): 0.443147180618537,
+    ('high_snr_limit', 'gamma:0.5:1', 'gamma:0.5:1', None): 1.1548886656510473,
+    ('high_snr_limit', 'gamma:2:1000', 'chisq:1', None): 8.000065002232448,
+    ('high_snr_limit', 'gamma:3:0.01', 'exp:2', None): 0.014925355291509821,
+    ('lower_full', 'chisq:4', 'chisq:4', 0.0): 0.31746082115720053,
+    ('lower_full', 'chisq:4', 'chisq:4', 20.0): 0.4412334868371165,
+    ('lower_full', 'chisq:4', 'chisq:4', 40.0): 0.44307983967637204,
+    ('lower_full', 'const:2', 'chisq:4', 40.0): 0.16446948168759148,
+    ('lower_full', 'const:2', 'gamma:0.5:1', 0.0): 0.7755862988273272,
+    ('lower_full', 'const:2', 'gamma:0.5:1', 20.0): 2.327723981872099,
+    ('lower_full', 'const:2', 'gamma:0.5:1', 40.0): 2.611849678187805,
+    ('lower_main', 'chisq:4', 'chisq:4', 0.0): 0.15137553987534907,
+    ('lower_main', 'chisq:4', 'chisq:4', 20.0): 0.3029053763418198,
+    ('lower_main', 'chisq:4', 'chisq:4', 40.0): 0.30708715762137634,
+    ('lower_main', 'const:2', 'chisq:4', 0.0): 0.07024425047887943,
+    ('lower_main', 'const:2', 'chisq:4', 20.0): 0.13109431524378257,
+    ('lower_main', 'const:2', 'chisq:4', 40.0): 0.13252512428749363,
+    ('lower_main', 'const:2', 'gamma:0.5:1', 0.0): 0.40726631743733266,
+    ('lower_main', 'const:2', 'gamma:0.5:1', 20.0): 1.2619998424704268,
+    ('lower_main', 'const:2', 'gamma:0.5:1', 40.0): 1.429307989494493,
+    ('lower_main', 'gamma:2:1000', 'chisq:1', 0.0): 3.2255647224383357,
+    ('lower_main', 'gamma:2:1000', 'chisq:1', 20.0): 4.139702876954525,
+    ('lower_main', 'gamma:2:1000', 'chisq:1', 40.0): 4.278172310232198,
+    ('lower_main', 'gamma:3:0.01', 'exp:2', 0.0): 0.00014478561905296807,
+    ('lower_main', 'gamma:3:0.01', 'exp:2', 20.0): 0.006618379290854909,
+    ('lower_main', 'gamma:3:0.01', 'exp:2', 40.0): 0.01431449534936124,
+    ('upper_full', 'chisq:4', 'chisq:4', 0.0): 0.31746082115720053,
+    ('upper_full', 'chisq:4', 'chisq:4', 20.0): 0.4412334868371165,
+    ('upper_full', 'chisq:4', 'chisq:4', 40.0): 0.44307983967637204,
+    ('upper_full', 'const:2', 'chisq:4', 40.0): 0.16446948168759148,
+    ('upper_full', 'const:2', 'gamma:0.5:1', 0.0): 0.7755862988273272,
+    ('upper_full', 'const:2', 'gamma:0.5:1', 20.0): 2.327723981872099,
+    ('upper_full', 'const:2', 'gamma:0.5:1', 40.0): 2.611849678187805,
+    ('upper_full', 'gamma:2:1000', 'chisq:1', 0.0): 6.440677354676207,
+    ('upper_full', 'gamma:2:1000', 'chisq:1', 20.0): 8.263995513871969,
+    ('upper_full', 'gamma:2:1000', 'chisq:1', 40.0): 8.5397439373991,
+    ('upper_full', 'gamma:3:0.01', 'exp:2', 0.0): 0.00014684082694878584,
+    ('upper_full', 'gamma:3:0.01', 'exp:2', 20.0): 0.006712326089335674,
+    ('upper_full', 'gamma:3:0.01', 'exp:2', 40.0): 0.01451768724133976,
+    ('upper_main', 'chisq:4', 'chisq:4', 40.0): 0.4430361509275354,
+    ('upper_main', 'const:2', 'chisq:4', 0.0): 0.08748699669480454,
+    ('upper_main', 'const:2', 'chisq:4', 20.0): 0.16269667336596888,
+    ('upper_main', 'const:2', 'chisq:4', 40.0): 0.1644581872096613,
+    ('upper_main', 'gamma:2:1000', 'chisq:1', 0.0): 6.440677354676207,
+    ('upper_main', 'gamma:2:1000', 'chisq:1', 20.0): 8.263995513871969,
+    ('upper_main', 'gamma:2:1000', 'chisq:1', 40.0): 8.5397439373991,
+    ('upper_main', 'gamma:3:0.01', 'exp:2', 0.0): 0.00014684082694878584,
+    ('upper_main', 'gamma:3:0.01', 'exp:2', 20.0): 0.006712326089335674,
+    ('upper_main', 'gamma:3:0.01', 'exp:2', 40.0): 0.01451768724133976,
+}
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dlsec.__file__)))
+
+# Recomputes the pinned cases; argv[1] is the repr of their keys.
+_PIN_SCRIPT = """
+import ast, sys
+from dlsec.bounds import high_snr_limit, lower_full, lower_main, upper_full, upper_main
+from dlsec.fading import parse_distribution as law
+bound_keys, limit_keys, fallback_dbs = ast.literal_eval(sys.argv[1])
+bounds = [tuple(f(law(m), law(e), 10.0 ** (db / 10.0)).value
+                for f in (upper_full, lower_full, upper_main, lower_main))
+          for m, e, db in bound_keys]
+limits = [high_snr_limit(law(m), law(e)).value for m, e in limit_keys]
+fallback = []
+for db in fallback_dbs:
+    dm, de, p_bar = law("const:2"), law("gamma:0.5:1"), 10.0 ** (db / 10.0)
+    fallback.append((upper_full(dm, de, p_bar, family_menu=["full-inv"]).value,
+                     lower_full(dm, de, p_bar, family_menu=["full-inv"]).value,
+                     lower_main(dm, de, p_bar, family_menu=["main-inv"]).value))
+print(repr((bounds, limits, fallback)))
+"""
 
 
 class TestPinnedValues:
@@ -367,3 +449,31 @@ class TestPinnedValues:
                   else PINNED_FALLBACK[db][2])
         assert pinned != BISECTION_LOWER_MAIN[key]
         assert abs(pinned - BISECTION_LOWER_MAIN[key]) <= 5e-11
+
+    @pytest.mark.parametrize("key", sorted(SCIPY_LAW_PINS, key=repr), ids=repr)
+    def test_moved_within_1e12_of_scipy_law_pins(self, key):
+        name, m, e, db = key
+        if name == "high_snr_limit":
+            pinned = PINNED_LIMIT[(m, e)]
+        elif (m, e, db) in PINNED_BOUNDS:
+            pinned = PINNED_BOUNDS[(m, e, db)][
+                ("upper_full", "lower_full", "upper_main", "lower_main").index(name)]
+        else:
+            pinned = PINNED_FALLBACK[db][("upper_full", "lower_full", "lower_main").index(name)]
+        old = SCIPY_LAW_PINS[key]
+        assert pinned != old
+        assert abs(pinned - old) <= 1e-12 * abs(old)
+
+    def test_pins_do_not_depend_on_blas_threads(self):
+        """The pinned cases computed under 1 and 2 BLAS threads, each in a
+        fresh interpreter, give the pins' repr."""
+        want = repr(([PINNED_BOUNDS[k] for k in sorted(PINNED_BOUNDS)],
+                     [PINNED_LIMIT[k] for k in sorted(PINNED_LIMIT)],
+                     [PINNED_FALLBACK[db] for db in sorted(PINNED_FALLBACK)]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_SRC)
+            proc = subprocess.run(
+                [sys.executable, "-c", _PIN_SCRIPT,
+                 repr((sorted(PINNED_BOUNDS), sorted(PINNED_LIMIT), sorted(PINNED_FALLBACK)))],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            assert proc.stdout.strip() == want, f"OPENBLAS_NUM_THREADS={threads}"

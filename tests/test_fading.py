@@ -1,12 +1,14 @@
 """Fading distribution tests: grammar, densities, sampling, inverse moments."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dlsec.fading import (ChannelState, expectation,
+from dlsec.fading import (ChannelState, FadingDistribution, expectation,
                           inverse_min_moment, inverse_moment,
                           parse_distribution, truncated_inverse_moment)
 from dlsec.numerics import RngSeed, integrate_halfline
@@ -69,6 +71,72 @@ class TestPdf:
             parse_distribution("exp:1").pdf(0.0)
         with pytest.raises(ValueError):
             parse_distribution("exp:1").pdf(-1.0)
+
+
+# Shapes 0.05-50 and scales 1e-3-1e3.  The points y = x / scale run from
+# 1e-30 (far lower tail) to k + 40 sqrt(k) + 40 (far upper tail).
+LAW_SHAPES = (0.05, 0.3, 0.9, 1.0, 2.0, 7.5, 50.0)
+LAW_SCALES = (1e-3, 1.0, 1e3)
+QUANTILE_LEVELS = (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12)
+
+
+def law_points(k):
+    return np.concatenate([np.geomspace(1e-30, 1e-2, 40),
+                           np.linspace(1e-2, k + 40.0 * math.sqrt(k) + 40.0, 300)])
+
+
+@pytest.mark.parametrize("scale", LAW_SCALES)
+@pytest.mark.parametrize("k", LAW_SHAPES)
+class TestLawAgainstScipy:
+    """The numpy/math gamma law against scipy.stats.gamma as reference."""
+
+    def test_pdf(self, k, scale):
+        """1e-13 relative, plus the rounding of the log-density exponent
+        (2e-16 per unit of its size), wherever the exponent is below 700."""
+        y = law_points(k)
+        exponent = (k - 1.0) * np.log(y) - y - math.lgamma(k)
+        keep = np.abs(exponent) < 700.0
+        got = FadingDistribution("gamma", (k, scale)).pdf(y[keep] * scale)
+        want = stats.gamma.pdf(y[keep] * scale, a=k, scale=scale)
+        tol = (1e-13 + 2e-16 * np.abs(exponent[keep])) * want
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_cdf(self, k, scale):
+        """1e-12 relative, on the array path and on the scalar path."""
+        x = law_points(k) * scale
+        d = FadingDistribution("gamma", (k, scale))
+        want = stats.gamma.cdf(x, a=k, scale=scale)
+        np.testing.assert_allclose(d.cdf(x), want, rtol=1e-12, atol=0.0)
+        scalar = np.array([d.cdf(float(v)) for v in x[::7]])
+        np.testing.assert_allclose(scalar, want[::7], rtol=1e-12, atol=0.0)
+
+    def test_quantile(self, k, scale):
+        """1e-13 relative, from p = 1e-12 to 1 - 1e-12."""
+        d = FadingDistribution("gamma", (k, scale))
+        for p in QUANTILE_LEVELS:
+            want = stats.gamma.ppf(p, a=k, scale=scale)
+            assert abs(d.quantile(p) - want) <= 1e-13 * want, p
+
+
+class TestLawEdges:
+    def test_cdf_outside_the_open_half_line(self):
+        d = parse_distribution("gamma:2:3")
+        assert d.cdf(0.0) == 0.0 and d.cdf(-1.0) == 0.0 and d.cdf(math.inf) == 1.0
+        assert math.isnan(d.cdf(math.nan))
+        got = d.cdf(np.array([-1.0, 0.0, math.inf, math.nan]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, math.nan])
+
+    def test_point_mass_cdf_and_quantile(self):
+        d = parse_distribution("const:2")
+        np.testing.assert_array_equal(d.cdf(np.array([1.0, 2.0, 3.0])), [0.0, 1.0, 1.0])
+        assert d.quantile(0.5) == 2.0
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, dlsec, dlsec.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSample:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dlsec.fading import ChannelState, expectation, joint_grid, parse_distribution
-from dlsec.numerics import RngSeed, mc_expect
-from dlsec.policy import PowerPolicy, calibrate
+from dlsec.numerics import RngSeed, mc_expect, weighted_sum
+from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, direct_rate_floor,
                          ergodic_secrecy_rate, expected_key_share,
                          per_state_rates, q_threshold, secrecy_gap)
@@ -144,10 +144,31 @@ class TestErgodicSecrecyRate:
                 expectation(lambda st: per_state_rates(pol, st).r_s, CHISQ4, CHISQ4)
         gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
                                CHISQ4, CHISQ4, 200)
-        assert ers == float(np.dot(joint_grid(CHISQ4, CHISQ4, 200)[2],
-                                   np.maximum(gap, 0.0)))
+        assert ers == weighted_sum(joint_grid(CHISQ4, CHISQ4, 200)[2],
+                                   np.maximum(gap, 0.0))
         with pytest.raises(ValueError, match="read-only"):
             gap[0] = 0.0
+
+    # main-gain laws crossed with eavesdropper laws, point masses included
+    @pytest.mark.parametrize("spec_m,spec_e", [
+        ("chisq:4", "chisq:4"), ("gamma:3:0.01", "exp:2"), ("gamma:2:1000", "chisq:1"),
+        ("gamma:0.5:1", "exp:0.001"), ("const:2", "chisq:4"), ("chisq:4", "const:0.5"),
+        ("const:3", "const:1"), ("exp:1", "gamma:7:0.2"),
+    ])
+    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv:0.7"])
+    def test_gap_equals_two_dimensional_formula(self, spec_m, spec_e, family):
+        """The gap built from the marginal nodes is bit-identical to
+        log1p(P h_m) - log1p(P h_e) evaluated on the whole joint grid."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        fam, h_min = family.split(":")[0], float(family.partition(":")[2] or 0.0)
+        try:
+            pol = calibrate(fam, dm, de, 100.0, h_min)
+        except NonInvertibleChannelError:
+            pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
+        hm, he, _ = joint_grid(dm, de, 64)
+        p = pol.power(hm, he)
+        want = np.log1p(p * hm) - np.log1p(p * he)
+        assert np.array_equal(secrecy_gap(pol, dm, de, 64)[0], want)
 
 
 class TestDelayFloor:
