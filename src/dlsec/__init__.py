@@ -10,11 +10,10 @@ from .bounds import (BoundResult, HighSnrLimit, fixed_point_rate,
                      upper_main)
 from .fading import (ChannelState, FadingDistribution, expectation,
                      inverse_min_moment, inverse_moment, parse_distribution)
-from .numerics import (Estimate, RngSeed, integrate_halfline, mc_expect,
-                       pool_estimates)
+from .numerics import Estimate, RngSeed, integrate_halfline, mc_expect
 from .policy import (CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, expected_power, parse_policy)
-from .protocol import SimConfig, SimReport, key_balance_check, otp, simulate
+from .protocol import SimConfig, SimReport, key_balance_check, simulate
 from .rates import (RateBreakdown, delay_floor, ergodic_secrecy_rate,
                     expected_key_share, per_state_rates, q_threshold)
 
@@ -27,7 +26,7 @@ __all__ = [
     "calibrate", "delay_floor", "ergodic_secrecy_rate", "expectation",
     "expected_key_share", "expected_power", "fixed_point_rate", "high_snr_limit",
     "integrate_halfline", "inverse_min_moment", "inverse_moment",
-    "key_balance_check", "lower_full", "lower_main", "mc_expect", "otp",
-    "parse_distribution", "parse_policy", "per_state_rates",
-    "pool_estimates", "q_threshold", "simulate", "upper_full", "upper_main",
+    "key_balance_check", "lower_full", "lower_main", "mc_expect",
+    "parse_distribution", "parse_policy", "per_state_rates", "q_threshold",
+    "simulate", "upper_full", "upper_main",
 ]

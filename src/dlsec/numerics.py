@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +33,7 @@ class RngSeed:
     """Seed plus stream index for reproducible, parallelizable sampling.
 
     Identical (seed, stream) pairs reproduce identical sample sequences;
-    distinct streams give statistically independent draws, so work can be
-    decomposed across streams and pooled in any order.
+    distinct streams give statistically independent draws.
     """
 
     seed: int
@@ -49,8 +48,8 @@ class RngSeed:
     def generator(self, *lane: int) -> np.random.Generator:
         """A fresh PCG64 generator for this (seed, stream) pair.
 
-        Extra ``lane`` keys derive independent sub-streams (used by the
-        protocol simulator to separate channel, data and key draws).
+        Extra ``lane`` keys derive independent sub-streams (the protocol
+        simulator draws its channel states from one).
         """
         key = (int(self.stream),) + tuple(int(k) for k in lane)
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
@@ -202,24 +201,3 @@ def mc_expect(f, dist_m, dist_e, n: int, seed: RngSeed) -> Estimate:
     stderr = float(y.std(ddof=1) / math.sqrt(n))
     return Estimate(mean=mean, stderr=stderr, samples=n)
 
-
-def pool_estimates(parts: Sequence[Estimate]) -> Estimate:
-    """Pool estimates from disjoint streams into one.
-
-    Reconstructs the pooled sample mean and standard error exactly from the
-    per-part summaries, so the result is independent of the order of
-    ``parts`` up to floating-point rounding.
-    """
-    if not parts:
-        raise ValueError("nothing to pool")
-    n_total = sum(p.samples for p in parts)
-    total = sum(p.mean * p.samples for p in parts)
-    sumsq = sum((p.samples - 1) * (p.stderr ** 2) * p.samples + p.samples * p.mean ** 2
-                for p in parts)
-    mean = total / n_total
-    if n_total > 1:
-        var = max(sumsq - n_total * mean ** 2, 0.0) / (n_total - 1)
-        stderr = math.sqrt(var / n_total)
-    else:
-        stderr = 0.0
-    return Estimate(mean=mean, stderr=stderr, samples=n_total)

@@ -5,13 +5,13 @@ channel coding is abstracted away, every block carries exactly its
 scheduled bit load with no decoding errors, and "security" is tracked by
 provenance (which lane a bit used, and which key generation covered it).
 The ledger itself is columnar: bit loads are computed for all blocks at
-once and a single integer scan tracks the pad pool.  Key material is real
-seeded pseudo-random bits: each super-block's pad bits are drawn from the
-key stream in FIFO order, XORed with fresh data bits and decrypted again,
-so round-trip integrity is checked bit for bit.  The bits stay packed
-eight per byte as drawn, and the XOR runs on the bytes.  The report's JSON
-and CSV share one text pass: each column's values are turned into their
-``repr`` once, and both writers lay out that text.
+once and a single integer scan tracks the pad pool.  Key bits are tracked
+by their offsets in the key stream, not drawn: spending is FIFO, so block
+i spends the offsets [C_{i-1}, C_i), with C the running sum of
+``key_consumed``, and ``roundtrip_ok`` checks from the ledger's columns
+that each offset is spent once and only after its key bit was released.
+The report's JSON and CSV share one text pass: each column's values are
+turned into their ``repr`` once, and both writers lay out that text.
 
 Time structure: b super-blocks of a blocks of n1 symbols (n = b*a*n1).
 Rates are nats per use throughout the package; this module converts to
@@ -55,7 +55,7 @@ LN2 = math.log(2.0)
 SCHEMES = ("full", "main", "baseline")
 INIT_MODES = ("insecure", "dedicated")
 
-_STATE_LANE, _DATA_LANE, _KEY_LANE = 1, 2, 3
+_STATE_LANE = 1
 
 # The ledger's per-block columns, in CSV order; JSON and CSV both read them.
 _COLUMNS = (
@@ -122,7 +122,9 @@ class SimReport:
     """Complete ledger of one protocol run.
 
     ``records`` is a record array with one row per block (super-block m,
-    block l) and the fields of ``_COLUMNS``.
+    block l) and the fields of ``_COLUMNS``.  ``roundtrip_ok`` is true iff
+    no pad bit was spent twice or before its release (the field keeps the
+    name of the report format).
     """
 
     config: SimConfig
@@ -224,17 +226,6 @@ def _json_array(lines: str, depth: int) -> str:
     return "[" + inner + lines.replace("\n", "," + inner) + "\n" + " " * depth + "]"
 
 
-def otp(data, key) -> np.ndarray:
-    """Bitwise XOR of two equal-length 0/1 sequences (involutive)."""
-    d = np.asarray(data, dtype=np.uint8)
-    k = np.asarray(key, dtype=np.uint8)
-    if d.shape != k.shape:
-        raise ValueError(f"length mismatch: data has {d.size} bits, key has {k.size}")
-    if np.any(d > 1) or np.any(k > 1):
-        raise ValueError("one-time pad operates on 0/1 bit sequences")
-    return np.bitwise_xor(d, k)
-
-
 def _bits(rate_nats, n1: int) -> np.ndarray:
     """Bit load of a block at each given rate: n1 * rate / ln 2 rounded to
     the nearest bit, ties to even; the fractional residue is not carried."""
@@ -242,6 +233,27 @@ def _bits(rate_nats, n1: int) -> np.ndarray:
     if not np.all(np.isfinite(load)):
         raise ValueError("non-finite rate: the block bit load is undefined")
     return load.astype(np.int64)
+
+
+def _spent_after_release(consumed: np.ndarray, generated: np.ndarray,
+                         spendable_every: int) -> bool:
+    """True iff every pad bit in the ledger is spent at most once, and only
+    after its release.
+
+    Spending is FIFO, so block i spends the key-stream offsets
+    [C_{i-1}, C_i), with C the running sum of ``consumed``: no offset is
+    spent twice while consumption is non-negative.  Generated bits are
+    released every ``spendable_every`` blocks, so the bits released before
+    block i are those of its first s * (i // s) blocks; each offset spent
+    must lie below that count.  With s = 0 nothing is ever released, so
+    nothing may be consumed.
+    """
+    spent = np.cumsum(consumed)
+    released = 0
+    if spendable_every:
+        blocks = np.arange(spent.size) // spendable_every * spendable_every
+        released = np.concatenate(([0], np.cumsum(generated)))[blocks]
+    return bool(np.all(consumed >= 0) and np.all(spent <= released))
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -326,7 +338,6 @@ def simulate(config: SimConfig) -> SimReport:
          rb.r_s_prime, rb.r_s_dprime, consumed, gen, delivered, insecure, outage],
         dtype=list(_COLUMNS))
     records.flags.writeable = False
-    sb_consumed = consumed.reshape(b, a).sum(axis=1).tolist()
     total_delivered = int(delivered.sum())
     return SimReport(
         config=config,
@@ -336,7 +347,7 @@ def simulate(config: SimConfig) -> SimReport:
         insecure_fraction=(insecure_bits / total_delivered) if total_delivered else 0.0,
         otp_insecure_fraction=(insecure_bits / otp_total) if otp_total else 0.0,
         outage_fraction=int(outage.sum()) / nblocks,
-        roundtrip_ok=_roundtrip(config, sb_consumed),
+        roundtrip_ok=_spent_after_release(consumed, gen, spendable_every),
         schedule=schedule,
         totals={
             "data_delivered": total_delivered,
@@ -349,39 +360,16 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _packed_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n pseudo-random bits packed eight per byte, first bit in the high bit
-    (``np.unpackbits(..., count=n)`` reads them back); the unused low bits
-    of the last byte are zero."""
-    packed = np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8).copy()
-    if n % 8:
-        packed[-1] &= 0xFF << (8 - n % 8) & 0xFF
-    return packed
-
-
-def _roundtrip(config: SimConfig, sb_consumed: list[int]) -> bool:
-    """Encrypt fresh data bits with each super-block's pad and decrypt them.
-
-    Consumption is FIFO, so the pad bits spent by the end of super-block m
-    are a prefix of the key stream: super-block m's pad is the next
-    ``sb_consumed[m]`` bits of the key lane.  One super-block is drawn at a
-    time, which bounds memory by one super-block's traffic.  Bits stay
-    packed: XOR on bytes is XOR bit for bit, eight bits per byte.
-    """
-    key_rng = config.seed.generator(_KEY_LANE)
-    data_rng = config.seed.generator(_DATA_LANE)
-    ok = True
-    for spent in sb_consumed:
-        key = _packed_bits(key_rng, spent)
-        data = _packed_bits(data_rng, spent)
-        cipher = np.bitwise_xor(data, key)
-        ok &= bool(np.array_equal(np.bitwise_xor(cipher, key), data))
-    return ok
-
-
 def key_balance_check(report: SimReport) -> bool:
     """True iff every super-block m >= 2 consumed no more pad bits than
-    super-block m-1 generated (recomputed from the ledger)."""
+    super-block m-1 generated (recomputed from the ledger).
+
+    This is a stricter rule than the one ``simulate`` enforces: it carries
+    no unspent bits over from earlier super-blocks, while ``simulate`` lets
+    a block spend any key bit released before it.  At the CLI defaults it
+    passes 0 of 20 seeds (0-19) for both ``full`` and ``main``.  The
+    simulator's own rule is checked by ``SimReport.roundtrip_ok``.
+    """
     if len(report.records) == 0:
         raise ValueError("empty report: nothing to check")
     cfg = report.config

@@ -34,7 +34,6 @@ class RateBreakdown:
     r_s: float | np.ndarray
     r_s_prime: float | np.ndarray
     r_s_dprime: float | np.ndarray
-    r_o: float | np.ndarray = 0.0
 
 
 def q_threshold(kappa: float = 0.0):
@@ -56,7 +55,7 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState, q=None) -> RateBre
     """Rate breakdown at one state (or a vector of states).
 
     ``q`` maps the state to a gain with q(h) >= h_e everywhere; None means
-    q = h_e.  The one-time-pad rate ``r_o`` is left at 0 here; it is a
+    q = h_e.  The one-time-pad rate is not a per-state rate: it is a
     schedule choice made by the bounds and protocol layers.
     """
     h_m = np.asarray(state.h_m, dtype=float)

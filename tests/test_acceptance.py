@@ -153,8 +153,9 @@ def test_c6_outage_eliminated_by_two_stage_scheme():
 
 
 def test_c7_otp_ledger_integrity():
-    """Round trips are exact and the pad lane's insecure share equals the
-    super-block-1 share, <= 1.05/b at stabilized rates."""
+    """No pad bit is spent twice or before its release, and the pad lane's
+    insecure share equals the super-block-1 share, <= 1.05/b at stabilized
+    rates."""
     for b in (10, 20, 50):
         rep = simulate(SimConfig(scheme="full", dist_m=CHISQ4, dist_e=CHISQ4,
                                  p_bar=100.0, a=200, b=b, n1=1000,

@@ -7,8 +7,7 @@ import pytest
 from scipy import optimize, stats
 
 from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed,
-                            golden_max, integrate_halfline, mc_expect,
-                            pool_estimates)
+                            golden_max, integrate_halfline, mc_expect)
 from dlsec.fading import parse_distribution
 
 
@@ -111,18 +110,6 @@ class TestMcExpect:
         spread = np.std([e.mean for e in ests], ddof=1)
         typical = np.median([e.stderr for e in ests])
         assert 0.4 * typical < spread < 2.5 * typical
-
-    def test_pooling_is_order_independent(self):
-        parts = [mc_expect(lambda st: st.h_m + st.h_e, CHISQ4, EXP1, 3_000,
-                           RngSeed(23, s)) for s in range(8)]
-        fwd = pool_estimates(parts)
-        rev = pool_estimates(parts[::-1])
-        assert abs(fwd.mean - rev.mean) < 1e-12
-        assert abs(fwd.stderr - rev.stderr) < 1e-12
-        assert fwd.samples == 8 * 3_000
-        # pooled mean equals the overall weighted mean
-        want = np.mean([p.mean for p in parts])
-        assert abs(fwd.mean - want) < 1e-12
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Protocol ledger tests: one-time pad, pad pool, the three schemes."""
+"""Protocol ledger tests: pad spending, pad pool, the three schemes."""
 
 import csv
 import hashlib
@@ -11,7 +11,7 @@ import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import (LN2, SimConfig, _packed_bits, key_balance_check, otp,
+from dlsec.protocol import (LN2, SimConfig, _spent_after_release, key_balance_check,
                             simulate)
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -24,44 +24,42 @@ def make_config(**kw):
     return SimConfig(**base)
 
 
-class TestOtp:
-    def test_identity_key(self):
-        np.testing.assert_array_equal(otp([1, 0, 1, 0], [0, 0, 0, 0]), [1, 0, 1, 0])
+class TestSpentAfterRelease:
+    """The key-offset check on hand-built ledgers of two super-blocks of
+    three blocks, whose first blocks generate 4 key bits each.  Released
+    before each block: 0, 4, 4, 4, 8, 8 at block end (every = 1) and
+    0, 0, 0, 4, 4, 4 at super-block end (every = 3)."""
 
-    def test_self_cancellation(self):
-        np.testing.assert_array_equal(otp([1, 0, 1, 0], [1, 0, 1, 0]), [0, 0, 0, 0])
+    GEN = np.array([4, 0, 0, 4, 0, 0])
 
-    def test_truth_table(self):
-        np.testing.assert_array_equal(otp([1, 1, 0, 0], [1, 0, 1, 0]), [0, 1, 1, 0])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_untampered_ledger_passes(self, every):
+        assert _spent_after_release(np.array([0, 0, 0, 4, 0, 0]), self.GEN, every)
 
-    def test_involution_on_random_bits(self):
-        rng = RngSeed(1).generator()
-        d = rng.integers(0, 2, 4096, dtype=np.uint8)
-        k = rng.integers(0, 2, 4096, dtype=np.uint8)
-        np.testing.assert_array_equal(otp(otp(d, k), k), d)
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_reused_pad_fails(self, every):
+        """Three spends of 4 bits where at most 8 were ever released: some
+        offset below 8 is spent twice."""
+        consumed = np.array([0, 0, 0, 4, 4, 4])
+        assert not _spent_after_release(consumed, self.GEN, every)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            otp([1, 0], [1, 0, 1])
+    @pytest.mark.parametrize("every,early,on_time", [
+        (1, [0, 0, 0, 8, 0, 0], [0, 0, 0, 0, 8, 0]),
+        (3, [0, 0, 4, 0, 0, 0], [0, 0, 0, 4, 0, 0]),
+    ])
+    def test_spend_a_block_before_release_fails(self, every, early, on_time):
+        """The same spend passes one block later, once its bits are released."""
+        assert _spent_after_release(np.array(on_time), self.GEN, every)
+        assert not _spent_after_release(np.array(early), self.GEN, every)
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            otp([2, 0], [1, 0])
+    def test_never_released_allows_no_spending(self):
+        assert _spent_after_release(np.zeros(6, dtype=np.int64), self.GEN, 0)
+        assert not _spent_after_release(np.array([0, 0, 0, 4, 0, 0]), self.GEN, 0)
 
-
-class TestPackedDraw:
-    """The round trip's packed pad draw holds exactly the bits that unpacking
-    each random byte into eight 0/1 values draws from the same stream."""
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 8191])
-    def test_unpacks_to_the_bitwise_draw(self, n):
-        packed = _packed_bits(RngSeed(5).generator(3), n)
-        ref_rng = RngSeed(5).generator(3)
-        want = np.unpackbits(np.frombuffer(ref_rng.bytes((n + 7) // 8), dtype=np.uint8),
-                             count=n)
-        assert packed.dtype == np.uint8 and packed.size == (n + 7) // 8
-        np.testing.assert_array_equal(np.unpackbits(packed, count=n), want)
-        assert not np.unpackbits(packed)[n:].any()
+    def test_negative_consumption_fails(self):
+        """Un-spending bits would let a later block spend their offsets again."""
+        consumed = np.array([0, 0, 0, 4, -4, 4])
+        assert not _spent_after_release(consumed, self.GEN, 1)
 
 
 class TestPadPool:
