@@ -62,6 +62,44 @@ class TestSpentAfterRelease:
         assert not _spent_after_release(consumed, self.GEN, 1)
 
 
+class TestSimulatedLedgerCheck:
+    """The key-offset check on the ledgers ``simulate`` publishes, run on
+    tight configs where the pool starts empty and main's bits wait a
+    whole super-block."""
+
+    EVERY = {"full": 1, "main": 5, "baseline": 0}
+
+    def columns(self, scheme, init="insecure"):
+        rep = simulate(make_config(scheme=scheme, init=init, a=5, b=60))
+        rec = rep.records
+        return (rep, np.array(rec.key_consumed, dtype=np.int64),
+                np.array(rec.key_generated, dtype=np.int64))
+
+    @pytest.mark.parametrize("init", ["insecure", "dedicated"])
+    @pytest.mark.parametrize("scheme", ["full", "main", "baseline"])
+    def test_roundtrip_ok_is_the_check_on_the_published_columns(self, scheme, init):
+        rep, consumed, generated = self.columns(scheme, init)
+        assert rep.roundtrip_ok
+        assert _spent_after_release(consumed, generated, self.EVERY[scheme])
+
+    @pytest.mark.parametrize("scheme", ["full", "main"])
+    def test_spend_moved_before_any_release_fails(self, scheme):
+        """The first real spend, moved to block 0, spends bits not yet
+        released by any block."""
+        _, consumed, generated = self.columns(scheme)
+        first = int(np.flatnonzero(consumed)[0])
+        consumed[0], consumed[first] = consumed[first], 0
+        assert not _spent_after_release(consumed, generated, self.EVERY[scheme])
+
+    @pytest.mark.parametrize("scheme", ["full", "main"])
+    def test_overdrawn_last_block_fails(self, scheme):
+        """A last block spending one bit more than the pool holds must reuse
+        an offset already spent."""
+        rep, consumed, generated = self.columns(scheme)
+        consumed[-1] += rep.buffer_trajectory[-1] + 1
+        assert not _spent_after_release(consumed, generated, self.EVERY[scheme])
+
+
 class TestPadPool:
     """The pool is never overdrawn, and key bits are spent only once they
     are spendable; checked on the ledger of starving and stable runs."""
