@@ -1,7 +1,8 @@
 """Delay-limited secrecy rate bounds under full and main-only CSI.
 
-Four bound operations share one recipe: calibrate each family in a menu to
-the power budget, evaluate that family's objective, and keep the best.
+Four bound operations share one menu pass (:func:`_best`): calibrate each
+family in a menu to the power budget, evaluate the bound's objective on it,
+and keep the best.
 Maximization never goes beyond a menu plus one scalar parameter per family
 (globally optimal power control is out of scope), so every search here is
 either closed-form or a golden-section pass.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .fading import FadingDistribution, inverse_min_moment, joint_grid
 from .numerics import golden_max, halfline_nodes, unit_nodes, weighted_sum
-from .policy import (MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
+from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (_pointwise, common_rate_floor, delay_floor,
                     direct_rate_floor, ergodic_secrecy_rate, expected_key_share,
@@ -75,31 +76,22 @@ def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, flo
     return parse_policy(entry)
 
 
-def _fallback(dist_m, dist_e, p_bar, nodes, infeasible, skipped) -> BoundResult:
-    """All requested families were unusable: report constant power (whose
-    delay floor is 0 for any law with support reaching 0) with a warning."""
-    pol = PowerPolicy("const", p_bar)
-    floor = delay_floor(pol, dist_m)
-    diag = {
-        "warning": "all requested families infeasible; reporting const fallback",
-        "infeasible": infeasible,
-        "r_d_floor": floor,
-    }
-    if skipped:
-        diag["skipped"] = skipped
-    value = 0.0
-    if floor > 0.0:
-        ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
-        value = min(ers, floor)
-        diag["r_s_expected"] = ers
-    return BoundResult(value=value, policy=pol, diagnostics=diag)
+def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundResult:
+    """The menu pass behind every bound: calibrate each entry of the menu
+    (None picks the CSI case's default) to the budget, score it with
+    ``objective(policy) -> (value, diagnostics)`` and keep the first maximum.
 
-
-def _upper(dist_m, dist_e, p_bar, menu, nodes, csi) -> BoundResult:
-    candidates = []
+    Entries that need full CSI are ``skipped`` under main CSI, and families
+    whose inverse moment diverges are recorded as ``infeasible``.  When no
+    entry is usable, constant power (whose delay floor is 0 for any law
+    with support reaching 0) is reported at min{E[r_s], R_d} with a warning.
+    """
+    best = None
     infeasible: dict[str, str] = {}
     skipped: dict[str, str] = {}
-    for entry in menu:
+    if family_menu is None:
+        family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
+    for entry in family_menu:
         family, h_min = resolve_menu_entry(entry, dist_m)
         if csi == MAIN_CSI and family == "full-inv":
             skipped[entry] = "needs full CSI"
@@ -109,41 +101,51 @@ def _upper(dist_m, dist_e, p_bar, menu, nodes, csi) -> BoundResult:
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
-        floor = delay_floor(pol, dist_m)
-        diag = {"r_d_floor": floor}
-        if floor <= 0.0:
-            value = 0.0
-            diag["binding"] = "r_d_floor"
-        else:
-            ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
-            value = min(ers, floor)
-            diag["r_s_expected"] = ers
-            diag["binding"] = "r_s_expected" if ers <= floor else "r_d_floor"
-        candidates.append((value, pol, diag))
-    if not candidates:
-        return _fallback(dist_m, dist_e, p_bar, nodes, infeasible, skipped)
-    value, pol, diag = max(candidates, key=lambda c: c[0])
-    if infeasible:
-        diag["infeasible"] = infeasible
+        value, diag = objective(pol)
+        if best is None or value > best[0]:
+            best = value, pol, diag
+    if best is None:
+        pol = PowerPolicy("const", p_bar)
+        value, diag = _capped_secrecy_rate(pol, dist_m, dist_e, nodes)
+        del diag["binding"]
+        diag.update(warning="all requested families infeasible; reporting const fallback",
+                    infeasible=infeasible)
+    else:
+        value, pol, diag = best
+        if infeasible:
+            diag["infeasible"] = infeasible
     if skipped:
         diag["skipped"] = skipped
     return BoundResult(value=value, policy=pol, diagnostics=diag)
+
+
+def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, dict]:
+    """The upper bounds' objective: min{E[r_s], ess-inf r_main}."""
+    floor = delay_floor(pol, dist_m)
+    diag = {"r_d_floor": floor}
+    if floor <= 0.0:
+        diag["binding"] = "r_d_floor"
+        return 0.0, diag
+    ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
+    diag["r_s_expected"] = ers
+    diag["binding"] = "r_s_expected" if ers <= floor else "r_d_floor"
+    return min(ers, floor), diag
 
 
 def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with both gains known: max over the menu of
     min{E[r_s], ess-inf r_main}."""
-    menu = DEFAULT_FULL_MENU if family_menu is None else tuple(family_menu)
-    return _upper(dist_m, dist_e, p_bar, menu, nodes, csi="full")
+    return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI,
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
 def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with only the main gain known: as :func:`upper_full` but
     restricted to policies that depend on h_m alone."""
-    menu = DEFAULT_MAIN_MENU if family_menu is None else tuple(family_menu)
-    return _upper(dist_m, dist_e, p_bar, menu, nodes, csi="main")
+    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI,
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
 def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -162,20 +164,12 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     identically zero and E[r_s'] is pointwise non-increasing in kappa, so
     kappa = 0 (q = h_e) is exactly optimal and the search is skipped.
     """
-    menu = DEFAULT_FULL_MENU if family_menu is None else tuple(family_menu)
     atom = dist_m.is_degenerate and dist_e.is_degenerate
-    candidates = []
-    infeasible: dict[str, str] = {}
-    for entry in menu:
-        family, h_min = resolve_menu_entry(entry, dist_m)
-        try:
-            pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
-        except NonInvertibleChannelError as err:
-            infeasible[entry] = str(err)
-            continue
+
+    def objective(pol: PowerPolicy) -> tuple[float, dict]:
         cap = common_rate_floor(pol, dist_m, dist_e)
 
-        def value_at(kappa: float, pol=pol, cap=cap) -> tuple[float, dict]:
+        def value_at(kappa: float) -> tuple[float, dict]:
             q = None if kappa == 0.0 else q_threshold(kappa)
             if atom:
                 # the law is the atom: E[r_s'] and ess-inf r_s'' are its rates
@@ -199,24 +193,18 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             return dfloor + r_o, diag
 
         if q_kappa is not None:
-            value, diag = value_at(float(q_kappa))
-        else:
-            value, diag = value_at(0.0)
-            if atom:
-                # only here can a positive kappa trade key share for a
-                # nonzero direct-share floor
-                kappa_hi = dist_m.params[0] + dist_e.params[0]
-                k_best, v_best = golden_max(lambda k: value_at(k)[0],
-                                            0.0, kappa_hi, tol=1e-9)
-                if v_best > value:
-                    value, diag = value_at(k_best)
-        candidates.append((value, pol, diag))
-    if not candidates:
-        return _fallback(dist_m, dist_e, p_bar, nodes, infeasible, {})
-    value, pol, diag = max(candidates, key=lambda c: c[0])
-    if infeasible:
-        diag["infeasible"] = infeasible
-    return BoundResult(value=value, policy=pol, diagnostics=diag)
+            return value_at(float(q_kappa))
+        value, diag = value_at(0.0)
+        if atom:
+            # only here can a positive kappa trade key share for a
+            # nonzero direct-share floor
+            kappa_hi = dist_m.params[0] + dist_e.params[0]
+            k_best, v_best = golden_max(lambda k: value_at(k)[0], 0.0, kappa_hi, tol=1e-9)
+            if v_best > value:
+                value, diag = value_at(k_best)
+        return value, diag
+
+    return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI, objective)
 
 
 def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -275,30 +263,8 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     """Achievable rate with only the main gain known: everything rides the
     one-time pad, and the sustainable rate is the fixed point of the key
     balance, maximized over main-CSI families."""
-    menu = DEFAULT_MAIN_MENU if family_menu is None else tuple(family_menu)
-    candidates = []
-    infeasible: dict[str, str] = {}
-    skipped: dict[str, str] = {}
-    for entry in menu:
-        family, h_min = resolve_menu_entry(entry, dist_m)
-        if family == "full-inv":
-            skipped[entry] = "needs full CSI"
-            continue
-        try:
-            pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
-        except NonInvertibleChannelError as err:
-            infeasible[entry] = str(err)
-            continue
-        value, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
-        candidates.append((value, pol, diag))
-    if not candidates:
-        return _fallback(dist_m, dist_e, p_bar, nodes, infeasible, skipped)
-    value, pol, diag = max(candidates, key=lambda c: c[0])
-    if infeasible:
-        diag["infeasible"] = infeasible
-    if skipped:
-        diag["skipped"] = skipped
-    return BoundResult(value=value, policy=pol, diagnostics=diag)
+    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI,
+                 lambda pol: fixed_point_rate(pol, dist_m, dist_e, nodes))
 
 
 def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,

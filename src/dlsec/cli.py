@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .bounds import (fixed_point_rate, high_snr_limit, lower_full, lower_main,
-                     resolve_menu_entry, upper_full, upper_main)
+                     upper_full, upper_main)
 from .fading import joint_grid, parse_distribution
 from .numerics import RngSeed, mc_expect, weighted_sum
 from .policy import NonInvertibleChannelError, calibrate, expected_power
@@ -45,12 +45,11 @@ EXIT_VALIDATION = 4
 LN2 = math.log(2.0)
 
 _FALLBACK_SEED = 12345
+_MAX_GRID_POINTS = 100_000  # of a start:stop:step sweep grid
 
 
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    t = str(text).strip().lower()
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
@@ -58,60 +57,75 @@ def _parse_bool(text) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_policy_list(text) -> list[str]:
-    if isinstance(text, list):
-        return text
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
+def _parse_policy_list(text: str) -> list[str]:
+    items = [p.strip() for p in text.split(",") if p.strip()]
     if not items:
         raise ValueError("empty policy list")
     return items
 
 
-# dest -> (default, cast used for config-file values); None defaults that
-# stay None mean "not set" and are resolved per command
-_DEFAULTS: dict[str, dict[str, tuple[object, type | object]]] = {
-    "bounds": {
-        "dist_m": ("chisq:4", str),
-        "dist_e": ("chisq:4", str),
-        "pbar_db": (20.0, float),
-        "policy": (None, _parse_policy_list),
-        "q_kappa": (None, float),
-        "nodes": (200, int),
-        "bits": (False, _parse_bool),
-        "seed": (None, int),
-    },
-    "sweep": {
-        "dist_m": ("chisq:4", str),
-        "dist_e": ("chisq:4", str),
-        "snr_db_grid": ("0:40:5", str),
-        "policy": (None, _parse_policy_list),
-        "q_kappa": (None, float),
-        "nodes": (200, int),
-        "out": (None, str),
-        "seed": (None, int),
-    },
-    "simulate": {
-        "scheme": ("full", str),
-        "dist_m": ("chisq:4", str),
-        "dist_e": ("chisq:4", str),
-        "policy": (None, str),
-        "pbar_db": (20.0, float),
-        "a": (500, int),
-        "b": (20, int),
-        "n1": (10_000, int),
-        "delta": (0.05, float),
-        "q_kappa": (0.0, float),
-        "init": ("insecure", str),
-        "out": ("simreport", str),
-        "nodes": (200, int),
-        "seed": (None, int),
-    },
-    "validate": {
-        "quick": (False, _parse_bool),
-        "max_sigma": (4.0, float),
-        "nodes": (200, int),
-        "seed": (None, int),
-    },
+def _opt(default=None, cast=str, **argparse_kw) -> tuple:
+    return default, cast, argparse_kw
+
+
+# Every option of every command, once: dest -> (default, cast of a flag or
+# config-file value, other argparse settings).  A one-letter dest is the flag
+# -a, any other is --dist-m and so on.  argparse leaves every option at None,
+# "not given", so a flag wins over the config file and the file over the
+# default here; a None default stays None and is resolved per command.
+_DIST = {
+    "dist_m": _opt("chisq:4", help="main gain law, e.g. chisq:4"),
+    "dist_e": _opt("chisq:4", help="eavesdropper gain law"),
+}
+_MENU = {
+    "policy": _opt(cast=_parse_policy_list, action="append",
+                   help="restrict the family menu (repeatable)"),
+    "q_kappa": _opt(cast=float, help="pin q(h) = max(h_e, kappa) instead of optimizing"),
+}
+_COMMON = {
+    "nodes": _opt(200, int, help="quadrature nodes per dimension"),
+    "seed": _opt(cast=int, help="RNG seed (default: $DST_SEED or 12345)"),
+}
+_COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
+    "bounds": ("print the four bounds plus the high-SNR limit", {
+        **_DIST,
+        "pbar_db": _opt(20.0, float,
+                        help="average power budget in dB (use =-inf for zero power)"),
+        **_MENU,
+        "bits": _opt(False, _parse_bool, action="store_const", const=True,
+                     help="also report values in bits/use"),
+        **_COMMON,
+    }),
+    "sweep": ("CSV of the bounds over an SNR grid", {
+        **_DIST,
+        "snr_db_grid": _opt("0:40:5",
+                            help="grid: 'start:stop:step' (inclusive) or comma list"),
+        **_MENU,
+        "out": _opt(help="output CSV path (default stdout)"),
+        **_COMMON,
+    }),
+    "simulate": ("run one protocol ledger", {
+        "scheme": _opt("full", choices=SCHEMES),
+        **_DIST,
+        "policy": _opt(help="policy grammar, e.g. full-inv"),
+        "pbar_db": _opt(20.0, float, help="average power budget in dB"),
+        "a": _opt(500, int, help="blocks per super-block"),
+        "b": _opt(20, int, help="super-block count"),
+        "n1": _opt(10_000, int, help="symbols per block"),
+        "delta": _opt(0.05, float, help="scheduling backoff in [0,1)"),
+        "q_kappa": _opt(0.0, float, help="pin q(h) = max(h_e, kappa)"),
+        "init": _opt("insecure", choices=("insecure", "dedicated"),
+                     help="super-block-1 handling"),
+        "out": _opt("simreport", help="output prefix for .json/.csv"),
+        **_COMMON,
+    }),
+    "validate": ("numeric cross-checks; nonzero exit on failure", {
+        "quick": _opt(False, _parse_bool, action="store_const", const=True,
+                      help="smaller sample sizes, subset of checks"),
+        "max_sigma": _opt(4.0, float,
+                          help="agreement tolerance in standard errors (testing hook)"),
+        **_COMMON,
+    }),
 }
 
 
@@ -121,60 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delay-limited secrecy bounds and key-renewal protocol simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dest, (_default, cast, kw) in options.items():
+            flag = "-" + dest if len(dest) == 1 else "--" + dest.replace("_", "-")
+            if "action" not in kw:  # append and store_const take no cast
+                kw = dict(kw, type=cast)
+            p.add_argument(flag, default=None, **kw)
         p.add_argument("--config", help="plain-text config file of key = value lines")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: $DST_SEED or 12345)")
-        p.add_argument("--nodes", type=int, default=None,
-                       help="quadrature nodes per dimension")
-
-    p = sub.add_parser("bounds", help="print the four bounds plus the high-SNR limit")
-    p.add_argument("--dist-m", default=None, help="main gain law, e.g. chisq:4")
-    p.add_argument("--dist-e", default=None, help="eavesdropper gain law")
-    p.add_argument("--pbar-db", type=float, default=None,
-                   help="average power budget in dB (use =-inf for zero power)")
-    p.add_argument("--policy", action="append", default=None,
-                   help="restrict the family menu (repeatable)")
-    p.add_argument("--q-kappa", type=float, default=None,
-                   help="pin q(h) = max(h_e, kappa) instead of optimizing")
-    p.add_argument("--bits", action="store_const", const=True, default=None,
-                   help="also report values in bits/use")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="CSV of the bounds over an SNR grid")
-    p.add_argument("--dist-m", default=None)
-    p.add_argument("--dist-e", default=None)
-    p.add_argument("--snr-db-grid", default=None,
-                   help="grid: 'start:stop:step' (inclusive) or comma list")
-    p.add_argument("--policy", action="append", default=None)
-    p.add_argument("--q-kappa", type=float, default=None)
-    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="run one protocol ledger")
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
-    p.add_argument("--dist-m", default=None)
-    p.add_argument("--dist-e", default=None)
-    p.add_argument("--policy", default=None, help="policy grammar, e.g. full-inv")
-    p.add_argument("--pbar-db", type=float, default=None)
-    p.add_argument("-a", type=int, default=None, help="blocks per super-block")
-    p.add_argument("-b", type=int, default=None, help="super-block count")
-    p.add_argument("--n1", type=int, default=None, help="symbols per block")
-    p.add_argument("--delta", type=float, default=None, help="scheduling backoff in [0,1)")
-    p.add_argument("--q-kappa", type=float, default=None)
-    p.add_argument("--init", choices=("insecure", "dedicated"), default=None,
-                   help="super-block-1 handling")
-    p.add_argument("--out", default=None, help="output prefix for .json/.csv")
-    add_common(p)
-
-    p = sub.add_parser("validate", help="numeric cross-checks; nonzero exit on failure")
-    p.add_argument("--quick", action="store_const", const=True, default=None,
-                   help="smaller sample sizes, subset of checks")
-    p.add_argument("--max-sigma", type=float, default=None,
-                   help="agreement tolerance in standard errors (testing hook)")
-    add_common(p)
-
     return parser
 
 
@@ -191,16 +159,15 @@ def _read_config_file(path: str, known: dict) -> dict:
             dest = key.strip().lower().replace("-", "_")
             if dest not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            cast = known[dest][1]
-            values[dest] = cast(val.strip())
+            values[dest] = known[dest][1](val.strip())
     return values
 
 
 def _resolve_options(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset options from the config file, then from defaults."""
-    known = _DEFAULTS[args.command]
+    known = _COMMANDS[args.command][1]
     file_values = _read_config_file(args.config, known) if args.config else {}
-    for dest, (default, _cast) in known.items():
+    for dest, (default, _cast, _kw) in known.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, file_values.get(dest, default))
     if args.seed is None:
@@ -209,9 +176,11 @@ def _resolve_options(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _pbar_from_db(db: float) -> float:
-    if db == -math.inf:
-        return 0.0
-    return 10.0 ** (db / 10.0)
+    """10^(db/10), with 0 at -inf and inf past the float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _jsonable(obj):
@@ -226,17 +195,13 @@ def _jsonable(obj):
     return obj
 
 
-def _precheck_menu(menu, dist_m, dist_e, p_bar) -> None:
-    """An explicitly requested menu must contain a calibratable family."""
-    errors = []
-    for entry in menu:
-        family, h_min = resolve_menu_entry(entry, dist_m)
-        try:
-            calibrate(family, dist_m, dist_e, p_bar, h_min)
-            return
-        except NonInvertibleChannelError as err:
-            errors.append(str(err))
-    raise NonInvertibleChannelError(errors[0] if errors else "no usable policy family")
+def _usable(result):
+    """A menu with no calibratable family falls back to constant power; on
+    the command line, where only an explicit menu can do that, it is an
+    error naming the first family that failed."""
+    if "warning" in result.diagnostics:
+        raise NonInvertibleChannelError(next(iter(result.diagnostics["infeasible"].values())))
+    return result
 
 
 def _bound_json(result, bits: bool) -> dict:
@@ -255,17 +220,15 @@ def cmd_bounds(args) -> int:
     dist_m = parse_distribution(args.dist_m)
     dist_e = parse_distribution(args.dist_e)
     p_bar = _pbar_from_db(args.pbar_db)
-    menu = args.policy
-    if menu is not None:
-        _precheck_menu(menu, dist_m, dist_e, p_bar)
-    kwargs = dict(family_menu=menu, nodes=args.nodes)
+    kwargs = dict(family_menu=args.policy, nodes=args.nodes)
+    uf = _usable(upper_full(dist_m, dist_e, p_bar, **kwargs))
     limit = high_snr_limit(dist_m, dist_e, nodes=max(args.nodes, 400))
     doc = {
         "p_bar": p_bar,
         "p_bar_db": args.pbar_db,
         "dist_m": dist_m.spec(),
         "dist_e": dist_e.spec(),
-        "upper_full": _bound_json(upper_full(dist_m, dist_e, p_bar, **kwargs), args.bits),
+        "upper_full": _bound_json(uf, args.bits),
         "lower_full": _bound_json(
             lower_full(dist_m, dist_e, p_bar, q_kappa=args.q_kappa, **kwargs), args.bits),
         "upper_main": _bound_json(upper_main(dist_m, dist_e, p_bar, **kwargs), args.bits),
@@ -285,9 +248,14 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"bad grid {text!r}: want start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"bad grid {text!r}: start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid {text!r}: need stop >= start and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not span < _MAX_GRID_POINTS:
+            raise ValueError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+        count = int(math.floor(span + 1e-9)) + 1
         grid = [start + i * step for i in range(count)]
     else:
         grid = [float(p) for p in text.split(",") if p.strip()]
@@ -303,13 +271,11 @@ def cmd_sweep(args) -> int:
     dist_e = parse_distribution(args.dist_e)
     grid = _parse_grid(args.snr_db_grid)
     menu = args.policy
-    if menu is not None:
-        _precheck_menu(menu, dist_m, dist_e, _pbar_from_db(grid[-1]))
     limit = high_snr_limit(dist_m, dist_e, nodes=max(args.nodes, 400))
     lines = ["snr_db,upper_full,lower_full,upper_main,lower_main,high_snr_limit"]
     for snr_db in grid:
         p_bar = _pbar_from_db(snr_db)
-        uf = upper_full(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes)
+        uf = _usable(upper_full(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes))
         lf = lower_full(dist_m, dist_e, p_bar, family_menu=menu,
                         q_kappa=args.q_kappa, nodes=args.nodes)
         um = upper_main(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes)

@@ -122,6 +122,11 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
                 f"non-invertible channel: E[1/min(h_m, h_e)] diverges for "
                 f"{dist_m.spec()} / {dist_e.spec()}"
             )
+        if not moment > 0.0:
+            raise ValueError(
+                f"E[1/min(h_m, h_e)] evaluates to {moment:g} for {dist_m.spec()} / "
+                f"{dist_e.spec()}: the quadrature grid misses these laws"
+            )
         return PowerPolicy("full-inv", p_bar / moment)
     if family == "main-inv":
         moment = inverse_moment(dist_m)

@@ -97,8 +97,8 @@ class SimConfig:
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode {self.init!r}")
         for name, v in (("b", self.b), ("a", self.a), ("n1", self.n1)):
-            if int(v) < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            if not 1 <= int(v) < 2 ** 63:
+                raise ValueError(f"{name} must be in [1, 2**63), got {v}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"backoff delta must be in [0, 1), got {self.delta}")
         if not (self.p_bar >= 0.0):
@@ -228,10 +228,12 @@ def _json_array(lines: str, depth: int) -> str:
 
 def _bits(rate_nats, n1: int) -> np.ndarray:
     """Bit load of a block at each given rate: n1 * rate / ln 2 rounded to
-    the nearest bit, ties to even; the fractional residue is not carried."""
+    the nearest bit, ties to even; the fractional residue is not carried.
+    A load that is not finite, or does not fit the ledger's int64 columns,
+    raises ValueError."""
     load = np.rint(n1 * np.maximum(rate_nats, 0.0) / LN2)
-    if not np.all(np.isfinite(load)):
-        raise ValueError("non-finite rate: the block bit load is undefined")
+    if not np.all(load < 2.0 ** 63):
+        raise ValueError("block bit load is not finite or reaches 2**63 bits")
     return load.astype(np.int64)
 
 
@@ -303,13 +305,19 @@ def simulate(config: SimConfig) -> SimReport:
         gen, direct, spendable_every = zeros, _bits(rb.r_s, n1), 0
         outage = (h_e >= h_m).astype(np.int64)
 
+    gen_bits = gen.tolist()
+    # every count in the ledger, column totals included, is at most this sum
+    if sum(gen_bits) + sum(direct.tolist()) + sched * nblocks >= 2 ** 63:
+        raise ValueError("the run's bit loads add up to 2**63 or more, "
+                         "past the ledger's int64 counts")
+
     # The one sequential part: pool level and starvation.  From super-block
     # 2 on every block asks for sched pad bits and is served iff the pool
     # holds them; a starved block skips its pad lane.
     served = np.zeros(nblocks, dtype=bool)
     trajectory: list[int] = []
     available = pending = 0
-    for i, g in enumerate(gen.tolist()):
+    for i, g in enumerate(gen_bits):
         if i >= a and available >= sched:
             available -= sched
             served[i] = True

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from dlsec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                        main)
 
@@ -40,6 +42,13 @@ class TestBounds:
                                "--dist-e", "exp:1", "--policy", "full-inv")
         assert code == EXIT_INFEASIBLE
         assert "non-invertible channel" in err
+
+    def test_law_the_grid_cannot_resolve_exits_2(self, capsys):
+        """At scale 1e-10 the quadrature grid reads E[1/min(h_m, h_e)] as 0,
+        which used to divide by zero in full-inv's calibration."""
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "gamma:2:1e-10")
+        assert code == EXIT_USAGE
+        assert "quadrature grid" in err and out == ""
 
     def test_bad_grammar_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "rayleigh:1")
@@ -78,6 +87,30 @@ class TestSweep:
     def test_descending_grid_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--snr-db-grid", "10,5")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:1",
+                                      "0:1:nan", "0:nan:1"])
+    def test_non_finite_range_rejected(self, capsys, grid):
+        """0:inf:1 used to end in an OverflowError traceback."""
+        code, out, err = run_cli(capsys, "sweep", f"--snr-db-grid={grid}")
+        assert code == EXIT_USAGE
+        assert "must be finite" in err and out == ""
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "-1e308:1e308:1", "0:100000:1"])
+    def test_oversized_range_rejected(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", f"--snr-db-grid={grid}")
+        assert code == EXIT_USAGE
+        assert "more than 100000 points" in err and out == ""
+
+    def test_non_invertible_menu_exits_3_with_nothing_written(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--dist-m", "exp:1", "--dist-e", "exp:1",
+                                 "--policy", "full-inv", "--policy", "main-inv",
+                                 "--snr-db-grid", "0:20:10", "--out", str(out_path))
+        assert code == EXIT_INFEASIBLE
+        assert err == ("error: non-invertible channel: E[1/min(h_m, h_e)] diverges "
+                       "for exp:1 / exp:1\n")
+        assert out == "" and not out_path.exists()
 
     def test_round_trip_through_reader(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -177,6 +210,39 @@ class TestConfigFileAndEnv:
                                "--pbar-db", "20")
         doc = json.loads(out)
         assert doc["p_bar_db"] == 20.0
+
+    def test_flag_policy_replaces_config_policy(self, capsys, tmp_path):
+        """The flag's menu is the whole menu: const from the file would
+        make the non-invertible full-inv menu usable."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dist_m = exp:1\ndist_e = exp:1\npolicy = const\n")
+        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["upper_full"]["policy"]["family"] == "const"
+        code, out, err = run_cli(capsys, "bounds", "--config", str(cfg),
+                                 "--policy", "full-inv")
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert "non-invertible channel" in err
+
+    def test_config_policy_list(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policy = full-inv, main-inv\n")
+        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == EXIT_OK
+        families = {json.loads(out)[k]["policy"]["family"]
+                    for k in ("upper_full", "lower_full", "upper_main", "lower_main")}
+        assert families <= {"full-inv", "main-inv"}
+        assert "skipped" in json.loads(out)["upper_main"]["diagnostics"]
+
+    def test_config_values_are_cast(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bits = yes\nnodes = 64\nq_kappa = 0\n")
+        code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert "value_bits" in json.loads(out)["upper_full"]
+        cfg.write_text("nodes = many\n")
+        code, _, err = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == EXIT_USAGE
 
     def test_unknown_key_is_an_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

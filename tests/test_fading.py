@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dlsec.fading import (ChannelState, FadingDistribution, expectation,
+from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
+                          expectation,
                           inverse_min_moment, inverse_moment,
                           parse_distribution, truncated_inverse_moment)
 from dlsec.numerics import RngSeed, integrate_halfline
@@ -35,6 +36,32 @@ class TestGrammar:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_distribution(text)
+
+    @pytest.mark.parametrize("text", ["gamma:nan:1", "gamma:inf:1", "gamma:2:nan",
+                                      "gamma:2:inf", "exp:nan", "exp:inf", "chisq:nan",
+                                      "chisq:inf", "const:nan", "const:inf"])
+    def test_rejects_non_finite_parameters(self, text):
+        """NaN shapes used to stall the cdf's convergence test for minutes."""
+        with pytest.raises(ValueError, match="positive finite"):
+            parse_distribution(text)
+
+    @pytest.mark.parametrize("text", ["gamma:1e-300:1", "gamma:0.0499:1", "gamma:50.01:1",
+                                      "gamma:1e10:1", "gamma:1e15:1", "chisq:101",
+                                      "chisq:1e300"])
+    def test_rejects_shapes_outside_the_tested_range(self, text):
+        """Shapes the law cannot evaluate: 1e-300 overflowed the quantile's
+        start, 1e300 divided by zero in the cdf, 1e10 gave a median whose
+        cdf read 0.49998 and 1e15 ran for minutes."""
+        with pytest.raises(ValueError, match="gamma shape"):
+            parse_distribution(text)
+
+    @pytest.mark.parametrize("text", ["gamma:0.05:1", "gamma:50:1", "chisq:1", "chisq:100",
+                                      "gamma:0.3:1e-3", "gamma:8:1e3"])
+    def test_accepts_the_ends_of_the_range(self, text):
+        parse_distribution(text)
+
+    def test_range_is_the_one_tested_against_scipy(self):
+        assert (SHAPE_MIN, SHAPE_MAX) == (min(LAW_SHAPES), max(LAW_SHAPES))
 
 
 class TestPdf:

@@ -11,8 +11,8 @@ import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import (LN2, SimConfig, _spent_after_release, key_balance_check,
-                            simulate)
+from dlsec.protocol import (LN2, SimConfig, _bits, _spent_after_release,
+                            key_balance_check, simulate)
 
 CHISQ4 = parse_distribution("chisq:4")
 
@@ -159,6 +159,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(init="retry")
 
+    def test_block_counts_must_fit_int64(self):
+        with pytest.raises(ValueError, match="n1 must be"):
+            make_config(n1=10**20)
+        make_config(n1=2**63 - 1)
+
     def test_symbol_count(self):
         assert make_config(a=3, b=4, n1=5).n == 60
 
@@ -166,6 +171,34 @@ class TestConfig:
         assert make_config(scheme="full").policy_spec() == "full-inv"
         assert make_config(scheme="main").policy_spec() == "main-inv"
         assert make_config(scheme="baseline").policy_spec() == "const"
+
+
+class TestBitLoads:
+    def test_rounds_half_to_even(self):
+        got = _bits(np.array([0.5, 1.5, 2.5, -1.0]) * LN2, 1)
+        np.testing.assert_array_equal(got, [0, 2, 2, 0])
+        assert got.dtype == np.int64
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="not finite"):
+            _bits(np.array([1.0, rate]), 1000)
+
+    def test_load_of_2_to_63_bits_rejected(self):
+        """A load that int64 cannot hold used to wrap to a negative count."""
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            _bits(np.array([1.0]), 10**20)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            _bits(np.array([LN2]), 2**63)
+        assert int(_bits(np.array([LN2]), 2**62)[0]) == 2**62
+
+    def test_simulate_rejects_totals_past_int64(self):
+        """Each block's load fits int64, but their sum does not: the
+        totals used to wrap to negative key_generated and data_delivered."""
+        config = make_config(a=2, b=2, n1=2**62)
+        with pytest.raises(ValueError, match="add up to 2\\*\\*63"):
+            simulate(config)
+        assert simulate(make_config(a=2, b=2, n1=2**40)).totals["key_generated"] > 0
 
 
 class TestFullScheme:
