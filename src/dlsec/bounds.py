@@ -39,9 +39,8 @@ from .fading import FadingDistribution, inverse_min_moment, joint_grid
 from .numerics import golden_max, halfline_nodes, unit_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
-from .rates import (_pointwise, common_rate_floor, delay_floor,
-                    direct_rate_floor, ergodic_secrecy_rate, expected_key_share,
-                    q_threshold, secrecy_gap)
+from .rates import (common_rate_floor, delay_floor, direct_rate_floor, ergodic_secrecy_rate,
+                    expected_key_share, q_threshold, secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -168,13 +167,21 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
 
     def objective(pol: PowerPolicy) -> tuple[float, dict]:
         cap = common_rate_floor(pol, dist_m, dist_e)
+        if atom:
+            # the law is the atom: E[r_s'] and ess-inf r_s'' are its rates,
+            # and only log(1 + P q) depends on kappa; the same ufuncs as
+            # rates.per_state_rates, so the same bits
+            vm, ve = dist_m.params[0], dist_e.params[0]
+            p = pol.power(vm, ve)
+            r_main = np.log1p(p * vm)
+            r_s = np.maximum(r_main - np.log1p(p * ve), 0.0)
 
         def value_at(kappa: float) -> tuple[float, dict]:
-            q = None if kappa == 0.0 else q_threshold(kappa)
+            q = None if kappa == 0.0 else q_threshold(kappa)  # rejects kappa < 0
             if atom:
-                # the law is the atom: E[r_s'] and ess-inf r_s'' are its rates
-                rates = _pointwise(pol, dist_m, dist_e, q)
-                key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
+                r_s_prime = np.maximum(r_main - np.log1p(p * np.maximum(ve, kappa)), 0.0)
+                key_mean = float(r_s_prime)
+                dfloor = float(np.maximum(r_s - r_s_prime, 0.0))
             else:
                 key_mean = expected_key_share(pol, dist_m, dist_e, q, nodes)
                 dfloor = direct_rate_floor(pol, dist_m, dist_e, q)
@@ -278,8 +285,11 @@ def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
     """
     invertible = math.isfinite(inverse_min_moment(dist_m, dist_e))
     if dist_m.is_degenerate and dist_e.is_degenerate:
-        value = max(math.log(dist_m.params[0] / dist_e.params[0]), 0.0)
-        return HighSnrLimit(value, invertible)
+        vm, ve = dist_m.params[0], dist_e.params[0]
+        ratio = vm / ve
+        # a quotient that underflows to 0 or overflows takes the logs apart
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(vm) - math.log(ve)
+        return HighSnrLimit(max(log_ratio, 0.0), invertible)
     if dist_m.is_degenerate:
         vm = dist_m.params[0]
         t, wt = unit_nodes(nodes)
@@ -293,6 +303,9 @@ def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
         return HighSnrLimit(value, invertible)
     x, wx = halfline_nodes(nodes)
     t, wt = unit_nodes(nodes)
-    inner = weighted_sum(wt * np.log(1.0 / t), dist_e.pdf(np.outer(x, t)))
-    value = weighted_sum(wx * dist_m.pdf(x) * x, inner)
-    return HighSnrLimit(value, invertible)
+    outer = wx * dist_m.pdf(x) * x
+    # a row the main law gives no weight adds 0 to the outer sum either way
+    live = outer != 0.0
+    inner = np.zeros(x.size)
+    inner[live] = weighted_sum(wt * np.log(1.0 / t), dist_e.pdf_outer(x[live], t))
+    return HighSnrLimit(weighted_sum(outer, inner), invertible)

@@ -153,7 +153,11 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
     """Maximize a unimodal ``f`` on [lo, hi] by golden-section search.
 
     Returns (argmax, max) evaluated at the midpoint of the final bracket,
-    whose width is <= tol.
+    whose width is <= tol, or which has stalled where the float spacing
+    near the maximizer exceeds tol.  A stall is a repeat of the probe pair
+    (c, d) while (a, b) stays put: from there the loop would cycle forever.
+    One step that leaves (a, b) in place is not yet a stall, since adjacent
+    a and b can still collapse to one point after it.
     """
     if lo >= hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -163,7 +167,9 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = float(f(c)), float(f(d))
+    stalled: set[tuple[float, float]] = set()
     while b - a > tol:
+        bracket = a, b
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -172,6 +178,12 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = float(f(d))
+        if (a, b) != bracket:
+            stalled.clear()
+        elif (c, d) in stalled:
+            break
+        else:
+            stalled.add((c, d))
     xm = 0.5 * (a + b)
     return xm, float(f(xm))
 

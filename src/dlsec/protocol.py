@@ -56,6 +56,10 @@ SCHEMES = ("full", "main", "baseline")
 INIT_MODES = ("insecure", "dedicated")
 
 _STATE_LANE = 1
+# A run holds every block's columns and their text at once, about 1.6 kB a
+# block through the CLI (200 MB at 10^5 blocks), so a * b is capped at 100
+# times the CLI default of 10^4 blocks.
+MAX_BLOCKS = 1_000_000
 
 # The ledger's per-block columns, in CSV order; JSON and CSV both read them.
 _COLUMNS = (
@@ -99,6 +103,9 @@ class SimConfig:
         for name, v in (("b", self.b), ("a", self.a), ("n1", self.n1)):
             if not 1 <= int(v) < 2 ** 63:
                 raise ValueError(f"{name} must be in [1, 2**63), got {v}")
+        if int(self.a) * int(self.b) > MAX_BLOCKS:
+            raise ValueError(f"a * b = {int(self.a) * int(self.b)} blocks exceeds "
+                             f"the maximum of {MAX_BLOCKS}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"backoff delta must be in [0, 1), got {self.delta}")
         if not (self.p_bar >= 0.0):

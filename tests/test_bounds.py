@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import dlsec
-from dlsec.bounds import (fixed_point_rate, high_snr_limit, lower_full,
-                          lower_main, upper_full, upper_main)
-from dlsec.fading import joint_grid, parse_distribution
-from dlsec.numerics import RngSeed, mc_expect
-from dlsec.policy import calibrate
-from dlsec.rates import delay_floor, ergodic_secrecy_rate, per_state_rates
+from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit,
+                          lower_full, lower_main, upper_full, upper_main)
+from dlsec.fading import FadingDistribution, joint_grid, parse_distribution
+from dlsec.numerics import (RngSeed, golden_max, halfline_nodes, mc_expect, unit_nodes,
+                            weighted_sum)
+from dlsec.policy import FULL_CSI, calibrate
+from dlsec.rates import (_pointwise, common_rate_floor, delay_floor, ergodic_secrecy_rate,
+                         per_state_rates, q_threshold)
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -106,6 +108,61 @@ class TestLowerFull:
             lo = lower_full(CHISQ4, CHISQ4, p_bar).value
             hi = upper_full(CHISQ4, CHISQ4, p_bar).value
             assert lo <= hi + 1e-9
+
+
+def pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa):
+    """lower_full on a point-mass pair as it ran before the kappa search was
+    hoisted: every kappa rebuilds the atom's rates with rates._pointwise."""
+    def objective(pol):
+        cap = common_rate_floor(pol, dm, de)
+
+        def value_at(kappa):
+            q = None if kappa == 0.0 else q_threshold(kappa)
+            rates = _pointwise(pol, dm, de, q)
+            key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
+            r_o = min(key_mean, cap)
+            diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
+                    "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
+                    "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
+            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
+                                and diag["common_rate_margin"] >= -_CERT_TOL)
+            return dfloor + r_o, diag
+
+        if q_kappa is not None:
+            return value_at(float(q_kappa))
+        value, diag = value_at(0.0)
+        k_best, v_best = golden_max(lambda k: value_at(k)[0], 0.0,
+                                    dm.params[0] + de.params[0], tol=1e-9)
+        if v_best > value:
+            value, diag = value_at(k_best)
+        return value, diag
+
+    return _best(dm, de, p_bar, menu, 200, FULL_CSI, objective)
+
+
+class TestPointMassKappaSearch:
+    def test_same_repr_as_the_pointwise_search(self):
+        """Value, policy and diagnostics of random const pairs, with kappa
+        searched and pinned, under four menus."""
+        rng = np.random.default_rng(21)
+        for i in range(30):
+            vm, ve = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+            dm = FadingDistribution("const", (vm,))
+            de = FadingDistribution("const", (ve,))
+            p_bar = 0.0 if i == 0 else 10.0 ** rng.uniform(-1.0, 5.0)
+            for menu in (None, ["const"], ["full-inv", "main-inv"],
+                         [f"trunc-inv:{vm / 2:.6g}", "const"]):
+                for q_kappa in (None, 0.0, 0.7):
+                    got = lower_full(dm, de, p_bar, family_menu=menu, q_kappa=q_kappa)
+                    want = pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa)
+                    assert (repr((got.value, got.policy, sorted(got.diagnostics.items())))
+                            == repr((want.value, want.policy,
+                                     sorted(want.diagnostics.items())))), (dm, de, menu)
+
+    def test_negative_pinned_kappa_rejected(self):
+        atom = parse_distribution("const:2")
+        with pytest.raises(ValueError, match="kappa"):
+            lower_full(atom, parse_distribution("const:1"), 10.0, q_kappa=-1.0)
 
 
 class TestUpperMain:
@@ -246,6 +303,41 @@ class TestHighSnrLimit:
         want, _ = integrate.quad(lambda y: math.log(2.0 / y) * math.exp(-y), 0, 2)
         assert abs(mixed.value - want) < 1e-4
 
+    def test_point_masses_at_extreme_ratios(self):
+        """The quotient v_m / v_e underflows to 0 (which raised 'math domain
+        error') or overflows (which gave inf instead of 600 ln 10)."""
+        tiny, huge = parse_distribution("const:1e-300"), parse_distribution("const:1e300")
+        assert high_snr_limit(tiny, huge).value == 0.0
+        assert math.isclose(high_snr_limit(huge, tiny).value, 600.0 * math.log(10.0),
+                            rel_tol=1e-15)
+        # a finite quotient still takes the log of the quotient
+        assert (high_snr_limit(huge, parse_distribution("const:1e-8")).value
+                == math.log(1e300 / 1e-8))
+
+    def test_log_split_density_matches_outer_product_formula(self):
+        """Against the formula before the log-split density, on random
+        gamma pairs: main scales down to 1e-3 leave rows of the node grid
+        with zero weight, which the limit skips."""
+        rng = np.random.default_rng(9)
+        x, wx = halfline_nodes(400)
+        t, wt = unit_nodes(400)
+        def draw():
+            return FadingDistribution("gamma", (0.05 + 7.95 * rng.random(),
+                                                10.0 ** rng.uniform(-3.0, 3.0)))
+
+        skipped_rows = 0
+        for i in range(60):
+            dm, de = draw(), draw()
+            if i % 4 == 0:
+                dm = FadingDistribution("gamma", (dm.shape, 1e-3))
+            outer = wx * dm.pdf(x) * x
+            skipped_rows += int(np.sum(outer == 0.0))
+            inner = weighted_sum(wt * np.log(1.0 / t), de.pdf(np.outer(x, t)))
+            want = weighted_sum(outer, inner)
+            got = high_snr_limit(dm, de, nodes=400).value
+            assert abs(got - want) <= 1e-13 * abs(want), (dm, de)
+        assert skipped_rows > 0
+
 
 class TestOrderingAndMonotonicity:
     @pytest.mark.parametrize("dist", [CHISQ4, GAMMA21])
@@ -279,8 +371,15 @@ PINNED_LIMIT = {
     ('const:2', 'chisq:4'): 0.16447904047826095,
     ('const:3', 'const:1'): 1.0986122886681098,
     ('gamma:0.5:1', 'gamma:0.5:1'): 1.154888665651046,
-    ('gamma:2:1000', 'chisq:1'): 8.000065002232445,
+    ('gamma:2:1000', 'chisq:1'): 8.000065002232446,
     ('gamma:3:0.01', 'exp:2'): 0.014925355291509824,
+}
+
+# The limit pins that moved when the eavesdropper density on the node grid
+# went from pdf(np.outer(x, t)) to the log-split pdf_outer(x, t), with the
+# value they had before.
+OUTER_PRODUCT_LIMIT_PINS = {
+    ('gamma:2:1000', 'chisq:1'): 8.000065002232445,
 }
 
 # (dist_m, dist_e, pbar_db): (upper_full, lower_full, upper_main, lower_main)
@@ -463,6 +562,12 @@ class TestPinnedValues:
         old = SCIPY_LAW_PINS[key]
         assert pinned != old
         assert abs(pinned - old) <= 1e-12 * abs(old)
+
+    @pytest.mark.parametrize("key", sorted(OUTER_PRODUCT_LIMIT_PINS), ids=repr)
+    def test_limit_moved_within_1e12_of_outer_product_pins(self, key):
+        old = OUTER_PRODUCT_LIMIT_PINS[key]
+        assert PINNED_LIMIT[key] != old
+        assert abs(PINNED_LIMIT[key] - old) <= 1e-12 * abs(old)
 
     def test_pins_do_not_depend_on_blas_threads(self):
         """The pinned cases computed under 1 and 2 BLAS threads, each in a

@@ -1,14 +1,44 @@
 """Numeric kernel tests: quadrature, golden section, Monte Carlo."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
+import dlsec
 from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed,
                             golden_max, integrate_halfline, mc_expect)
 from dlsec.fading import parse_distribution
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dlsec.__file__)))
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_without_stall_rule(f, lo, hi, tol, max_steps=20_000):
+    """golden_max's loop as it ran before it learned to stop on a stalled
+    bracket, or None when it has not ended after max_steps steps."""
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = float(f(c)), float(f(d))
+    for _ in range(max_steps):
+        if not b - a > tol:
+            xm = 0.5 * (a + b)
+            return xm, float(f(xm))
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = float(f(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = float(f(d))
+    return None
 
 
 class TestIntegrateHalfline:
@@ -68,6 +98,64 @@ class TestGoldenMax:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             golden_max(lambda x: -x * x, 1.0, 1.0, 1e-8)
+
+    @pytest.mark.parametrize("call", [
+        "from dlsec.numerics import golden_max\n"
+        "print(golden_max(lambda k: -abs(k - 1e8), 0, 1e10, 1e-9))",
+        "from dlsec.bounds import lower_full\n"
+        "from dlsec.fading import parse_distribution as law\n"
+        "print(lower_full(law('const:1e10'), law('const:1'), 100.0).value)",
+    ])
+    def test_ends_where_float_spacing_exceeds_tol(self, call):
+        """Near 1e8 the spacing of floats (1.5e-8) is wider than tol, so
+        the bracket cannot shrink below it; the search used to run on
+        forever (past 20 000 evaluations, and past 20 s for lower_full)."""
+        proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=_SRC), timeout=60, check=True)
+        assert math.isfinite(float(proc.stdout.strip().split(",")[0].strip("(")))
+
+    def test_stalled_bracket_brackets_the_maximizer(self):
+        calls = [0]
+
+        def f(k):
+            calls[0] += 1
+            return -abs(k - 1e8)
+
+        xm, fm = golden_max(f, 0.0, 1e10, 1e-9)
+        assert abs(xm - 1e8) <= 2.0 * math.ulp(1e8)
+        assert fm == -abs(xm - 1e8)
+        assert calls[0] < 200
+
+    def test_passes_through_a_transient_stall(self):
+        """Here one step leaves (a, b) in place before the adjacent a and b
+        collapse to one point; stopping at that step would return b."""
+        def f(k):
+            return min(k, 4363385.147936535)
+
+        want = golden_without_stall_rule(f, 0.0, 1259068438.4000564, 1e-9)
+        assert want == (4363385.147936534, 4363385.147936534)
+        assert golden_max(f, 0.0, 1259068438.4000564, 1e-9) == want
+
+    def test_same_result_wherever_the_old_loop_ended(self):
+        """Maximizers from 1e-3 to 1e12: every search the loop without the
+        stall rule finishes gives the same (argmax, max), and the others
+        end too."""
+        rng = random.Random(3)
+        ended = stalled = 0
+        for _ in range(300):
+            top = 10.0 ** rng.uniform(-3.0, 12.0)
+            hi = top * 10.0 ** rng.uniform(0.0, 3.0)
+            f = [lambda k: -abs(k - top), lambda k: -(k - top) ** 2,
+                 lambda k: min(k, top)][rng.randrange(3)]
+            want = golden_without_stall_rule(f, 0.0, hi, 1e-9)
+            got = golden_max(f, 0.0, hi, 1e-9)
+            if want is None:
+                stalled += 1
+                assert abs(got[0] - top) <= 1e-9 * top
+            else:
+                ended += 1
+                assert got == want
+        assert ended > 100 and stalled > 50
 
 
 CHISQ4 = parse_distribution("chisq:4")

@@ -11,7 +11,7 @@ import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import (LN2, SimConfig, _bits, _spent_after_release,
+from dlsec.protocol import (LN2, MAX_BLOCKS, SimConfig, _bits, _spent_after_release,
                             key_balance_check, simulate)
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -163,6 +163,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="n1 must be"):
             make_config(n1=10**20)
         make_config(n1=2**63 - 1)
+
+    def test_block_count_capped(self):
+        """a * b above MAX_BLOCKS is rejected before anything is allocated
+        (a = b = 100 000 used to end in numpy's allocation error)."""
+        with pytest.raises(ValueError, match="blocks exceeds"):
+            make_config(a=100_000, b=100_000)
+        with pytest.raises(ValueError, match="blocks exceeds"):
+            make_config(a=MAX_BLOCKS + 1, b=1)
+        assert make_config(a=MAX_BLOCKS // 20, b=20).a * 20 == MAX_BLOCKS
 
     def test_symbol_count(self):
         assert make_config(a=3, b=4, n1=5).n == 60
