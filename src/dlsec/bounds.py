@@ -39,8 +39,8 @@ from .fading import FadingDistribution, inverse_min_moment, joint_grid
 from .numerics import golden_max, halfline_nodes, unit_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
-from .rates import (common_rate_floor, delay_floor, direct_rate_floor, ergodic_secrecy_rate,
-                    expected_key_share, q_threshold, secrecy_gap)
+from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
+                    secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -160,9 +160,12 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
 
     ``q_kappa`` pins q(h) = max(h_e, kappa); None searches over kappa.  For
     any law with a continuous marginal the direct-share floor is
-    identically zero and E[r_s'] is pointwise non-increasing in kappa, so
-    kappa = 0 (q = h_e) is exactly optimal and the search is skipped.
+    identically zero (states with h_e >= h_m, where r_s'' = 0, have
+    positive probability) and E[r_s'] is pointwise non-increasing in kappa,
+    so kappa = 0 (q = h_e) is exactly optimal and the search is skipped.
     """
+    if q_kappa is not None and not q_kappa >= 0.0:
+        raise ValueError(f"kappa must be >= 0, got {q_kappa}")
     atom = dist_m.is_degenerate and dist_e.is_degenerate
 
     def objective(pol: PowerPolicy) -> tuple[float, dict]:
@@ -177,14 +180,13 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             r_s = np.maximum(r_main - np.log1p(p * ve), 0.0)
 
         def value_at(kappa: float) -> tuple[float, dict]:
-            q = None if kappa == 0.0 else q_threshold(kappa)  # rejects kappa < 0
             if atom:
                 r_s_prime = np.maximum(r_main - np.log1p(p * np.maximum(ve, kappa)), 0.0)
                 key_mean = float(r_s_prime)
                 dfloor = float(np.maximum(r_s - r_s_prime, 0.0))
             else:
-                key_mean = expected_key_share(pol, dist_m, dist_e, q, nodes)
-                dfloor = direct_rate_floor(pol, dist_m, dist_e, q)
+                key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
+                dfloor = 0.0
             r_o = min(key_mean, cap)
             diag = {
                 "q_kappa": kappa,

@@ -369,7 +369,7 @@ def cmd_validate(args) -> int:
     # calibrated average power hits the budget
     dist = parse_distribution("chisq:4")
     pol = calibrate("full-inv", dist, dist, p_bar)
-    quad = expected_power(pol, dist, dist, args.nodes)
+    quad = expected_power(pol, dist, dist)
     est = mc_expect(lambda st: pol.power(st.h_m, st.h_e), dist, dist, n,
                     RngSeed(seed, stream))
     stream += 1

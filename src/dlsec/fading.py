@@ -239,24 +239,6 @@ class FadingDistribution:
             raise ValueError(f"{self.spec()}: gamma shape {self.shape:g} is outside "
                              f"[{SHAPE_MIN:g}, {SHAPE_MAX:g}], where the law is evaluated")
 
-    # --- constructors ---
-
-    @classmethod
-    def chi_square(cls, dof: int) -> "FadingDistribution":
-        return cls("chisq", (dof,))
-
-    @classmethod
-    def gamma_dist(cls, shape: float, scale: float) -> "FadingDistribution":
-        return cls("gamma", (shape, scale))
-
-    @classmethod
-    def exponential(cls, mean: float) -> "FadingDistribution":
-        return cls("exp", (mean,))
-
-    @classmethod
-    def degenerate(cls, value: float) -> "FadingDistribution":
-        return cls("const", (value,))
-
     # --- structure ---
 
     @property
@@ -289,11 +271,6 @@ class FadingDistribution:
     def support_min(self) -> float:
         """Lower edge of the support (0 for every continuous kind)."""
         return self.params[0] if self.is_degenerate else 0.0
-
-    def mean(self) -> float:
-        if self.is_degenerate:
-            return self.params[0]
-        return self.shape * self.scale
 
     def spec(self) -> str:
         """Back to the grammar string, e.g. 'chisq:4' or 'gamma:2:1'."""
@@ -492,19 +469,6 @@ def joint_grid(dist_m: FadingDistribution, dist_e: FadingDistribution,
     for a in (hm, he, w):
         a.flags.writeable = False
     return hm, he, w
-
-
-def expectation(f, dist_m: FadingDistribution, dist_e: FadingDistribution,
-                nodes: int = 200) -> float:
-    """Deterministic E[f(h)] by quadrature against the joint law.
-
-    ``f`` maps a ChannelState with array fields to an array of values; this
-    is the quadrature twin of :func:`dlsec.numerics.mc_expect`.
-    """
-    grid = joint_grid(dist_m, dist_e, nodes)
-    hm, he, _ = grid
-    y = np.broadcast_to(np.asarray(f(ChannelState(hm, he)), dtype=float), hm.shape)
-    return grid_mean(grid, y)
 
 
 def grid_mean(grid: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> float:

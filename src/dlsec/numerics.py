@@ -122,32 +122,6 @@ def weighted_sum(w: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def integrate_halfline(f: Callable[[np.ndarray], np.ndarray], nodes: int = 200) -> float:
-    """Integrate ``f`` over (0, inf) with the fixed rational-map rule.
-
-    ``f`` must accept a 1-D ndarray of abscissas and return values of the
-    same shape (a scalar is broadcast).  The caller folds any density
-    weight into ``f``; with a probability density folded in, the result is
-    the corresponding expectation.
-
-    Deterministic: two calls with identical arguments return bit-identical
-    results.
-
-    Raises:
-        NonFiniteIntegrandError: naming the offending node when ``f`` is
-            not finite somewhere on the grid.
-    """
-    x, w = halfline_nodes(nodes)
-    y = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(
-            f"integrand not finite at node x={x[i]:.9g} (node {i} of {nodes})"
-        )
-    return weighted_sum(w, y)
-
-
 def golden_max(f: Callable[[float], float], lo: float, hi: float,
                tol: float) -> tuple[float, float]:
     """Maximize a unimodal ``f`` on [lo, hi] by golden-section search.

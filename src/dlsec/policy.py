@@ -23,7 +23,8 @@ MAIN_CSI = "main"
 
 
 class NonInvertibleChannelError(ValueError):
-    """An inversion policy was requested but the inverse moment diverges."""
+    """An inversion policy was requested but the inverse moment diverges, or
+    a truncated one never transmits on a point-mass main gain."""
 
 
 class CsiError(ValueError):
@@ -52,11 +53,6 @@ class PowerPolicy:
             raise ValueError(f"scale must be finite and >= 0, got {self.c}")
         if self.family == "trunc-inv" and not self.h_min > 0:
             raise ValueError("trunc-inv needs a positive cutoff h_min")
-
-    @property
-    def csi(self) -> str:
-        """'full' when evaluation needs the eavesdropper gain, else 'main'."""
-        return FULL_CSI if self.family == "full-inv" else MAIN_CSI
 
     def power(self, h_m, h_e=None) -> float | np.ndarray:
         """Transmit power at the given state; main-CSI families ignore h_e."""
@@ -109,7 +105,8 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
 
     Raises:
         NonInvertibleChannelError: when the required inverse moment
-            diverges, naming the offending moment.
+            diverges, naming the offending moment, or when a trunc-inv
+            cutoff lies above a point-mass main gain.
     """
     if not (p_bar >= 0.0):
         raise ValueError(f"average power budget must be >= 0, got {p_bar}")
@@ -142,7 +139,10 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
         if moment == 0.0:
             if p_bar == 0.0:
                 return PowerPolicy("trunc-inv", 0.0, h_min)
-            raise ValueError(
+            # above a point mass the cutoff is a property of the model; for a
+            # continuous law a zero moment means the grid missed its mass
+            error = NonInvertibleChannelError if dist_m.is_degenerate else ValueError
+            raise error(
                 f"trunc-inv with h_min={h_min:g} never transmits under "
                 f"{dist_m.spec()}; cannot meet E[P] = {p_bar:g}"
             )
@@ -151,8 +151,9 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
 
 
 def expected_power(policy: PowerPolicy, dist_m: FadingDistribution,
-                   dist_e: FadingDistribution, nodes: int = 200) -> float:
-    """E[P(h)] via each family's moment identity.
+                   dist_e: FadingDistribution) -> float:
+    """E[P(h)] via each family's moment identity: the moments :func:`calibrate`
+    reads, so a calibrated policy meets its budget to rounding.
 
     The truncated family's power rule jumps at the cutoff, so a generic
     tensor quadrature would smear it; the per-family moments are exact.
@@ -164,7 +165,7 @@ def expected_power(policy: PowerPolicy, dist_m: FadingDistribution,
     if policy.family == "const":
         return policy.c
     if policy.family == "full-inv":
-        return policy.c * inverse_min_moment(dist_m, dist_e, nodes)
+        return policy.c * inverse_min_moment(dist_m, dist_e)
     if policy.family == "main-inv":
         return policy.c * inverse_moment(dist_m)
     return policy.c * truncated_inverse_moment(dist_m, policy.h_min)

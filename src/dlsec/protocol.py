@@ -47,8 +47,7 @@ from .bounds import fixed_point_rate
 from .fading import ChannelState, FadingDistribution
 from .numerics import RngSeed
 from .policy import calibrate, parse_policy
-from .rates import (common_rate_floor, expected_key_share, per_state_rates,
-                    q_threshold)
+from .rates import common_rate_floor, expected_key_share, per_state_rates
 
 LN2 = math.log(2.0)
 
@@ -110,7 +109,7 @@ class SimConfig:
             raise ValueError(f"backoff delta must be in [0, 1), got {self.delta}")
         if not (self.p_bar >= 0.0):
             raise ValueError(f"p_bar must be >= 0, got {self.p_bar}")
-        if self.q_kappa < 0.0:
+        if not self.q_kappa >= 0.0:
             raise ValueError(f"q_kappa must be >= 0, got {self.q_kappa}")
 
     @property
@@ -278,8 +277,7 @@ def simulate(config: SimConfig) -> SimReport:
     state_rng = config.seed.generator(_STATE_LANE)
     h_m = config.dist_m.sample(state_rng, nblocks)
     h_e = config.dist_e.sample(state_rng, nblocks)
-    q = q_threshold(config.q_kappa)
-    rb = per_state_rates(pol, ChannelState(h_m, h_e), q)
+    rb = per_state_rates(pol, ChannelState(h_m, h_e), config.q_kappa)
     power = np.broadcast_to(np.asarray(pol.power(h_m, h_e), dtype=float), h_m.shape)
 
     # The scheme picks the pad schedule, the key and direct-lane loads, and
@@ -287,7 +285,8 @@ def simulate(config: SimConfig) -> SimReport:
     zeros = np.zeros(nblocks, dtype=np.int64)
     outage = zeros
     if config.scheme == "full":
-        key_mean = expected_key_share(pol, config.dist_m, config.dist_e, q, config.nodes)
+        key_mean = expected_key_share(pol, config.dist_m, config.dist_e,
+                                      kappa=config.q_kappa, nodes=config.nodes)
         cap = common_rate_floor(pol, config.dist_m, config.dist_e)
         r_o = (1.0 - config.delta) * min(key_mean, cap)
         sched = int(_bits(r_o, n1))

@@ -5,8 +5,11 @@ The per-state picture for a policy P and state h = (h_m, h_e):
     r_main = log(1 + P h_m)          main-channel rate
     r_eve  = log(1 + P h_e)          eavesdropper-channel rate
     r_s    = [r_main - r_eve]^+      per-state secrecy rate
-    r_s'   = [r_main - log(1 + P q(h))]^+   key share, q(h) >= h_e
+    r_s'   = [r_main - log(1 + P q(h))]^+   key share, q(h) = max(h_e, kappa)
     r_s''  = r_s - r_s'              direct secret-data share
+
+kappa = 0 gives q = h_e, which zeroes the direct share and maximizes the
+key share.
 
 Essential infima over the fading law are computed symbolically per policy
 family, never by sampling: a minimum over an unbounded continuous support
@@ -20,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import (ChannelState, FadingDistribution, expectation, grid_mean,
-                     joint_grid, marginal_nodes)
+from .fading import ChannelState, FadingDistribution, grid_mean, joint_grid, marginal_nodes
 from .policy import PowerPolicy
 
 
@@ -36,34 +38,20 @@ class RateBreakdown:
     r_s_dprime: float | np.ndarray
 
 
-def q_threshold(kappa: float = 0.0):
-    """The one-parameter q family: q(h) = max(h_e, kappa).
+def per_state_rates(policy: PowerPolicy, state: ChannelState,
+                    kappa: float = 0.0) -> RateBreakdown:
+    """Rate breakdown at one state (or a vector of states), for the key-share
+    threshold q(h) = max(h_e, kappa).
 
-    kappa = 0 gives q = h_e, which zeroes the direct share and maximizes
-    the key share.
+    The one-time-pad rate is not a per-state rate: it is a schedule choice
+    made by the bounds and protocol layers.
     """
-    if kappa < 0:
+    if not kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-
-    def q(state: ChannelState):
-        return np.maximum(state.h_e, kappa)
-
-    return q
-
-
-def per_state_rates(policy: PowerPolicy, state: ChannelState, q=None) -> RateBreakdown:
-    """Rate breakdown at one state (or a vector of states).
-
-    ``q`` maps the state to a gain with q(h) >= h_e everywhere; None means
-    q = h_e.  The one-time-pad rate is not a per-state rate: it is a
-    schedule choice made by the bounds and protocol layers.
-    """
     h_m = np.asarray(state.h_m, dtype=float)
     h_e = np.asarray(state.h_e, dtype=float)
     p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
-    qv = h_e if q is None else np.asarray(q(state), dtype=float)
-    if np.any(qv < h_e):
-        raise ValueError("q(h) must satisfy q(h) >= h_e for every state")
+    qv = np.maximum(h_e, kappa)
     r_main = np.log1p(p * h_m)
     r_eve = np.log1p(p * h_e)
     r_s = np.maximum(r_main - r_eve, 0.0)
@@ -119,15 +107,17 @@ def ergodic_secrecy_rate(policy: PowerPolicy, dist_m: FadingDistribution,
 
 
 def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
-                       dist_e: FadingDistribution, q=None, nodes: int = 200) -> float:
-    """E[r_s'] by quadrature, for the configured q.
+                       dist_e: FadingDistribution, kappa: float = 0.0,
+                       nodes: int = 200) -> float:
+    """E[r_s'] by quadrature, for q(h) = max(h_e, kappa).
 
-    q = None (q = h_e) makes r_s' = r_s, so it returns E[r_s].
+    kappa = 0 makes r_s' = r_s, so it reads E[r_s] off :func:`secrecy_gap`.
     """
-    if q is None:
+    if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
-    return expectation(lambda st: per_state_rates(policy, st, q).r_s_prime,
-                       dist_m, dist_e, nodes)
+    grid = joint_grid(dist_m, dist_e, nodes)
+    rates = per_state_rates(policy, ChannelState(grid[0], grid[1]), kappa)
+    return grid_mean(grid, rates.r_s_prime)
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
@@ -148,13 +138,6 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     return float(np.log1p(policy.c))
 
 
-def _pointwise(policy: PowerPolicy, dist_m: FadingDistribution,
-               dist_e: FadingDistribution, q=None) -> RateBreakdown:
-    """Rates at the single atom of a fully degenerate pair."""
-    state = ChannelState(dist_m.params[0], dist_e.params[0])
-    return per_state_rates(policy, state, q)
-
-
 def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
                       dist_e: FadingDistribution) -> float:
     """Essential infimum of min(r_main, r_eve) over the joint support.
@@ -167,20 +150,6 @@ def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
     if policy.family == "full-inv":
         return float(np.log1p(policy.c))
     if dist_m.is_degenerate and dist_e.is_degenerate:
-        r = _pointwise(policy, dist_m, dist_e)
+        r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
         return float(min(r.r_main, r.r_eve))
-    return 0.0
-
-
-def direct_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
-                      dist_e: FadingDistribution, q=None) -> float:
-    """Essential infimum of r_s'' over the joint support.
-
-    Zero whenever either marginal is continuous: states with h_e >= h_m
-    (secrecy outage) or zero power occur with positive probability and
-    force r_s'' to 0 there.  A fully degenerate pair is evaluated at its
-    atom.
-    """
-    if dist_m.is_degenerate and dist_e.is_degenerate:
-        return float(_pointwise(policy, dist_m, dist_e, q).r_s_dprime)
     return 0.0

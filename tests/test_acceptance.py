@@ -94,7 +94,7 @@ def test_c4_fixed_point_matches_grid_scan():
     for trial in range(5):
         scale = float(rng.uniform(0.5, 4.0))
         p_bar = float(10.0 ** rng.uniform(1.0, 3.0))
-        dist = FadingDistribution.gamma_dist(2.0, scale)
+        dist = FadingDistribution("gamma", (2.0, scale))
         pol = calibrate("main-inv", dist, dist, p_bar)
         r_star, _ = fixed_point_rate(pol, dist, dist)
         r_d = delay_floor(pol, dist)

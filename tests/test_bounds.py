@@ -11,12 +11,11 @@ import pytest
 import dlsec
 from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit,
                           lower_full, lower_main, upper_full, upper_main)
-from dlsec.fading import FadingDistribution, joint_grid, parse_distribution
+from dlsec.fading import ChannelState, FadingDistribution, joint_grid, parse_distribution
 from dlsec.numerics import (RngSeed, golden_max, halfline_nodes, mc_expect, unit_nodes,
                             weighted_sum)
 from dlsec.policy import FULL_CSI, calibrate
-from dlsec.rates import (_pointwise, common_rate_floor, delay_floor, ergodic_secrecy_rate,
-                         per_state_rates, q_threshold)
+from dlsec.rates import common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -112,13 +111,12 @@ class TestLowerFull:
 
 def pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa):
     """lower_full on a point-mass pair as it ran before the kappa search was
-    hoisted: every kappa rebuilds the atom's rates with rates._pointwise."""
+    hoisted: every kappa rebuilds the atom's rates with per_state_rates."""
     def objective(pol):
         cap = common_rate_floor(pol, dm, de)
 
         def value_at(kappa):
-            q = None if kappa == 0.0 else q_threshold(kappa)
-            rates = _pointwise(pol, dm, de, q)
+            rates = per_state_rates(pol, ChannelState(dm.params[0], de.params[0]), kappa)
             key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
             r_o = min(key_mean, cap)
             diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
@@ -163,6 +161,13 @@ class TestPointMassKappaSearch:
         atom = parse_distribution("const:2")
         with pytest.raises(ValueError, match="kappa"):
             lower_full(atom, parse_distribution("const:1"), 10.0, q_kappa=-1.0)
+
+    @pytest.mark.parametrize("spec_m", ["const:3", "chisq:4"])
+    def test_nan_pinned_kappa_rejected(self, spec_m):
+        """A NaN kappa is refused, not turned into a NaN bound."""
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            lower_full(parse_distribution(spec_m), parse_distribution("const:1"), 10.0,
+                       q_kappa=math.nan)
 
 
 class TestUpperMain:

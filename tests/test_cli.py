@@ -50,6 +50,33 @@ class TestBounds:
         assert code == EXIT_USAGE
         assert "quadrature grid" in err and out == ""
 
+    def test_trunc_cutoff_above_atom_is_infeasible(self, capsys):
+        """A cutoff above a point-mass main gain never transmits: that entry
+        is recorded as infeasible and the rest of the menu still runs."""
+        code, out, _ = run_cli(capsys, "bounds", "--dist-m", "const:0.1",
+                               "--dist-e", "const:1", "--policy", "trunc-inv:0.5",
+                               "--policy", "const")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
+            diag = doc[key]["diagnostics"]
+            assert "never transmits" in diag["infeasible"]["trunc-inv:0.5"]
+            assert doc[key]["policy"]["family"] == "const"
+
+    def test_only_trunc_cutoff_above_atom_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "const:0.1",
+                                 "--dist-e", "const:1", "--policy", "trunc-inv:0.5")
+        assert code == EXIT_INFEASIBLE
+        assert "never transmits" in err and out == ""
+
+    def test_trunc_mass_the_grid_misses_exits_2(self, capsys):
+        """A continuous law's truncated moment read as 0 is a grid limit,
+        not an infeasible model."""
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "exp:1e-300",
+                                 "--policy", "trunc-inv:0.5", "--policy", "const")
+        assert code == EXIT_USAGE
+        assert "never transmits" in err and out == ""
+
     def test_bad_grammar_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "rayleigh:1")
         assert code == EXIT_USAGE
@@ -184,6 +211,12 @@ class TestValidate:
         assert code == EXIT_OK
         assert "all validation checks passed" in out
         assert elapsed < 10.0
+
+    def test_calibration_moment_holds_at_any_node_count(self, capsys):
+        """E[P] reads the moment calibration used, whatever --nodes is."""
+        _, out, _ = run_cli(capsys, "validate", "--quick", "--nodes", "16")
+        line = next(l for l in out.splitlines() if "calibration[chisq:4/full-inv] moment" in l)
+        assert line.startswith("ok ")
 
     def test_injected_bad_tolerance_exits_4(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--quick",

@@ -120,6 +120,9 @@ def test_documented_exit_code(argv, out_dir):
     (["sweep", "--snr-db-grid", "0:1:1e-300"], EXIT_USAGE),
     (["simulate", "-a", "2", "-b", "2", "--n1", str(10**20)], EXIT_USAGE),
     (["simulate", "-a", "2", "-b", "2", "--n1", str(2**62)], EXIT_USAGE),
+    (["bounds", "--dist-m", "const:3", "--dist-e", "const:1", "--q-kappa", "nan"], EXIT_USAGE),
+    (["bounds", "--q-kappa", "nan", "--nodes", "16"], EXIT_USAGE),
+    (["simulate", "-a", "2", "-b", "2", "--q-kappa", "nan"], EXIT_USAGE),
     (["bounds", "--dist-m", "const:1e10", "--dist-e", "const:1"], 0),
     (["bounds", "--dist-m", "const:1e8", "--dist-e", "const:1"], 0),
     (["bounds", "--dist-m", "const:1e300", "--dist-e", "const:1e-300"], 0),

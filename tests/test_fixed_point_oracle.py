@@ -41,7 +41,7 @@ def oracle_fixed_point(policy, dist_m, dist_e, nodes=200):
 
 
 gamma_laws = st.builds(
-    FadingDistribution.gamma_dist,
+    lambda shape, scale: FadingDistribution("gamma", (shape, scale)),
     st.floats(1.05, 8.0),
     st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
 )

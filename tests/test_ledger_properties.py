@@ -9,7 +9,7 @@ from dlsec.numerics import RngSeed
 from dlsec.protocol import INIT_MODES, SCHEMES, SimConfig, simulate
 
 gamma_laws = st.builds(
-    FadingDistribution.gamma_dist,
+    lambda shape, scale: FadingDistribution("gamma", (shape, scale)),
     st.floats(1.05, 8.0),
     st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
 )

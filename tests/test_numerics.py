@@ -12,7 +12,7 @@ from scipy import optimize, stats
 
 import dlsec
 from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed,
-                            golden_max, integrate_halfline, mc_expect)
+                            golden_max, halfline_nodes, mc_expect, weighted_sum)
 from dlsec.fading import parse_distribution
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(dlsec.__file__)))
@@ -41,39 +41,43 @@ def golden_without_stall_rule(f, lo, hi, tol, max_steps=20_000):
     return None
 
 
-class TestIntegrateHalfline:
+def halfline_integral(f, nodes):
+    """The integral of f over (0, inf) by the rational-map rule."""
+    x, w = halfline_nodes(nodes)
+    return weighted_sum(w, f(x))
+
+
+class TestHalflineRule:
     def test_exponential_total_mass(self):
         """Exp(1) density integrates to 1."""
-        val = integrate_halfline(lambda x: np.exp(-x), nodes=200)
+        val = halfline_integral(lambda x: np.exp(-x), nodes=200)
         assert abs(val - 1.0) < 1e-8
 
     def test_chisq4_mean(self):
         """Mean of a chi-square equals its dof."""
-        val = integrate_halfline(lambda x: x * stats.gamma.pdf(x, a=2, scale=2),
-                                 nodes=200)
+        val = halfline_integral(lambda x: x * stats.gamma.pdf(x, a=2, scale=2),
+                                nodes=200)
         assert abs(val - 4.0) < 1e-6
 
     def test_gamma_inverse_moment(self):
         """E[1/X] for Gamma(2, 1) is 1/((k-1)*theta) = 1."""
-        val = integrate_halfline(lambda x: stats.gamma.pdf(x, a=2, scale=1) / x,
-                                 nodes=400)
+        val = halfline_integral(lambda x: stats.gamma.pdf(x, a=2, scale=1) / x,
+                                nodes=400)
         assert abs(val - 1.0) < 1e-5
 
     def test_bit_identical_repeats(self):
         f = lambda x: np.exp(-0.37 * x) * np.log1p(x)
-        assert integrate_halfline(f, 256) == integrate_halfline(f, 256)
+        assert halfline_integral(f, 256) == halfline_integral(f, 256)
 
-    def test_non_finite_integrand_named(self):
-        def bad(x):
-            with np.errstate(divide="ignore"):
-                return 1.0 / (x - x[5])  # blows up at node 5
-
-        with pytest.raises(NonFiniteIntegrandError, match="integrand not finite"):
-            integrate_halfline(bad, nodes=64)
+    def test_nodes_are_cached_and_read_only(self):
+        x, w = halfline_nodes(64)
+        assert halfline_nodes(64)[0] is x
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            integrate_halfline(lambda x: np.exp(-x), nodes=4)
+            halfline_nodes(4)
 
 
 class TestGoldenMax:
@@ -203,6 +207,17 @@ class TestMcExpect:
         with pytest.raises(ValueError):
             mc_expect(lambda st: 1.0, CHISQ4, EXP1, 50, RngSeed(1))
 
+    def test_non_finite_integrand_named(self):
+        """A NaN sample is reported with its index and state, not averaged."""
+        def bad(st):
+            y = np.array(st.h_m, dtype=float)
+            y[7] = np.nan
+            return y
+
+        with pytest.raises(NonFiniteIntegrandError,
+                           match="integrand not finite at sample 7 \\(h_m="):
+            mc_expect(bad, CHISQ4, EXP1, 1_000, RngSeed(2))
+
 
 class TestCarriers:
     def test_estimate_invariants(self):
@@ -222,3 +237,8 @@ class TestCarriers:
         g1 = RngSeed(9, 4).generator()
         g2 = RngSeed(9, 4).generator()
         assert np.array_equal(g1.random(16), g2.random(16))
+
+
+def test_public_names_resolve():
+    """Every name in dlsec.__all__ exists, so ``from dlsec import *`` works."""
+    assert [name for name in dlsec.__all__ if not hasattr(dlsec, name)] == []

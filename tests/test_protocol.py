@@ -159,6 +159,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(init="retry")
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_q_kappa_must_be_non_negative(self, kappa):
+        with pytest.raises(ValueError, match="q_kappa must be >= 0"):
+            make_config(q_kappa=kappa)
+
     def test_block_counts_must_fit_int64(self):
         with pytest.raises(ValueError, match="n1 must be"):
             make_config(n1=10**20)
@@ -550,3 +555,26 @@ class TestPinnedOutput:
                                    seed=RngSeed(seed), a=a, b=b))
         text = rep.to_json() + rep.csv_text()
         assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_DIGESTS[key]
+
+
+# sha256 of to_json() + csv_text() for the full scheme at kappa = 0.7, where
+# the key share runs the per-state path over the joint grid.  Pinned from the
+# release before kappa became a float end to end (it was a q closure).
+KAPPA_DIGESTS = {
+    "chisq": ({},
+              "e303ad21ad723ab7ae357335d6a0ebbac969145036da7a89e873e16cc355dfce"),
+    "chisq-dedicated-a2": (dict(init="dedicated", delta=0.0, seed=RngSeed(1), a=2, b=100),
+                           "0a797456862fb2c8c87ed6e027b6f9d8a442d61e868aaa2ef86c9bc50c06598a"),
+    "chisq-main-inv": (dict(policy="main-inv", seed=RngSeed(1)),
+                       "8a75d7e1ee186f9ce9dd47ec041edc5899851d64d127c57c68227858bd1a5298"),
+    "atom": (dict(dist_m=parse_distribution("const:3"), dist_e=parse_distribution("const:1")),
+             "739f6d2be1dda9c651091fb7cef4cc578807dc7504ca82ee034c7834e3f648ed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KAPPA_DIGESTS))
+def test_positive_kappa_report_bytes_unchanged(case):
+    kw, digest = KAPPA_DIGESTS[case]
+    rep = simulate(make_config(q_kappa=0.7, **kw))
+    text = rep.to_json() + rep.csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

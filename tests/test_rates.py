@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dlsec.fading import ChannelState, expectation, joint_grid, parse_distribution
+from dlsec.bounds import lower_full
+from dlsec.fading import ChannelState, grid_mean, joint_grid, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
-from dlsec.rates import (common_rate_floor, delay_floor, direct_rate_floor,
-                         ergodic_secrecy_rate, expected_key_share,
-                         per_state_rates, q_threshold, secrecy_gap)
+from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
+                         expected_key_share, per_state_rates, secrecy_gap)
 
 CHISQ4 = parse_distribution("chisq:4")
 UNIT = PowerPolicy("const", 1.0)
@@ -35,30 +35,29 @@ class TestPerStateRates:
         assert r.r_s == 0.0
         assert r.r_s_prime == 0.0
 
-    def test_q_constraint_enforced(self):
-        with pytest.raises(ValueError, match="q\\(h\\)"):
-            per_state_rates(UNIT, ChannelState(3.0, 2.0), q=lambda st: st.h_e / 2)
-
-    def test_q_threshold_family(self):
+    def test_kappa_threshold(self):
         """With q = max(h_e, kappa), the direct share is the clipped gap
         between what q hides and what the eavesdropper would see."""
-        r = per_state_rates(UNIT, ChannelState(9.0, 1.0), q=q_threshold(3.0))
+        r = per_state_rates(UNIT, ChannelState(9.0, 1.0), kappa=3.0)
         assert abs(r.r_s - math.log(5.0)) < 1e-15
         assert abs(r.r_s_prime - (math.log(10.0) - math.log(4.0))) < 1e-15
         assert abs(r.r_s_dprime - (r.r_s - r.r_s_prime)) < 1e-15
-        with pytest.raises(ValueError):
-            q_threshold(-1.0)
+
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_kappa_must_be_non_negative(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            per_state_rates(UNIT, ChannelState(9.0, 1.0), kappa)
 
     def test_all_fields_nonnegative_and_split_exact(self):
         rng = RngSeed(0).generator()
         st = ChannelState(CHISQ4.sample(rng, 20_000), CHISQ4.sample(rng, 20_000))
         pol = calibrate("full-inv", CHISQ4, CHISQ4, 50.0)
-        for q in (None, q_threshold(0.0), q_threshold(2.0)):
-            r = per_state_rates(pol, st, q)
+        for kappa in (0.0, 2.0):
+            r = per_state_rates(pol, st, kappa)
             for f in (r.r_main, r.r_eve, r.r_s, r.r_s_prime, r.r_s_dprime):
                 assert np.all(np.asarray(f) >= 0.0)
-            # q = h_e zeroes the direct share
-        r0 = per_state_rates(pol, st, q_threshold(0.0))
+        # q = h_e zeroes the direct share
+        r0 = per_state_rates(pol, st)
         assert np.all(np.asarray(r0.r_s_dprime) == 0.0)
 
     def test_positive_part_antisymmetry(self):
@@ -120,15 +119,31 @@ class TestErgodicSecrecyRate:
         assert abs(quad - est.mean) <= 4.0 * est.stderr
 
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
-    @pytest.mark.parametrize("q_he", [None, q_threshold(0.0)], ids=["None", "kappa0"])
-    def test_key_share_equals_secrecy_rate_at_q_he(self, family, q_he):
-        """q = h_e makes r_s' = r_s at every state, so the two integrals
-        agree bit for bit (the q closure runs the per-state path)."""
+    def test_key_share_equals_secrecy_rate_at_q_he(self, family):
+        """q = h_e makes r_s' = r_s at every state, so the shared gap and
+        the per-state path over the joint grid agree bit for bit."""
         h_min = CHISQ4.quantile(0.5) if family == "trunc-inv" else 0.0
         pol = calibrate(family, CHISQ4, CHISQ4, 100.0, h_min)
-        a = ergodic_secrecy_rate(pol, CHISQ4, CHISQ4)
-        b = expected_key_share(pol, CHISQ4, CHISQ4, q_he)
-        assert a == b
+        grid = joint_grid(CHISQ4, CHISQ4, 200)
+        per_state = per_state_rates(pol, ChannelState(grid[0], grid[1]))
+        assert ergodic_secrecy_rate(pol, CHISQ4, CHISQ4) == grid_mean(grid, per_state.r_s)
+        assert expected_key_share(pol, CHISQ4, CHISQ4) == grid_mean(grid, per_state.r_s_prime)
+
+    @pytest.mark.parametrize("spec_m,spec_e", [
+        ("chisq:4", "chisq:4"), ("const:3", "const:1"), ("exp:1", "const:0.5"),
+    ])
+    def test_key_share_at_positive_kappa_is_the_grid_mean(self, spec_m, spec_e):
+        """Above kappa = 0 the key share is the grid mean of r_s', which
+        falls as kappa grows."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        pol = calibrate("const", dm, de, 100.0)
+        grid = joint_grid(dm, de, 200)
+        shares = []
+        for kappa in (0.0, 1.5, 2.0):
+            r = per_state_rates(pol, ChannelState(grid[0], grid[1]), kappa)
+            shares.append(expected_key_share(pol, dm, de, kappa))
+            assert shares[-1] == grid_mean(grid, r.r_s_prime)
+        assert shares[0] > shares[1] > shares[2]
 
     def test_non_finite_integrand_raises_and_gap_is_read_only(self):
         """p * h overflows at p_bar = 1e308 and the gap is inf - inf: every
@@ -141,7 +156,7 @@ class TestErgodicSecrecyRate:
             with pytest.raises(ValueError, match=msg):
                 expected_key_share(pol, CHISQ4, CHISQ4)
             with pytest.raises(ValueError, match=msg):
-                expectation(lambda st: per_state_rates(pol, st).r_s, CHISQ4, CHISQ4)
+                expected_key_share(pol, CHISQ4, CHISQ4, 0.7)
         gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
                                CHISQ4, CHISQ4, 200)
         assert ers == weighted_sum(joint_grid(CHISQ4, CHISQ4, 200)[2],
@@ -225,9 +240,13 @@ class TestSupportFloors:
         assert abs(common_rate_floor(pol, dm, de) - math.log(3.0)) < 1e-15
 
     def test_direct_rate_floor(self):
-        pol = PowerPolicy("const", 1.0)
-        assert direct_rate_floor(pol, CHISQ4, CHISQ4, q_threshold(5.0)) == 0.0
+        """lower_full's ess-inf r_s'': 0 under a continuous law at any
+        kappa, and the atom's direct share for a point-mass pair."""
+        def floor(dm, de, kappa):
+            res = lower_full(dm, de, 1.0, family_menu=["const"], q_kappa=kappa)
+            return res.diagnostics["r_dprime_floor"]
+
+        assert floor(CHISQ4, CHISQ4, 5.0) == 0.0
         dm, de = parse_distribution("const:9"), parse_distribution("const:1")
-        got = direct_rate_floor(pol, dm, de, q_threshold(3.0))
         want = math.log(5.0) - (math.log(10.0) - math.log(4.0))
-        assert abs(got - want) < 1e-15
+        assert abs(floor(dm, de, 3.0) - want) < 1e-15
