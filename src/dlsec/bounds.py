@@ -4,8 +4,8 @@ Four bound operations share one menu pass (:func:`_best`): calibrate each
 family in a menu to the power budget, evaluate the bound's objective on it,
 and keep the best.
 Maximization never goes beyond a menu plus one scalar parameter per family
-(globally optimal power control is out of scope), so every search here is
-either closed-form or a golden-section pass.
+(globally optimal power control is out of scope), and every such parameter
+has a closed form: kappa in :func:`lower_full`, R in :func:`fixed_point_rate`.
 
 The main-CSI achievable rate is self-referential: the sustainable one-time
 pad data rate R must satisfy R = min{K(R), R_d}, where K(R) is the secure
@@ -13,7 +13,7 @@ key rate left after carrying R on the main channel.  On the quadrature
 grid K is convex, piecewise linear and non-increasing in R, so
 R - min{K(R), R_d} is strictly increasing with one root, and Newton's
 method from R = 0 reaches it exactly on the crossing segment of K
-(:func:`fixed_point_rate`).
+(:func:`fixed_point_rate`).  :func:`key_rate` evaluates K at any R.
 
 All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
 (upper bounds), E[r_s'] at q = h_e (lower_full) and K(R) (lower_main).
@@ -35,12 +35,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import FadingDistribution, inverse_min_moment, joint_grid
-from .numerics import golden_max, halfline_nodes, unit_nodes, weighted_sum
+from .fading import ChannelState, FadingDistribution, inverse_min_moment, joint_grid
+from .numerics import halfline_nodes, unit_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
-                    secrecy_gap)
+                    per_state_rates, secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -158,32 +158,27 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
 
         ess-inf r_s''  +  min{ E[r_s'], ess-inf min(r_main, r_eve) }.
 
-    ``q_kappa`` pins q(h) = max(h_e, kappa); None searches over kappa.  For
-    any law with a continuous marginal the direct-share floor is
-    identically zero (states with h_e >= h_m, where r_s'' = 0, have
-    positive probability) and E[r_s'] is pointwise non-increasing in kappa,
-    so kappa = 0 (q = h_e) is exactly optimal and the search is skipped.
+    ``q_kappa`` pins q(h) = max(h_e, kappa); None takes the best kappa in
+    closed form.  Under a continuous marginal the direct-share floor is
+    zero (states with h_e >= h_m, where r_s'' = 0, have positive
+    probability) and E[r_s'] is non-increasing in kappa, so kappa = 0
+    (q = h_e) is optimal.  A point-mass pair has no outage: every kappa
+    gives r_s - r_s' + min{r_s', cap} <= r_s, and kappa = v_m (r_s' = 0)
+    attains r_s, so the first maximum of kappa = 0 and v_m is taken.
     """
     if q_kappa is not None and not q_kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {q_kappa}")
-    atom = dist_m.is_degenerate and dist_e.is_degenerate
+    # a point-mass pair: E[r_s'] and ess-inf r_s'' are its atom's rates
+    atom = (ChannelState(dist_m.params[0], dist_e.params[0])
+            if dist_m.is_degenerate and dist_e.is_degenerate else None)
 
     def objective(pol: PowerPolicy) -> tuple[float, dict]:
         cap = common_rate_floor(pol, dist_m, dist_e)
-        if atom:
-            # the law is the atom: E[r_s'] and ess-inf r_s'' are its rates,
-            # and only log(1 + P q) depends on kappa; the same ufuncs as
-            # rates.per_state_rates, so the same bits
-            vm, ve = dist_m.params[0], dist_e.params[0]
-            p = pol.power(vm, ve)
-            r_main = np.log1p(p * vm)
-            r_s = np.maximum(r_main - np.log1p(p * ve), 0.0)
 
         def value_at(kappa: float) -> tuple[float, dict]:
-            if atom:
-                r_s_prime = np.maximum(r_main - np.log1p(p * np.maximum(ve, kappa)), 0.0)
-                key_mean = float(r_s_prime)
-                dfloor = float(np.maximum(r_s - r_s_prime, 0.0))
+            if atom is not None:
+                rates = per_state_rates(pol, atom, kappa)
+                key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
             else:
                 key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
                 dfloor = 0.0
@@ -204,16 +199,42 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         if q_kappa is not None:
             return value_at(float(q_kappa))
         value, diag = value_at(0.0)
-        if atom:
-            # only here can a positive kappa trade key share for a
-            # nonzero direct-share floor
-            kappa_hi = dist_m.params[0] + dist_e.params[0]
-            k_best, v_best = golden_max(lambda k: value_at(k)[0], 0.0, kappa_hi, tol=1e-9)
-            if v_best > value:
-                value, diag = value_at(k_best)
+        if atom is not None:
+            # kappa = v_m zeroes the key share, so the whole r_s is direct
+            direct = value_at(atom.h_m)
+            if direct[0] > value:
+                value, diag = direct
         return value, diag
 
     return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI, objective)
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """[sum x[0:], sum x[1:], ..., x[-1], 0], each within about an ulp:
+    np.cumsum from the end, plus the running sum of each step's rounding
+    error, which Knuth's two-sum recovers exactly from the partial sums."""
+    x = x[::-1]
+    s = np.cumsum(np.append(0.0, x))
+    prev, s = s[:-1], s[1:]
+    part = s - prev
+    return np.append(0.0, s + np.cumsum((prev - (s - part)) + (x - part)))[::-1]
+
+
+def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, on the grid.
+
+    Only the gaps above R count, so K(R) = S - R W, where S and W sum
+    w_i g_i and w_i over them.  The positive gaps are sorted once and S
+    and W are suffix sums read at ``searchsorted``.  A plain cumsum over
+    the 40 000 grid points would drift from the exact sum by a few 1e-15;
+    :func:`_suffix_sums` keeps each one within about an ulp.
+    """
+    positive = gap > 0.0
+    order = np.argsort(gap[positive], kind="stable")
+    g, wg = gap[positive][order], w[positive][order]
+    s, ws = _suffix_sums(wg * g), _suffix_sums(wg)
+    i = np.searchsorted(g, r, side="right")
+    return s[i] - r * ws[i]
 
 
 def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,

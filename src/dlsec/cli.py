@@ -28,10 +28,10 @@ import sys
 
 import numpy as np
 
-from .bounds import (fixed_point_rate, high_snr_limit, lower_full, lower_main,
+from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
                      upper_full, upper_main)
 from .fading import joint_grid, parse_distribution
-from .numerics import RngSeed, mc_expect, weighted_sum
+from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import SCHEMES, SimConfig, simulate
 from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
@@ -321,18 +321,14 @@ def cmd_simulate(args) -> int:
 
 
 def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
-    """|Newton fixed point - brute-force grid argmin of |g|| for main-inv."""
+    """|Newton fixed point - grid argmin of |R - min{K(R), R_d}|| for main-inv."""
     pol = calibrate("main-inv", dist_m, dist_e, p_bar)
     r_star, _ = fixed_point_rate(pol, dist_m, dist_e, nodes)
     r_d = delay_floor(pol, dist_m)
     gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
-    w = joint_grid(dist_m, dist_e, nodes)[2]
     grid = np.linspace(0.0, r_d, grid_points)
-    g = np.empty_like(grid)
-    for i in range(0, grid.size, 512):
-        chunk = grid[i:i + 512]
-        k = weighted_sum(w, np.maximum(gap[None, :] - chunk[:, None], 0.0))
-        g[i:i + 512] = chunk - np.minimum(k, r_d)
+    k = key_rate(gap, joint_grid(dist_m, dist_e, nodes)[2], grid)
+    g = grid - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
     return abs(r_star - best)
 

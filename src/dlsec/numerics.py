@@ -1,10 +1,10 @@
 """Deterministic numeric kernels shared across the package.
 
-Quadrature on the half line (rational map plus Gauss-Legendre),
-golden-section maximization, and seeded Monte Carlo expectation with
-standard-error reporting.  Everything here is pure: identical inputs give
-bit-identical outputs on one machine, and Monte Carlo is reproducible
-through the (seed, stream) contract of :class:`RngSeed`.  Every weighted
+Quadrature on the half line (rational map plus Gauss-Legendre) and
+seeded Monte Carlo expectation with standard-error reporting.  Everything
+here is pure: identical inputs give bit-identical outputs on one machine,
+and Monte Carlo is reproducible through the (seed, stream) contract of
+:class:`RngSeed`.  Every weighted
 sum in the package goes through :func:`weighted_sum`, which never calls
 BLAS, so results do not depend on the BLAS thread count.
 
@@ -17,11 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -120,46 +117,6 @@ def weighted_sum(w: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """
     out = np.einsum("...i,i->...", y, w)
     return float(out) if out.ndim == 0 else out
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on [lo, hi] by golden-section search.
-
-    Returns (argmax, max) evaluated at the midpoint of the final bracket,
-    whose width is <= tol, or which has stalled where the float spacing
-    near the maximizer exceeds tol.  A stall is a repeat of the probe pair
-    (c, d) while (a, b) stays put: from there the loop would cycle forever.
-    One step that leaves (a, b) in place is not yet a stall, since adjacent
-    a and b can still collapse to one point after it.
-    """
-    if lo >= hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    stalled: set[tuple[float, float]] = set()
-    while b - a > tol:
-        bracket = a, b
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(f(d))
-        if (a, b) != bracket:
-            stalled.clear()
-        elif (c, d) in stalled:
-            break
-        else:
-            stalled.add((c, d))
-    xm = 0.5 * (a + b)
-    return xm, float(f(xm))
 
 
 def mc_expect(f, dist_m, dist_e, n: int, seed: RngSeed) -> Estimate:

@@ -51,11 +51,12 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
     h_m = np.asarray(state.h_m, dtype=float)
     h_e = np.asarray(state.h_e, dtype=float)
     p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
-    qv = np.maximum(h_e, kappa)
+    with np.errstate(invalid="ignore"):  # log(1 + P q) = 0 where P = 0, kappa = inf too
+        pq = np.where(p == 0.0, 0.0, p * np.maximum(h_e, kappa))
     r_main = np.log1p(p * h_m)
     r_eve = np.log1p(p * h_e)
     r_s = np.maximum(r_main - r_eve, 0.0)
-    r_s_prime = np.maximum(r_main - np.log1p(p * qv), 0.0)
+    r_s_prime = np.maximum(r_main - np.log1p(pq), 0.0)
     r_s_dprime = np.maximum(r_s - r_s_prime, 0.0)
 
     def out(a):

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import dlsec
-from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit,
+from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit, key_rate,
                           lower_full, lower_main, upper_full, upper_main)
 from dlsec.fading import ChannelState, FadingDistribution, joint_grid, parse_distribution
-from dlsec.numerics import (RngSeed, golden_max, halfline_nodes, mc_expect, unit_nodes,
-                            weighted_sum)
+from dlsec.numerics import RngSeed, halfline_nodes, mc_expect, unit_nodes, weighted_sum
 from dlsec.policy import FULL_CSI, calibrate
-from dlsec.rates import common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates
+from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates,
+                         secrecy_gap)
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -35,11 +35,7 @@ def scan_fixed_point(policy, dist_m, dist_e, points=2001, nodes=200):
     p = policy.power(hm, he)
     gap = np.log1p(p * hm) - np.log1p(p * he)
     grid = np.linspace(0.0, r_d, points)
-    g = np.empty(points)
-    for i in range(0, points, 512):
-        chunk = grid[i:i + 512]
-        k = np.maximum(gap[None, :] - chunk[:, None], 0.0) @ w
-        g[i:i + 512] = chunk - np.minimum(k, r_d)
+    g = grid - np.minimum(key_rate(gap, w, grid), r_d)
     return float(grid[int(np.argmin(np.abs(g)))]), float(grid[1] - grid[0]), g
 
 
@@ -100,7 +96,9 @@ class TestLowerFull:
         attains the whole per-state secrecy rate log(5/2)."""
         dm, de = parse_distribution("const:4"), parse_distribution("const:1")
         res = lower_full(dm, de, 1.0, family_menu=["const"])
-        assert abs(res.value - (math.log(5.0) - math.log(2.0))) < 1e-6
+        assert res.value == math.log1p(4.0) - math.log1p(1.0)
+        assert res.diagnostics["q_kappa"] == 4.0
+        assert res.diagnostics["r_dprime_floor"] == res.value
 
     def test_never_exceeds_upper(self):
         for p_bar in (1.0, 10.0, 100.0, 1000.0):
@@ -110,38 +108,42 @@ class TestLowerFull:
 
 
 def pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa):
-    """lower_full on a point-mass pair as it ran before the kappa search was
-    hoisted: every kappa rebuilds the atom's rates with per_state_rates."""
+    """lower_full on a point-mass pair at a pinned kappa, with every rate
+    read off per_state_rates at the atom."""
     def objective(pol):
         cap = common_rate_floor(pol, dm, de)
-
-        def value_at(kappa):
-            rates = per_state_rates(pol, ChannelState(dm.params[0], de.params[0]), kappa)
-            key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
-            r_o = min(key_mean, cap)
-            diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
-                    "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
-                    "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
-            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
-                                and diag["common_rate_margin"] >= -_CERT_TOL)
-            return dfloor + r_o, diag
-
-        if q_kappa is not None:
-            return value_at(float(q_kappa))
-        value, diag = value_at(0.0)
-        k_best, v_best = golden_max(lambda k: value_at(k)[0], 0.0,
-                                    dm.params[0] + de.params[0], tol=1e-9)
-        if v_best > value:
-            value, diag = value_at(k_best)
-        return value, diag
+        rates = per_state_rates(pol, ChannelState(dm.params[0], de.params[0]), q_kappa)
+        key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
+        r_o = min(key_mean, cap)
+        diag = {"q_kappa": q_kappa, "r_o_chosen": r_o, "r_o_cap": cap,
+                "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
+                "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
+        diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
+                            and diag["common_rate_margin"] >= -_CERT_TOL)
+        return dfloor + r_o, diag
 
     return _best(dm, de, p_bar, menu, 200, FULL_CSI, objective)
 
 
+def atom_value_over_kappa(pol, dm, de, kappas):
+    """The pinned-kappa objective of one policy on a point-mass pair, at
+    every kappa in ``kappas``: r_s - r_s' + min{r_s', cap}."""
+    vm, ve = dm.params[0], de.params[0]
+    p = pol.power(vm, ve)
+    r_main = np.log1p(p * vm)
+    r_s = np.maximum(r_main - np.log1p(p * ve), 0.0)
+    r_s_prime = np.maximum(r_main - np.log1p(p * np.maximum(ve, kappas)), 0.0)
+    return (np.maximum(r_s - r_s_prime, 0.0)
+            + np.minimum(r_s_prime, common_rate_floor(pol, dm, de)))
+
+
 class TestPointMassKappaSearch:
     def test_same_repr_as_the_pointwise_search(self):
-        """Value, policy and diagnostics of random const pairs, with kappa
-        searched and pinned, under four menus."""
+        """Random const pairs under four menus.  With kappa pinned, value,
+        policy and diagnostics have the repr of the rates read off
+        per_state_rates.  With kappa searched, the value is the chosen
+        policy's r_s at the atom, and no kappa on a 2001-point grid over
+        [0, v_m + v_e] does better by more than 4 ulps."""
         rng = np.random.default_rng(21)
         for i in range(30):
             vm, ve = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
@@ -150,12 +152,27 @@ class TestPointMassKappaSearch:
             p_bar = 0.0 if i == 0 else 10.0 ** rng.uniform(-1.0, 5.0)
             for menu in (None, ["const"], ["full-inv", "main-inv"],
                          [f"trunc-inv:{vm / 2:.6g}", "const"]):
-                for q_kappa in (None, 0.0, 0.7):
+                for q_kappa in (0.0, 0.7):
                     got = lower_full(dm, de, p_bar, family_menu=menu, q_kappa=q_kappa)
                     want = pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa)
                     assert (repr((got.value, got.policy, sorted(got.diagnostics.items())))
                             == repr((want.value, want.policy,
                                      sorted(want.diagnostics.items())))), (dm, de, menu)
+                got = lower_full(dm, de, p_bar, family_menu=menu)
+                assert got.value == per_state_rates(got.policy, ChannelState(vm, ve)).r_s
+                kappas = np.linspace(0.0, vm + ve, 2001)
+                best = atom_value_over_kappa(got.policy, dm, de, kappas).max()
+                assert best <= got.value + 4.0 * math.ulp(got.value), (dm, de, menu)
+
+    def test_extreme_atom_ratio_ends(self):
+        """const:1e10 / const:1 once ran a kappa search past 20 s, where
+        float spacing near the maximizer was wider than its tolerance."""
+        call = ("from dlsec.bounds import lower_full\n"
+                "from dlsec.fading import parse_distribution as law\n"
+                "print(lower_full(law('const:1e10'), law('const:1'), 100.0).value)")
+        proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=_SRC), timeout=60, check=True)
+        assert math.isfinite(float(proc.stdout))
 
     def test_negative_pinned_kappa_rejected(self):
         atom = parse_distribution("const:2")
@@ -272,6 +289,76 @@ class TestLowerMain:
                     <= lower_full(CHISQ4, CHISQ4, p_bar).value + 1e-9)
 
 
+def dense_key_rate(gap, w, r):
+    """K(R) = sum_i w_i (g_i - R)^+ at each R, one grid row per R."""
+    return weighted_sum(w, np.maximum(gap[None, :] - r[:, None], 0.0))
+
+
+def c4_configs():
+    """test_c4's five seeded draws: a gamma:2:scale pair at a budget."""
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        dist = FadingDistribution("gamma", (2.0, float(rng.uniform(0.5, 4.0))))
+        yield dist, dist, "main-inv", float(10.0 ** rng.uniform(1.0, 3.0))
+
+
+# test_c4's configurations; const:3/const:1 under main-inv has one gap value
+C4_AND_ATOM_CASES = [*c4_configs(), (parse_distribution("const:3"),
+                                     parse_distribution("const:1"), "main-inv", 100.0)]
+KEY_RATE_CASES = C4_AND_ATOM_CASES + [(CHISQ4, GAMMA21, "const", 100.0)]
+
+
+def key_rate_case(case):
+    dm, de, family, p_bar = case
+    pol = calibrate(family, dm, de, p_bar)
+    gap, ers = secrecy_gap(pol, dm, de)
+    return gap, joint_grid(dm, de, 200)[2], ers
+
+
+class TestKeyRate:
+    @pytest.mark.parametrize("case", KEY_RATE_CASES, ids=repr)
+    def test_matches_dense_formula(self, case):
+        """On 101 points across [0, 1.1 max g] and at 20 of the gaps
+        themselves, where K has its breakpoints."""
+        gap, w, _ = key_rate_case(case)
+        positive = gap[gap > 0.0]
+        assert positive.size > 0
+        picks = np.random.default_rng(7).choice(positive, size=20)
+        r = np.concatenate([np.linspace(0.0, 1.1 * positive.max(), 101), picks])
+        assert np.abs(key_rate(gap, w, r) - dense_key_rate(gap, w, r)).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", C4_AND_ATOM_CASES, ids=repr)
+    def test_zero_rate_is_expected_secrecy_rate(self, case):
+        gap, w, ers = key_rate_case(case)
+        assert abs(key_rate(gap, w, np.array([0.0]))[0] - ers) <= 1e-15
+
+    @pytest.mark.parametrize("case", KEY_RATE_CASES, ids=repr)
+    def test_zero_rate_is_the_exact_sum(self, case):
+        """K(0) within an ulp of the exact sum of w_i g_i^+.  secrecy_gap's
+        E[r_s] sums in einsum's order, and on chisq:4/gamma:2:1 under const
+        it is 1.2e-15 (11 ulps) away from it."""
+        gap, w, _ = key_rate_case(case)
+        exact = math.fsum(w * np.maximum(gap, 0.0))
+        assert abs(key_rate(gap, w, np.array([0.0]))[0] - exact) <= math.ulp(exact)
+
+    @pytest.mark.parametrize("case", KEY_RATE_CASES, ids=repr)
+    def test_zero_above_the_largest_gap(self, case):
+        gap, w, _ = key_rate_case(case)
+        top = gap.max()
+        r = np.array([top, np.nextafter(top, np.inf), 2.0 * top, 1e300])
+        assert key_rate(gap, w, r).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("spec_m,spec_e", [("const:2", "const:5"), ("const:2", "const:2"),
+                                               ("chisq:4", "const:1e9")])
+    def test_no_positive_gap_gives_zero(self, spec_m, spec_e):
+        gap, w, ers = key_rate_case((parse_distribution(spec_m), parse_distribution(spec_e),
+                                     "main-inv", 100.0))
+        assert not (gap > 0.0).any() and ers == 0.0
+        r = np.linspace(0.0, 5.0, 11)
+        assert key_rate(gap, w, r).tolist() == [0.0] * 11
+        assert dense_key_rate(gap, w, r).tolist() == [0.0] * 11
+
+
 class TestHighSnrLimit:
     def test_exponential_pair(self):
         """Ratio density 1/(1+r)^2: int_1^inf ln r/(1+r)^2 dr = ln 2; the
@@ -368,8 +455,8 @@ class TestOrderingAndMonotonicity:
 
 
 # Bound values pinned at repr precision.  gamma:0.5:1 is non-invertible
-# (inversion families infeasible); const:3/const:1 runs the golden-section
-# kappa search.  lower_main is the exact fixed point.  Every weighted sum
+# (inversion families infeasible); const:3/const:1 takes the closed-form
+# kappa.  lower_main is the exact fixed point.  Every weighted sum
 # runs in a fixed order, so the pins hold under any BLAS thread count.
 PINNED_LIMIT = {
     ('chisq:4', 'chisq:4'): 0.4431471806185369,

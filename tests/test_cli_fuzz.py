@@ -3,6 +3,8 @@ documented exit code (0, 2, 3 or 4), never in a traceback."""
 
 import contextlib
 import io
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,11 @@ def test_documented_exit_code(argv, out_dir):
     run(argv, out_dir)
 
 
+# zero power at kappa = inf: log(1 + P q) is 0, not log1p(0 * inf) = NaN
+ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
+                        "--pbar-db=-inf", "--q-kappa", "inf"]
+
+
 @pytest.mark.parametrize("argv,code", [
     (["bounds", "--dist-m", "gamma:nan:1"], EXIT_USAGE),
     (["bounds", "--dist-m", "gamma:inf:1"], EXIT_USAGE),
@@ -124,6 +131,9 @@ def test_documented_exit_code(argv, out_dir):
     (["bounds", "--q-kappa", "nan", "--nodes", "16"], EXIT_USAGE),
     (["simulate", "-a", "2", "-b", "2", "--q-kappa", "nan"], EXIT_USAGE),
     (["bounds", "--dist-m", "const:1e10", "--dist-e", "const:1"], 0),
+    (ZERO_POWER_KAPPA_INF, 0),
+    (["bounds", "--q-kappa", "inf", "--policy", "trunc-inv:1"], 0),
+    (["simulate", "--q-kappa", "inf", "--policy", "trunc-inv:1", "-a", "5", "-b", "2"], 0),
     (["bounds", "--dist-m", "const:1e8", "--dist-e", "const:1"], 0),
     (["bounds", "--dist-m", "const:1e300", "--dist-e", "const:1e-300"], 0),
     (["bounds", "--dist-m", "const:1e-300", "--dist-e", "const:1e300"], 0),
@@ -132,3 +142,10 @@ def test_documented_exit_code(argv, out_dir):
 ])
 def test_known_bad_inputs(argv, code, out_dir):
     assert run(argv, out_dir)[0] == code
+
+
+def test_zero_power_at_infinite_kappa_is_finite():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(ZERO_POWER_KAPPA_INF) == 0
+    assert math.isfinite(json.loads(out.getvalue())["lower_full"]["value"])

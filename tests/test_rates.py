@@ -1,6 +1,7 @@
 """Rate functional tests: per-state breakdown, expectations, floors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ class TestPerStateRates:
         assert abs(r.r_s - math.log(5.0)) < 1e-15
         assert abs(r.r_s_prime - (math.log(10.0) - math.log(4.0))) < 1e-15
         assert abs(r.r_s_dprime - (r.r_s - r.r_s_prime)) < 1e-15
+
+    def test_zero_power_at_infinite_kappa(self):
+        """Where P = 0, log(1 + P q) is 0 at kappa = inf too, without a
+        warning; where P > 0 the key share vanishes."""
+        pol = PowerPolicy("trunc-inv", 2.0, h_min=1.0)
+        state = ChannelState(np.array([0.5, 4.0]), np.array([0.25, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = per_state_rates(pol, state, kappa=math.inf)
+        assert r.r_s_prime.tolist() == [0.0, 0.0]
+        assert r.r_s_dprime.tolist() == r.r_s.tolist()
+        assert r.r_main[0] == 0.0 and r.r_main[1] > 0.0
 
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_kappa_must_be_non_negative(self, kappa):
