@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fading import ChannelState, FadingDistribution, inverse_min_moment, joint_grid
-from .numerics import halfline_nodes, unit_nodes, weighted_sum
+from .numerics import halfline_nodes, tanh_sinh_nodes, unit_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
@@ -58,11 +58,13 @@ class BoundResult:
 
 
 class HighSnrLimit(NamedTuple):
-    """Value of E[(log(h_m/h_e))^+] plus the invertibility flag that gates
-    its achievability (finiteness of E[1/min(h_m, h_e)])."""
+    """Value of E[(log(h_m/h_e))^+], the invertibility flag that gates its
+    achievability (finiteness of E[1/min(h_m, h_e)]), and the quadrature's
+    error estimate (0.0 where the value is exact)."""
 
     value: float
     invertible: bool
+    quad_error: float
 
 
 @lru_cache(maxsize=64)
@@ -297,38 +299,70 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                  lambda pol: fixed_point_rate(pol, dist_m, dist_e, nodes))
 
 
-def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
-                   nodes: int = 400) -> HighSnrLimit:
-    """E[(log(h_m/h_e))^+] plus the invertibility flag.
+def _log_ratio(a: float, b: float) -> float:
+    """log(a / b) for positive finite a and b; a quotient that underflows to
+    0 or overflows takes the logs apart."""
+    ratio = a / b
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(a) - math.log(b)
 
-    The positive-part region {h_m > h_e} is integrated exactly: the inner
-    integral runs over h_e in (0, h_m) through the substitution
-    h_e = t * h_m, which keeps the quadrature away from the kink along the
-    diagonal.
+
+def _gamma_pair_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
+                      nodes: int) -> tuple[float, float]:
+    """The limit for two gamma laws, and the gap to the rule of twice the step.
+
+    In Beta coordinates (Lukacs 1955), h_m/h_e = r (1 - U)/U with
+    r = theta_m/theta_e and U ~ Beta(k_e, k_m), so the limit is
+    int_0^{u*} log(r (1 - u)/u) Beta(k_e, k_m; u) du, u* = r/(1 + r): the
+    diagonal kink is the endpoint u*, and the scales enter only through r.
+    With u = u* s on :func:`~dlsec.numerics.tanh_sinh_nodes`,
+    1 - u = (1 - u*)(1 + r(1 - s)) and the log factor is
+    log(1 + r(1 - s)) - log s, two terms >= 0.  Every power is taken in
+    log form (softplus is np.logaddexp(0, .)), so nothing underflows or
+    cancels near either end.
     """
-    invertible = math.isfinite(inverse_min_moment(dist_m, dist_e))
-    if dist_m.is_degenerate and dist_e.is_degenerate:
-        vm, ve = dist_m.params[0], dist_e.params[0]
-        ratio = vm / ve
-        # a quotient that underflows to 0 or overflows takes the logs apart
-        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(vm) - math.log(ve)
-        return HighSnrLimit(max(log_ratio, 0.0), invertible)
+    log_s, log_1ms, log_ds, steps = tanh_sinh_nodes(nodes)
+    a, b = dist_e.shape, dist_m.shape
+    log_r = _log_ratio(dist_m.scale, dist_e.scale)
+    log_tail = np.logaddexp(0.0, log_r + log_1ms)  # log(1 + r (1 - s))
+    log_u = log_s - np.logaddexp(0.0, -log_r)
+    log_1mu = log_tail - np.logaddexp(0.0, log_r)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    # u^(a-1) (1-u)^(b-1) / B(a, b) du/dt, where du/dt = u s'(t) / s
+    log_density = a * log_u + (b - 1.0) * log_1mu - log_beta + log_ds - log_s
+    value, coarse = weighted_sum(np.exp(log_density) * (log_tail - log_s), steps)
+    return float(value), abs(float(value - coarse))
+
+
+def _one_atom_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
+                    nodes: int) -> float:
+    """The limit with one point mass, on the ``nodes``-point Gauss-Legendre
+    rule: the unit interval below a main atom, the half line above an
+    eavesdropper atom."""
     if dist_m.is_degenerate:
         vm = dist_m.params[0]
         t, wt = unit_nodes(nodes)
-        value = vm * weighted_sum(wt, np.log(1.0 / t) * dist_e.pdf(vm * t))
-        return HighSnrLimit(value, invertible)
-    if dist_e.is_degenerate:
-        ve = dist_e.params[0]
-        x, w = halfline_nodes(nodes)
-        y = x + ve
-        value = weighted_sum(w, np.log(y / ve) * dist_m.pdf(y))
-        return HighSnrLimit(value, invertible)
-    x, wx = halfline_nodes(nodes)
-    t, wt = unit_nodes(nodes)
-    outer = wx * dist_m.pdf(x) * x
-    # a row the main law gives no weight adds 0 to the outer sum either way
-    live = outer != 0.0
-    inner = np.zeros(x.size)
-    inner[live] = weighted_sum(wt * np.log(1.0 / t), dist_e.pdf_outer(x[live], t))
-    return HighSnrLimit(weighted_sum(outer, inner), invertible)
+        return vm * weighted_sum(wt, np.log(1.0 / t) * dist_e.pdf(vm * t))
+    ve = dist_e.params[0]
+    x, w = halfline_nodes(nodes)
+    y = x + ve
+    return weighted_sum(w, np.log(y / ve) * dist_m.pdf(y))
+
+
+def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
+                   nodes: int = 400) -> HighSnrLimit:
+    """E[(log(h_m/h_e))^+], the invertibility flag and ``quad_error``.
+
+    Two continuous laws take one tanh-sinh sum (:func:`_gamma_pair_limit`).
+    With one point mass, ``quad_error`` is the gap between the ``nodes``-
+    and ``nodes // 2``-point rules (:func:`_one_atom_limit`).  A point-mass
+    pair is exact.
+    """
+    invertible = math.isfinite(inverse_min_moment(dist_m, dist_e))
+    if dist_m.is_degenerate and dist_e.is_degenerate:
+        log_ratio = _log_ratio(dist_m.params[0], dist_e.params[0])
+        return HighSnrLimit(max(log_ratio, 0.0), invertible, 0.0)
+    if dist_m.is_degenerate or dist_e.is_degenerate:
+        value, half = (_one_atom_limit(dist_m, dist_e, n) for n in (nodes, nodes // 2))
+        return HighSnrLimit(value, invertible, abs(value - half))
+    value, error = _gamma_pair_limit(dist_m, dist_e, nodes)
+    return HighSnrLimit(value, invertible, error)

@@ -233,7 +233,8 @@ def cmd_bounds(args) -> int:
             lower_full(dist_m, dist_e, p_bar, q_kappa=args.q_kappa, **kwargs), args.bits),
         "upper_main": _bound_json(upper_main(dist_m, dist_e, p_bar, **kwargs), args.bits),
         "lower_main": _bound_json(lower_main(dist_m, dist_e, p_bar, **kwargs), args.bits),
-        "high_snr_limit": {"value": limit.value, "invertible": limit.invertible},
+        "high_snr_limit": {"value": limit.value, "invertible": limit.invertible,
+                           "quad_error": limit.quad_error},
     }
     if args.bits:
         doc["high_snr_limit"]["value_bits"] = limit.value / LN2
@@ -337,7 +338,7 @@ def cmd_validate(args) -> int:
     n = 100_000 if args.quick else 1_000_000
     sigma = args.max_sigma
     seed = args.seed
-    checks: list[tuple[str, float, float, float]] = []  # name, quad, mc, tol
+    checks: list[tuple] = []  # name, quad, reference, tol[, quad_error]
 
     pairs = [
         ("chisq:4", "chisq:4", "const"),
@@ -373,19 +374,23 @@ def cmd_validate(args) -> int:
     checks.append(("calibration[chisq:4/full-inv] mc", est.mean, p_bar,
                    sigma * est.stderr + 1e-9))
 
-    # high-SNR limit: accurate quadrature against Monte Carlo
+    # high-SNR limit: the exact ln 2 - 1/4 of the chisq:4 pair (the rule
+    # reads it to 3.9e-16, rounding), then Monte Carlo
     limit = high_snr_limit(dist, dist)
     est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
                     dist, dist, n, RngSeed(seed, stream))
     stream += 1
-    checks.append(("high-snr-limit[chisq:4]", limit.value, est.mean,
-                   sigma * est.stderr + 1e-9))
+    checks.append(("high-snr-limit[chisq:4] exact", limit.value, LN2 - 0.25, 1e-15,
+                   limit.quad_error))
+    checks.append(("high-snr-limit[chisq:4] mc", limit.value, est.mean,
+                   sigma * est.stderr + 1e-9, limit.quad_error))
 
     failures = []
-    for name, got, want, tol in checks:
+    for name, got, want, tol, *quad_error in checks:
         ok = abs(got - want) <= tol
+        note = f", quad_error {quad_error[0]:.2e}" if quad_error else ""
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {got:.6f} vs {want:.6f} "
-              f"(tol {tol:.2e})")
+              f"(tol {tol:.2e}{note})")
         if not ok:
             failures.append(name)
 

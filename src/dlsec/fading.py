@@ -290,31 +290,6 @@ class FadingDistribution:
         out = np.exp((k - 1.0) * np.log(y) - y - math.lgamma(k)) / theta
         return float(out) if arr.ndim == 0 else out
 
-    def pdf_outer(self, x, t) -> np.ndarray:
-        """Density at every product x_i * t_j of two positive vectors: the
-        (len(x), len(t)) array pdf(np.outer(x, t)), to rounding.
-
-        The log-density splits into a row part (k - 1) log(x_i / theta)
-        - lgamma(k) - log(theta), a column part (k - 1) log(t_j), and one
-        term per point, -x_i t_j / theta; only that term and the final exp
-        run over the whole array.  The parts are summed in log space, so no
-        power of x or t overflows before the exponential damps it.
-        """
-        if self.is_degenerate:
-            raise ValueError("not absolutely continuous: a point mass has no density")
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if x.ndim != 1 or t.ndim != 1:
-            raise ValueError("pdf_outer takes two 1-D arrays")
-        if not (np.all(x > 0) and np.all(t > 0)):
-            raise ValueError("pdf is defined for x > 0 only")
-        k, theta = self.shape, self.scale
-        row = (k - 1.0) * np.log(x / theta) - (math.lgamma(k) + math.log(theta))
-        out = np.multiply.outer(x / -theta, t)
-        out += row[:, None]
-        out += (k - 1.0) * np.log(t)
-        return np.exp(out, out=out)
-
     def cdf(self, x) -> float | np.ndarray:
         """P(h <= x): 0 below the support, 1 at x = inf, NaN at NaN."""
         if self.is_degenerate:

@@ -1,7 +1,8 @@
 """Deterministic numeric kernels shared across the package.
 
-Quadrature on the half line (rational map plus Gauss-Legendre) and
-seeded Monte Carlo expectation with standard-error reporting.  Everything
+Quadrature on the half line (rational map plus Gauss-Legendre) and on
+(0, 1) (Gauss-Legendre, and a tanh-sinh rule for endpoint singularities),
+and seeded Monte Carlo expectation with standard-error reporting.  Everything
 here is pure: identical inputs give bit-identical outputs on one machine,
 and Monte Carlo is reproducible through the (seed, stream) contract of
 :class:`RngSeed`.  Every weighted
@@ -105,6 +106,41 @@ def unit_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     t.flags.writeable = False
     wt.flags.writeable = False
     return t, wt
+
+
+@lru_cache(maxsize=None)
+def tanh_sinh_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tanh-sinh rule on (0, 1) (Takahasi-Mori 1974), in log form.
+
+    s(t) = (1 + tanh((pi/2) sinh t)) / 2 at t = j h, so int_0^1 g(s) ds ~
+    h sum_j g(s_j) s'(t_j).  Returns log s, log(1 - s) and log s'(t), each
+    from a softplus of pi sinh t (so none underflows or cancels), and the
+    steps as a (2, n) array: h everywhere, and 2h on the points with j even
+    (the rule of twice the step, for an error estimate at no extra cost).
+    h is the coarsest power of two giving at least ``nodes`` points.  The
+    rule ends at |t| = T where the left end's weight for the smallest gamma
+    shape k, exp(-pi k sinh T), falls below 2^-52: T = 6.5, rounded up to a
+    half.  Cached and read-only.
+    """
+    from .fading import SHAPE_MIN  # runtime import avoids a module cycle
+
+    if nodes < 8:
+        raise ValueError(f"nodes must be >= 8, got {nodes}")
+    half_width = math.ceil(2.0 * math.asinh(52.0 * math.log(2.0) / (math.pi * SHAPE_MIN))) / 2.0
+    h = 2.0 ** -math.ceil(math.log2((nodes - 1) / (2.0 * half_width)))
+    n = int(half_width / h)
+    t = np.arange(-n, n + 1) * h
+    x = math.pi * np.sinh(t)
+    log_s = -np.logaddexp(0.0, -x)
+    log_1ms = -np.logaddexp(0.0, x)
+    # s' = pi cosh t s (1 - s)
+    log_ds = np.log(math.pi * np.cosh(t)) + log_s + log_1ms
+    steps = np.zeros((2, t.size))
+    steps[0] = h
+    steps[1, n % 2::2] = 2.0 * h  # the points with j even
+    for a in (log_s, log_1ms, log_ds, steps):
+        a.flags.writeable = False
+    return log_s, log_1ms, log_ds, steps
 
 
 def weighted_sum(w: np.ndarray, y: np.ndarray) -> float | np.ndarray:

@@ -74,10 +74,10 @@ def test_c2_high_snr_asymptotic_match():
 
 
 def test_c3_exponential_closed_form():
-    """Exp(1)-iid limit is ln 2 (quadrature within 1e-4, MC within 4 stderr)
+    """Exp(1)-iid limit is ln 2 (quadrature within 1e-12, MC within 4 stderr)
     and the pair is flagged non-invertible."""
     res = high_snr_limit(EXP1, EXP1)
-    assert abs(res.value - LN2) < 1e-4
+    assert abs(res.value - LN2) < 1e-12
     est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
                     EXP1, EXP1, 1_000_000, RngSeed(31))
     assert abs(res.value - est.mean) <= 4.0 * est.stderr

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import dlsec
 from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit, key_rate,
                           lower_full, lower_main, upper_full, upper_main)
 from dlsec.fading import ChannelState, FadingDistribution, joint_grid, parse_distribution
-from dlsec.numerics import RngSeed, halfline_nodes, mc_expect, unit_nodes, weighted_sum
+from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import FULL_CSI, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates,
                          secrecy_gap)
@@ -364,14 +365,14 @@ class TestHighSnrLimit:
         """Ratio density 1/(1+r)^2: int_1^inf ln r/(1+r)^2 dr = ln 2; the
         inverse-min moment diverges, so the flag is off."""
         res = high_snr_limit(EXP1, EXP1)
-        assert abs(res.value - LN2) < 1e-4
+        assert abs(res.value - LN2) < 1e-12
         assert res.invertible is False
 
     def test_chisq_pair_closed_form(self):
         """Shape-2 gamma ratio density 6r/(1+r)^4:
         int_1^inf 6r ln r/(1+r)^4 dr = ln 2 - 1/4."""
         res = high_snr_limit(CHISQ4, CHISQ4)
-        assert abs(res.value - (LN2 - 0.25)) < 1e-8
+        assert abs(res.value - (LN2 - 0.25)) < 1e-13
         assert res.invertible is True
         est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
                         CHISQ4, CHISQ4, 1_000_000, RngSeed(10))
@@ -406,29 +407,120 @@ class TestHighSnrLimit:
         assert (high_snr_limit(huge, parse_distribution("const:1e-8")).value
                 == math.log(1e300 / 1e-8))
 
-    def test_log_split_density_matches_outer_product_formula(self):
-        """Against the formula before the log-split density, on random
-        gamma pairs: main scales down to 1e-3 leave rows of the node grid
-        with zero weight, which the limit skips."""
-        rng = np.random.default_rng(9)
-        x, wx = halfline_nodes(400)
-        t, wt = unit_nodes(400)
-        def draw():
-            return FadingDistribution("gamma", (0.05 + 7.95 * rng.random(),
-                                                10.0 ** rng.uniform(-3.0, 3.0)))
+    def test_one_atom_quad_error_is_the_half_rule_gap(self):
+        """The Gauss-Legendre branches report |value(n) - value(n // 2)|,
+        and a point-mass pair is exact."""
+        for dm, de in ((parse_distribution("const:2"), EXP1),
+                       (CHISQ4, parse_distribution("const:0.5"))):
+            res = high_snr_limit(dm, de, nodes=400)
+            half = high_snr_limit(dm, de, nodes=200).value
+            assert res.quad_error == abs(res.value - half) > 0.0
+        atoms = high_snr_limit(parse_distribution("const:3"), parse_distribution("const:1"))
+        assert atoms.quad_error == 0.0
 
-        skipped_rows = 0
-        for i in range(60):
-            dm, de = draw(), draw()
-            if i % 4 == 0:
-                dm = FadingDistribution("gamma", (dm.shape, 1e-3))
-            outer = wx * dm.pdf(x) * x
-            skipped_rows += int(np.sum(outer == 0.0))
-            inner = weighted_sum(wt * np.log(1.0 / t), de.pdf(np.outer(x, t)))
-            want = weighted_sum(outer, inner)
-            got = high_snr_limit(dm, de, nodes=400).value
-            assert abs(got - want) <= 1e-13 * abs(want), (dm, de)
-        assert skipped_rows > 0
+
+def gamma_density(d):
+    """The gamma density in :mod:`math`, for scipy's scalar integrators."""
+    k, theta = d.shape, d.scale
+    c = math.lgamma(k) + math.log(theta)
+    return lambda x: math.exp((k - 1.0) * math.log(x / theta) - x / theta - c)
+
+
+def beta_limit_quad(dm, de):
+    """E[(log(h_m/h_e))^+] by scipy.integrate.quad over the Beta integral:
+    U = (h_e/theta_e) / (h_m/theta_m + h_e/theta_e) ~ Beta(k_e, k_m), and the
+    positive part ends at u* = theta_m/(theta_m + theta_e), so the integral
+    is split there and only (0, u*) is taken.  QAWS carries u^(k_e - 1)
+    and u^(k_e - 1) log u in its weights."""
+    from scipy import integrate, special
+
+    a, b, tm, te = de.shape, dm.shape, dm.scale, de.scale
+    u_star, c, lb = tm / (tm + te), math.log(tm / te), special.betaln(a, b)
+    tail = lambda u: math.exp((b - 1.0) * math.log1p(-u) - lb)
+    kw = dict(limit=200, epsabs=1e-14, epsrel=1e-13)
+    with warnings.catch_warnings():
+        # QAWS flags roundoff where it cannot reach 1e-13; its values still
+        # agree with dblquad far inside the tolerances below
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        log_ratio = integrate.quad(lambda u: (c + math.log1p(-u)) * tail(u), 0.0, u_star,
+                                   weight="alg", wvar=(a - 1.0, 0.0), **kw)[0]
+        log_u = integrate.quad(tail, 0.0, u_star, weight="alg-loga", wvar=(a - 1.0, 0.0),
+                               **kw)[0]
+    return log_ratio - log_u
+
+
+def dblquad_limit(dm, de):
+    """E[(log(h_m/h_e))^+] by scipy.integrate.dblquad over h_e < h_m."""
+    from scipy import integrate
+
+    fm, fe = gamma_density(dm), gamma_density(de)
+    return integrate.dblquad(lambda he, hm: math.log(hm / he) * fm(hm) * fe(he),
+                             0.0, math.inf, 0.0, lambda hm: hm,
+                             epsabs=1e-12, epsrel=1e-12)[0]
+
+
+def _random_gamma_pairs(n, seed):
+    """Gamma shapes uniform on 0.05-50, scales log-uniform on 1e-3-1e3."""
+    rng = np.random.default_rng(seed)
+    return [tuple(FadingDistribution("gamma", (float(rng.uniform(0.05, 50.0)),
+                                               float(10.0 ** rng.uniform(-3.0, 3.0))))
+                  for _ in range(2)) for _ in range(n)]
+
+
+RANDOM_GAMMA_PAIRS = _random_gamma_pairs(200, 2024)
+
+
+class TestHighSnrLimitBetaRule:
+    """Two gamma laws: the tanh-sinh rule in Beta coordinates."""
+
+    @pytest.mark.parametrize("chunk", range(20))
+    def test_random_pairs_match_quad(self, chunk):
+        """Within 1e-10 max(1, |ref|) of quad, and inside the reported
+        quad_error plus 1e-10."""
+        for dm, de in RANDOM_GAMMA_PAIRS[10 * chunk:10 * chunk + 10]:
+            want = beta_limit_quad(dm, de)
+            res = high_snr_limit(dm, de)
+            err = abs(res.value - want)
+            assert err <= 1e-10 * max(1.0, abs(want)), (dm, de, res, want)
+            assert err <= res.quad_error + 1e-10, (dm, de, res, want)
+
+    @pytest.mark.parametrize("spec_m,spec_e", [("gamma:1.5:2", "gamma:2.5:1"),
+                                               ("exp:1", "gamma:3:0.7"),
+                                               ("chisq:6", "chisq:3")])
+    def test_moderate_pairs_match_dblquad(self, spec_m, spec_e):
+        """Against the original (h_m, h_e) integral, no Beta coordinates."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        assert abs(high_snr_limit(dm, de).value - dblquad_limit(dm, de)) <= 1e-9
+
+    def test_grid_outlier_pair_within_4_sigma_of_monte_carlo(self):
+        """The pair where the 400 x 400 grid read 5.9987 (-80 sigma)."""
+        dm, de = parse_distribution("gamma:6.72:745.6"), parse_distribution("gamma:3.69:3.47")
+        res = high_snr_limit(dm, de)
+        est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
+                        dm, de, 1_000_000, RngSeed(41))
+        assert abs(res.value - est.mean) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_common_scale_factor_cancels(self, factor):
+        """Only theta_m / theta_e enters, so scaling both scales moves the
+        value by the rounding of that quotient alone."""
+        for dm, de in RANDOM_GAMMA_PAIRS[:20]:
+            moved = [FadingDistribution("gamma", (d.shape, d.scale * factor)) for d in (dm, de)]
+            want = high_snr_limit(dm, de).value
+            assert abs(high_snr_limit(*moved).value - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("scale_m,scale_e", [(1e-300, 1e-300), (1e-300, 1e300),
+                                                 (1e300, 1e-300), (1e300, 1e300)])
+    def test_finite_and_non_negative_at_extreme_scales(self, scale_m, scale_e):
+        for k_m, k_e in ((0.05, 0.05), (0.05, 50.0), (50.0, 0.05), (2.0, 2.0)):
+            res = high_snr_limit(FadingDistribution("gamma", (k_m, scale_m)),
+                                 FadingDistribution("gamma", (k_e, scale_e)))
+            assert math.isfinite(res.value) and res.value >= 0.0
+            assert math.isfinite(res.quad_error)
+        if scale_m > scale_e:
+            # the last pair, iid shapes 2: h_m < h_e has probability 1e-1200,
+            # so the value is E[log(h_m/h_e)] = 600 ln 10 + psi(2) - psi(2)
+            assert math.isclose(res.value, 600.0 * math.log(10.0), rel_tol=1e-13)
 
 
 class TestOrderingAndMonotonicity:
@@ -459,20 +551,41 @@ class TestOrderingAndMonotonicity:
 # kappa.  lower_main is the exact fixed point.  Every weighted sum
 # runs in a fixed order, so the pins hold under any BLAS thread count.
 PINNED_LIMIT = {
-    ('chisq:4', 'chisq:4'): 0.4431471806185369,
+    ('chisq:4', 'chisq:4'): 0.4431471805599457,
     ('const:2', 'chisq:4'): 0.16447904047826095,
     ('const:3', 'const:1'): 1.0986122886681098,
+    ('gamma:0.5:1', 'gamma:0.5:1'): 1.166243616123274,
+    ('gamma:2:1000', 'chisq:1'): 8.600903207878687,
+    ('gamma:3:0.01', 'exp:2'): 0.014925414335969162,
+}
+
+# The continuous-pair limit pins as the 400 x 400 half-line x unit-interval
+# grid gave them, before the Beta-coordinate tanh-sinh rule.
+GRID_LIMIT_PINS = {
+    ('chisq:4', 'chisq:4'): 0.4431471806185369,
     ('gamma:0.5:1', 'gamma:0.5:1'): 1.154888665651046,
     ('gamma:2:1000', 'chisq:1'): 8.000065002232446,
     ('gamma:3:0.01', 'exp:2'): 0.014925355291509824,
 }
 
-# The limit pins that moved when the eavesdropper density on the node grid
-# went from pdf(np.outer(x, t)) to the log-split pdf_outer(x, t), with the
-# value they had before.
-OUTER_PRODUCT_LIMIT_PINS = {
-    ('gamma:2:1000', 'chisq:1'): 8.000065002232445,
-}
+# Catalan's constant: for iid Gamma(1/2) gains log(h_m/h_e) has density
+# 1/(2 pi cosh(y/2)), so E[(log(h_m/h_e))^+] = 4G/pi
+CATALAN = 0.915965594177219015054603514932
+
+
+def limit_reference(key):
+    """(value, tolerance) of an independent reference for a limit pin:
+    a closed form, dblquad over (h_m, h_e), or Monte Carlo within 4 sigma."""
+    dm, de = parse_distribution(key[0]), parse_distribution(key[1])
+    if key == ('chisq:4', 'chisq:4'):
+        return LN2 - 0.25, 1e-14
+    if key == ('gamma:0.5:1', 'gamma:0.5:1'):
+        return 4.0 * CATALAN / math.pi, 1e-14
+    if key == ('gamma:3:0.01', 'exp:2'):
+        return dblquad_limit(dm, de), 1e-12
+    est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
+                    dm, de, 1_000_000, RngSeed(43))
+    return est.mean, 4.0 * est.stderr
 
 # (dist_m, dist_e, pbar_db): (upper_full, lower_full, upper_main, lower_main)
 PINNED_BOUNDS = {
@@ -531,13 +644,10 @@ BISECTION_LOWER_MAIN = {
 
 # Every pin above that moved when scipy's gamma law gave way to the
 # numpy/math one and every weighted sum to the fixed-order einsum, keyed by
-# (bound, dist_m, dist_e, pbar_db), with the value it had before (pbar_db is
-# None for the high-SNR limit).  Each moved by a few ulps.
+# (bound, dist_m, dist_e, pbar_db), with the value it had before.  Each
+# moved by a few ulps.  (The limit pins of that change have since moved to
+# the Beta-coordinate rule; see GRID_LIMIT_PINS.)
 SCIPY_LAW_PINS = {
-    ('high_snr_limit', 'chisq:4', 'chisq:4', None): 0.443147180618537,
-    ('high_snr_limit', 'gamma:0.5:1', 'gamma:0.5:1', None): 1.1548886656510473,
-    ('high_snr_limit', 'gamma:2:1000', 'chisq:1', None): 8.000065002232448,
-    ('high_snr_limit', 'gamma:3:0.01', 'exp:2', None): 0.014925355291509821,
     ('lower_full', 'chisq:4', 'chisq:4', 0.0): 0.31746082115720053,
     ('lower_full', 'chisq:4', 'chisq:4', 20.0): 0.4412334868371165,
     ('lower_full', 'chisq:4', 'chisq:4', 40.0): 0.44307983967637204,
@@ -644,9 +754,7 @@ class TestPinnedValues:
     @pytest.mark.parametrize("key", sorted(SCIPY_LAW_PINS, key=repr), ids=repr)
     def test_moved_within_1e12_of_scipy_law_pins(self, key):
         name, m, e, db = key
-        if name == "high_snr_limit":
-            pinned = PINNED_LIMIT[(m, e)]
-        elif (m, e, db) in PINNED_BOUNDS:
+        if (m, e, db) in PINNED_BOUNDS:
             pinned = PINNED_BOUNDS[(m, e, db)][
                 ("upper_full", "lower_full", "upper_main", "lower_main").index(name)]
         else:
@@ -655,11 +763,12 @@ class TestPinnedValues:
         assert pinned != old
         assert abs(pinned - old) <= 1e-12 * abs(old)
 
-    @pytest.mark.parametrize("key", sorted(OUTER_PRODUCT_LIMIT_PINS), ids=repr)
-    def test_limit_moved_within_1e12_of_outer_product_pins(self, key):
-        old = OUTER_PRODUCT_LIMIT_PINS[key]
-        assert PINNED_LIMIT[key] != old
-        assert abs(PINNED_LIMIT[key] - old) <= 1e-12 * abs(old)
+    @pytest.mark.parametrize("key", sorted(GRID_LIMIT_PINS), ids=repr)
+    def test_limit_pin_closer_than_grid_pin_to_reference(self, key):
+        ref, tol = limit_reference(key)
+        new_err = abs(PINNED_LIMIT[key] - ref)
+        assert new_err < abs(GRID_LIMIT_PINS[key] - ref)
+        assert new_err <= tol
 
     def test_pins_do_not_depend_on_blas_threads(self):
         """The pinned cases computed under 1 and 2 BLAS threads, each in a

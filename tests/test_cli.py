@@ -30,6 +30,16 @@ class TestBounds:
         assert doc["upper_main"]["value"] >= doc["lower_main"]["value"] - 1e-9
         assert doc["high_snr_limit"]["invertible"] is True
 
+    def test_high_snr_limit_reports_quad_error(self, capsys):
+        """The chisq:4 pair's limit is ln 2 - 1/4, and its error estimate
+        (the gap to the rule of twice the step) is printed beside it."""
+        code, out, _ = run_cli(capsys, "bounds", "--dist-m", "chisq:4", "--dist-e", "chisq:4")
+        limit = json.loads(out)["high_snr_limit"]
+        assert code == EXIT_OK
+        assert sorted(limit) == ["invertible", "quad_error", "value"]
+        assert abs(limit["value"] - (math.log(2.0) - 0.25)) < 1e-13
+        assert 0.0 <= limit["quad_error"] < 1e-13
+
     def test_zero_power(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--pbar-db=-inf")
         assert code == EXIT_OK
@@ -211,6 +221,12 @@ class TestValidate:
         assert code == EXIT_OK
         assert "all validation checks passed" in out
         assert elapsed < 10.0
+
+    def test_high_snr_limit_against_exact_value_then_monte_carlo(self, capsys):
+        _, out, _ = run_cli(capsys, "validate", "--quick")
+        exact, mc = [l for l in out.splitlines() if "high-snr-limit[chisq:4]" in l]
+        assert exact.startswith("ok   high-snr-limit[chisq:4] exact: 0.443147 vs 0.443147 (tol 1.00e-15, quad_error ")
+        assert mc.startswith("ok   high-snr-limit[chisq:4] mc: ") and "quad_error" in mc
 
     def test_calibration_moment_holds_at_any_node_count(self, capsys):
         """E[P] reads the moment calibration used, whatever --nodes is."""

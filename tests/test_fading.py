@@ -11,7 +11,7 @@ from scipy import stats
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
                           grid_mean, inverse_min_moment, inverse_moment, joint_grid,
                           parse_distribution, truncated_inverse_moment)
-from dlsec.numerics import RngSeed, halfline_nodes, unit_nodes, weighted_sum
+from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 
 class TestGrammar:
@@ -164,45 +164,6 @@ class TestLawEdges:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("scale", LAW_SCALES + (1e-1, 10.0))
-@pytest.mark.parametrize("k", LAW_SHAPES)
-def test_pdf_outer_matches_pdf_of_outer_product(k, scale):
-    """On the high-SNR limit's 400 x 400 node grid, wherever the density is
-    above 1e-300: 1e-13 relative plus 4 ulps of the summed size of the
-    log-density's terms.  Near 1e-300 the exponent is about -690, where one
-    ulp is already 1.1e-13, and both forms round terms larger than that."""
-    x, _ = halfline_nodes(400)
-    t, _ = unit_nodes(400)
-    d = FadingDistribution("gamma", (k, scale))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = d.pdf_outer(x, t)
-    want = d.pdf(np.outer(x, t))
-    assert got.shape == (400, 400) and np.all(np.isfinite(got)) and np.all(got >= 0.0)
-    terms = (np.abs((k - 1.0) * np.log(x / scale))[:, None] + np.abs((k - 1.0) * np.log(t))
-             + np.outer(x, t) / scale + abs(math.lgamma(k)) + abs(math.log(scale)))
-    keep = want > 1e-300
-    tol = (1e-13 + 4.0 * 2.0 ** -52 * terms[keep]) * want[keep]
-    assert np.all(np.abs(got[keep] - want[keep]) <= tol)
-
-
-class TestPdfOuterInputs:
-    def test_point_mass_has_no_density(self):
-        with pytest.raises(ValueError, match="point mass"):
-            parse_distribution("const:2").pdf_outer(np.ones(3), np.ones(3))
-
-    @pytest.mark.parametrize("x,t", [([1.0, 0.0], [0.5]), ([1.0], [-0.5, 0.5])])
-    def test_non_positive_points_rejected(self, x, t):
-        with pytest.raises(ValueError, match="x > 0"):
-            parse_distribution("exp:1").pdf_outer(np.array(x), np.array(t))
-
-    def test_vectors_only(self):
-        with pytest.raises(ValueError, match="1-D"):
-            parse_distribution("exp:1").pdf_outer(np.ones((2, 2)), np.ones(2))
-
-    def test_empty_rows(self):
-        assert parse_distribution("exp:1").pdf_outer(np.ones(0), np.ones(3)).shape == (0, 3)
 
 
 class TestSample:

@@ -8,7 +8,7 @@ from scipy import stats
 
 import dlsec
 from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed, halfline_nodes,
-                            mc_expect, weighted_sum)
+                            mc_expect, tanh_sinh_nodes, weighted_sum)
 from dlsec.fading import parse_distribution
 
 
@@ -49,6 +49,61 @@ class TestHalflineRule:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             halfline_nodes(4)
+
+
+class TestTanhSinhRule:
+    @pytest.mark.parametrize("a", [0.05, 0.3, 1.0, 8.0, 50.0])
+    def test_log_power_moment(self, a):
+        """int_0^1 u^(a-1) log(1/u) du = 1/a^2, for gamma shapes across the
+        accepted range: an endpoint singularity times a log at a = 0.05, a
+        mass pressed against u = 1 at a = 50."""
+        log_s, _, log_ds, steps = tanh_sinh_nodes(400)
+        value = weighted_sum(np.exp((a - 1.0) * log_s + log_ds) * -log_s, steps[0])
+        assert abs(value - 1.0 / a ** 2) <= 1e-12 / a ** 2
+
+    @pytest.mark.parametrize("nodes", [8, 16, 200, 400, 1000])
+    def test_coarsest_dyadic_step_with_enough_points(self, nodes):
+        """At least ``nodes`` points, fewer than twice as many, on t in
+        [-6.5, 6.5] with a power-of-two step."""
+        log_s, log_1ms, log_ds, steps = tanh_sinh_nodes(nodes)
+        h = steps[0][0]
+        assert nodes <= log_s.size < 2 * nodes
+        assert math.log2(h).is_integer()
+        assert log_s.size == 2 * int(6.5 / h) + 1
+        assert np.all(steps[0] == h)
+        # s + (1 - s) = 1, and the weights of both rows sum to about 1
+        assert np.allclose(np.exp(log_s) + np.exp(log_1ms), 1.0, rtol=0, atol=1e-15)
+        if h <= 0.25:
+            assert abs(weighted_sum(np.exp(log_ds), steps[0]) - 1.0) < 1e-12
+            assert abs(weighted_sum(np.exp(log_ds), steps[1]) - 1.0) < 1e-6
+
+    def test_coarse_row_is_the_rule_of_twice_the_step(self):
+        """Row 1 is 2h on the points with j even, t = 0 among them."""
+        log_s, _, _, steps = tanh_sinh_nodes(200)
+        h, mid = steps[0][0], log_s.size // 2
+        assert log_s[mid] == -math.log(2.0)
+        j = np.arange(log_s.size) - mid
+        assert np.array_equal(steps[1], np.where(j % 2 == 0, 2.0 * h, 0.0))
+
+    def test_ends_keep_their_logs(self):
+        """At t = +-6.5, s and 1 - s are e^-1045, far below the smallest
+        double, yet their logs are exact and the weights finite."""
+        log_s, log_1ms, log_ds, _ = tanh_sinh_nodes(400)
+        assert log_s[0] == log_1ms[-1]
+        assert math.isclose(log_s[0], -math.pi * math.sinh(6.5), rel_tol=1e-15)
+        assert log_s[-1] == log_1ms[0] == -0.0
+        assert np.all(np.isfinite(log_ds))
+
+    def test_cached_and_read_only(self):
+        rule = tanh_sinh_nodes(300)
+        assert tanh_sinh_nodes(300)[0] is rule[0]
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_too_few_nodes(self):
+        with pytest.raises(ValueError):
+            tanh_sinh_nodes(4)
 
 
 CHISQ4 = parse_distribution("chisq:4")
