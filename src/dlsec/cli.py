@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
                      upper_full, upper_main)
-from .fading import joint_grid, parse_distribution
+from .fading import joint_weights, parse_distribution
 from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import SCHEMES, SimConfig, simulate
@@ -183,18 +183,6 @@ def _pbar_from_db(db: float) -> float:
         return math.inf
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _usable(result):
     """A menu with no calibratable family falls back to constant power; on
     the command line, where only an explicit menu can do that, it is an
@@ -209,7 +197,7 @@ def _bound_json(result, bits: bool) -> dict:
     out = {
         "value": result.value,
         "policy": {"family": pol.family, "c": pol.c, "h_min": pol.h_min},
-        "diagnostics": _jsonable(result.diagnostics),
+        "diagnostics": result.diagnostics,
     }
     if bits:
         out["value_bits"] = result.value / LN2
@@ -238,7 +226,7 @@ def cmd_bounds(args) -> int:
     }
     if args.bits:
         doc["high_snr_limit"]["value_bits"] = limit.value / LN2
-    print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -328,7 +316,7 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
     r_d = delay_floor(pol, dist_m)
     gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
     grid = np.linspace(0.0, r_d, grid_points)
-    k = key_rate(gap, joint_grid(dist_m, dist_e, nodes)[2], grid)
+    k = key_rate(gap.ravel(), joint_weights(dist_m, dist_e, nodes), grid)
     g = grid - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
     return abs(r_star - best)

@@ -190,8 +190,9 @@ def _gamma_quantile(k: float, p: float) -> float:
 class ChannelState:
     """One fading realization: main and eavesdropper power gains.
 
-    Fields may be scalars or equal-length arrays (the structure-of-arrays
-    form used by the Monte Carlo and simulation paths).
+    Fields may be scalars or arrays that broadcast together: equal-length
+    arrays in the Monte Carlo and simulation paths, a column of main nodes
+    and a row of eavesdropper nodes on the product quadrature rule.
     """
 
     h_m: float | np.ndarray
@@ -364,8 +365,8 @@ def inverse_moment(dist: FadingDistribution) -> float:
 def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
     """E[1/h restricted to h >= h_min]; finite for every h_min > 0.
 
-    Law-only, so cached like :func:`joint_grid`: a sweep calibrates
-    trunc-inv at every SNR point against the same moment.
+    Law-only, so cached: a sweep calibrates trunc-inv at every SNR point
+    against the same moment.
     """
     if h_min < 0:
         raise ValueError(f"h_min must be >= 0, got {h_min}")
@@ -384,8 +385,8 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
                        nodes: int = 200) -> float:
     """E[1/min(h_m, h_e)] for independent gains, or math.inf when divergent.
 
-    Law-only, so cached like :func:`joint_grid` (full-inv calibration and
-    the high-SNR invertibility flag read it for every budget).
+    Law-only, so cached (full-inv calibration and the high-SNR
+    invertibility flag read it for every budget).
 
     Finiteness is decided analytically: every continuous component must
     have canonical gamma shape > 1 (density exponent at zero positive); a
@@ -415,7 +416,7 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
 def marginal_nodes(dist: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of one gain's law, read-only: the half-line nodes
     with the density folded into the weight, or a point mass's atom with
-    weight 1.  Cached for the two laws of each :func:`joint_grid` entry."""
+    weight 1.  Cached per law; :func:`joint_weights` is their product."""
     if dist.is_degenerate:
         x, w = np.array([dist.params[0]]), np.array([1.0])
     else:
@@ -426,36 +427,37 @@ def marginal_nodes(dist: FadingDistribution, nodes: int = 200) -> tuple[np.ndarr
     return x, w
 
 
-@lru_cache(maxsize=64)
-def joint_grid(dist_m: FadingDistribution, dist_e: FadingDistribution,
-               nodes: int = 200) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened quadrature grid (h_m, h_e, weight) for the joint law.
+@lru_cache(maxsize=8)
+def joint_weights(dist_m: FadingDistribution, dist_e: FadingDistribution,
+                  nodes: int = 200) -> np.ndarray:
+    """The weights of the product of the two :func:`marginal_nodes` rules,
+    flattened with the main node varying slowest, read-only.
 
-    The main gain's :func:`marginal_nodes` vary slowest: h_m repeats each
-    main node once per eavesdropper node, and h_e tiles the eavesdropper
-    nodes.  The weights sum to ~1, so a weighted sum against them is an
-    expectation.
+    A joint functional is evaluated on the main nodes as a column and the
+    eavesdropper nodes as a row, ``y[i, j] = f(xm[i], xe[j])``, and
+    ``y.ravel()`` lines up with these weights.  They sum to ~1, so a
+    weighted sum against them is an expectation.  The bounds read one law
+    pair at a time, so 8 entries (320 KB each at 200 nodes) are plenty.
     """
-    xm, wm = marginal_nodes(dist_m, nodes)
-    xe, we = marginal_nodes(dist_e, nodes)
-    hm = np.repeat(xm, xe.size)
-    he = np.tile(xe, xm.size)
-    w = np.repeat(wm, we.size) * np.tile(we, wm.size)
-    for a in (hm, he, w):
-        a.flags.writeable = False
-    return hm, he, w
+    w = np.outer(marginal_nodes(dist_m, nodes)[1], marginal_nodes(dist_e, nodes)[1]).ravel()
+    w.flags.writeable = False
+    return w
 
 
-def grid_mean(grid: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray) -> float:
-    """The weighted sum of y over a :func:`joint_grid`, after checking y is finite.
+def grid_mean(dist_m: FadingDistribution, dist_e: FadingDistribution, y: np.ndarray,
+              nodes: int = 200) -> float:
+    """E[y] for ``y[i, j]`` taken at main node i and eavesdropper node j of
+    the :func:`marginal_nodes` rules, for a finite y.
+
+    The weights are finite and >= 0, so a non-finite y makes the sum
+    non-finite (inf, or NaN from 0 * inf); y itself is scanned only then.
 
     Raises:
-        ValueError: naming the first grid point where ``y`` is not finite.
+        ValueError: naming the first node pair where ``y`` is not finite.
     """
-    hm, he, w = grid
-    if not np.all(np.isfinite(y)):
-        i = int(np.argmax(~np.isfinite(y)))
-        raise ValueError(
-            f"integrand not finite at grid point (h_m={hm[i]:.6g}, h_e={he[i]:.6g})"
-        )
-    return weighted_sum(w, y)
+    total = weighted_sum(joint_weights(dist_m, dist_e, nodes), y.ravel())
+    if not math.isfinite(total) and not np.all(np.isfinite(y)):
+        i, j = np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape)
+        hm, he = marginal_nodes(dist_m, nodes)[0][i], marginal_nodes(dist_e, nodes)[0][j]
+        raise ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
+    return total

@@ -80,16 +80,13 @@ def halfline_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas and weights for integrals over (0, inf).
 
     Fixed change of variables x = t / (1 - t) mapping (0, 1) onto
-    (0, inf), with Gauss-Legendre nodes on (0, 1).  Tail truncation is
+    (0, inf), on the :func:`unit_nodes` rule.  Tail truncation is
     implicit in the node placement.  Returned arrays are read-only and
     cached, so two calls with the same node count share storage.
     """
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
-    u, w = np.polynomial.legendre.leggauss(int(nodes))
-    t = 0.5 * (u + 1.0)
+    t, wt = unit_nodes(nodes)
     x = t / (1.0 - t)
-    weights = 0.5 * w / (1.0 - t) ** 2
+    weights = wt / (1.0 - t) ** 2
     x.flags.writeable = False
     weights.flags.writeable = False
     return x, weights

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import ChannelState, FadingDistribution, grid_mean, joint_grid, marginal_nodes
+from .fading import ChannelState, FadingDistribution, grid_mean, marginal_nodes
 from .policy import PowerPolicy
 
 
@@ -38,10 +38,27 @@ class RateBreakdown:
     r_s_dprime: float | np.ndarray
 
 
+def log_rate(p, h):
+    """log(1 + p h) for p, h >= 0 that broadcast together.
+
+    Where p h overflows to inf, 1 + p h is p h to the last bit, so the rate
+    is log p + log h; everywhere else it is ``np.log1p(p * h)`` itself.  The
+    overflow is read off the multiply's floating-point flag, so the common
+    case costs no extra pass.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return np.log1p(p * h)
+    except FloatingPointError:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ph = p * h
+            return np.where(np.isinf(ph), np.log(p) + np.log(h), np.log1p(ph))
+
+
 def per_state_rates(policy: PowerPolicy, state: ChannelState,
                     kappa: float = 0.0) -> RateBreakdown:
-    """Rate breakdown at one state (or a vector of states), for the key-share
-    threshold q(h) = max(h_e, kappa).
+    """Rate breakdown at one state (or states that broadcast together), for
+    the key-share threshold q(h) = max(h_e, kappa).
 
     The one-time-pad rate is not a per-state rate: it is a schedule choice
     made by the bounds and protocol layers.
@@ -51,12 +68,12 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
     h_m = np.asarray(state.h_m, dtype=float)
     h_e = np.asarray(state.h_e, dtype=float)
     p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
+    r_main = log_rate(p, h_m)
+    r_eve = log_rate(p, h_e)
     with np.errstate(invalid="ignore"):  # log(1 + P q) = 0 where P = 0, kappa = inf too
-        pq = np.where(p == 0.0, 0.0, p * np.maximum(h_e, kappa))
-    r_main = np.log1p(p * h_m)
-    r_eve = np.log1p(p * h_e)
+        r_q = np.where(p == 0.0, 0.0, log_rate(p, np.maximum(h_e, kappa)))
     r_s = np.maximum(r_main - r_eve, 0.0)
-    r_s_prime = np.maximum(r_main - np.log1p(pq), 0.0)
+    r_s_prime = np.maximum(r_main - r_q, 0.0)
     r_s_dprime = np.maximum(r_s - r_s_prime, 0.0)
 
     def out(a):
@@ -69,36 +86,23 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
 @lru_cache(maxsize=8)
 def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
                 dist_e: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, float]:
-    """The gap r_main - r_eve on the :func:`joint_grid` (read-only), and E[r_s].
+    """The gap r_main - r_eve at every node pair (read-only), and E[r_s].
 
-    E[r_s], E[r_s'] at q = h_e and the main-CSI key rate K(R) all read
-    this one evaluation.  The cache holds the 4 default families of one
-    (law pair, budget) with room to spare (8 gaps at 200 nodes: 2.5 MB);
-    a new budget rescales every policy, so no entry is hit across budgets.
-
-    Only full-inv's power depends on h_e.  For the other families
-    r_main = log1p(P(h_m) h_m) is built on the main nodes and repeated
-    along the grid, and for const r_eve = log1p(c h_e) is built on the
-    eavesdropper nodes and tiled: the same elementwise operations on the
-    same values, so the gap is bit-identical to the 2-D evaluation.
+    The gap is (n_m, n_e): main nodes down the rows, eavesdropper nodes
+    along them, so ``gap.ravel()`` lines up with
+    :func:`~dlsec.fading.joint_weights`.  E[r_s], E[r_s'] at q = h_e and
+    the main-CSI key rate K(R) all read this one evaluation.  The cache
+    holds the 4 default families of one (law pair, budget) with room to
+    spare (8 gaps at 200 nodes: 2.5 MB); a new budget rescales every
+    policy, so no entry is hit across budgets.  Only full-inv's power is
+    2-D; const's is the scalar c.
     """
-    grid = joint_grid(dist_m, dist_e, nodes)
-    hm, he, _ = grid
-    if policy.family == "full-inv":
-        p = policy.power(hm, he)
-        gap = np.log1p(p * hm) - np.log1p(p * he)
-    else:
-        xm = marginal_nodes(dist_m, nodes)[0]
-        xe = marginal_nodes(dist_e, nodes)[0]
-        pm = policy.power(xm)
-        r_main = np.repeat(np.log1p(pm * xm), xe.size)
-        if policy.family == "const":
-            r_eve = np.tile(np.log1p(policy.c * xe), xm.size)
-        else:
-            r_eve = np.log1p(np.repeat(pm, xe.size) * he)
-        gap = r_main - r_eve
+    xm = marginal_nodes(dist_m, nodes)[0][:, None]
+    xe = marginal_nodes(dist_e, nodes)[0]
+    p = policy.c if policy.family == "const" else policy.power(xm, xe)
+    gap = log_rate(p, xm) - log_rate(p, xe)
     gap.flags.writeable = False
-    return gap, grid_mean(grid, np.maximum(gap, 0.0))
+    return gap, grid_mean(dist_m, dist_e, np.maximum(gap, 0.0), nodes)
 
 
 def ergodic_secrecy_rate(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -116,9 +120,9 @@ def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
     """
     if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
-    grid = joint_grid(dist_m, dist_e, nodes)
-    rates = per_state_rates(policy, ChannelState(grid[0], grid[1]), kappa)
-    return grid_mean(grid, rates.r_s_prime)
+    state = ChannelState(marginal_nodes(dist_m, nodes)[0][:, None],
+                         marginal_nodes(dist_e, nodes)[0])
+    return grid_mean(dist_m, dist_e, per_state_rates(policy, state, kappa).r_s_prime, nodes)
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:

@@ -16,11 +16,13 @@ import pytest
 
 from dlsec.bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full,
                           lower_main, upper_full, upper_main)
-from dlsec.fading import FadingDistribution, joint_grid, parse_distribution
+from dlsec.fading import FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect
 from dlsec.policy import NonInvertibleChannelError, calibrate
 from dlsec.protocol import SimConfig, simulate
 from dlsec.rates import delay_floor
+
+from flat_grid import flat_grid
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -98,7 +100,7 @@ def test_c4_fixed_point_matches_grid_scan():
         pol = calibrate("main-inv", dist, dist, p_bar)
         r_star, _ = fixed_point_rate(pol, dist, dist)
         r_d = delay_floor(pol, dist)
-        hm, he, w = joint_grid(dist, dist, 200)
+        hm, he, w = flat_grid(dist, dist, 200)
         p = pol.power(hm, he)
         gap = np.log1p(p * hm) - np.log1p(p * he)
         grid = np.linspace(0.0, r_d, points)

@@ -1,9 +1,11 @@
 """Bound operation tests: the four bounds, the fixed point, the high-SNR limit."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +14,13 @@ import pytest
 import dlsec
 from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit, key_rate,
                           lower_full, lower_main, upper_full, upper_main)
-from dlsec.fading import ChannelState, FadingDistribution, joint_grid, parse_distribution
+from dlsec.fading import ChannelState, FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import FULL_CSI, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates,
                          secrecy_gap)
+
+from flat_grid import flat_grid
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -32,7 +36,7 @@ def scan_fixed_point(policy, dist_m, dist_e, points=2001, nodes=200):
     of the Newton answer.
     """
     r_d = delay_floor(policy, dist_m)
-    hm, he, w = joint_grid(dist_m, dist_e, nodes)
+    hm, he, w = flat_grid(dist_m, dist_e, nodes)
     p = policy.power(hm, he)
     gap = np.log1p(p * hm) - np.log1p(p * he)
     grid = np.linspace(0.0, r_d, points)
@@ -188,6 +192,25 @@ class TestPointMassKappaSearch:
                        q_kappa=math.nan)
 
 
+def test_memory_held_after_many_law_pairs():
+    """The four bounds at 200 nodes over 80 distinct gamma pairs leave
+    under 16 MiB held once garbage is collected: only the last few law
+    pairs' weights and gaps stay cached (about 6 MiB), where keeping three
+    40 000-point arrays a pair for 64 pairs would hold about 62 MiB."""
+    tracemalloc.start()
+    try:
+        for i in range(80):
+            dm = FadingDistribution("gamma", (1.5 + 0.05 * i, 1.0 + 0.01 * i))
+            de = FadingDistribution("gamma", (2.5 + 0.03 * i, 0.5))
+            for bound in (upper_full, lower_full, upper_main, lower_main):
+                bound(dm, de, 100.0, nodes=200)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2**20, held
+
+
 class TestUpperMain:
     def test_zero_power(self):
         assert upper_main(CHISQ4, CHISQ4, 0.0).value == 0.0
@@ -313,7 +336,7 @@ def key_rate_case(case):
     dm, de, family, p_bar = case
     pol = calibrate(family, dm, de, p_bar)
     gap, ers = secrecy_gap(pol, dm, de)
-    return gap, joint_grid(dm, de, 200)[2], ers
+    return gap.ravel(), flat_grid(dm, de, 200)[2], ers
 
 
 class TestKeyRate:

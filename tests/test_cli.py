@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -46,6 +47,20 @@ class TestBounds:
         doc = json.loads(out)
         for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
             assert doc[key]["value"] == 0.0
+
+    def test_budget_whose_products_overflow(self, capsys):
+        """At p_bar = 1e300, p h overflows on the grid; the rates are
+        log-split there, so every bound is finite and at most the high-SNR
+        limit, and nothing is written to stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "bounds", "--pbar-db", "3000")
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        limit = doc["high_snr_limit"]["value"]
+        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
+            value = doc[key]["value"]
+            assert math.isfinite(value) and value <= limit + 1e-9, key
 
     def test_non_invertible_menu_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "exp:1",

@@ -1,6 +1,7 @@
 """Fading distribution tests: grammar, densities, sampling, inverse moments."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,11 @@ import pytest
 from scipy import stats
 
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
-                          grid_mean, inverse_min_moment, inverse_moment, joint_grid,
-                          parse_distribution, truncated_inverse_moment)
+                          grid_mean, inverse_min_moment, inverse_moment, joint_weights,
+                          marginal_nodes, parse_distribution, truncated_inverse_moment)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
+
+from flat_grid import flat_grid
 
 
 class TestGrammar:
@@ -287,13 +290,33 @@ class TestStateAndExpectation:
     def test_expectation_matches_product_of_means(self):
         d = parse_distribution("chisq:4")
         g = parse_distribution("gamma:2:1")
-        grid = joint_grid(d, g)
-        got = grid_mean(grid, grid[0] * grid[1])
+        got = grid_mean(d, g, marginal_nodes(d)[0][:, None] * marginal_nodes(g)[0])
         assert abs(got - 4.0 * 2.0) < 1e-8
 
     def test_expectation_with_atom(self):
         c = parse_distribution("const:3")
         d = parse_distribution("chisq:4")
-        grid = joint_grid(c, d)
-        got = grid_mean(grid, grid[0] + grid[1])
+        got = grid_mean(c, d, marginal_nodes(c)[0][:, None] + marginal_nodes(d)[0])
         assert abs(got - 7.0) < 1e-8
+
+    def test_joint_weights_are_the_flat_product_rule(self):
+        """Bit for bit the products of the flat layout, read-only and cached."""
+        d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
+        w = joint_weights(d, g, 64)
+        assert np.array_equal(w, flat_grid(d, g, 64)[2])
+        assert w is joint_weights(d, g, 64)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+
+    def test_non_finite_entry_is_named_by_its_node_pair(self):
+        """The error names (h_m, h_e) of the first non-finite entry of a
+        2-D integrand, in the flat order of the weights."""
+        d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
+        xm, xe = marginal_nodes(d, 16)[0], marginal_nodes(g, 16)[0]
+        y = np.zeros((xm.size, xe.size))
+        y[3, 11] = np.nan
+        y[5, 2] = np.inf
+        y[9, 0] = -np.inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"integrand not finite at grid point (h_m={xm[3]:.6g}, h_e={xe[11]:.6g})")):
+            grid_mean(d, g, y, 16)

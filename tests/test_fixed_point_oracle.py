@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlsec.bounds import fixed_point_rate, resolve_menu_entry
-from dlsec.fading import FadingDistribution, joint_grid
+from dlsec.fading import FadingDistribution
 from dlsec.policy import calibrate
 from dlsec.rates import delay_floor
+
+from flat_grid import flat_grid
 
 
 def oracle_fixed_point(policy, dist_m, dist_e, nodes=200):
@@ -23,7 +25,7 @@ def oracle_fixed_point(policy, dist_m, dist_e, nodes=200):
     its own segment, capped at R_d.
     """
     r_d = delay_floor(policy, dist_m)
-    hm, he, w = joint_grid(dist_m, dist_e, nodes)
+    hm, he, w = flat_grid(dist_m, dist_e, nodes)
     p = policy.power(hm, he)
     gap = np.log1p(p * hm) - np.log1p(p * he)
     positive = gap > 0.0

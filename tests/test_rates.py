@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from dlsec.bounds import lower_full
-from dlsec.fading import ChannelState, grid_mean, joint_grid, parse_distribution
+from dlsec.fading import ChannelState, grid_mean, marginal_nodes, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
-                         expected_key_share, per_state_rates, secrecy_gap)
+                         expected_key_share, log_rate, per_state_rates, secrecy_gap)
+
+from flat_grid import flat_grid
 
 CHISQ4 = parse_distribution("chisq:4")
 UNIT = PowerPolicy("const", 1.0)
@@ -55,6 +57,38 @@ class TestPerStateRates:
         assert r.r_s_prime.tolist() == [0.0, 0.0]
         assert r.r_s_dprime.tolist() == r.r_s.tolist()
         assert r.r_main[0] == 0.0 and r.r_main[1] > 0.0
+
+    def test_log_rate_splits_only_where_the_product_overflows(self):
+        """log1p(p h) bit for bit where p h is finite, log p + log h where
+        it overflows, and no warning either way (p = 0 included)."""
+        p = np.array([[1e300], [2.0], [0.0]])
+        h = np.array([1e-5, 1.0, 1e10])
+        with np.errstate(over="ignore"):
+            ph = p * h
+        finite = np.isfinite(ph)
+        assert finite[1:].all() and not finite[0].all()  # only p = 1e300 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_rate(p, h)
+            assert np.array_equal(log_rate(p[1:], h), np.log1p(p[1:] * h))
+        assert np.array_equal(got[finite], np.log1p(ph[finite]))
+        assert np.array_equal(got[0, ~finite[0]], np.log(1e300) + np.log(h[~finite[0]]))
+
+    def test_rates_at_a_budget_whose_products_overflow(self):
+        """At c = 1e308 every p h on the grid is near or past the float
+        range: each rate stays finite, with no warning, and E[r_s] is the
+        grid's E[(log(h_m/h_e))^+] to rounding."""
+        pol = PowerPolicy("const", 1e308)
+        hm, he, w = flat_grid(CHISQ4, CHISQ4, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = per_state_rates(pol, ChannelState(hm, he), 0.7)
+            ers = ergodic_secrecy_rate(pol, CHISQ4, CHISQ4)
+            key_share = expected_key_share(pol, CHISQ4, CHISQ4, 0.7)
+        for field in (r.r_main, r.r_eve, r.r_s, r.r_s_prime, r.r_s_dprime):
+            assert np.isfinite(field).all()
+        assert abs(ers - weighted_sum(w, np.maximum(np.log(hm / he), 0.0))) < 1e-12
+        assert key_share == weighted_sum(w, r.r_s_prime)
 
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_kappa_must_be_non_negative(self, kappa):
@@ -134,13 +168,13 @@ class TestErgodicSecrecyRate:
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
     def test_key_share_equals_secrecy_rate_at_q_he(self, family):
         """q = h_e makes r_s' = r_s at every state, so the shared gap and
-        the per-state path over the joint grid agree bit for bit."""
+        the per-state path over the flat joint grid agree bit for bit."""
         h_min = CHISQ4.quantile(0.5) if family == "trunc-inv" else 0.0
         pol = calibrate(family, CHISQ4, CHISQ4, 100.0, h_min)
-        grid = joint_grid(CHISQ4, CHISQ4, 200)
-        per_state = per_state_rates(pol, ChannelState(grid[0], grid[1]))
-        assert ergodic_secrecy_rate(pol, CHISQ4, CHISQ4) == grid_mean(grid, per_state.r_s)
-        assert expected_key_share(pol, CHISQ4, CHISQ4) == grid_mean(grid, per_state.r_s_prime)
+        hm, he, w = flat_grid(CHISQ4, CHISQ4, 200)
+        per_state = per_state_rates(pol, ChannelState(hm, he))
+        assert ergodic_secrecy_rate(pol, CHISQ4, CHISQ4) == weighted_sum(w, per_state.r_s)
+        assert expected_key_share(pol, CHISQ4, CHISQ4) == weighted_sum(w, per_state.r_s_prime)
 
     @pytest.mark.parametrize("spec_m,spec_e", [
         ("chisq:4", "chisq:4"), ("const:3", "const:1"), ("exp:1", "const:0.5"),
@@ -150,32 +184,31 @@ class TestErgodicSecrecyRate:
         falls as kappa grows."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         pol = calibrate("const", dm, de, 100.0)
-        grid = joint_grid(dm, de, 200)
+        hm, he, w = flat_grid(dm, de, 200)
         shares = []
         for kappa in (0.0, 1.5, 2.0):
-            r = per_state_rates(pol, ChannelState(grid[0], grid[1]), kappa)
+            r = per_state_rates(pol, ChannelState(hm, he), kappa)
             shares.append(expected_key_share(pol, dm, de, kappa))
-            assert shares[-1] == grid_mean(grid, r.r_s_prime)
+            assert shares[-1] == weighted_sum(w, r.r_s_prime)
         assert shares[0] > shares[1] > shares[2]
 
     def test_non_finite_integrand_raises_and_gap_is_read_only(self):
-        """p * h overflows at p_bar = 1e308 and the gap is inf - inf: every
-        path into the shared finite check names the grid point."""
-        pol = PowerPolicy("const", 1e308)
-        msg = "integrand not finite at grid point"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=msg):
-                ergodic_secrecy_rate(pol, CHISQ4, CHISQ4)
-            with pytest.raises(ValueError, match=msg):
-                expected_key_share(pol, CHISQ4, CHISQ4)
-            with pytest.raises(ValueError, match=msg):
-                expected_key_share(pol, CHISQ4, CHISQ4, 0.7)
+        """A NaN or an infinity anywhere in the integrand fails the finite
+        check with the grid point named; the shared gap is read-only and
+        its mean is the flat weighted sum."""
+        n = marginal_nodes(CHISQ4, 200)[0].size
+        for bad in (np.nan, np.inf, -np.inf):
+            y = np.ones((n, n))
+            y[n - 1, 0] = bad
+            with pytest.raises(ValueError, match="integrand not finite at grid point"):
+                grid_mean(CHISQ4, CHISQ4, y, 200)
         gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
                                CHISQ4, CHISQ4, 200)
-        assert ers == weighted_sum(joint_grid(CHISQ4, CHISQ4, 200)[2],
-                                   np.maximum(gap, 0.0))
+        assert gap.shape == (n, n)
+        assert ers == weighted_sum(flat_grid(CHISQ4, CHISQ4, 200)[2],
+                                   np.maximum(gap, 0.0).ravel())
         with pytest.raises(ValueError, match="read-only"):
-            gap[0] = 0.0
+            gap[0, 0] = 0.0
 
     # main-gain laws crossed with eavesdropper laws, point masses included
     @pytest.mark.parametrize("spec_m,spec_e", [
@@ -185,18 +218,23 @@ class TestErgodicSecrecyRate:
     ])
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv:0.7"])
     def test_gap_equals_two_dimensional_formula(self, spec_m, spec_e, family):
-        """The gap built from the marginal nodes is bit-identical to
-        log1p(P h_m) - log1p(P h_e) evaluated on the whole joint grid."""
+        """The gap is bit-identical to r_main - r_eve of per_state_rates on
+        the broadcast state (main nodes a column, eavesdropper nodes a row),
+        and, flattened, to log1p(P h_m) - log1p(P h_e) on the flat grid."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         fam, h_min = family.split(":")[0], float(family.partition(":")[2] or 0.0)
         try:
             pol = calibrate(fam, dm, de, 100.0, h_min)
         except NonInvertibleChannelError:
             pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
-        hm, he, _ = joint_grid(dm, de, 64)
+        gap = secrecy_gap(pol, dm, de, 64)[0]
+        xm, xe = marginal_nodes(dm, 64)[0], marginal_nodes(de, 64)[0]
+        r = per_state_rates(pol, ChannelState(xm[:, None], xe))
+        assert gap.shape == (xm.size, xe.size)
+        assert np.array_equal(gap, r.r_main - r.r_eve)
+        hm, he, _ = flat_grid(dm, de, 64)
         p = pol.power(hm, he)
-        want = np.log1p(p * hm) - np.log1p(p * he)
-        assert np.array_equal(secrecy_gap(pol, dm, de, 64)[0], want)
+        assert np.array_equal(gap.ravel(), np.log1p(p * hm) - np.log1p(p * he))
 
 
 class TestDelayFloor:
