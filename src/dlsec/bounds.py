@@ -24,8 +24,7 @@ nothing older is hit again).  The law-only inputs of calibration
 (E[1/min(h_m, h_e)], the truncated inverse moment and the trunc-inv
 default cutoff) are cached per law, 64 entries each, so calibrating at a
 new budget is one division.  Every expectation over (h_m, h_e) is a sum
-on the product of the two per-law rules of
-:func:`dlsec.fading.marginal_nodes`, evaluated by broadcasting.
+on the law pair's :func:`dlsec.fading.pair_rule`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import ChannelState, FadingDistribution, inverse_min_moment, joint_weights
+from .fading import ChannelState, FadingDistribution, inverse_min_moment, pair_rule
 from .numerics import halfline_nodes, tanh_sinh_nodes, unit_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
@@ -226,8 +225,8 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, for a flat gap
-    and its weights (``secrecy_gap(...)[0].ravel()`` and
-    :func:`~dlsec.fading.joint_weights`).
+    and its weights (``secrecy_gap(...)[0].ravel()`` and the ``w`` of
+    :func:`~dlsec.fading.pair_rule`).
 
     Only the gaps above R count, so K(R) = S - R W, where S and W sum
     w_i g_i and w_i over them.  The positive gaps are sorted once and S
@@ -269,7 +268,7 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
         diag["binding"] = "r_d_floor"
         return 0.0, diag
     gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
-    gap, w = gap.ravel(), joint_weights(dist_m, dist_e, nodes)
+    gap, w = gap.ravel(), pair_rule(dist_m, dist_e, nodes).w
     positive = gap > 0.0
     g_pos, w_pos = gap[positive], w[positive]
     g_act, w_act = g_pos, w_pos

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
                      upper_full, upper_main)
-from .fading import joint_weights, parse_distribution
+from .fading import pair_rule, parse_distribution
 from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import SCHEMES, SimConfig, simulate
@@ -192,6 +192,17 @@ def _usable(result):
     return result
 
 
+def _bounds_at(dist_m, dist_e, p_bar, args) -> dict:
+    """The four bounds at one budget for the command's options, in CSV order."""
+    kwargs = dict(family_menu=args.policy, nodes=args.nodes)
+    return {
+        "upper_full": _usable(upper_full(dist_m, dist_e, p_bar, **kwargs)),
+        "lower_full": lower_full(dist_m, dist_e, p_bar, q_kappa=args.q_kappa, **kwargs),
+        "upper_main": upper_main(dist_m, dist_e, p_bar, **kwargs),
+        "lower_main": lower_main(dist_m, dist_e, p_bar, **kwargs),
+    }
+
+
 def _bound_json(result, bits: bool) -> dict:
     pol = result.policy
     out = {
@@ -208,19 +219,14 @@ def cmd_bounds(args) -> int:
     dist_m = parse_distribution(args.dist_m)
     dist_e = parse_distribution(args.dist_e)
     p_bar = _pbar_from_db(args.pbar_db)
-    kwargs = dict(family_menu=args.policy, nodes=args.nodes)
-    uf = _usable(upper_full(dist_m, dist_e, p_bar, **kwargs))
+    bounds = _bounds_at(dist_m, dist_e, p_bar, args)
     limit = high_snr_limit(dist_m, dist_e, nodes=max(args.nodes, 400))
     doc = {
         "p_bar": p_bar,
         "p_bar_db": args.pbar_db,
         "dist_m": dist_m.spec(),
         "dist_e": dist_e.spec(),
-        "upper_full": _bound_json(uf, args.bits),
-        "lower_full": _bound_json(
-            lower_full(dist_m, dist_e, p_bar, q_kappa=args.q_kappa, **kwargs), args.bits),
-        "upper_main": _bound_json(upper_main(dist_m, dist_e, p_bar, **kwargs), args.bits),
-        "lower_main": _bound_json(lower_main(dist_m, dist_e, p_bar, **kwargs), args.bits),
+        **{name: _bound_json(result, args.bits) for name, result in bounds.items()},
         "high_snr_limit": {"value": limit.value, "invertible": limit.invertible,
                            "quad_error": limit.quad_error},
     }
@@ -259,20 +265,13 @@ def cmd_sweep(args) -> int:
     dist_m = parse_distribution(args.dist_m)
     dist_e = parse_distribution(args.dist_e)
     grid = _parse_grid(args.snr_db_grid)
-    menu = args.policy
     limit = high_snr_limit(dist_m, dist_e, nodes=max(args.nodes, 400))
     lines = ["snr_db,upper_full,lower_full,upper_main,lower_main,high_snr_limit"]
     for snr_db in grid:
-        p_bar = _pbar_from_db(snr_db)
-        uf = _usable(upper_full(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes))
-        lf = lower_full(dist_m, dist_e, p_bar, family_menu=menu,
-                        q_kappa=args.q_kappa, nodes=args.nodes)
-        um = upper_main(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes)
-        lm = lower_main(dist_m, dist_e, p_bar, family_menu=menu, nodes=args.nodes)
-        lines.append(",".join([
-            repr(float(snr_db)), repr(uf.value), repr(lf.value),
-            repr(um.value), repr(lm.value), repr(limit.value),
-        ]))
+        bounds = _bounds_at(dist_m, dist_e, _pbar_from_db(snr_db), args)
+        lines.append(",".join([repr(float(snr_db)),
+                               *(repr(result.value) for result in bounds.values()),
+                               repr(limit.value)]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -316,7 +315,7 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
     r_d = delay_floor(pol, dist_m)
     gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
     grid = np.linspace(0.0, r_d, grid_points)
-    k = key_rate(gap.ravel(), joint_weights(dist_m, dist_e, nodes), grid)
+    k = key_rate(gap.ravel(), pair_rule(dist_m, dist_e, nodes).w, grid)
     g = grid - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
     return abs(r_star - best)

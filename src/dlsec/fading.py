@@ -39,6 +39,7 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 _CF_TOL = 4.0 * _EPS
 _CHECK_EVERY = 8  # array loops test convergence once per this many terms
 _QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
+_MOMENT_NODES = 200  # of the rules behind the two quadrature moments
 
 
 def _gamma_pq(k: float, y: float) -> tuple[float, float]:
@@ -191,8 +192,8 @@ class ChannelState:
     """One fading realization: main and eavesdropper power gains.
 
     Fields may be scalars or arrays that broadcast together: equal-length
-    arrays in the Monte Carlo and simulation paths, a column of main nodes
-    and a row of eavesdropper nodes on the product quadrature rule.
+    arrays in the Monte Carlo and simulation paths, the node pairs of a
+    :func:`pair_rule`.
     """
 
     h_m: float | np.ndarray
@@ -375,14 +376,13 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
         return 1.0 / v if v >= h_min else 0.0
     if h_min == 0.0:
         return inverse_moment(dist)
-    x, w = halfline_nodes(200)
+    x, w = halfline_nodes(_MOMENT_NODES)
     y = x + h_min
     return weighted_sum(w, dist.pdf(y) / y)
 
 
 @lru_cache(maxsize=64)
-def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
-                       nodes: int = 200) -> float:
+def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -> float:
     """E[1/min(h_m, h_e)] for independent gains, or math.inf when divergent.
 
     Law-only, so cached (full-inv calibration and the high-SNR
@@ -403,61 +403,61 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution,
         v = dist_m.params[0] if dist_m.is_degenerate else dist_e.params[0]
         cont = dist_e if dist_m.is_degenerate else dist_m
         # E[1/min(v, Y)] = int_0^v f(y)/y dy + (1/v) P(Y >= v)
-        t, wt = unit_nodes(nodes)
+        t, wt = unit_nodes(_MOMENT_NODES)
         head = weighted_sum(wt, cont.pdf(v * t) / t)
         return head + (1.0 - cont.cdf(v)) / v
-    x, w = halfline_nodes(nodes)
+    x, w = halfline_nodes(_MOMENT_NODES)
     min_density = (dist_m.pdf(x) * (1.0 - dist_e.cdf(x))
                    + dist_e.pdf(x) * (1.0 - dist_m.cdf(x)))
     return weighted_sum(w, min_density / x)
 
 
-@lru_cache(maxsize=128)
-def marginal_nodes(dist: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one gain's law, read-only: the half-line nodes
-    with the density folded into the weight, or a point mass's atom with
-    weight 1.  Cached per law; :func:`joint_weights` is their product."""
+@dataclass(frozen=True, eq=False)
+class PairRule:
+    """A law pair's quadrature rule, read-only: ``h_m`` and ``h_e``
+    broadcast to its node pairs, and ``w`` holds their weights (sum ~1)
+    flat, lined up with ``y.ravel()`` for ``y`` evaluated on them."""
+
+    h_m: np.ndarray
+    h_e: np.ndarray
+    w: np.ndarray
+
+    def mean(self, y: np.ndarray) -> float:
+        """E[y] for a finite y taken at every node pair.
+
+        The weights are finite and >= 0, so a non-finite y makes the sum
+        non-finite (inf, or NaN from 0 * inf); y itself is scanned only then.
+
+        Raises:
+            ValueError: naming the first node pair where ``y`` is not finite.
+        """
+        total = weighted_sum(self.w, y.ravel())
+        if not math.isfinite(total) and not np.all(np.isfinite(y)):
+            i, j = np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape)
+            hm, he = self.h_m[i, 0], self.h_e[j]
+            raise ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
+        return total
+
+
+def _law_rule(dist: FadingDistribution, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-line nodes with the density folded into the weights, or a
+    point mass's atom with weight 1."""
     if dist.is_degenerate:
-        x, w = np.array([dist.params[0]]), np.array([1.0])
-    else:
-        x, w = halfline_nodes(nodes)
-        w = w * dist.pdf(x)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+        return np.array([dist.params[0]]), np.array([1.0])
+    x, w = halfline_nodes(nodes)
+    return x, w * dist.pdf(x)
 
 
 @lru_cache(maxsize=8)
-def joint_weights(dist_m: FadingDistribution, dist_e: FadingDistribution,
-                  nodes: int = 200) -> np.ndarray:
-    """The weights of the product of the two :func:`marginal_nodes` rules,
-    flattened with the main node varying slowest, read-only.
-
-    A joint functional is evaluated on the main nodes as a column and the
-    eavesdropper nodes as a row, ``y[i, j] = f(xm[i], xe[j])``, and
-    ``y.ravel()`` lines up with these weights.  They sum to ~1, so a
-    weighted sum against them is an expectation.  The bounds read one law
-    pair at a time, so 8 entries (320 KB each at 200 nodes) are plenty.
+def pair_rule(dist_m: FadingDistribution, dist_e: FadingDistribution,
+              nodes: int = 200) -> PairRule:
+    """The product of the two per-law rules of :func:`_law_rule`: main nodes
+    as a column, eavesdropper nodes as a row, and the weight of pair (i, j)
+    at flat index i * n_e + j.  Cached; the bounds read one law pair at a
+    time, so 8 entries (320 KB each at 200 nodes) are plenty.
     """
-    w = np.outer(marginal_nodes(dist_m, nodes)[1], marginal_nodes(dist_e, nodes)[1]).ravel()
-    w.flags.writeable = False
-    return w
-
-
-def grid_mean(dist_m: FadingDistribution, dist_e: FadingDistribution, y: np.ndarray,
-              nodes: int = 200) -> float:
-    """E[y] for ``y[i, j]`` taken at main node i and eavesdropper node j of
-    the :func:`marginal_nodes` rules, for a finite y.
-
-    The weights are finite and >= 0, so a non-finite y makes the sum
-    non-finite (inf, or NaN from 0 * inf); y itself is scanned only then.
-
-    Raises:
-        ValueError: naming the first node pair where ``y`` is not finite.
-    """
-    total = weighted_sum(joint_weights(dist_m, dist_e, nodes), y.ravel())
-    if not math.isfinite(total) and not np.all(np.isfinite(y)):
-        i, j = np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape)
-        hm, he = marginal_nodes(dist_m, nodes)[0][i], marginal_nodes(dist_e, nodes)[0][j]
-        raise ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
-    return total
+    (xm, wm), (xe, we) = _law_rule(dist_m, nodes), _law_rule(dist_e, nodes)
+    rule = PairRule(xm[:, None], xe, np.outer(wm, we).ravel())
+    for a in (rule.h_m, rule.h_e, rule.w):
+        a.flags.writeable = False
+    return rule

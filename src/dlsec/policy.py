@@ -23,8 +23,9 @@ MAIN_CSI = "main"
 
 
 class NonInvertibleChannelError(ValueError):
-    """An inversion policy was requested but the inverse moment diverges, or
-    a truncated one never transmits on a point-mass main gain."""
+    """An inversion policy was requested but the inverse moment diverges, a
+    truncated one never transmits on a point-mass main gain, or the
+    calibrated scale overflows."""
 
 
 class CsiError(ValueError):
@@ -99,55 +100,61 @@ def parse_policy(text: str) -> tuple[str, float]:
     return family, 0.0
 
 
+def _power_moment(family: str, dist_m: FadingDistribution, dist_e: FadingDistribution,
+                  h_min: float) -> float:
+    """E[P(h)] / c: 1, E[1/min(h_m, h_e)], E[1/h_m] or E[1/h_m; h_m >= h_min]."""
+    if family == "const":
+        return 1.0
+    if family == "full-inv":
+        return inverse_min_moment(dist_m, dist_e)
+    if family == "main-inv":
+        return inverse_moment(dist_m)
+    if family == "trunc-inv":
+        return truncated_inverse_moment(dist_m, h_min)
+    raise ValueError(f"unknown policy family {family!r}")
+
+
 def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistribution,
               p_bar: float, h_min: float = 0.0) -> PowerPolicy:
     """Pin the family's scale so that E[P(h)] = p_bar (met with equality).
 
     Raises:
         NonInvertibleChannelError: when the required inverse moment
-            diverges, naming the offending moment, or when a trunc-inv
-            cutoff lies above a point-mass main gain.
+            diverges, naming the offending moment, when a trunc-inv cutoff
+            lies above a point-mass main gain, or when the scale overflows.
     """
-    if not (p_bar >= 0.0):
-        raise ValueError(f"average power budget must be >= 0, got {p_bar}")
-    if family == "const":
-        return PowerPolicy("const", p_bar)
-    if family == "full-inv":
-        moment = inverse_min_moment(dist_m, dist_e)
-        if math.isinf(moment):
-            raise NonInvertibleChannelError(
-                f"non-invertible channel: E[1/min(h_m, h_e)] diverges for "
-                f"{dist_m.spec()} / {dist_e.spec()}"
-            )
-        if not moment > 0.0:
-            raise ValueError(
-                f"E[1/min(h_m, h_e)] evaluates to {moment:g} for {dist_m.spec()} / "
-                f"{dist_e.spec()}: the quadrature grid misses these laws"
-            )
-        return PowerPolicy("full-inv", p_bar / moment)
-    if family == "main-inv":
-        moment = inverse_moment(dist_m)
-        if math.isinf(moment):
-            raise NonInvertibleChannelError(
-                f"non-invertible channel: E[1/h_m] diverges for {dist_m.spec()}"
-            )
-        return PowerPolicy("main-inv", p_bar / moment)
-    if family == "trunc-inv":
-        if not h_min > 0:
-            raise ValueError("trunc-inv needs a positive cutoff h_min")
-        moment = truncated_inverse_moment(dist_m, h_min)
-        if moment == 0.0:
-            if p_bar == 0.0:
-                return PowerPolicy("trunc-inv", 0.0, h_min)
-            # above a point mass the cutoff is a property of the model; for a
-            # continuous law a zero moment means the grid missed its mass
-            error = NonInvertibleChannelError if dist_m.is_degenerate else ValueError
-            raise error(
-                f"trunc-inv with h_min={h_min:g} never transmits under "
-                f"{dist_m.spec()}; cannot meet E[P] = {p_bar:g}"
-            )
-        return PowerPolicy("trunc-inv", p_bar / moment, h_min)
-    raise ValueError(f"unknown policy family {family!r}")
+    if not 0.0 <= p_bar < math.inf:
+        raise ValueError(f"average power budget must be finite and >= 0, got {p_bar}")
+    if family != "trunc-inv":
+        h_min = 0.0
+    elif not h_min > 0:
+        raise ValueError("trunc-inv needs a positive cutoff h_min")
+    moment = _power_moment(family, dist_m, dist_e, h_min)
+    if math.isinf(moment):
+        name, laws = (("E[1/min(h_m, h_e)]", f"{dist_m.spec()} / {dist_e.spec()}")
+                      if family == "full-inv" else ("E[1/h_m]", dist_m.spec()))
+        raise NonInvertibleChannelError(f"non-invertible channel: {name} diverges for {laws}")
+    if p_bar == 0.0:
+        return PowerPolicy(family, 0.0, h_min)
+    if family == "full-inv" and not moment > 0.0:
+        raise ValueError(
+            f"E[1/min(h_m, h_e)] evaluates to {moment:g} for {dist_m.spec()} / "
+            f"{dist_e.spec()}: the quadrature grid misses these laws"
+        )
+    if family == "trunc-inv" and moment == 0.0:
+        # above a point mass the cutoff is a property of the model; for a
+        # continuous law a zero moment means the grid missed its mass
+        error = NonInvertibleChannelError if dist_m.is_degenerate else ValueError
+        raise error(
+            f"trunc-inv with h_min={h_min:g} never transmits under "
+            f"{dist_m.spec()}; cannot meet E[P] = {p_bar:g}"
+        )
+    # main-inv's 1/((k - 1) theta) underflows to 0 only where c overflows
+    c = p_bar / moment if moment else math.inf
+    if math.isinf(c):
+        raise NonInvertibleChannelError(
+            f"{family}: the scale p_bar / (E[P]/c) = {p_bar:g} / {moment:g} overflows")
+    return PowerPolicy(family, c, h_min)
 
 
 def expected_power(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -162,10 +169,4 @@ def expected_power(policy: PowerPolicy, dist_m: FadingDistribution,
     """
     if policy.c == 0.0:
         return 0.0
-    if policy.family == "const":
-        return policy.c
-    if policy.family == "full-inv":
-        return policy.c * inverse_min_moment(dist_m, dist_e)
-    if policy.family == "main-inv":
-        return policy.c * inverse_moment(dist_m)
-    return policy.c * truncated_inverse_moment(dist_m, policy.h_min)
+    return policy.c * _power_moment(policy.family, dist_m, dist_e, policy.h_min)

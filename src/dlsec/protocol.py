@@ -20,9 +20,10 @@ ties to even.  The rounding residue is never banked in later blocks.
 
 Schemes:
     full      per-block key messages ride alongside a direct secret lane;
-              decoded key bits enter the pad pool at block end, and the
-              pool built by super-block m first serves super-block m+1
-              (super-block 1's pad lane runs unencrypted by default).
+              decoded key bits enter the pad pool at each block end and
+              stay there until spent, and from super-block 2 on every
+              block draws its pad from the pool (super-block 1's pad lane
+              runs unencrypted by default).
     main      everything rides the one-time pad at the fixed-point rate;
               key bits decode only at super-block end.
     baseline  plain per-block wiretap coding, which zeroes out in every

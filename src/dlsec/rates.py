@@ -18,12 +18,13 @@ is not estimable from finite draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fading import ChannelState, FadingDistribution, grid_mean, marginal_nodes
+from .fading import ChannelState, FadingDistribution, pair_rule
 from .policy import PowerPolicy
 
 
@@ -86,23 +87,21 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
 @lru_cache(maxsize=8)
 def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
                 dist_e: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, float]:
-    """The gap r_main - r_eve at every node pair (read-only), and E[r_s].
+    """The gap r_main - r_eve at every node pair of
+    :func:`~dlsec.fading.pair_rule` (read-only), and E[r_s].
 
-    The gap is (n_m, n_e): main nodes down the rows, eavesdropper nodes
-    along them, so ``gap.ravel()`` lines up with
-    :func:`~dlsec.fading.joint_weights`.  E[r_s], E[r_s'] at q = h_e and
-    the main-CSI key rate K(R) all read this one evaluation.  The cache
-    holds the 4 default families of one (law pair, budget) with room to
-    spare (8 gaps at 200 nodes: 2.5 MB); a new budget rescales every
-    policy, so no entry is hit across budgets.  Only full-inv's power is
-    2-D; const's is the scalar c.
+    ``gap.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
+    E[r_s'] at q = h_e and the main-CSI key rate K(R) all read this one
+    evaluation.  The cache holds the 4 default families of one (law pair,
+    budget) with room to spare (8 gaps at 200 nodes: 2.5 MB); a new budget
+    rescales every policy, so no entry is hit across budgets.  Only
+    full-inv's power depends on both gains; const's is the scalar c.
     """
-    xm = marginal_nodes(dist_m, nodes)[0][:, None]
-    xe = marginal_nodes(dist_e, nodes)[0]
-    p = policy.c if policy.family == "const" else policy.power(xm, xe)
-    gap = log_rate(p, xm) - log_rate(p, xe)
+    rule = pair_rule(dist_m, dist_e, nodes)
+    p = policy.c if policy.family == "const" else policy.power(rule.h_m, rule.h_e)
+    gap = log_rate(p, rule.h_m) - log_rate(p, rule.h_e)
     gap.flags.writeable = False
-    return gap, grid_mean(dist_m, dist_e, np.maximum(gap, 0.0), nodes)
+    return gap, rule.mean(np.maximum(gap, 0.0))
 
 
 def ergodic_secrecy_rate(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -120,9 +119,8 @@ def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
     """
     if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
-    state = ChannelState(marginal_nodes(dist_m, nodes)[0][:, None],
-                         marginal_nodes(dist_e, nodes)[0])
-    return grid_mean(dist_m, dist_e, per_state_rates(policy, state, kappa).r_s_prime, nodes)
+    rule = pair_rule(dist_m, dist_e, nodes)
+    return rule.mean(per_state_rates(policy, ChannelState(rule.h_m, rule.h_e), kappa).r_s_prime)
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
@@ -133,13 +131,11 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     trunc-inv -> 0 whenever the support extends below the cutoff.
     """
     lo = dist_m.support_min
-    if policy.family == "const":
-        return float(np.log1p(policy.c * lo))
-    if policy.family in ("full-inv", "main-inv"):
-        return float(np.log1p(policy.c))
-    # trunc-inv: power is zero below the cutoff
-    if lo < policy.h_min:
-        return 0.0
+    if policy.family == "const":  # log-split where c * lo overflows, as log_rate
+        clo = policy.c * lo
+        return float(np.log1p(clo)) if clo < math.inf else math.log(policy.c) + math.log(lo)
+    if policy.family == "trunc-inv" and lo < policy.h_min:
+        return 0.0  # no power below the cutoff
     return float(np.log1p(policy.c))
 
 

@@ -62,6 +62,19 @@ class TestBounds:
             value = doc[key]["value"]
             assert math.isfinite(value) and value <= limit + 1e-9, key
 
+    def test_scale_that_overflows_is_skipped(self, capsys):
+        """At 3000 dB over const:1e10, main-inv's and trunc-inv's scales
+        p_bar / E[1/h_m] overflow: both are recorded as infeasible and the
+        rest of the menu still runs."""
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "const:1e10",
+                                 "--dist-e", "const:1", "--pbar-db", "3000")
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
+            assert "overflows" in doc[key]["diagnostics"]["infeasible"]["main-inv"], key
+            assert math.isfinite(doc[key]["value"]), key
+            assert math.isfinite(doc[key]["diagnostics"].get("r_d_floor", 0.0)), key
+
     def test_non_invertible_menu_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "exp:1",
                                "--dist-e", "exp:1", "--policy", "full-inv")

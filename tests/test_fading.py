@@ -10,8 +10,8 @@ import pytest
 from scipy import stats
 
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
-                          grid_mean, inverse_min_moment, inverse_moment, joint_weights,
-                          marginal_nodes, parse_distribution, truncated_inverse_moment)
+                          inverse_min_moment, inverse_moment, pair_rule, parse_distribution,
+                          truncated_inverse_moment)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 from flat_grid import flat_grid
@@ -290,33 +290,36 @@ class TestStateAndExpectation:
     def test_expectation_matches_product_of_means(self):
         d = parse_distribution("chisq:4")
         g = parse_distribution("gamma:2:1")
-        got = grid_mean(d, g, marginal_nodes(d)[0][:, None] * marginal_nodes(g)[0])
+        rule = pair_rule(d, g)
+        got = rule.mean(rule.h_m * rule.h_e)
         assert abs(got - 4.0 * 2.0) < 1e-8
 
     def test_expectation_with_atom(self):
         c = parse_distribution("const:3")
         d = parse_distribution("chisq:4")
-        got = grid_mean(c, d, marginal_nodes(c)[0][:, None] + marginal_nodes(d)[0])
+        rule = pair_rule(c, d)
+        got = rule.mean(rule.h_m + rule.h_e)
         assert abs(got - 7.0) < 1e-8
 
-    def test_joint_weights_are_the_flat_product_rule(self):
+    def test_pair_rule_weights_are_the_flat_product_rule(self):
         """Bit for bit the products of the flat layout, read-only and cached."""
         d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
-        w = joint_weights(d, g, 64)
-        assert np.array_equal(w, flat_grid(d, g, 64)[2])
-        assert w is joint_weights(d, g, 64)
+        rule = pair_rule(d, g, 64)
+        assert np.array_equal(rule.w, flat_grid(d, g, 64)[2])
+        assert rule is pair_rule(d, g, 64)
         with pytest.raises(ValueError, match="read-only"):
-            w[0] = 0.0
+            rule.w[0] = 0.0
 
     def test_non_finite_entry_is_named_by_its_node_pair(self):
         """The error names (h_m, h_e) of the first non-finite entry of a
         2-D integrand, in the flat order of the weights."""
         d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
-        xm, xe = marginal_nodes(d, 16)[0], marginal_nodes(g, 16)[0]
+        rule = pair_rule(d, g, 16)
+        xm, xe = rule.h_m[:, 0], rule.h_e
         y = np.zeros((xm.size, xe.size))
         y[3, 11] = np.nan
         y[5, 2] = np.inf
         y[9, 0] = -np.inf
         with pytest.raises(ValueError, match=re.escape(
                 f"integrand not finite at grid point (h_m={xm[3]:.6g}, h_e={xe[11]:.6g})")):
-            grid_mean(d, g, y, 16)
+            rule.mean(y)

@@ -93,6 +93,20 @@ class TestCalibrate:
     def test_zero_budget(self):
         assert calibrate("main-inv", CHISQ4, CHISQ4, 0.0).c == 0.0
 
+    def test_scale_that_overflows_is_infeasible(self):
+        """c = p_bar / E[P/c] past the float range is an infeasible entry,
+        also where E[1/h_m] itself underflows to 0 (scale 1e308)."""
+        atom = parse_distribution("const:1e10")
+        with pytest.raises(NonInvertibleChannelError, match="main-inv: the scale .* overflows"):
+            calibrate("main-inv", atom, CHISQ4, 1e300)
+        with pytest.raises(NonInvertibleChannelError, match="overflows"):
+            calibrate("main-inv", parse_distribution("gamma:50:1e308"), CHISQ4, 1.0)
+        assert calibrate("const", atom, CHISQ4, 1e300).c == 1e300
+
+    def test_infinite_budget_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            calibrate("const", CHISQ4, CHISQ4, float("inf"))
+
     def test_budget_met_with_equality(self):
         """E[P] meets the budget with equality (relative 1e-9)."""
         p_bar = 7.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dlsec.bounds import lower_full
-from dlsec.fading import ChannelState, grid_mean, marginal_nodes, parse_distribution
+from dlsec.fading import ChannelState, pair_rule, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
@@ -196,12 +196,13 @@ class TestErgodicSecrecyRate:
         """A NaN or an infinity anywhere in the integrand fails the finite
         check with the grid point named; the shared gap is read-only and
         its mean is the flat weighted sum."""
-        n = marginal_nodes(CHISQ4, 200)[0].size
+        rule = pair_rule(CHISQ4, CHISQ4, 200)
+        n = rule.h_m.size
         for bad in (np.nan, np.inf, -np.inf):
             y = np.ones((n, n))
             y[n - 1, 0] = bad
             with pytest.raises(ValueError, match="integrand not finite at grid point"):
-                grid_mean(CHISQ4, CHISQ4, y, 200)
+                rule.mean(y)
         gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
                                CHISQ4, CHISQ4, 200)
         assert gap.shape == (n, n)
@@ -228,9 +229,9 @@ class TestErgodicSecrecyRate:
         except NonInvertibleChannelError:
             pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
         gap = secrecy_gap(pol, dm, de, 64)[0]
-        xm, xe = marginal_nodes(dm, 64)[0], marginal_nodes(de, 64)[0]
-        r = per_state_rates(pol, ChannelState(xm[:, None], xe))
-        assert gap.shape == (xm.size, xe.size)
+        rule = pair_rule(dm, de, 64)
+        r = per_state_rates(pol, ChannelState(rule.h_m, rule.h_e))
+        assert gap.shape == (rule.h_m.size, rule.h_e.size)
         assert np.array_equal(gap, r.r_main - r.r_eve)
         hm, he, _ = flat_grid(dm, de, 64)
         p = pol.power(hm, he)
