@@ -18,13 +18,15 @@ method from R = 0 reaches it exactly on the crossing segment of K
 All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
 (upper bounds), E[r_s'] at q = h_e (lower_full) and K(R) (lower_main).
 :func:`dlsec.rates.secrecy_gap` evaluates it once per calibrated policy
-and keeps the last 8, so the bounds at one budget build it once per
-family (the default menus have 4; a new budget rescales every policy, so
-nothing older is hit again).  The law-only inputs of calibration
-(E[1/min(h_m, h_e)], the truncated inverse moment and the trunc-inv
-default cutoff) are cached per law, 64 entries each, so calibrating at a
-new budget is one division.  Every expectation over (h_m, h_e) is a sum
-on the law pair's :func:`dlsec.fading.pair_rule`.
+and keeps the last 8, so the bounds at one budget build it at most once
+per family, and only for the families whose value reads it: an entry
+with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
+point-mass pair (lower_full) is worth 0 without it.  A new budget
+rescales every policy, so nothing older is hit again.  The law-only
+inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
+and the trunc-inv default cutoff) are cached per law, 64 entries each,
+so calibrating at a new budget is one division.  Every expectation over
+(h_m, h_e) is a sum on the law pair's :func:`dlsec.fading.pair_rule`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +84,8 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
     """The menu pass behind every bound: calibrate each entry of the menu
     (None picks the CSI case's default) to the budget, score it with
     ``objective(policy) -> (value, diagnostics)`` and keep the first maximum.
+    ``diagnostics`` is a dict, or a zero-argument callable returning one;
+    it is called once, for the reported entry only.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
     whose inverse moment diverges are recorded as ``infeasible``.  When no
@@ -114,6 +118,8 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
                     infeasible=infeasible)
     else:
         value, pol, diag = best
+        if callable(diag):
+            diag = diag()
         if infeasible:
             diag["infeasible"] = infeasible
     if skipped:
@@ -168,14 +174,20 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     (q = h_e) is optimal.  A point-mass pair has no outage: every kappa
     gives r_s - r_s' + min{r_s', cap} <= r_s, and kappa = v_m (r_s' = 0)
     attains r_s, so the first maximum of kappa = 0 and v_m is taken.
+
+    Off a point-mass pair, an entry whose cap ess-inf min(r_main, r_eve)
+    is 0 (every family but full-inv, and full-inv at zero power) is worth
+    exactly 0 at any kappa, so its E[r_s'] is evaluated only if that entry
+    is the one reported.
     """
     if q_kappa is not None and not q_kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {q_kappa}")
+    kappa0 = 0.0 if q_kappa is None else float(q_kappa)
     # a point-mass pair: E[r_s'] and ess-inf r_s'' are its atom's rates
     atom = (ChannelState(dist_m.params[0], dist_e.params[0])
             if dist_m.is_degenerate and dist_e.is_degenerate else None)
 
-    def objective(pol: PowerPolicy) -> tuple[float, dict]:
+    def objective(pol: PowerPolicy) -> tuple[float, dict | Callable[[], dict]]:
         cap = common_rate_floor(pol, dist_m, dist_e)
 
         def value_at(kappa: float) -> tuple[float, dict]:
@@ -199,10 +211,11 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                                 and diag["common_rate_margin"] >= -_CERT_TOL)
             return dfloor + r_o, diag
 
-        if q_kappa is not None:
-            return value_at(float(q_kappa))
-        value, diag = value_at(0.0)
-        if atom is not None:
+        if atom is None and cap == 0.0:
+            # dfloor is 0 and E[r_s'] >= 0, so min{E[r_s'], 0} is 0 already
+            return 0.0, lambda: value_at(kappa0)[1]
+        value, diag = value_at(kappa0)
+        if atom is not None and q_kappa is None:
             # kappa = v_m zeroes the key share, so the whole r_s is direct
             direct = value_at(atom.h_m)
             if direct[0] > value:

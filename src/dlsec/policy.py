@@ -24,8 +24,8 @@ MAIN_CSI = "main"
 
 class NonInvertibleChannelError(ValueError):
     """An inversion policy was requested but the inverse moment diverges, a
-    truncated one never transmits on a point-mass main gain, or the
-    calibrated scale overflows."""
+    truncated one never transmits (a cutoff above a point-mass main gain, or
+    an infinite one), or the calibrated scale overflows."""
 
 
 class CsiError(ValueError):
@@ -121,7 +121,8 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
     Raises:
         NonInvertibleChannelError: when the required inverse moment
             diverges, naming the offending moment, when a trunc-inv cutoff
-            lies above a point-mass main gain, or when the scale overflows.
+            lies above a point-mass main gain or is infinite, or when the
+            scale overflows.
     """
     if not 0.0 <= p_bar < math.inf:
         raise ValueError(f"average power budget must be finite and >= 0, got {p_bar}")
@@ -129,6 +130,9 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
         h_min = 0.0
     elif not h_min > 0:
         raise ValueError("trunc-inv needs a positive cutoff h_min")
+    elif math.isinf(h_min):
+        raise NonInvertibleChannelError(
+            f"trunc-inv with h_min=inf never transmits under {dist_m.spec()}")
     moment = _power_moment(family, dist_m, dist_e, h_min)
     if math.isinf(moment):
         name, laws = (("E[1/min(h_m, h_e)]", f"{dist_m.spec()} / {dist_e.spec()}")

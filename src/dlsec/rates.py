@@ -92,9 +92,10 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
 
     ``gap.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
     E[r_s'] at q = h_e and the main-CSI key rate K(R) all read this one
-    evaluation.  The cache holds the 4 default families of one (law pair,
-    budget) with room to spare (8 gaps at 200 nodes: 2.5 MB); a new budget
-    rescales every policy, so no entry is hit across budgets.  Only
+    evaluation.  The cache holds every family of one (law pair, budget)
+    that the bounds evaluate, at most the 4 default ones, with room to
+    spare (8 gaps at 200 nodes: 2.5 MB); a new budget rescales every
+    policy, so no entry is hit across budgets.  Only
     full-inv's power depends on both gains; const's is the scalar c.
     """
     rule = pair_rule(dist_m, dist_e, nodes)

@@ -17,8 +17,8 @@ from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit, ke
 from dlsec.fading import ChannelState, FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import FULL_CSI, calibrate
-from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, per_state_rates,
-                         secrecy_gap)
+from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
+                         expected_key_share, per_state_rates, secrecy_gap)
 
 from flat_grid import flat_grid
 
@@ -112,22 +112,80 @@ class TestLowerFull:
             assert lo <= hi + 1e-9
 
 
-def pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa):
-    """lower_full on a point-mass pair at a pinned kappa, with every rate
-    read off per_state_rates at the atom."""
+def eager_lower_full(dm, de, p_bar, menu=None, q_kappa=None):
+    """lower_full with every entry's rates and diagnostics built as it is
+    scored: off a point-mass pair E[r_s'] is evaluated whatever the cap,
+    and on one every rate is read off per_state_rates at the atom."""
+    atom = (ChannelState(dm.params[0], de.params[0])
+            if dm.is_degenerate and de.is_degenerate else None)
+
     def objective(pol):
         cap = common_rate_floor(pol, dm, de)
-        rates = per_state_rates(pol, ChannelState(dm.params[0], de.params[0]), q_kappa)
-        key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
-        r_o = min(key_mean, cap)
-        diag = {"q_kappa": q_kappa, "r_o_chosen": r_o, "r_o_cap": cap,
-                "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
-                "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
-        diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
-                            and diag["common_rate_margin"] >= -_CERT_TOL)
-        return dfloor + r_o, diag
+
+        def value_at(kappa):
+            if atom is not None:
+                r = per_state_rates(pol, atom, kappa)
+                key_mean, dfloor = r.r_s_prime, r.r_s_dprime
+            else:
+                key_mean, dfloor = expected_key_share(pol, dm, de, kappa=kappa), 0.0
+            r_o = min(key_mean, cap)
+            diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
+                    "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
+                    "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
+            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
+                                and diag["common_rate_margin"] >= -_CERT_TOL)
+            return dfloor + r_o, diag
+
+        if q_kappa is not None:
+            return value_at(q_kappa)
+        best = value_at(0.0)
+        if atom is not None:
+            direct = value_at(atom.h_m)
+            if direct[0] > best[0]:
+                best = direct
+        return best
 
     return _best(dm, de, p_bar, menu, 200, FULL_CSI, objective)
+
+
+class TestLazyDiagnostics:
+    """lower_full scores a zero-cap entry as 0 without E[r_s'] and builds
+    diagnostics only for the entry it reports; its value, policy and every
+    diagnostic must equal the eager evaluation's."""
+
+    @pytest.mark.parametrize("spec_m, spec_e, p_bar, menu, q_kappa, family", [
+        ("chisq:4", "chisq:4", 100.0, None, None, "full-inv"),
+        ("exp:1", "exp:1", 100.0, None, None, "const"),
+        ("chisq:4", "chisq:4", 0.0, None, None, "const"),
+        ("chisq:4", "chisq:4", 100.0, None, 0.5, "full-inv"),
+        ("exp:1", "exp:1", 100.0, None, 0.5, "const"),
+        ("chisq:4", "chisq:4", 100.0, ["trunc-inv:0.5"], None, "trunc-inv"),
+        ("chisq:4", "chisq:4", 100.0, ["trunc-inv:0.5"], 0.5, "trunc-inv"),
+        ("const:2", "chisq:4", 100.0, None, None, "full-inv"),
+    ])
+    def test_equals_eager_evaluation(self, spec_m, spec_e, p_bar, menu, q_kappa, family):
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        got = lower_full(dm, de, p_bar, family_menu=menu, q_kappa=q_kappa)
+        want = eager_lower_full(dm, de, p_bar, menu, q_kappa)
+        assert got.policy.family == family
+        assert (got.value, got.policy, got.diagnostics) == (want.value, want.policy,
+                                                            want.diagnostics)
+
+    @pytest.mark.parametrize("spec_m, spec_e, p_bar, builds", [
+        ("chisq:4", "chisq:4", 100.0, 2),
+        ("exp:1", "exp:1", 100.0, 1),
+        ("chisq:4", "chisq:4", 0.0, 1),
+        ("gamma:3:0.01", "exp:2", 100.0, 2),
+        ("const:2", "chisq:4", 100.0, 4),
+    ])
+    def test_gap_builds_for_the_four_bounds(self, spec_m, spec_e, p_bar, builds):
+        """Only the families whose value reads a gap build one: on a
+        continuous pair, lower_full's zero-cap const and trunc-inv do not."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        secrecy_gap.cache_clear()
+        for bound in (upper_full, lower_full, upper_main, lower_main):
+            bound(dm, de, p_bar)
+        assert secrecy_gap.cache_info().misses == builds
 
 
 def atom_value_over_kappa(pol, dm, de, kappas):
@@ -159,7 +217,7 @@ class TestPointMassKappaSearch:
                          [f"trunc-inv:{vm / 2:.6g}", "const"]):
                 for q_kappa in (0.0, 0.7):
                     got = lower_full(dm, de, p_bar, family_menu=menu, q_kappa=q_kappa)
-                    want = pointwise_atom_lower_full(dm, de, p_bar, menu, q_kappa)
+                    want = eager_lower_full(dm, de, p_bar, menu, q_kappa)
                     assert (repr((got.value, got.policy, sorted(got.diagnostics.items())))
                             == repr((want.value, want.policy,
                                      sorted(want.diagnostics.items())))), (dm, de, menu)

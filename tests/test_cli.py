@@ -75,6 +75,30 @@ class TestBounds:
             assert math.isfinite(doc[key]["value"]), key
             assert math.isfinite(doc[key]["diagnostics"].get("r_d_floor", 0.0)), key
 
+    @pytest.mark.parametrize("argv", [("bounds",), ("sweep", "--snr-db-grid", "0:10:5")])
+    def test_infinite_median_cutoff_is_skipped(self, capsys, argv):
+        """The median of gamma:50:1e308 overflows, so the bare trunc-inv
+        entry's cutoff is inf: it is recorded as infeasible, with no
+        warning, and the rest of the menu still runs."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--dist-m", "gamma:50:1e308",
+                                     "--dist-e", "chisq:4")
+        assert code == EXIT_OK and err == ""
+        if argv[0] == "bounds":
+            doc = json.loads(out)
+            for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
+                assert "h_min=inf" in doc[key]["diagnostics"]["infeasible"]["trunc-inv"], key
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 3
+            assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+    def test_infinite_cutoff_menu_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--policy", "trunc-inv:inf")
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert "h_min=inf never transmits" in err
+
     def test_non_invertible_menu_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "exp:1",
                                "--dist-e", "exp:1", "--policy", "full-inv")

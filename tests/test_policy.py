@@ -103,6 +103,15 @@ class TestCalibrate:
             calibrate("main-inv", parse_distribution("gamma:50:1e308"), CHISQ4, 1.0)
         assert calibrate("const", atom, CHISQ4, 1e300).c == 1e300
 
+    def test_infinite_cutoff_is_infeasible(self):
+        """A trunc-inv cutoff of inf (the median of gamma:50:1e308, or
+        trunc-inv:inf) never transmits; it is refused before any moment is
+        read, since the truncated moment there is NaN."""
+        huge = parse_distribution("gamma:50:1e308")
+        for dist_m in (huge, CHISQ4):
+            with pytest.raises(NonInvertibleChannelError, match="h_min=inf never transmits"):
+                calibrate("trunc-inv", dist_m, CHISQ4, 100.0, float("inf"))
+
     def test_infinite_budget_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
             calibrate("const", CHISQ4, CHISQ4, float("inf"))
