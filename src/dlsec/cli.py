@@ -350,16 +350,19 @@ def cmd_validate(args) -> int:
         checks.append((name, quad, est.mean, sigma * est.stderr + 1e-9))
         stream += 1
 
-    # calibrated average power hits the budget
+    # calibrated average power hits the budget, also on gamma:8:1000, whose
+    # mass lies far from unit scale
     dist = parse_distribution("chisq:4")
-    pol = calibrate("full-inv", dist, dist, p_bar)
-    quad = expected_power(pol, dist, dist)
-    est = mc_expect(lambda st: pol.power(st.h_m, st.h_e), dist, dist, n,
-                    RngSeed(seed, stream))
-    stream += 1
+    quad = expected_power(calibrate("full-inv", dist, dist, p_bar), dist, dist)
     checks.append(("calibration[chisq:4/full-inv] moment", quad, p_bar, 1e-9 * p_bar))
-    checks.append(("calibration[chisq:4/full-inv] mc", est.mean, p_bar,
-                   sigma * est.stderr + 1e-9))
+    for spec in ("chisq:4", "gamma:8:1000"):
+        law = parse_distribution(spec)
+        pol = calibrate("full-inv", law, law, p_bar)
+        est = mc_expect(lambda st, pol=pol: pol.power(st.h_m, st.h_e), law, law, n,
+                        RngSeed(seed, stream))
+        stream += 1
+        checks.append((f"calibration[{spec}/full-inv] mc", est.mean, p_bar,
+                       sigma * est.stderr + 1e-9))
 
     # high-SNR limit: the exact ln 2 - 1/4 of the chisq:4 pair (the rule
     # reads it to 3.9e-16, rounding), then Monte Carlo

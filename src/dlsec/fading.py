@@ -13,19 +13,24 @@ singularity and would report a misleading finite number.
 The gamma law is evaluated with numpy and :mod:`math` alone.  The cdf is
 the regularized lower incomplete gamma P(k, y): a power series below
 y = k + 1 and a modified-Lentz continued fraction for Q = 1 - P above it
-(Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2).  Scalars
-take a pure-:mod:`math` path; arrays run the same recurrences elementwise.
+(Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2), in pure
+:mod:`math` on one scalar; an array maps it element by element.  The
+inverse moments that calibrate channel inversion are closed forms on the
+same recurrences, an incomplete gamma of order in (-1, 1] and the
+regularized incomplete beta (Numerical Recipes section 6.4), so they hold
+for every scale the grammar accepts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import RngSeed, halfline_nodes, unit_nodes, weighted_sum
+from .numerics import RngSeed, halfline_nodes, weighted_sum
 
 _KINDS = ("chisq", "gamma", "exp", "const")
 # The canonical gamma shapes accepted: the range the recurrences are tested
@@ -37,21 +42,39 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # The fraction's last factors round to within 2 ulps of 1 at random, so it
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
 _CF_TOL = 4.0 * _EPS
-_CHECK_EVERY = 8  # array loops test convergence once per this many terms
 _QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
-_MOMENT_NODES = 200  # of the rules behind the two quadrature moments
+
+
+def _gamma_cf(k: float, y: float) -> float:
+    """The h with Gamma(k, y) = y^k e^-y h, by the modified-Lentz continued
+    fraction (DLMF 8.9.2) at y >= max(k + 1, 1).  There its Lentz ratios
+    stay positive (c > b/2 and d > 7e-5/b, b the current partial denominator,
+    on shapes 1e-4 to 1e5 and on orders -1 to 1), so it needs no zero guard.
+    """
+    b = y + 1.0 - k
+    c = math.inf
+    d = h = 1.0 / b
+    for i in itertools.count(1):
+        an = -i * (i - k)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) <= _CF_TOL:
+            return h
 
 
 def _gamma_pq(k: float, y: float) -> tuple[float, float]:
-    """(P(k, y), Q(k, y)) at one finite y > 0, in pure :mod:`math`.
+    """(P(k, y), Q(k, y)) in pure :mod:`math`; the ends y <= 0 and y = inf
+    are exact, and NaN stays NaN.
 
-    Whichever of the two the recurrence computes (P by the series, Q by the
-    continued fraction) is accurate to a few ulps relative, far tails
-    included; the other is its complement.  For y >= k + 1 the fraction's
-    Lentz ratios c and d stay positive (c > b/2 and d > 7e-5/b for shapes
-    1e-4 to 1e5, where b is the current partial denominator), so it needs
-    no guard against a zero denominator.
+    Whichever of the two the recurrence computes (P by the series below
+    y = k + 1, Q by :func:`_gamma_cf` above) is accurate to a few ulps
+    relative, far tails included; the other is its complement.
     """
+    if not 0.0 < y < math.inf:
+        p = math.nan if math.isnan(y) else float(y > 0.0)
+        return p, 1.0 - p
     log_front = k * math.log(y) - y - math.lgamma(k)
     if y < k + 1.0:
         term = total = 1.0 / k
@@ -62,71 +85,53 @@ def _gamma_pq(k: float, y: float) -> tuple[float, float]:
             total += term
         p = math.exp(log_front) * total
         return p, 1.0 - p
-    b = y + 1.0 - k
-    c = math.inf
-    d = h = 1.0 / b
-    i = 0
-    delta = 0.0
-    while abs(delta - 1.0) > _CF_TOL:
-        i += 1
-        an = -i * (i - k)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = d * c
-        h *= delta
-    q = math.exp(log_front) * h
+    q = math.exp(log_front) * _gamma_cf(k, y)
     return 1.0 - q, q
 
 
-def _gamma_p(k: float, y: np.ndarray) -> np.ndarray:
-    """P(k, y) elementwise over an array: the recurrences of :func:`_gamma_pq`.
+def _upper_gamma(a: float, y: float) -> float:
+    """Gamma(a, y) for -1 < a <= 1 and finite y > 0, where Q = 1 - P cancels.
 
-    Every element runs as many terms as the slowest in its branch needs;
-    convergence is tested once per ``_CHECK_EVERY`` terms.
+    From y = 1 on, the continued fraction; below, Gamma(a, 1) plus
+    int_y^1 t^(a-1) e^-t dt = sum_n (-1)^n (1 - y^(a+n)) / (n! (a+n)) (-log y
+    at n = a = 0), which is at least 1/e of its first term: no cancellation.
     """
-    out = np.where(y > 0.0, 1.0, 0.0)  # y <= 0 and y = inf are exact
-    out[np.isnan(y)] = np.nan
-    inner = (y > 0.0) & (y < math.inf)
-    lower = inner & (y < k + 1.0)
-    upper = inner & ~lower
-    if lower.any():
-        x = y[lower]
-        term = np.full_like(x, 1.0 / k)
-        total = term.copy()
-        kn = k
-        converged = False
-        while not converged:
-            for _ in range(_CHECK_EVERY):
-                kn += 1.0
-                term *= x
-                term /= kn
-                total += term
-            converged = bool(np.all(term < total * _EPS))
-        out[lower] = np.exp(k * np.log(x) - x - math.lgamma(k)) * total
-    if upper.any():
-        x = y[upper]
-        b = x + (1.0 - k)
-        c = np.full_like(x, math.inf)
-        d = 1.0 / b
-        h = d.copy()
-        i = 0
-        converged = False
-        while not converged:
-            for _ in range(_CHECK_EVERY):
-                i += 1
-                an = -i * (i - k)
-                b += 2.0
-                d *= an
-                d += b
-                np.divide(1.0, d, out=d)
-                np.divide(an, c, out=c)
-                c += b
-                delta = d * c
-                h *= delta
-            converged = bool(np.all(np.abs(delta - 1.0) <= _CF_TOL))
-        out[upper] = 1.0 - np.exp(k * np.log(x) - x - math.lgamma(k)) * h
-    return out
+    if y >= 1.0:
+        return math.exp(a * math.log(y) - y) * _gamma_cf(a, y)
+    log_y = math.log(y)
+    total = math.exp(-1.0) * _gamma_cf(a, 1.0)
+    for n in itertools.count():
+        e = a + n
+        term = (-log_y if e == 0.0 else -math.expm1(e * log_y) / e) / math.factorial(n)
+        total += -term if n % 2 else term
+        if term < total * _EPS:
+            return total
+
+
+def _beta_reg(a: float, b: float, x: float, x1: float) -> float:
+    """I_x(a, b), with x1 = 1 - x given apart so both keep their relative
+    accuracy: the continued fraction of Numerical Recipes 3rd ed. section
+    6.4, on 1 - I_x1(b, a) past x = (a+1)/(a+b+2).  Below that its Lentz
+    denominators stay at or above the first, 2/(a+b+2) (checked for a, b in
+    (0, 50]), so it needs no zero guard.  0 or 1 where x or x1 is 0.
+    """
+    if x <= 0.0 or x1 <= 0.0:
+        return 0.0 if x <= 0.0 else 1.0
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, x1 = b, a, x1, x
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(x1)) / a
+    c = 1.0
+    d = h = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    for m in itertools.count(1):
+        for an in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / (1.0 + an * d)
+            c = 1.0 + an / c
+            h *= d * c
+        if abs(d * c - 1.0) <= _CF_TOL:
+            return 1.0 - front * h if flip else front * h
 
 
 def _normal_quantile(p: float) -> float:
@@ -294,15 +299,12 @@ class FadingDistribution:
 
     def cdf(self, x) -> float | np.ndarray:
         """P(h <= x): 0 below the support, 1 at x = inf, NaN at NaN."""
+        arr = np.asarray(x, dtype=float)
         if self.is_degenerate:
-            out = (np.asarray(x, dtype=float) >= self.params[0]).astype(float)
-        elif np.ndim(x) == 0:
-            y = float(x) / self.scale
-            if 0.0 < y < math.inf:
-                return _gamma_pq(self.shape, y)[0]
-            return math.nan if math.isnan(y) else float(y > 0.0)
+            out = (arr >= self.params[0]).astype(float)
         else:
-            out = _gamma_p(self.shape, np.asarray(x, dtype=float) / self.scale)
+            k, theta = self.shape, self.scale
+            out = np.reshape([_gamma_pq(k, v / theta)[0] for v in arr.ravel().tolist()], arr.shape)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
@@ -366,19 +368,22 @@ def inverse_moment(dist: FadingDistribution) -> float:
 def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
     """E[1/h restricted to h >= h_min]; finite for every h_min > 0.
 
-    Law-only, so cached: a sweep calibrates trunc-inv at every SNR point
-    against the same moment.
+    For Gamma(k, theta) and y = h_min / theta: Gamma(k-1, y) / (Gamma(k) theta),
+    that is Q(k-1, y) / ((k-1) theta) for k > 2.  Law-only, so cached: a
+    sweep calibrates trunc-inv at every SNR point against the same moment.
     """
-    if h_min < 0:
+    if not h_min >= 0:
         raise ValueError(f"h_min must be >= 0, got {h_min}")
     if dist.is_degenerate:
         v = dist.params[0]
         return 1.0 / v if v >= h_min else 0.0
-    if h_min == 0.0:
-        return inverse_moment(dist)
-    x, w = halfline_nodes(_MOMENT_NODES)
-    y = x + h_min
-    return weighted_sum(w, dist.pdf(y) / y)
+    k, theta = dist.shape, dist.scale
+    y = h_min / theta
+    if y == 0.0 or y == math.inf:  # h_min = 0 (or underflow), or no mass above it
+        return inverse_moment(dist) if y == 0.0 else 0.0
+    if k > 2.0:
+        return _gamma_pq(k - 1.0, y)[1] / (k - 1.0) / theta
+    return _upper_gamma(k - 1.0, y) / math.gamma(k) / theta
 
 
 @lru_cache(maxsize=64)
@@ -388,11 +393,12 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -
     Law-only, so cached (full-inv calibration and the high-SNR
     invertibility flag read it for every budget).
 
-    Finiteness is decided analytically: every continuous component must
-    have canonical gamma shape > 1 (density exponent at zero positive); a
-    point mass never causes divergence.  When finite, the value comes from
-    quadrature against the law of the minimum, whose density
-    f_m(x)(1 - F_e(x)) + f_e(x)(1 - F_m(x)) is smooth (no diagonal kink).
+    Finite iff every continuous component has canonical gamma shape > 1
+    (density exponent at zero positive), decided analytically.  The values
+    are closed forms: an atom v against Gamma(k, theta) gives
+    E[1/h; h < v] + P(h >= v) / v, and two gamma laws split U at
+    u* = theta_m / (theta_m + theta_e) in Lukacs coordinates (h_m / theta_m
+    = U S, h_e / theta_e = (1-U) S, U ~ Beta(k_m, k_e) apart from S).
     """
     for d in (dist_m, dist_e):
         if not d.is_degenerate and d.shape <= 1.0:
@@ -400,16 +406,14 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -
     if dist_m.is_degenerate and dist_e.is_degenerate:
         return 1.0 / min(dist_m.params[0], dist_e.params[0])
     if dist_m.is_degenerate or dist_e.is_degenerate:
-        v = dist_m.params[0] if dist_m.is_degenerate else dist_e.params[0]
-        cont = dist_e if dist_m.is_degenerate else dist_m
-        # E[1/min(v, Y)] = int_0^v f(y)/y dy + (1/v) P(Y >= v)
-        t, wt = unit_nodes(_MOMENT_NODES)
-        head = weighted_sum(wt, cont.pdf(v * t) / t)
-        return head + (1.0 - cont.cdf(v)) / v
-    x, w = halfline_nodes(_MOMENT_NODES)
-    min_density = (dist_m.pdf(x) * (1.0 - dist_e.cdf(x))
-                   + dist_e.pdf(x) * (1.0 - dist_m.cdf(x)))
-    return weighted_sum(w, min_density / x)
+        atom, cont = (dist_m, dist_e) if dist_m.is_degenerate else (dist_e, dist_m)
+        v, k, theta = atom.params[0], cont.shape, cont.scale
+        return _gamma_pq(k - 1.0, v / theta)[0] / (k - 1.0) / theta + _gamma_pq(k, v / theta)[1] / v
+    (k_m, t_m), (k_e, t_e) = (dist_m.shape, dist_m.scale), (dist_e.shape, dist_e.scale)
+    # u* and 1 - u* each from a quotient of the scales, so neither overflows
+    u, u1 = 1.0 / (1.0 + t_e / t_m), 1.0 / (1.0 + t_m / t_e)
+    return (_beta_reg(k_e - 1.0, k_m, u, u1) / (k_e - 1.0) / t_e
+            + _beta_reg(k_m - 1.0, k_e, u1, u) / (k_m - 1.0) / t_m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,8 @@ MAIN_CSI = "main"
 
 class NonInvertibleChannelError(ValueError):
     """An inversion policy was requested but the inverse moment diverges, a
-    truncated one never transmits (a cutoff above a point-mass main gain, or
-    an infinite one), or the calibrated scale overflows."""
+    truncated one never transmits (no mass above its cutoff), or the
+    calibrated scale overflows."""
 
 
 class CsiError(ValueError):
@@ -116,13 +116,13 @@ def _power_moment(family: str, dist_m: FadingDistribution, dist_e: FadingDistrib
 
 def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistribution,
               p_bar: float, h_min: float = 0.0) -> PowerPolicy:
-    """Pin the family's scale so that E[P(h)] = p_bar (met with equality).
+    """Pin the family's scale so that E[P(h)] = p_bar (met with equality):
+    p_bar over the family's closed-form moment E[P(h)] / c.
 
     Raises:
         NonInvertibleChannelError: when the required inverse moment
             diverges, naming the offending moment, when a trunc-inv cutoff
-            lies above a point-mass main gain or is infinite, or when the
-            scale overflows.
+            leaves no mass above it, or when the scale overflows.
     """
     if not 0.0 <= p_bar < math.inf:
         raise ValueError(f"average power budget must be finite and >= 0, got {p_bar}")
@@ -130,9 +130,6 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
         h_min = 0.0
     elif not h_min > 0:
         raise ValueError("trunc-inv needs a positive cutoff h_min")
-    elif math.isinf(h_min):
-        raise NonInvertibleChannelError(
-            f"trunc-inv with h_min=inf never transmits under {dist_m.spec()}")
     moment = _power_moment(family, dist_m, dist_e, h_min)
     if math.isinf(moment):
         name, laws = (("E[1/min(h_m, h_e)]", f"{dist_m.spec()} / {dist_e.spec()}")
@@ -140,16 +137,8 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
         raise NonInvertibleChannelError(f"non-invertible channel: {name} diverges for {laws}")
     if p_bar == 0.0:
         return PowerPolicy(family, 0.0, h_min)
-    if family == "full-inv" and not moment > 0.0:
-        raise ValueError(
-            f"E[1/min(h_m, h_e)] evaluates to {moment:g} for {dist_m.spec()} / "
-            f"{dist_e.spec()}: the quadrature grid misses these laws"
-        )
     if family == "trunc-inv" and moment == 0.0:
-        # above a point mass the cutoff is a property of the model; for a
-        # continuous law a zero moment means the grid missed its mass
-        error = NonInvertibleChannelError if dist_m.is_degenerate else ValueError
-        raise error(
+        raise NonInvertibleChannelError(
             f"trunc-inv with h_min={h_min:g} never transmits under "
             f"{dist_m.spec()}; cannot meet E[P] = {p_bar:g}"
         )
@@ -163,7 +152,7 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
 
 def expected_power(policy: PowerPolicy, dist_m: FadingDistribution,
                    dist_e: FadingDistribution) -> float:
-    """E[P(h)] via each family's moment identity: the moments :func:`calibrate`
+    """E[P(h)] via each family's closed-form moment, the one :func:`calibrate`
     reads, so a calibrated policy meets its budget to rounding.
 
     The truncated family's power rule jumps at the cutoff, so a generic

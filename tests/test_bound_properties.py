@@ -14,6 +14,8 @@ from dlsec.bounds import (DEFAULT_FULL_MENU, lower_full, lower_main, resolve_men
 from dlsec.fading import FadingDistribution
 from dlsec.policy import calibrate, expected_power
 
+import moment_reference as reference
+
 REL = 1e-12
 
 gamma_laws = st.builds(
@@ -43,7 +45,11 @@ def test_bound_invariants(dist_m, dist_e, db):
     assert at_most(um, uf)
     for before, after in zip(at_low, four_bounds(dist_m, dist_e, high)):
         assert at_most(before, after)
+    # E[P] = p_bar, with E[P] / c from scipy rather than the moment that
+    # calibrate divided by
     for entry in DEFAULT_FULL_MENU:
         family, h_min = resolve_menu_entry(entry, dist_m)
         pol = calibrate(family, dist_m, dist_e, low, h_min)
-        assert abs(expected_power(pol, dist_m, dist_e) - low) <= REL * low
+        power = pol.c * reference.power_moment(family, dist_m, dist_e, h_min)
+        assert abs(power - low) <= REL * low, (family, power)
+        assert abs(expected_power(pol, dist_m, dist_e) - power) <= REL * low

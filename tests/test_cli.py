@@ -13,6 +13,8 @@ import pytest
 
 from dlsec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                        main)
+from dlsec.fading import inverse_min_moment, parse_distribution
+from dlsec.policy import calibrate
 
 
 def run_cli(capsys, *argv):
@@ -105,12 +107,21 @@ class TestBounds:
         assert code == EXIT_INFEASIBLE
         assert "non-invertible channel" in err
 
-    def test_law_the_grid_cannot_resolve_exits_2(self, capsys):
-        """At scale 1e-10 the quadrature grid reads E[1/min(h_m, h_e)] as 0,
-        which used to divide by zero in full-inv's calibration."""
+    def test_law_far_below_unit_scale_calibrates_full_inv(self, capsys):
+        """At scale 1e-10 E[1/min(h_m, h_e)] is the closed form, not 0 (as a
+        fixed quadrature grid once read it), so full-inv calibrates and the
+        run exits 0.  For shapes 2 the incomplete betas are polynomials:
+        with u = theta_m / (theta_m + theta_e), E[1/min] =
+        u (2 - u) / theta_e + (1 - u^2) / theta_m."""
         code, out, err = run_cli(capsys, "bounds", "--dist-m", "gamma:2:1e-10")
-        assert code == EXIT_USAGE
-        assert "quadrature grid" in err and out == ""
+        assert code == EXIT_OK and err == ""
+        u = 1e-10 / (1e-10 + 2.0)
+        want = u * (2.0 - u) / 2.0 + (1.0 - u * u) / 1e-10
+        got = inverse_min_moment(parse_distribution("gamma:2:1e-10"),
+                                 parse_distribution("chisq:4"))
+        assert math.isclose(got, want, rel_tol=1e-14)
+        assert calibrate("full-inv", parse_distribution("gamma:2:1e-10"),
+                         parse_distribution("chisq:4"), 100.0).c == 100.0 / got
 
     def test_trunc_cutoff_above_atom_is_infeasible(self, capsys):
         """A cutoff above a point-mass main gain never transmits: that entry
@@ -131,13 +142,18 @@ class TestBounds:
         assert code == EXIT_INFEASIBLE
         assert "never transmits" in err and out == ""
 
-    def test_trunc_mass_the_grid_misses_exits_2(self, capsys):
-        """A continuous law's truncated moment read as 0 is a grid limit,
-        not an infeasible model."""
-        code, out, err = run_cli(capsys, "bounds", "--dist-m", "exp:1e-300",
-                                 "--policy", "trunc-inv:0.5", "--policy", "const")
-        assert code == EXIT_USAGE
-        assert "never transmits" in err and out == ""
+    def test_trunc_cutoff_above_underflowing_mass_is_infeasible(self, capsys):
+        """Above 0.5, exp:1e-300 holds mass e^(-5e299), which is 0 in floating
+        point: trunc-inv never transmits, as above a point mass, so that
+        entry is recorded as infeasible and const still runs."""
+        code, out, _ = run_cli(capsys, "bounds", "--dist-m", "exp:1e-300",
+                               "--policy", "trunc-inv:0.5", "--policy", "const")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
+            diag = doc[key]["diagnostics"]
+            assert "never transmits" in diag["infeasible"]["trunc-inv:0.5"]
+            assert doc[key]["policy"]["family"] == "const"
 
     def test_bad_grammar_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "rayleigh:1")
@@ -284,6 +300,13 @@ class TestValidate:
         """E[P] reads the moment calibration used, whatever --nodes is."""
         _, out, _ = run_cli(capsys, "validate", "--quick", "--nodes", "16")
         line = next(l for l in out.splitlines() if "calibration[chisq:4/full-inv] moment" in l)
+        assert line.startswith("ok ")
+
+    def test_far_scale_calibration_meets_budget_by_monte_carlo(self, capsys):
+        """gamma:8:1000 lies far from unit scale, where a fixed 200-node
+        grid read E[1/min] 31 % high and the policy spent 76 % of p_bar."""
+        _, out, _ = run_cli(capsys, "validate", "--quick")
+        line = next(l for l in out.splitlines() if "calibration[gamma:8:1000/full-inv] mc" in l)
         assert line.startswith("ok ")
 
     def test_injected_bad_tolerance_exits_4(self, capsys):

@@ -14,6 +14,7 @@ from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution
                           truncated_inverse_moment)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
+import moment_reference as reference
 from flat_grid import flat_grid
 
 
@@ -228,7 +229,7 @@ class TestInverseMoments:
         """chisq:4 above 1: int_1^inf e^{-x/2}/4 dx = e^{-1/2}/2 by hand."""
         d = parse_distribution("chisq:4")
         got = truncated_inverse_moment(d, 1.0)
-        assert abs(got - math.exp(-0.5) / 2.0) < 1e-10
+        assert math.isclose(got, math.exp(-0.5) / 2.0, rel_tol=1e-14, abs_tol=0.0)
         # degenerate cases
         assert truncated_inverse_moment(parse_distribution("const:2"), 1.0) == 0.5
         assert truncated_inverse_moment(parse_distribution("const:2"), 3.0) == 0.0
@@ -250,7 +251,7 @@ class TestInverseMinMoment:
         cross-checked by Monte Carlo."""
         d = parse_distribution("chisq:4")
         got = inverse_min_moment(d, d)
-        assert abs(got - 0.75) < 1e-9
+        assert math.isclose(got, 0.75, rel_tol=1e-14, abs_tol=0.0)
         rng = RngSeed(6).generator()
         mc = float(np.mean(1.0 / np.minimum(d.sample(rng, 1_000_000),
                                             d.sample(rng, 1_000_000))))
@@ -260,22 +261,67 @@ class TestInverseMinMoment:
         g = parse_distribution("gamma:2:1")
         d = parse_distribution("chisq:4")
         # min density 2x(1+x)e^{-2x}: E[1/min] = 3/2
-        assert abs(inverse_min_moment(g, g) - 1.5) < 1e-9
+        assert math.isclose(inverse_min_moment(g, g), 1.5, rel_tol=1e-14, abs_tol=0.0)
         # hand-derived: int e^{-3x/2} (5/4 + 3x/4) dx = 7/6
-        assert abs(inverse_min_moment(d, g) - 7.0 / 6.0) < 1e-9
+        assert math.isclose(inverse_min_moment(d, g), 7.0 / 6.0, rel_tol=1e-14, abs_tol=0.0)
 
     def test_degenerate_against_continuous(self):
         """E[1/min(2, Y)] for chisq:4 = (1 - e^{-1})/2 + e^{-1} by hand."""
         got = inverse_min_moment(parse_distribution("const:2"),
                                  parse_distribution("chisq:4"))
         want = (1.0 - math.exp(-1.0)) / 2.0 + math.exp(-1.0)
-        assert abs(got - want) < 1e-9
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
 
     def test_dominates_single_moment(self):
         """min(h_m, h_e) <= h_m pointwise, so the min moment dominates."""
         for text in ("chisq:4", "gamma:2:1", "gamma:3:0.5", "const:2"):
             d = parse_distribution(text)
             assert inverse_min_moment(d, d) >= inverse_moment(d) - 1e-12
+
+
+class TestMomentsAgainstScipy:
+    """The closed-form calibration moments within 1e-12 relative of the
+    scipy reference in ``moment_reference``, on fixed-seed draws of shapes
+    and of scales 1e-3 to 1e3."""
+
+    REL = 1e-12
+
+    @staticmethod
+    def scales(rng, n):
+        return 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+    def test_gamma_pairs(self):
+        rng = np.random.default_rng(0)
+        n = 200
+        for k_m, k_e, s_m, s_e in zip(rng.uniform(1.0001, 50.0, n), rng.uniform(1.0001, 50.0, n),
+                                      self.scales(rng, n), self.scales(rng, n)):
+            dm = FadingDistribution("gamma", (k_m, s_m))
+            de = FadingDistribution("gamma", (k_e, s_e))
+            assert math.isclose(inverse_min_moment(dm, de), reference.inverse_min_moment(dm, de),
+                                rel_tol=self.REL), (dm, de)
+
+    def test_one_atom_pairs(self):
+        rng = np.random.default_rng(1)
+        n = 100
+        for k, s, v in zip(rng.uniform(1.0001, 50.0, n), self.scales(rng, n), self.scales(rng, n)):
+            cont, atom = FadingDistribution("gamma", (k, s)), FadingDistribution("const", (v,))
+            want = reference.inverse_min_moment(atom, cont)
+            for pair in ((atom, cont), (cont, atom)):
+                assert math.isclose(inverse_min_moment(*pair), want, rel_tol=self.REL), pair
+
+    def test_truncated(self):
+        """Shapes 0.05 to 50, k = 1 and k within 1e-6 of 1 included, at
+        h_min / theta from 1e-12 to 700."""
+        rng = np.random.default_rng(2)
+        shapes = np.concatenate([rng.uniform(SHAPE_MIN, SHAPE_MAX, 150), [1.0],
+                                 1.0 + rng.uniform(-1e-6, 1e-6, 20)])
+        ys = 10.0 ** rng.uniform(-12.0, math.log10(700.0), shapes.size)
+        for k, s, y in zip(shapes, self.scales(rng, shapes.size), ys):
+            d = FadingDistribution("gamma", (k, s))
+            h_min = float(y * s)
+            assert math.isclose(truncated_inverse_moment(d, h_min),
+                                reference.truncated_inverse_moment(d, h_min),
+                                rel_tol=self.REL), (d, h_min)
 
 
 class TestStateAndExpectation:
