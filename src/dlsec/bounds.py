@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fading import ChannelState, FadingDistribution, inverse_min_moment, pair_rule
-from .numerics import halfline_nodes, tanh_sinh_nodes, unit_nodes, weighted_sum
+from .numerics import tanh_sinh_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
@@ -322,63 +322,79 @@ def _log_ratio(a: float, b: float) -> float:
     return math.log(ratio) if 0.0 < ratio < math.inf else math.log(a) - math.log(b)
 
 
-def _gamma_pair_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
-                      nodes: int) -> tuple[float, float]:
-    """The limit for two gamma laws, and the gap to the rule of twice the step.
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: psi(x) = psi(x + 1) - 1/x up to x >= 10, then the
+    asymptotic series of Abramowitz-Stegun 6.3.18 through x^-10."""
+    shift = 0.0
+    while x < 10.0:
+        shift, x = shift - 1.0 / x, x + 1.0
+    z = 1.0 / (x * x)
+    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
+    return shift + math.log(x) - 0.5 / x - series
 
-    In Beta coordinates (Lukacs 1955), h_m/h_e = r (1 - U)/U with
-    r = theta_m/theta_e and U ~ Beta(k_e, k_m), so the limit is
-    int_0^{u*} log(r (1 - u)/u) Beta(k_e, k_m; u) du, u* = r/(1 + r): the
-    diagonal kink is the endpoint u*, and the scales enter only through r.
-    With u = u* s on :func:`~dlsec.numerics.tanh_sinh_nodes`,
-    1 - u = (1 - u*)(1 + r(1 - s)) and the log factor is
-    log(1 + r(1 - s)) - log s, two terms >= 0.  Every power is taken in
-    log form (softplus is np.logaddexp(0, .)), so nothing underflows or
-    cancels near either end.
+
+def _log_moments(dist: FadingDistribution) -> tuple[float, float, float]:
+    """(loc, shape, psi) with E[log h] = log loc + psi; an atom v is (v, 1, 0)."""
+    if dist.is_degenerate:
+        return dist.params[0], 1.0, 0.0
+    return dist.scale, dist.shape, _digamma(dist.shape)
+
+
+def _log_excess(top: FadingDistribution, bottom: FadingDistribution,
+                nodes: int) -> tuple[float, float]:
+    """E[(log(top/bottom))^+] and the gap to the rule of twice the step:
+    one sum on :func:`~dlsec.numerics.tanh_sinh_nodes` (two atoms are exact).
+
+    An atom v against G ~ Gamma(k, theta) puts G = theta y s^sigma, y = v/theta
+    (sigma = +1 with the atom on top, else -1): the log factor is -log s and
+    the density y^k s^(sigma k - 1) e^(-y s^sigma) / Gamma(k).  Two gamma laws
+    take Beta coordinates (Lukacs 1955): top/bottom = r (1 - U)/U with
+    r = theta_top/theta_bottom and U ~ Beta(k_bottom, k_top), integrated over
+    (0, u*), u* = r/(1 + r), so the diagonal kink is an endpoint.  With
+    u = u* s, 1 - u = (1 - u*)(1 + r(1 - s)) and the log factor is
+    log(1 + r(1 - s)) - log s, two terms >= 0.  Every power is in log form
+    (softplus is np.logaddexp(0, .)): nothing underflows or cancels.
     """
+    if top.is_degenerate and bottom.is_degenerate:
+        return max(_log_ratio(top.params[0], bottom.params[0]), 0.0), 0.0
     log_s, log_1ms, log_ds, steps = tanh_sinh_nodes(nodes)
-    a, b = dist_e.shape, dist_m.shape
-    log_r = _log_ratio(dist_m.scale, dist_e.scale)
-    log_tail = np.logaddexp(0.0, log_r + log_1ms)  # log(1 + r (1 - s))
-    log_u = log_s - np.logaddexp(0.0, -log_r)
-    log_1mu = log_tail - np.logaddexp(0.0, log_r)
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    # u^(a-1) (1-u)^(b-1) / B(a, b) du/dt, where du/dt = u s'(t) / s
-    log_density = a * log_u + (b - 1.0) * log_1mu - log_beta + log_ds - log_s
-    value, coarse = weighted_sum(np.exp(log_density) * (log_tail - log_s), steps)
+    if top.is_degenerate or bottom.is_degenerate:
+        law, atom, sigma = (bottom, top, 1.0) if top.is_degenerate else (top, bottom, -1.0)
+        k, log_y = law.shape, _log_ratio(atom.params[0], law.scale)
+        # log(y s^sigma), capped where e^-(y s^sigma) is 0 anyway, so exp cannot overflow
+        log_g = np.minimum(log_y + sigma * log_s, 700.0)
+        log_density = (k * log_y + (sigma * k - 1.0) * log_s - np.exp(log_g)
+                       - math.lgamma(k) + log_ds)
+        integrand = np.exp(log_density) * -log_s
+    else:
+        a, b = bottom.shape, top.shape
+        log_r = _log_ratio(top.scale, bottom.scale)
+        log_tail = np.logaddexp(0.0, log_r + log_1ms)  # log(1 + r (1 - s))
+        log_u = log_s - np.logaddexp(0.0, -log_r)
+        log_1mu = log_tail - np.logaddexp(0.0, log_r)
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        # u^(a-1) (1-u)^(b-1) / B(a, b) du/dt, where du/dt = u s'(t) / s
+        log_density = a * log_u + (b - 1.0) * log_1mu - log_beta + log_ds - log_s
+        integrand = np.exp(log_density) * (log_tail - log_s)
+    value, coarse = weighted_sum(integrand, steps)
     return float(value), abs(float(value - coarse))
-
-
-def _one_atom_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
-                    nodes: int) -> float:
-    """The limit with one point mass, on the ``nodes``-point Gauss-Legendre
-    rule: the unit interval below a main atom, the half line above an
-    eavesdropper atom."""
-    if dist_m.is_degenerate:
-        vm = dist_m.params[0]
-        t, wt = unit_nodes(nodes)
-        return vm * weighted_sum(wt, np.log(1.0 / t) * dist_e.pdf(vm * t))
-    ve = dist_e.params[0]
-    x, w = halfline_nodes(nodes)
-    y = x + ve
-    return weighted_sum(w, np.log(y / ve) * dist_m.pdf(y))
 
 
 def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
                    nodes: int = 400) -> HighSnrLimit:
-    """E[(log(h_m/h_e))^+], the invertibility flag and ``quad_error``.
+    """E[(log X)^+] with X = h_m/h_e, the invertibility flag and ``quad_error``.
 
-    Two continuous laws take one tanh-sinh sum (:func:`_gamma_pair_limit`).
-    With one point mass, ``quad_error`` is the gap between the ``nodes``-
-    and ``nodes // 2``-point rules (:func:`_one_atom_limit`).  A point-mass
-    pair is exact.
+    E[(log X)^+] = E[log X] + E[(log 1/X)^+] with the exact E[log X] =
+    log(loc_m/loc_e) + psi(k_m) - psi(k_e), so :func:`_log_excess` sums the
+    side whose law has the smaller mean (compared in logs; equal means sum
+    directly), and E[log X] is added when the sides are swapped.
     """
     invertible = math.isfinite(inverse_min_moment(dist_m, dist_e))
-    if dist_m.is_degenerate and dist_e.is_degenerate:
-        log_ratio = _log_ratio(dist_m.params[0], dist_e.params[0])
-        return HighSnrLimit(max(log_ratio, 0.0), invertible, 0.0)
-    if dist_m.is_degenerate or dist_e.is_degenerate:
-        value, half = (_one_atom_limit(dist_m, dist_e, n) for n in (nodes, nodes // 2))
-        return HighSnrLimit(value, invertible, abs(value - half))
-    value, error = _gamma_pair_limit(dist_m, dist_e, nodes)
+    (loc_m, k_m, psi_m), (loc_e, k_e, psi_e) = _log_moments(dist_m), _log_moments(dist_e)
+    log_loc = _log_ratio(loc_m, loc_e)
+    if log_loc + math.log(k_m / k_e) > 0.0:
+        value, error = _log_excess(dist_e, dist_m, nodes)
+        value += log_loc + psi_m - psi_e
+    else:
+        value, error = _log_excess(dist_m, dist_e, nodes)
     return HighSnrLimit(value, invertible, error)

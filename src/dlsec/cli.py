@@ -374,6 +374,10 @@ def cmd_validate(args) -> int:
                    limit.quad_error))
     checks.append(("high-snr-limit[chisq:4] mc", limit.value, est.mean,
                    sigma * est.stderr + 1e-9, limit.quad_error))
+    # one atom: E[(log(2/h))^+] at h ~ chisq:4 is Ein(1) - 1 + 1/e = gamma + E1(1) - 1 + 1/e
+    atom = high_snr_limit(parse_distribution("const:2"), dist)
+    checks.append(("high-snr-limit[const:2/chisq:4] exact", atom.value, 0.5772156649015329
+                   + 0.21938393439552029 - 1.0 + math.exp(-1.0), 1e-15, atom.quad_error))
 
     failures = []
     for name, got, want, tol, *quad_error in checks:

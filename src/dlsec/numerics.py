@@ -1,13 +1,12 @@
 """Deterministic numeric kernels shared across the package.
 
 Quadrature on the half line (rational map plus Gauss-Legendre) and on
-(0, 1) (Gauss-Legendre, and a tanh-sinh rule for endpoint singularities),
-and seeded Monte Carlo expectation with standard-error reporting.  Everything
-here is pure: identical inputs give bit-identical outputs on one machine,
-and Monte Carlo is reproducible through the (seed, stream) contract of
-:class:`RngSeed`.  Every weighted
-sum in the package goes through :func:`weighted_sum`, which never calls
-BLAS, so results do not depend on the BLAS thread count.
+(0, 1) (a tanh-sinh rule, for endpoint singularities), and seeded Monte
+Carlo expectation with standard-error reporting.  Everything here is pure:
+identical inputs give bit-identical outputs on one machine, and Monte Carlo
+is reproducible through the (seed, stream) contract of :class:`RngSeed`.
+Every weighted sum in the package goes through :func:`weighted_sum`, which
+never calls BLAS, so results do not depend on the BLAS thread count.
 
 All rates handled downstream are in nats; nothing in this module assumes a
 unit beyond "whatever the integrand carries".
@@ -80,29 +79,19 @@ def halfline_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas and weights for integrals over (0, inf).
 
     Fixed change of variables x = t / (1 - t) mapping (0, 1) onto
-    (0, inf), on the :func:`unit_nodes` rule.  Tail truncation is
+    (0, inf), on the Gauss-Legendre rule in t.  Tail truncation is
     implicit in the node placement.  Returned arrays are read-only and
     cached, so two calls with the same node count share storage.
     """
-    t, wt = unit_nodes(nodes)
-    x = t / (1.0 - t)
-    weights = wt / (1.0 - t) ** 2
-    x.flags.writeable = False
-    weights.flags.writeable = False
-    return x, weights
-
-
-@lru_cache(maxsize=None)
-def unit_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre abscissas and weights on (0, 1), read-only."""
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
     u, w = np.polynomial.legendre.leggauss(int(nodes))
     t = 0.5 * (u + 1.0)
-    wt = 0.5 * w
-    t.flags.writeable = False
-    wt.flags.writeable = False
-    return t, wt
+    x = t / (1.0 - t)
+    weights = 0.5 * w / (1.0 - t) ** 2
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
 
 
 @lru_cache(maxsize=None)

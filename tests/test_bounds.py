@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import dlsec
-from dlsec.bounds import (_CERT_TOL, _best, fixed_point_rate, high_snr_limit, key_rate,
-                          lower_full, lower_main, upper_full, upper_main)
+from dlsec.bounds import (_CERT_TOL, _best, _digamma, fixed_point_rate, high_snr_limit,
+                          key_rate, lower_full, lower_main, upper_full, upper_main)
 from dlsec.fading import ChannelState, FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import FULL_CSI, calibrate
@@ -488,16 +488,21 @@ class TestHighSnrLimit:
         assert (high_snr_limit(huge, parse_distribution("const:1e-8")).value
                 == math.log(1e300 / 1e-8))
 
-    def test_one_atom_quad_error_is_the_half_rule_gap(self):
-        """The Gauss-Legendre branches report |value(n) - value(n // 2)|,
-        and a point-mass pair is exact."""
+    def test_one_atom_quad_error_is_the_2h_rule_gap(self):
+        """With one point mass, quad_error is the gap to the rule of step 2h
+        (at 64 nodes that rule is the one at 32, h = 1/4) and bounds the
+        error; a point-mass pair is exact either way round."""
         for dm, de in ((parse_distribution("const:2"), EXP1),
-                       (CHISQ4, parse_distribution("const:0.5"))):
-            res = high_snr_limit(dm, de, nodes=400)
-            half = high_snr_limit(dm, de, nodes=200).value
-            assert res.quad_error == abs(res.value - half) > 0.0
-        atoms = high_snr_limit(parse_distribution("const:3"), parse_distribution("const:1"))
-        assert atoms.quad_error == 0.0
+                       (CHISQ4, parse_distribution("const:0.5")),
+                       (parse_distribution("const:1"), parse_distribution("gamma:0.05:1"))):
+            res = high_snr_limit(dm, de, nodes=64)
+            coarse = high_snr_limit(dm, de, nodes=32).value
+            assert abs(res.quad_error - abs(res.value - coarse)) <= 1e-14 * res.value
+            assert 0.0 < abs(res.value - one_atom_limit_quad(dm, de)) <= res.quad_error
+        for vm, ve in ((3.0, 1.0), (1.0, 3.0)):
+            atoms = high_snr_limit(FadingDistribution("const", (vm,)),
+                                   FadingDistribution("const", (ve,)))
+            assert atoms.quad_error == 0.0
 
 
 def gamma_density(d):
@@ -538,6 +543,86 @@ def dblquad_limit(dm, de):
     return integrate.dblquad(lambda he, hm: math.log(hm / he) * fm(hm) * fe(he),
                              0.0, math.inf, 0.0, lambda hm: hm,
                              epsabs=1e-12, epsrel=1e-12)[0]
+
+
+def one_atom_limit_quad(dm, de):
+    """E[(log(h_m/h_e))^+] with one point mass, by scipy.integrate.quad in
+    t = log g, G = h/theta ~ Gamma(k, 1), whose density in t is
+    exp(k t - e^t) / Gamma(k).  With y = v/theta the integrand is
+    (log y - t)^+ (atom on top) or (t - log y)^+ (atom below); the window
+    [log k - 46/k - 10, log max(k, 1) + 5] holds all but e^-46 of the mass,
+    and log k, the mode, is a breakpoint."""
+    from scipy import integrate
+
+    top = dm.is_degenerate
+    law, atom = (de, dm) if top else (dm, de)
+    k, log_y = law.shape, math.log(atom.params[0]) - math.log(law.scale)
+    sign, c = (1.0 if top else -1.0), math.lgamma(k)
+    lo, hi = math.log(k) - 46.0 / k - 10.0, math.log(max(k, 1.0)) + 5.0
+    a, b = (lo, min(log_y, hi)) if top else (max(log_y, lo), hi)
+    if a >= b:
+        return 0.0
+    mode = [math.log(k)] if a < math.log(k) < b else None
+    return integrate.quad(lambda t: sign * (log_y - t) * math.exp(k * t - math.exp(t) - c),
+                          a, b, points=mode, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+
+
+def _random_one_atom_pairs(n, seed):
+    """Gamma shapes uniform on 0.05-50, scales log-uniform on 1e-3-1e3, the
+    atom/scale ratio y log-uniform on 1e-6-1e6, the atom on either side."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        k, y = float(rng.uniform(0.05, 50.0)), float(10.0 ** rng.uniform(-6.0, 6.0))
+        theta, on_top = float(10.0 ** rng.uniform(-3.0, 3.0)), bool(rng.random() < 0.5)
+        law = FadingDistribution("gamma", (k, theta))
+        atom = FadingDistribution("const", (y * theta,))
+        pairs.append((atom, law) if on_top else (law, atom))
+    return pairs
+
+
+RANDOM_ONE_ATOM_PAIRS = _random_one_atom_pairs(300, 3)
+
+# Pairs where the old Gauss-Legendre one-atom rule failed, with reference
+# values from a log-coordinate quad: it read 0, 3.3e-5, 2.848 and 9.711.
+ONE_ATOM_ROWS = {
+    ("const:1e6", "gamma:0.05:1e-6"): 48.1288661072,
+    ("gamma:50:1e3", "const:1e-3"): 17.7175002314,
+    ("const:1", "gamma:0.05:1"): 20.5030575065,
+    ("const:1000", "gamma:3:0.01"): 10.5901411299,
+}
+
+
+class TestHighSnrLimitOneAtom:
+    """One point mass: the tanh-sinh rule in G = theta y s^(+-1)."""
+
+    @pytest.mark.parametrize("chunk", range(20))
+    def test_random_pairs_match_quad(self, chunk):
+        """Within 1e-10 max(1, |ref|) of quad, and inside the reported
+        quad_error plus 1e-10."""
+        for dm, de in RANDOM_ONE_ATOM_PAIRS[15 * chunk:15 * chunk + 15]:
+            want = one_atom_limit_quad(dm, de)
+            res = high_snr_limit(dm, de)
+            err = abs(res.value - want)
+            assert err <= 1e-10 * max(1.0, abs(want)), (dm, de, res, want)
+            assert err <= res.quad_error + 1e-10, (dm, de, res, want)
+
+    @pytest.mark.parametrize("key", sorted(ONE_ATOM_ROWS), ids=repr)
+    def test_rows_the_gauss_legendre_rule_missed(self, key):
+        dm, de = parse_distribution(key[0]), parse_distribution(key[1])
+        want = one_atom_limit_quad(dm, de)
+        res = high_snr_limit(dm, de)
+        assert abs(res.value - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(res.value - ONE_ATOM_ROWS[key]) <= 1e-10
+
+
+class TestDigamma:
+    def test_matches_scipy_on_the_shape_range(self):
+        from scipy import special
+
+        xs = np.concatenate([np.linspace(0.05, 50.0, 1999), np.arange(1.0, 51.0)])
+        for x in xs.tolist():
+            assert abs(_digamma(x) - special.digamma(x)) <= 5e-14, x
 
 
 def _random_gamma_pairs(n, seed):
@@ -590,6 +675,19 @@ class TestHighSnrLimitBetaRule:
             want = high_snr_limit(dm, de).value
             assert abs(high_snr_limit(*moved).value - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("log_r", [100.0, 300.0])
+    def test_small_main_shape_at_extreme_scale_ratio(self, log_r):
+        """k_m = 0.05 against k_e = 50 at theta_m/theta_e = e^log_r, where the
+        direct Beta sum was 8.8e-6 off at log r = 100: the value is
+        E[log X] = log r + psi(k_m) - psi(k_e) plus the swapped limit."""
+        from scipy import special
+
+        dm = FadingDistribution("gamma", (0.05, math.exp(log_r)))
+        de = FadingDistribution("gamma", (50.0, 1.0))
+        want = (math.log(dm.scale) + special.digamma(0.05) - special.digamma(50.0)
+                + beta_limit_quad(de, dm))
+        assert abs(high_snr_limit(dm, de).value - want) <= 1e-10 * want
+
     @pytest.mark.parametrize("scale_m,scale_e", [(1e-300, 1e-300), (1e-300, 1e300),
                                                  (1e300, 1e-300), (1e300, 1e300)])
     def test_finite_and_non_negative_at_extreme_scales(self, scale_m, scale_e):
@@ -633,12 +731,23 @@ class TestOrderingAndMonotonicity:
 # runs in a fixed order, so the pins hold under any BLAS thread count.
 PINNED_LIMIT = {
     ('chisq:4', 'chisq:4'): 0.4431471805599457,
-    ('const:2', 'chisq:4'): 0.16447904047826095,
+    ('const:2', 'chisq:4'): 0.16447904046849543,
     ('const:3', 'const:1'): 1.0986122886681098,
     ('gamma:0.5:1', 'gamma:0.5:1'): 1.166243616123274,
-    ('gamma:2:1000', 'chisq:1'): 8.600903207878687,
+    ('gamma:2:1000', 'chisq:1'): 8.600903207878682,
     ('gamma:3:0.01', 'exp:2'): 0.014925414335969162,
 }
+
+# The two limit pins that moved when every limit became one tanh-sinh sum,
+# as they were before, with the largest shift allowed: const:2/chisq:4 came
+# from the Gauss-Legendre one-atom rule, and gamma:2:1000/chisq:1 (main mean
+# above the eavesdropper's) is now E[log X] plus the swapped Beta sum.
+PRE_TANH_SINH_LIMIT_PINS = {
+    ('const:2', 'chisq:4'): (0.16447904047826095, 1e-11),
+    ('gamma:2:1000', 'chisq:1'): (8.600903207878687, 1e-14),
+}
+# E[(log(2/h))^+] at h ~ chisq:4: gamma + E1(1) - 1 + 1/e, to 30 digits (mpmath)
+CONST2_CHISQ4_LIMIT = 0.164479040468495455879199635704
 
 # The continuous-pair limit pins as the 400 x 400 half-line x unit-interval
 # grid gave them, before the Beta-coordinate tanh-sinh rule.
@@ -845,6 +954,15 @@ class TestPinnedValues:
         old = SCIPY_LAW_PINS[key]
         assert pinned != old
         assert abs(pinned - old) <= 1e-12 * abs(old)
+
+    @pytest.mark.parametrize("key", sorted(PRE_TANH_SINH_LIMIT_PINS), ids=repr)
+    def test_limit_pin_moved_within_its_bound(self, key):
+        old, bound = PRE_TANH_SINH_LIMIT_PINS[key]
+        assert PINNED_LIMIT[key] != old
+        assert abs(PINNED_LIMIT[key] - old) <= bound
+
+    def test_one_atom_limit_pin_is_the_exact_value(self):
+        assert abs(PINNED_LIMIT[('const:2', 'chisq:4')] - CONST2_CHISQ4_LIMIT) <= 1e-16
 
     @pytest.mark.parametrize("key", sorted(GRID_LIMIT_PINS), ids=repr)
     def test_limit_pin_closer_than_grid_pin_to_reference(self, key):

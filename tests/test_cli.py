@@ -296,6 +296,13 @@ class TestValidate:
         assert exact.startswith("ok   high-snr-limit[chisq:4] exact: 0.443147 vs 0.443147 (tol 1.00e-15, quad_error ")
         assert mc.startswith("ok   high-snr-limit[chisq:4] mc: ") and "quad_error" in mc
 
+    def test_one_atom_high_snr_limit_against_exact_value(self, capsys):
+        """const:2 against chisq:4: gamma + E1(1) - 1 + 1/e, at 1e-15."""
+        _, out, _ = run_cli(capsys, "validate", "--quick")
+        line = next(l for l in out.splitlines() if "high-snr-limit[const:2/chisq:4]" in l)
+        assert line.startswith("ok   high-snr-limit[const:2/chisq:4] exact: 0.164479 vs 0.164479 "
+                               "(tol 1.00e-15, quad_error ")
+
     def test_calibration_moment_holds_at_any_node_count(self, capsys):
         """E[P] reads the moment calibration used, whatever --nodes is."""
         _, out, _ = run_cli(capsys, "validate", "--quick", "--nodes", "16")
