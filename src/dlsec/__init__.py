@@ -13,7 +13,7 @@ from .fading import (ChannelState, FadingDistribution, inverse_min_moment,
 from .numerics import Estimate, RngSeed, mc_expect
 from .policy import (CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, expected_power, parse_policy)
-from .protocol import SimConfig, SimReport, key_balance_check, simulate
+from .protocol import SimConfig, SimReport, simulate
 from .rates import (RateBreakdown, delay_floor, ergodic_secrecy_rate,
                     expected_key_share, per_state_rates)
 
@@ -25,7 +25,7 @@ __all__ = [
     "PowerPolicy", "RateBreakdown", "RngSeed", "SimConfig", "SimReport",
     "calibrate", "delay_floor", "ergodic_secrecy_rate", "expected_key_share",
     "expected_power", "fixed_point_rate", "high_snr_limit", "inverse_min_moment",
-    "inverse_moment", "key_balance_check", "lower_full", "lower_main", "mc_expect",
+    "inverse_moment", "lower_full", "lower_main", "mc_expect",
     "parse_distribution", "parse_policy", "per_state_rates", "simulate",
     "upper_full", "upper_main",
 ]

@@ -30,14 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import RngSeed, halfline_nodes, weighted_sum
+# ChannelState is defined in the leaf module numerics and re-exported here.
+from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, halfline_nodes,
+                       weighted_sum)
 
 _KINDS = ("chisq", "gamma", "exp", "const")
-# The canonical gamma shapes accepted: the range the recurrences are tested
-# on against scipy.  Far outside it they stall or lose accuracy (at shape
-# 1e10 the median's cdf reads 0.49998) and the quantile's start overflows.
-SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
-
 _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # The fraction's last factors round to within 2 ulps of 1 at random, so it
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
@@ -192,27 +189,6 @@ def _gamma_quantile(k: float, p: float) -> float:
     return y
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelState:
-    """One fading realization: main and eavesdropper power gains.
-
-    Fields may be scalars or arrays that broadcast together: equal-length
-    arrays in the Monte Carlo and simulation paths, the node pairs of a
-    :func:`pair_rule`.
-    """
-
-    h_m: float | np.ndarray
-    h_e: float | np.ndarray
-
-    def __post_init__(self):
-        for name, value in (("h_m", self.h_m), ("h_e", self.h_e)):
-            arr = np.asarray(value, dtype=float)
-            if arr.size == 0:
-                raise ValueError(f"{name} must not be empty")
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-                raise ValueError(f"{name} must be strictly positive and finite")
-
-
 @dataclass(frozen=True)
 class FadingDistribution:
     """Law of a channel power gain.
@@ -320,13 +296,12 @@ class FadingDistribution:
             raise ValueError(f"n must be >= 1, got {n}")
         if isinstance(rng, RngSeed):
             rng = rng.generator()
-        if self.kind == "chisq":
-            return rng.chisquare(self.params[0], n)
-        if self.kind == "gamma":
-            return rng.gamma(self.params[0], self.params[1], n)
-        if self.kind == "exp":
-            return rng.exponential(self.params[0], n)
-        return np.full(n, self.params[0])
+        if self.is_degenerate:
+            return np.full(n, self.params[0])
+        # numpy draws chisquare(d) as 2 * standard_gamma(d / 2) and
+        # exponential(mu) as mu * standard_exponential, which standard_gamma
+        # returns at shape 1, so one call gives the same bits for every kind.
+        return rng.gamma(self.shape, self.scale, n)
 
 
 def parse_distribution(text: str) -> FadingDistribution:

@@ -2,11 +2,12 @@
 
 Quadrature on the half line (rational map plus Gauss-Legendre) and on
 (0, 1) (a tanh-sinh rule, for endpoint singularities), and seeded Monte
-Carlo expectation with standard-error reporting.  Everything here is pure:
-identical inputs give bit-identical outputs on one machine, and Monte Carlo
-is reproducible through the (seed, stream) contract of :class:`RngSeed`.
-Every weighted sum in the package goes through :func:`weighted_sum`, which
-never calls BLAS, so results do not depend on the BLAS thread count.
+Carlo expectation over :class:`ChannelState` samples with standard-error
+reporting.  Everything here is pure: identical inputs give bit-identical
+outputs on one machine, and Monte Carlo is reproducible through the
+(seed, stream) contract of :class:`RngSeed`.  Every weighted sum in the
+package goes through :func:`weighted_sum`, which never calls BLAS, so
+results do not depend on the BLAS thread count.
 
 All rates handled downstream are in nats; nothing in this module assumes a
 unit beyond "whatever the integrand carries".
@@ -19,6 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+# The canonical gamma shapes accepted: the range the recurrences are tested
+# on against scipy.  Far outside it they stall or lose accuracy (at shape
+# 1e10 the median's cdf reads 0.49998) and the quantile's start overflows.
+SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -51,6 +58,27 @@ class RngSeed:
         key = (int(self.stream),) + tuple(int(k) for k in lane)
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelState:
+    """One fading realization: main and eavesdropper power gains.
+
+    Fields may be scalars or arrays that broadcast together: equal-length
+    arrays in the Monte Carlo and simulation paths, the node pairs of
+    ``fading.pair_rule``.
+    """
+
+    h_m: float | np.ndarray
+    h_e: float | np.ndarray
+
+    def __post_init__(self):
+        for name, value in (("h_m", self.h_m), ("h_e", self.h_e)):
+            arr = np.asarray(value, dtype=float)
+            if arr.size == 0:
+                raise ValueError(f"{name} must not be empty")
+            if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
+                raise ValueError(f"{name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,8 +136,6 @@ def tanh_sinh_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     shape k, exp(-pi k sinh T), falls below 2^-52: T = 6.5, rounded up to a
     half.  Cached and read-only.
     """
-    from .fading import SHAPE_MIN  # runtime import avoids a module cycle
-
     if nodes < 8:
         raise ValueError(f"nodes must be >= 8, got {nodes}")
     half_width = math.ceil(2.0 * math.asinh(52.0 * math.log(2.0) / (math.pi * SHAPE_MIN))) / 2.0
@@ -148,8 +174,6 @@ def mc_expect(f, dist_m, dist_e, n: int, seed: RngSeed) -> Estimate:
     sample values (a scalar is broadcast).  The estimate is deterministic
     given ``seed``; stderr is the sample standard deviation over sqrt(n).
     """
-    from .fading import ChannelState  # runtime import avoids a module cycle
-
     if n < 100:
         raise ValueError(f"n must be >= 100, got {n}")
     rng = seed.generator()

@@ -275,6 +275,21 @@ class TestSimulate:
                          (tmp_path / f"{tag}.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_bare_trunc_inv_takes_the_median_cutoff(self, capsys, tmp_path):
+        """A bare trunc-inv resolves as in a bound's menu: the cutoff is the
+        median main gain, and the power is 0 exactly below it."""
+        prefix = str(tmp_path / "ti")
+        code, _, _ = run_cli(capsys, "simulate", "--policy", "trunc-inv", "-a", "50",
+                             "-b", "4", "--n1", "500", "--out", prefix)
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "ti.json").read_text())
+        assert doc["config"]["policy"] == "trunc-inv"
+        h_min = parse_distribution(doc["config"]["dist_m"]).quantile(0.5)
+        records = doc["records"]
+        off = [p == 0.0 for p in records["power"]]
+        assert off == [h < h_min for h in records["h_m"]]
+        assert 0 < sum(off) < len(off)
+
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--scheme", "full",
                              "--delta", "1.5", "--out", str(tmp_path / "z"))

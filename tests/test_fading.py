@@ -198,17 +198,26 @@ class TestSample:
                                       d.sample(RngSeed(3), 100))
 
     def test_chisq_and_gamma_indistinguishable(self):
-        """Two-sample KS below the 1% critical value at n = 1e5.
-
-        The two kinds use different generator code paths, so this actually
-        exercises the equality in law.
-        """
+        """Two-sample KS below the 1% critical value at n = 1e5, on
+        independent seeds: chisq:4 and gamma:2:2 are one law."""
         n = 100_000
         a = parse_distribution("chisq:4").sample(RngSeed(4), n)
         b = parse_distribution("gamma:2:2").sample(RngSeed(5), n)
         stat = stats.ks_2samp(a, b).statistic
         critical = 1.628 * math.sqrt(2.0 / n)  # c(0.01) sqrt((n+m)/(nm))
         assert stat < critical
+
+    def test_one_gamma_call_matches_numpy_per_kind(self):
+        """Every continuous kind draws through ``rng.gamma(shape, scale)``,
+        which gives bit for bit the draws of numpy's own per-kind calls."""
+        cases = [(f"chisq:{d}", lambda g, n, d=d: g.chisquare(d, n)) for d in range(1, 10)]
+        cases += [(f"exp:{m:g}", lambda g, n, m=m: g.exponential(m, n))
+                  for m in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+        cases += [("gamma:0.3:7", lambda g, n: g.gamma(0.3, 7.0, n))]
+        for spec, draw in cases:
+            got = parse_distribution(spec).sample(np.random.default_rng(11), 10_000)
+            np.testing.assert_array_equal(got, draw(np.random.default_rng(11), 10_000),
+                                          err_msg=spec)
 
 
 class TestInverseMoments:
