@@ -88,13 +88,19 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
     it is called once, for the reported entry only.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
-    whose inverse moment diverges are recorded as ``infeasible``.  When no
-    entry is usable, constant power (whose delay floor is 0 for any law
-    with support reaching 0) is reported at min{E[r_s], R_d} with a warning.
+    whose inverse moment diverges are recorded as ``infeasible``.  On a
+    point-mass main gain v, const, main-inv and trunc-inv with a cutoff
+    <= v all transmit p_bar in every state: each is calibrated, but only
+    the first that calibrates is scored, and its diagnostics name the
+    others as ``tied_with``, so the reported family does not hang on
+    last-ulp noise.  When no entry is usable, constant power (whose delay
+    floor is 0 for any law with support reaching 0) is reported at
+    min{E[r_s], R_d} with a warning.
     """
     best = None
     infeasible: dict[str, str] = {}
     skipped: dict[str, str] = {}
+    ties: list[str] = []  # on a point-mass main gain: the scored entry, then its ties
     if family_menu is None:
         family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
     for entry in family_menu:
@@ -107,9 +113,13 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
+        if dist_m.is_degenerate and pol.h_min <= dist_m.params[0] and family != "full-inv":
+            ties.append(entry)
+            if len(ties) > 1:
+                continue
         value, diag = objective(pol)
         if best is None or value > best[0]:
-            best = value, pol, diag
+            best = value, pol, diag, entry
     if best is None:
         pol = PowerPolicy("const", p_bar)
         value, diag = _capped_secrecy_rate(pol, dist_m, dist_e, nodes)
@@ -117,11 +127,13 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
         diag.update(warning="all requested families infeasible; reporting const fallback",
                     infeasible=infeasible)
     else:
-        value, pol, diag = best
+        value, pol, diag, entry = best
         if callable(diag):
             diag = diag()
         if infeasible:
             diag["infeasible"] = infeasible
+        if ties[1:] and ties[0] == entry:
+            diag["tied_with"] = ties[1:]
     if skipped:
         diag["skipped"] = skipped
     return BoundResult(value=value, policy=pol, diagnostics=diag)

@@ -9,9 +9,10 @@ once and a single integer scan tracks the pad pool.  Key bits are tracked
 by their offsets in the key stream, not drawn: spending is FIFO, so block
 i spends the offsets [C_{i-1}, C_i), with C the running sum of
 ``key_consumed``, and ``roundtrip_ok`` checks the release rule below from
-the ledger's columns.  The report's JSON and CSV share one text pass: each
-column's values are turned into their ``repr`` once, and both writers lay
-out that text.
+the ledger's columns.  The report's JSON and CSV share one cached text
+pass: the columns are deduplicated by bit pattern, each distinct value's
+``repr`` is made once, and both writers lay out the same per-column lists
+of that text.
 
 Time structure: b super-blocks of a blocks of n1 symbols (n = b*a*n1).
 Rates are nats per use throughout the package; this module converts to
@@ -61,9 +62,12 @@ SCHEMES = ("full", "main", "baseline")
 INIT_MODES = ("insecure", "dedicated")
 
 _STATE_LANE = 1
-# A run holds every block's columns and their text at once, about 1.6 kB a
-# block through the CLI (200 MB at 10^5 blocks), so a * b is capped at 100
-# times the CLI default of 10^4 blocks.
+# A run holds every block's columns and their text at once.  The peak
+# ru_maxrss of one process that imports dlsec, runs simulate, to_json and
+# csv_text at the CLI defaults (full and main, chisq:4, 20 dB, a = 500) read
+# 50-51 MB at 10^4 blocks and 164-177 MB at 10^5, 29 MB of it the import:
+# about 1.3-1.4 kB a block.  So a * b is capped at 100 times the CLI default
+# of 10^4 blocks, about 1.5 GB at that rate.
 MAX_BLOCKS = 1_000_000
 
 # The ledger's per-block columns, in CSV order; JSON and CSV both read them.
@@ -131,7 +135,7 @@ class SimConfig:
         return {"full": "full-inv", "main": "main-inv", "baseline": "const"}[self.scheme]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimReport:
     """Complete ledger of one protocol run.
 
@@ -191,53 +195,76 @@ class SimReport:
         }
 
     @cached_property
-    def _column_text(self) -> dict[str, str]:
-        """The ``repr`` of each column's values, one value per line.
+    def _text(self) -> tuple[str, str]:
+        """The JSON document's ``records`` member and the CSV text, laid out
+        from one shared list of value text per column.  The report is
+        frozen and ``records`` read-only, so the text cannot go stale.
 
-        One joined string per column keeps the cache small; ``records`` is
-        read-only, so the text cannot go stale.
+        ``json`` spells non-finite floats Infinity, -Infinity and NaN where
+        ``repr`` gives inf, -inf and nan; no other float or int repr
+        contains an "n", so only a column whose text holds one is respelled.
         """
-        return {name: "\n".join(map(repr, self.records[name].tolist()))
-                for name, _ in _COLUMNS}
+        cols = _column_values(self.records)
+        arrays = {name: _json_array(values, 2) for name, values in cols.items()}
+        for name, text in arrays.items():
+            if "n" in text:
+                arrays[name] = text.replace("inf", "Infinity").replace("nan", "NaN")
+        rows = map(",".join, zip(*cols.values()))
+        return _json_object(arrays, 1), "\n".join([",".join(cols), *rows, ""])
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)``,
-        with the per-block arrays spliced in from the shared column text."""
+        with the per-block arrays spliced in from the cached records text."""
         # json escapes newlines inside strings, so each "\n" below is a line
         # break of the layout; indenting it by one space nests the value.
         parts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
                  for key, value in self._summary().items()}
-        parts["buffer_trajectory"] = _json_array(
-            "\n".join(map(repr, self.buffer_trajectory)), 1)
-        parts["records"] = _json_object(
-            {name: _json_array(text, 2) for name, text in self._column_text.items()}, 1)
+        parts["buffer_trajectory"] = _json_array(list(map(repr, self.buffer_trajectory)), 1)
+        parts["records"] = self._text[0]
         return _json_object(parts, 0)
 
     def csv_text(self) -> str:
-        names = [name for name, _ in _COLUMNS]
-        cols = [self._column_text[name].split("\n") for name in names]
-        return "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
+        return self._text[1]
+
+
+def _column_values(records: np.recarray) -> dict[str, list[str]]:
+    """The ``repr`` of each ``_COLUMNS`` column's values, as one list per
+    column.
+
+    The int64 columns and the float64 columns are each stacked and
+    deduplicated by bit pattern, so -0.0 and each NaN keep their own text;
+    ``repr`` runs once per distinct value, and every list holds references
+    to those strings.  The ledger repeats many values (r_s' is r_s at
+    kappa = 0, r_s'' and the pad counts take few values): at the CLI
+    defaults about 50 000 of the 150 000 values are distinct.
+    """
+    cols: dict[str, list[str]] = {}
+    for dtype in (np.int64, np.float64):
+        names = [name for name, kind in _COLUMNS if kind is dtype]
+        block = np.stack([records[name] for name in names])
+        bits, index = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(dtype).tolist())), dtype=object)
+        cols.update(zip(names, text[index.reshape(block.shape)].tolist()))
+    return {name: cols[name] for name, _ in _COLUMNS}
 
 
 def _json_object(members: dict[str, str], depth: int) -> str:
     """An object of already-encoded member values, laid out as ``json.dumps``
-    with ``sort_keys=True, indent=1`` lays it out at nesting depth ``depth``."""
+    with ``sort_keys=True, indent=1`` lays it out at nesting depth ``depth``,
+    in one copy of the member text."""
     inner = "\n" + " " * (depth + 1)
-    items = (f"{json.dumps(key)}: {members[key]}" for key in sorted(members))
-    return "{" + inner + ("," + inner).join(items) + "\n" + " " * depth + "}"
+    pieces = ["{"]
+    for key in sorted(members):
+        pieces += [inner, json.dumps(key), ": ", members[key], ","]
+    pieces[-1] = "\n" + " " * depth + "}"
+    return "".join(pieces)
 
 
-def _json_array(lines: str, depth: int) -> str:
-    """A non-empty JSON array at nesting depth ``depth`` from the ``repr``
-    of its values, one per line, in the layout of ``json.dumps(..., indent=1)``.
-
-    ``json`` spells non-finite floats Infinity, -Infinity and NaN where
-    ``repr`` gives inf, -inf and nan; no other float or int repr contains
-    those letters.
-    """
-    lines = lines.replace("inf", "Infinity").replace("nan", "NaN")
+def _json_array(values: list[str], depth: int) -> str:
+    """A non-empty JSON array at nesting depth ``depth`` of already-encoded
+    values, in the layout of ``json.dumps(..., indent=1)``."""
     inner = "\n" + " " * (depth + 1)
-    return "[" + inner + lines.replace("\n", "," + inner) + "\n" + " " * depth + "]"
+    return "".join(["[", inner, ("," + inner).join(values), "\n", " " * depth, "]"])
 
 
 def _bits(rate_nats, n1: int) -> np.ndarray:

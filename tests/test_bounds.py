@@ -176,11 +176,13 @@ class TestLazyDiagnostics:
         ("exp:1", "exp:1", 100.0, 1),
         ("chisq:4", "chisq:4", 0.0, 1),
         ("gamma:3:0.01", "exp:2", 100.0, 2),
-        ("const:2", "chisq:4", 100.0, 4),
+        ("const:2", "chisq:4", 100.0, 2),
     ])
     def test_gap_builds_for_the_four_bounds(self, spec_m, spec_e, p_bar, builds):
         """Only the families whose value reads a gap build one: on a
-        continuous pair, lower_full's zero-cap const and trunc-inv do not."""
+        continuous pair, lower_full's zero-cap const and trunc-inv do not;
+        on a point-mass main gain, main-inv and trunc-inv tie with const
+        and are not scored."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         secrecy_gap.cache_clear()
         for bound in (upper_full, lower_full, upper_main, lower_main):
@@ -248,6 +250,54 @@ class TestPointMassKappaSearch:
         with pytest.raises(ValueError, match="kappa must be >= 0"):
             lower_full(parse_distribution(spec_m), parse_distribution("const:1"), 10.0,
                        q_kappa=math.nan)
+
+
+class TestPointMassTie:
+    """On a point-mass main gain v, const, main-inv and trunc-inv with a
+    cutoff <= v all transmit p_bar in every state.  The menu scores the
+    first of them that calibrates and names the others as ``tied_with``.
+    The pair is the one where the reported family once flipped from const
+    to main-inv when a sum changed order."""
+
+    DM = parse_distribution("const:179.145")
+    DE = parse_distribution("gamma:6.91056:0.0728084")
+    P_BAR = 10.0 ** (46.96 / 10.0)
+
+    @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("menu", [["const", "main-inv", "trunc-inv"],
+                                      ["trunc-inv", "const", "main-inv"],
+                                      ["main-inv", "trunc-inv:179.145", "const"]])
+    def test_first_of_the_tie_is_scored(self, bound, menu):
+        got = bound(self.DM, self.DE, self.P_BAR, family_menu=menu)
+        alone = bound(self.DM, self.DE, self.P_BAR, family_menu=menu[:1])
+        assert got.policy.family == alone.policy.family == menu[0].split(":")[0]
+        assert got.diagnostics["tied_with"] == menu[1:]
+        assert got.value == alone.value
+
+    @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
+                             ids=lambda f: f.__name__)
+    def test_tied_families_agree_to_a_few_ulps(self, bound):
+        """Scored alone, each tied family gives the const value up to the
+        rounding of its scale c = p_bar v and its power c / v."""
+        want = bound(self.DM, self.DE, self.P_BAR, family_menu=["const"]).value
+        for entry in ("main-inv", "trunc-inv", "trunc-inv:179.145"):
+            got = bound(self.DM, self.DE, self.P_BAR, family_menu=[entry]).value
+            assert abs(got - want) <= 4.0 * math.ulp(want), entry
+
+    def test_cutoff_above_the_atom_is_no_tie(self):
+        got = upper_main(self.DM, self.DE, self.P_BAR, family_menu=["const", "trunc-inv:180"])
+        assert "tied_with" not in got.diagnostics
+        assert "never transmits" in got.diagnostics["infeasible"]["trunc-inv:180"]
+
+    def test_tie_is_named_only_on_its_scored_entry(self):
+        """upper_full reports full-inv, which ties with nothing."""
+        got = upper_full(self.DM, self.DE, self.P_BAR)
+        assert got.policy.family == "full-inv" and "tied_with" not in got.diagnostics
+
+    def test_continuous_main_gain_has_no_tie(self):
+        got = upper_main(parse_distribution("chisq:4"), self.DE, self.P_BAR)
+        assert "tied_with" not in got.diagnostics
 
 
 def test_memory_held_after_many_law_pairs():

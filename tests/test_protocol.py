@@ -377,12 +377,14 @@ class TestDeterminismAndSerialization:
 
     def test_records_are_read_only(self):
         """The JSON and CSV text is cached per report; the ledger under it
-        cannot change."""
+        cannot change, nor be swapped for another."""
         rep = simulate(make_config(a=10, b=2))
         with pytest.raises(ValueError, match="read-only"):
             rep.records.key_consumed[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             rep.records["h_m"][:] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.records = rep.records.copy()
 
     def test_json_document_shape(self):
         rep = simulate(make_config(a=10, b=2))
@@ -420,12 +422,27 @@ def with_infinite_r_eve(report):
     return dataclasses.replace(report, records=records)
 
 
+def with_edge_values(report):
+    """The report with values that a text pass keyed on value rather than
+    bit pattern, or on one dtype, would spell wrong: -0.0 beside 0.0, NaN of
+    either sign beside -inf, power 1.0 in every block (a float column whose
+    values all repeat, and equal to the int 1 of m and l)."""
+    records = report.records.copy()
+    records.h_m[:4] = [-0.0, 0.0, -0.0, 0.0]
+    records.h_e[:3] = [np.nan, -np.inf, np.copysign(np.nan, -1.0)]
+    records.r_s[:2] = [0.0, -0.0]
+    records.power[:] = 1.0
+    return dataclasses.replace(report, records=records)
+
+
 class TestEncoders:
     """`to_json` and `csv_text` write exactly what the reference encoders
     write: `json.dumps` of `to_json_dict`, and `repr` of each value."""
 
-    @pytest.fixture(params=sorted(ENCODER_CASES), scope="class")
+    @pytest.fixture(params=[*sorted(ENCODER_CASES), "edge-values"], scope="class")
     def report(self, request):
+        if request.param == "edge-values":
+            return with_edge_values(simulate(make_config(a=4, b=2)))
         report = simulate(make_config(**ENCODER_CASES[request.param]))
         if request.param.endswith("-inf-r_eve"):
             report = with_infinite_r_eve(report)
@@ -440,6 +457,26 @@ class TestEncoders:
         cols = [map(repr, report.records[name].tolist()) for name in names]
         want = "\n".join([",".join(names), *map(",".join, zip(*cols))]) + "\n"
         assert report.csv_text() == want
+
+    def test_either_writer_may_run_first(self, report):
+        """Both writers read one cached pass; the order that fills it does
+        not change a byte."""
+        csv_first, json_first = dataclasses.replace(report), dataclasses.replace(report)
+        csv_text = csv_first.csv_text()
+        json_text = json_first.to_json()
+        assert (csv_first.to_json(), json_first.csv_text()) == (json_text, csv_text)
+
+    def test_edge_value_case_is_reached(self):
+        rep = with_edge_values(simulate(make_config(a=4, b=2)))
+        rows = rep.csv_text().splitlines()
+        header = rows[0].split(",")
+        h_m, h_e, power, m = (header.index(name) for name in ("h_m", "h_e", "power", "m"))
+        assert [row.split(",")[h_m] for row in rows[1:5]] == ["-0.0", "0.0", "-0.0", "0.0"]
+        assert [row.split(",")[h_e] for row in rows[1:4]] == ["nan", "-inf", "nan"]
+        assert {row.split(",")[power] for row in rows[1:]} == {"1.0"}
+        assert rows[1].split(",")[m] == "1"
+        doc = rep.to_json()
+        assert "-Infinity" in doc and "NaN" in doc and "-0.0" in doc
 
     def test_non_finite_case_is_reached(self):
         rep = with_infinite_r_eve(simulate(make_config(**ENCODER_CASES["main-inf-r_eve"])))
