@@ -38,12 +38,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import ChannelState, FadingDistribution, inverse_min_moment, pair_rule
+from .fading import FadingDistribution, inverse_min_moment, pair_rule
 from .numerics import tanh_sinh_nodes, weighted_sum
-from .policy import (FULL_CSI, MAIN_CSI, NonInvertibleChannelError, PowerPolicy,
+from .policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
-                    per_state_rates, secrecy_gap)
+                    secrecy_gap)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -93,9 +93,8 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
     <= v all transmit p_bar in every state: each is calibrated, but only
     the first that calibrates is scored, and its diagnostics name the
     others as ``tied_with``, so the reported family does not hang on
-    last-ulp noise.  When no entry is usable, constant power (whose delay
-    floor is 0 for any law with support reaching 0) is reported at
-    min{E[r_s], R_d} with a warning.
+    last-ulp noise.  When no entry is usable, constant power is scored by
+    the same objective and reported with a warning (see :func:`usable`).
     """
     best = None
     infeasible: dict[str, str] = {}
@@ -122,21 +121,36 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
             best = value, pol, diag, entry
     if best is None:
         pol = PowerPolicy("const", p_bar)
-        value, diag = _capped_secrecy_rate(pol, dist_m, dist_e, nodes)
-        del diag["binding"]
-        diag.update(warning="all requested families infeasible; reporting const fallback",
-                    infeasible=infeasible)
-    else:
-        value, pol, diag, entry = best
-        if callable(diag):
-            diag = diag()
-        if infeasible:
-            diag["infeasible"] = infeasible
-        if ties[1:] and ties[0] == entry:
-            diag["tied_with"] = ties[1:]
+        value, diag = objective(pol)
+        best = value, pol, diag, None
+    value, pol, diag, entry = best
+    if callable(diag):
+        diag = diag()
+    if entry is None:
+        diag["warning"] = "no requested family is usable; reporting const fallback"
+    if infeasible or entry is None:
+        diag["infeasible"] = infeasible
+    if ties[1:] and ties[0] == entry:
+        diag["tied_with"] = ties[1:]
     if skipped:
         diag["skipped"] = skipped
     return BoundResult(value=value, policy=pol, diagnostics=diag)
+
+
+def usable(result: BoundResult) -> BoundResult:
+    """``result``, unless its menu had no usable entry: then its const
+    fallback stands in for the families asked for, so raise
+    NonInvertibleChannelError naming the first that did not calibrate, or
+    CsiError if every entry was skipped for needing full CSI."""
+    diag = result.diagnostics
+    if "warning" not in diag:
+        return result
+    if diag["infeasible"]:
+        raise NonInvertibleChannelError(next(iter(diag["infeasible"].values())))
+    if not diag.get("skipped"):
+        raise ValueError("the family menu is empty")
+    entry, reason = next(iter(diag["skipped"].items()))
+    raise CsiError(f"policy {entry!r} {reason}: it reads h_e, which main CSI lacks")
 
 
 def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, dict]:
@@ -195,20 +209,16 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     if q_kappa is not None and not q_kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {q_kappa}")
     kappa0 = 0.0 if q_kappa is None else float(q_kappa)
-    # a point-mass pair: E[r_s'] and ess-inf r_s'' are its atom's rates
-    atom = (ChannelState(dist_m.params[0], dist_e.params[0])
-            if dist_m.is_degenerate and dist_e.is_degenerate else None)
+    point_mass = dist_m.is_degenerate and dist_e.is_degenerate
 
     def objective(pol: PowerPolicy) -> tuple[float, dict | Callable[[], dict]]:
         cap = common_rate_floor(pol, dist_m, dist_e)
 
         def value_at(kappa: float) -> tuple[float, dict]:
-            if atom is not None:
-                rates = per_state_rates(pol, atom, kappa)
-                key_mean, dfloor = rates.r_s_prime, rates.r_s_dprime
-            else:
-                key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
-                dfloor = 0.0
+            key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
+            dfloor = 0.0
+            if point_mass:  # the rule is the atom at weight 1: E[r_s''] is its ess-inf
+                dfloor = max(ergodic_secrecy_rate(pol, dist_m, dist_e, nodes) - key_mean, 0.0)
             r_o = min(key_mean, cap)
             diag = {
                 "q_kappa": kappa,
@@ -223,13 +233,13 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                                 and diag["common_rate_margin"] >= -_CERT_TOL)
             return dfloor + r_o, diag
 
-        if atom is None and cap == 0.0:
+        if not point_mass and cap == 0.0:
             # dfloor is 0 and E[r_s'] >= 0, so min{E[r_s'], 0} is 0 already
             return 0.0, lambda: value_at(kappa0)[1]
         value, diag = value_at(kappa0)
-        if atom is not None and q_kappa is None:
+        if point_mass and q_kappa is None:
             # kappa = v_m zeroes the key share, so the whole r_s is direct
-            direct = value_at(atom.h_m)
+            direct = value_at(dist_m.params[0])
             if direct[0] > value:
                 value, diag = direct
         return value, diag

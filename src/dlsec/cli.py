@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
-                     upper_full, upper_main)
+                     upper_full, upper_main, usable)
 from .fading import pair_rule, parse_distribution
 from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
@@ -113,7 +113,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "b": _opt(20, int, help="super-block count"),
         "n1": _opt(10_000, int, help="symbols per block"),
         "delta": _opt(0.05, float, help="scheduling backoff in [0,1)"),
-        "q_kappa": _opt(0.0, float, help="pin q(h) = max(h_e, kappa)"),
+        "q_kappa": _MENU["q_kappa"],
         "init": _opt("insecure", choices=("insecure", "dedicated"),
                      help="super-block-1 handling"),
         "out": _opt("simreport", help="output prefix for .json/.csv"),
@@ -183,20 +183,11 @@ def _pbar_from_db(db: float) -> float:
         return math.inf
 
 
-def _usable(result):
-    """A menu with no calibratable family falls back to constant power; on
-    the command line, where only an explicit menu can do that, it is an
-    error naming the first family that failed."""
-    if "warning" in result.diagnostics:
-        raise NonInvertibleChannelError(next(iter(result.diagnostics["infeasible"].values())))
-    return result
-
-
 def _bounds_at(dist_m, dist_e, p_bar, args) -> dict:
     """The four bounds at one budget for the command's options, in CSV order."""
     kwargs = dict(family_menu=args.policy, nodes=args.nodes)
     return {
-        "upper_full": _usable(upper_full(dist_m, dist_e, p_bar, **kwargs)),
+        "upper_full": usable(upper_full(dist_m, dist_e, p_bar, **kwargs)),
         "lower_full": lower_full(dist_m, dist_e, p_bar, q_kappa=args.q_kappa, **kwargs),
         "upper_main": upper_main(dist_m, dist_e, p_bar, **kwargs),
         "lower_main": lower_main(dist_m, dist_e, p_bar, **kwargs),

@@ -19,13 +19,17 @@ Rates are nats per use throughout the package; this module converts to
 bits at the ledger boundary: n1 * rate / ln 2 rounded to the nearest bit,
 ties to even.  The rounding residue is never banked in later blocks.
 
-Schemes:
-    full      per-block key messages ride alongside a direct secret lane,
-              and from super-block 2 on every block draws its pad from the
-              pool (super-block 1's pad lane runs unencrypted by default).
-    main      everything rides the one-time pad at the fixed-point rate.
+Schemes (``full`` and ``main`` take policy, kappa and rates from the
+BoundResult of their lower bound on the one-entry menu of the config's
+policy; the ledger has no schedule rule of its own):
+    full      lower_full's two-stage split: per-block key messages ride
+              alongside a direct secret lane, and from super-block 2 on
+              every block draws its pad from the pool (super-block 1's pad
+              lane runs unencrypted by default).
+    main      everything rides the one-time pad at lower_main's fixed-point
+              rate; a policy that reads h_e (full-inv) is a CsiError.
     baseline  plain per-block wiretap coding, which zeroes out in every
-              secrecy-outage block.
+              secrecy-outage block; no bound describes it.
 
 Key release, the one rule ``simulate`` runs and ``roundtrip_ok`` checks:
 ``full``'s key bits become spendable at the end of the block that
@@ -45,16 +49,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .bounds import fixed_point_rate, resolve_menu_entry
+from .bounds import lower_full, lower_main, resolve_menu_entry, usable
 from .fading import ChannelState, FadingDistribution
 from .numerics import RngSeed
 from .policy import calibrate
-from .rates import common_rate_floor, expected_key_share, per_state_rates
+from .rates import per_state_rates
 
 LN2 = math.log(2.0)
 
@@ -89,7 +93,8 @@ class SimConfig:
     ``policy`` uses the policy grammar, where a bare ``trunc-inv`` takes the
     median main gain as its cutoff, as in a bound's menu; an empty string
     picks the scheme's natural default (full -> full-inv, main -> main-inv,
-    baseline -> const).
+    baseline -> const).  ``q_kappa`` None takes the bound's kappa (0 for
+    main and baseline); a value pins it.
     """
 
     scheme: str
@@ -101,7 +106,7 @@ class SimConfig:
     a: int = 500
     n1: int = 10_000
     delta: float = 0.05
-    q_kappa: float = 0.0
+    q_kappa: float | None = None
     init: str = "insecure"
     seed: RngSeed = RngSeed(0, 0)
     nodes: int = 200
@@ -121,7 +126,7 @@ class SimConfig:
             raise ValueError(f"backoff delta must be in [0, 1), got {self.delta}")
         if not (self.p_bar >= 0.0):
             raise ValueError(f"p_bar must be >= 0, got {self.p_bar}")
-        if not self.q_kappa >= 0.0:
+        if self.q_kappa is not None and not self.q_kappa >= 0.0:
             raise ValueError(f"q_kappa must be >= 0, got {self.q_kappa}")
 
     @property
@@ -159,22 +164,12 @@ class SimReport:
     def _summary(self) -> dict:
         """Every entry of the JSON document except the per-block arrays."""
         cfg = self.config
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        config.update(dist_m=cfg.dist_m.spec(), dist_e=cfg.dist_e.spec(),
+                      policy=cfg.policy_spec(),
+                      seed={"seed": cfg.seed.seed, "stream": cfg.seed.stream})
         return {
-            "config": {
-                "scheme": cfg.scheme,
-                "dist_m": cfg.dist_m.spec(),
-                "dist_e": cfg.dist_e.spec(),
-                "policy": cfg.policy_spec(),
-                "p_bar": cfg.p_bar,
-                "b": cfg.b,
-                "a": cfg.a,
-                "n1": cfg.n1,
-                "delta": cfg.delta,
-                "q_kappa": cfg.q_kappa,
-                "init": cfg.init,
-                "seed": {"seed": cfg.seed.seed, "stream": cfg.seed.stream},
-                "nodes": cfg.nodes,
-            },
+            "config": config,
             "schedule": self.schedule,
             "totals": self.totals,
             "starvation_events": self.starvation_events,
@@ -300,13 +295,21 @@ def _spent_after_release(consumed: np.ndarray, generated: np.ndarray,
 
 
 def simulate(config: SimConfig) -> SimReport:
-    """Run the configured scheme and return its ledger.
-
-    Deterministic: identical configs (including the seed) produce
-    identical reports.
+    """Run the configured scheme and return its ledger, whose config holds
+    the kappa the run used.  Deterministic: identical configs (including
+    the seed) produce identical reports.
     """
-    family, h_min = resolve_menu_entry(config.policy_spec(), config.dist_m)
-    pol = calibrate(family, config.dist_m, config.dist_e, config.p_bar, h_min)
+    args = (config.dist_m, config.dist_e, config.p_bar, [config.policy_spec()])
+    kappa = 0.0 if config.q_kappa is None else config.q_kappa
+    if config.scheme == "baseline":  # no bound describes it
+        family, h_min = resolve_menu_entry(config.policy_spec(), config.dist_m)
+        pol = calibrate(family, config.dist_m, config.dist_e, config.p_bar, h_min)
+    else:
+        bound = usable(lower_full(*args, q_kappa=config.q_kappa, nodes=config.nodes)
+                       if config.scheme == "full" else lower_main(*args, nodes=config.nodes))
+        pol, diag = bound.policy, bound.diagnostics
+        kappa = diag.get("q_kappa", kappa)
+    config = replace(config, q_kappa=kappa)
     a, b, n1 = config.a, config.b, config.n1
     nblocks = a * b
     state_rng = config.seed.generator(_STATE_LANE)
@@ -320,22 +323,18 @@ def simulate(config: SimConfig) -> SimReport:
     zeros = np.zeros(nblocks, dtype=np.int64)
     outage = zeros
     if config.scheme == "full":
-        key_mean = expected_key_share(pol, config.dist_m, config.dist_e,
-                                      kappa=config.q_kappa, nodes=config.nodes)
-        cap = common_rate_floor(pol, config.dist_m, config.dist_e)
-        r_o = (1.0 - config.delta) * min(key_mean, cap)
+        r_o = (1.0 - config.delta) * diag["r_o_chosen"]
         sched = int(_bits(r_o, n1))
         schedule = {"r_o": r_o, "otp_bits_per_block": sched,
-                    "key_share_expected": key_mean, "r_o_cap": cap,
-                    "backoff": config.delta}
+                    "key_share_expected": diag["r_s_prime_expected"],
+                    "r_o_cap": diag["r_o_cap"], "backoff": config.delta}
         gen, direct, spendable_every = _bits(rb.r_s_prime, n1), _bits(rb.r_s_dprime, n1), 1
     elif config.scheme == "main":
-        r_star, fp_diag = fixed_point_rate(pol, config.dist_m, config.dist_e, config.nodes)
+        r_star = bound.value
         data_rate = (1.0 - config.delta) * r_star
         sched = int(_bits(data_rate, n1))
         schedule = {"fixed_point_rate": r_star, "data_rate": data_rate,
-                    "otp_bits_per_block": sched,
-                    "r_d_floor": fp_diag.get("r_d_floor", 0.0),
+                    "otp_bits_per_block": sched, "r_d_floor": diag["r_d_floor"],
                     "backoff": config.delta}
         # key generation leaves room for the unscaled fixed-point rate;
         # binning codewords decode only once the super-block completes

@@ -13,10 +13,10 @@ import pytest
 
 import dlsec
 from dlsec.bounds import (_CERT_TOL, _best, _digamma, fixed_point_rate, high_snr_limit,
-                          key_rate, lower_full, lower_main, upper_full, upper_main)
+                          key_rate, lower_full, lower_main, upper_full, upper_main, usable)
 from dlsec.fading import ChannelState, FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
-from dlsec.policy import FULL_CSI, calibrate
+from dlsec.policy import FULL_CSI, CsiError, NonInvertibleChannelError, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, per_state_rates, secrecy_gap)
 
@@ -344,6 +344,60 @@ class TestUpperMain:
         res = upper_main(CHISQ4, CHISQ4, 100.0, family_menu=["full-inv", "main-inv"])
         assert res.policy.family == "main-inv"
         assert "full-inv" in res.diagnostics.get("skipped", {})
+
+
+class TestConstFallback:
+    """A menu with no usable entry reports constant power scored by the
+    bound's own objective.  On this pair trunc-inv:180 never transmits
+    (the main gain is an atom below its cutoff)."""
+
+    PAIR = (parse_distribution("const:179.145"),
+            parse_distribution("gamma:6.91056:0.0728084"), 10.0 ** 4.696)
+
+    @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
+                             ids=lambda f: f.__name__)
+    def test_fallback_is_the_const_entry(self, bound):
+        got = bound(*self.PAIR, family_menu=["trunc-inv:180"])
+        want = bound(*self.PAIR, family_menu=["const"])
+        assert got.policy == want.policy
+        assert got.value == want.value
+        diag = dict(got.diagnostics)
+        assert "trunc-inv:180" in diag.pop("infeasible")
+        assert diag.pop("warning")
+        assert diag == want.diagnostics
+
+    def test_lower_main_is_not_read_off_the_upper_objective(self):
+        """min{E[r_s], R_d} of the fallback is 5.949, which lower_main
+        reported while every fallback was scored that way."""
+        upper = upper_main(*self.PAIR, family_menu=["trunc-inv:180"]).value
+        lower = lower_main(*self.PAIR, family_menu=["trunc-inv:180"]).value
+        assert abs(upper - 5.949) < 5e-4
+        assert abs(lower - 2.975) < 5e-4
+
+
+class TestUsable:
+    def test_usable_result_is_returned(self):
+        res = upper_full(CHISQ4, CHISQ4, 100.0)
+        assert usable(res) is res
+
+    def test_infeasible_menu_names_its_first_failure(self):
+        res = upper_full(EXP1, EXP1, 10.0, family_menu=["full-inv", "main-inv"])
+        with pytest.raises(NonInvertibleChannelError) as err:
+            usable(res)
+        assert str(err.value) == res.diagnostics["infeasible"]["full-inv"]
+
+    @pytest.mark.parametrize("bound", [upper_main, lower_main], ids=lambda f: f.__name__)
+    def test_menu_of_skipped_entries_is_a_csi_error(self, bound):
+        """Every entry skipped, none infeasible: there is no calibration
+        failure to name, so the error names the CSI the entry needs."""
+        res = bound(CHISQ4, CHISQ4, 10.0, family_menu=["full-inv"])
+        assert res.diagnostics["infeasible"] == {}
+        with pytest.raises(CsiError, match="'full-inv' needs full CSI"):
+            usable(res)
+
+    def test_empty_menu_is_a_value_error(self):
+        with pytest.raises(ValueError, match="menu is empty"):
+            usable(upper_full(CHISQ4, CHISQ4, 10.0, family_menu=[]))
 
 
 class TestLowerMain:
@@ -852,12 +906,16 @@ PINNED_BOUNDS = {
 }
 
 # const:2 / gamma:0.5:1: upper_full and lower_full with menu [full-inv]
-# (infeasible, so the const fallback evaluates E[r_s] against its floor)
-# and lower_main with menu [main-inv] (a point-mass main gain)
+# (infeasible, so each scores the const fallback by its own objective:
+# min{E[r_s], R_d} for upper_full, and 0 for lower_full, whose common-rate
+# cap is 0 off a point-mass pair) and lower_main with menu [main-inv] (a
+# point-mass main gain).  The lower_full column read 0.7755862988273268,
+# 2.3277239818720976 and 2.6118496781878036 while every fallback was scored
+# by the upper bounds' objective.
 PINNED_FALLBACK = {
-    0.0: (0.7755862988273268, 0.7755862988273268, 0.4072663174373325),
-    20.0: (2.3277239818720976, 2.3277239818720976, 1.261999842470426),
-    40.0: (2.6118496781878036, 2.6118496781878036, 1.4293079894944924),
+    0.0: (0.7755862988273268, 0.0, 0.4072663174373325),
+    20.0: (2.3277239818720976, 0.0, 1.261999842470426),
+    40.0: (2.6118496781878036, 0.0, 1.4293079894944924),
 }
 
 # lower_main as bisection to a 1e-10 bracket gave it, for every pinned row
@@ -888,15 +946,14 @@ BISECTION_LOWER_MAIN = {
 # numpy/math one and every weighted sum to the fixed-order einsum, keyed by
 # (bound, dist_m, dist_e, pbar_db), with the value it had before.  Each
 # moved by a few ulps.  (The limit pins of that change have since moved to
-# the Beta-coordinate rule; see GRID_LIMIT_PINS.)
+# the Beta-coordinate rule; see GRID_LIMIT_PINS.  The lower_full fallback
+# pins of const:2 / gamma:0.5:1 were dropped when the fallback came to be
+# scored by lower_full's own objective; they equalled upper_full's.)
 SCIPY_LAW_PINS = {
     ('lower_full', 'chisq:4', 'chisq:4', 0.0): 0.31746082115720053,
     ('lower_full', 'chisq:4', 'chisq:4', 20.0): 0.4412334868371165,
     ('lower_full', 'chisq:4', 'chisq:4', 40.0): 0.44307983967637204,
     ('lower_full', 'const:2', 'chisq:4', 40.0): 0.16446948168759148,
-    ('lower_full', 'const:2', 'gamma:0.5:1', 0.0): 0.7755862988273272,
-    ('lower_full', 'const:2', 'gamma:0.5:1', 20.0): 2.327723981872099,
-    ('lower_full', 'const:2', 'gamma:0.5:1', 40.0): 2.611849678187805,
     ('lower_main', 'chisq:4', 'chisq:4', 0.0): 0.15137553987534907,
     ('lower_main', 'chisq:4', 'chisq:4', 20.0): 0.3029053763418198,
     ('lower_main', 'chisq:4', 'chisq:4', 40.0): 0.30708715762137634,

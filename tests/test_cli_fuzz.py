@@ -139,6 +139,9 @@ ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
     (["bounds", "--dist-m", "const:1e-300", "--dist-e", "const:1e300"], 0),
     (["sweep", "--dist-m", "exp:1", "--dist-e", "exp:1", "--policy", "full-inv",
       "--policy", "main-inv", "--snr-db-grid", "0:10:5"], EXIT_INFEASIBLE),
+    # main CSI cannot run a policy that reads h_e
+    (["simulate", "--scheme", "main", "--policy", "full-inv", "-a", "2", "-b", "2"],
+     EXIT_USAGE),
 ])
 def test_known_bad_inputs(argv, code, out_dir):
     assert run(argv, out_dir)[0] == code

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlsec.bounds import lower_full, lower_main
 from dlsec.fading import FadingDistribution
 from dlsec.numerics import RngSeed
-from dlsec.protocol import INIT_MODES, SCHEMES, SimConfig, simulate
+from dlsec.protocol import INIT_MODES, SCHEMES, SimConfig, _bits, simulate
 
 gamma_laws = st.builds(
     lambda shape, scale: FadingDistribution("gamma", (shape, scale)),
@@ -24,7 +25,7 @@ configs = st.builds(
     b=st.integers(1, 8),
     n1=st.integers(1, 2000),
     delta=st.floats(0.0, 0.95, exclude_max=True),
-    q_kappa=st.sampled_from([0.0, 0.7]),
+    q_kappa=st.sampled_from([None, 0.0, 0.7]),
     init=st.sampled_from(INIT_MODES),
     seed=st.builds(RngSeed, st.integers(0, 2**64 - 1), st.integers(0, 3)),
 )
@@ -33,6 +34,10 @@ configs = st.builds(
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(config=configs)
 def test_ledger_invariants(config):
+    """Ledger invariants, and the tie to the lower bound the scheme runs:
+    the pad schedule is (1 - delta) times the rate of the one-entry-menu
+    bound (r_o_chosen of lower_full, the fixed point of lower_main), and
+    the report carries the kappa that bound used (0 where none does)."""
     rep = simulate(config)
     rec = rep.records
     assert rep.roundtrip_ok
@@ -44,3 +49,15 @@ def test_ledger_invariants(config):
     again = simulate(config)
     assert again.to_json() == rep.to_json()
     assert again.csv_text() == rep.csv_text()
+
+    args = (config.dist_m, config.dist_e, config.p_bar, [config.policy_spec()])
+    kappa = 0.0 if config.q_kappa is None else config.q_kappa
+    if config.scheme == "full":
+        bound = lower_full(*args, q_kappa=config.q_kappa, nodes=config.nodes)
+        rate, kappa = bound.diagnostics["r_o_chosen"], bound.diagnostics["q_kappa"]
+    elif config.scheme == "main":
+        rate = lower_main(*args, nodes=config.nodes).value
+    if config.scheme != "baseline":
+        sched = rep.schedule["otp_bits_per_block"]
+        assert sched == _bits((1.0 - config.delta) * rate, config.n1)
+    assert rep.config.q_kappa == kappa

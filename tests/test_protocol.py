@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from dlsec.bounds import lower_full
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed
+from dlsec.policy import CsiError
 from dlsec.protocol import LN2, MAX_BLOCKS, SimConfig, _bits, _spent_after_release, simulate
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -311,6 +313,37 @@ class TestMainScheme:
             want = int(round(rep.config.n1
                              * max(r.r_main - r_star - r.r_eve, 0.0) / LN2))
             assert r.key_generated == want
+
+
+class TestScheduleFromBound:
+    """full and main run the scheme of the lower bound on their policy."""
+
+    def test_point_mass_full_delivers_lower_full(self):
+        """const:1000 / const:0.01 at p_bar = 1: lower_full takes kappa =
+        v_m, all of r_s direct, so every block delivers the bound's 9 953
+        bits (the pad at kappa = 0 would carry 14)."""
+        config = make_config(dist_m=parse_distribution("const:1000"),
+                             dist_e=parse_distribution("const:0.01"), p_bar=1.0,
+                             policy="const", a=20, b=5, n1=1000, seed=RngSeed(0))
+        bound = lower_full(config.dist_m, config.dist_e, config.p_bar, family_menu=["const"])
+        rep = simulate(config)
+        want = int(_bits(bound.value, config.n1))
+        assert want == 9953
+        assert np.all(rep.records.data_delivered[rep.records.m >= 2] == want)
+        assert rep.config.q_kappa == bound.diagnostics["q_kappa"] == 1000.0
+        assert rep.insecure_fraction == 0.0
+
+    @pytest.mark.parametrize("scheme", ["full", "main", "baseline"])
+    def test_unset_kappa_reports_the_kappa_used(self, scheme):
+        config = make_config(scheme=scheme, a=5, b=2)
+        assert config.q_kappa is None
+        rep = simulate(config)
+        assert rep.config.q_kappa == 0.0
+        assert json.loads(rep.to_json())["config"]["q_kappa"] == 0.0
+
+    def test_main_rejects_a_full_csi_policy(self):
+        with pytest.raises(CsiError, match="'full-inv' needs full CSI"):
+            simulate(make_config(scheme="main", policy="full-inv", a=5, b=2))
 
 
 class TestBaselineScheme:
