@@ -21,8 +21,11 @@ All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
 and keeps the last 8, so the bounds at one budget build it at most once
 per family, and only for the families whose value reads it: an entry
 with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
-point-mass pair (lower_full) is worth 0 without it.  A new budget
-rescales every policy, so nothing older is hit again.  The law-only
+point-mass pair (lower_full) is worth 0 without it.  A result builds its
+diagnostics on first read, for the reported entry only, so a zero-cap
+lower_full entry evaluates E[r_s'] only if its diagnostics are read
+(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does).  A
+new budget rescales every policy, so nothing older is hit again.  The law-only
 inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
 and the trunc-inv default cutoff) are cached per law, 64 entries each,
 so calibrating at a new budget is one division.  Every expectation over
@@ -32,7 +35,6 @@ so calibrating at a new budget is one division.  Every expectation over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -51,13 +53,32 @@ DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
 _CERT_TOL = 1e-9
 
 
-@dataclass
 class BoundResult:
-    """A bound value (nats/use), the maximizing policy, and diagnostics."""
+    """A bound value (nats/use), the maximizing policy, and diagnostics.
 
-    value: float
-    policy: PowerPolicy
-    diagnostics: dict = field(default_factory=dict)
+    ``diagnostics`` is given as a dict, or as a zero-argument callable that
+    builds one on first read (the dict is then kept), so a caller that
+    reads only ``value`` never builds them.  ``fallback`` is True when no
+    menu entry was usable and ``policy`` is the const fallback (see
+    :func:`usable`).
+    """
+
+    __slots__ = ("value", "policy", "fallback", "_diagnostics")
+
+    def __init__(self, value: float, policy: PowerPolicy,
+                 diagnostics: dict | Callable[[], dict] | None = None, fallback: bool = False):
+        self.value, self.policy, self.fallback = value, policy, fallback
+        self._diagnostics = {} if diagnostics is None else diagnostics
+
+    @property
+    def diagnostics(self) -> dict:
+        if callable(self._diagnostics):
+            self._diagnostics = self._diagnostics()
+        return self._diagnostics
+
+    def __repr__(self) -> str:
+        return (f"BoundResult(value={self.value!r}, policy={self.policy!r}, "
+                f"diagnostics={self.diagnostics!r}, fallback={self.fallback!r})")
 
 
 class HighSnrLimit(NamedTuple):
@@ -83,9 +104,11 @@ def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, flo
 def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
     (None picks the CSI case's default) to the budget, score it with
-    ``objective(policy) -> (value, diagnostics)`` and keep the first maximum.
-    ``diagnostics`` is a dict, or a zero-argument callable returning one;
-    it is called once, for the reported entry only.
+    ``objective(policy) -> (value, build)`` and keep the first maximum.
+    ``build()`` returns the entry's diagnostics dict.  Only the reported
+    entry's ``build`` is called, on the result's first read of
+    ``diagnostics``, so a caller that reads only ``value`` never builds
+    them.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
     whose inverse moment diverges are recorded as ``infeasible``.  On a
@@ -94,7 +117,8 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
     the first that calibrates is scored, and its diagnostics name the
     others as ``tied_with``, so the reported family does not hang on
     last-ulp noise.  When no entry is usable, constant power is scored by
-    the same objective and reported with a warning (see :func:`usable`).
+    the same objective and reported as the ``fallback``, with a warning
+    (see :func:`usable`).
     """
     best = None
     infeasible: dict[str, str] = {}
@@ -116,25 +140,28 @@ def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundRes
             ties.append(entry)
             if len(ties) > 1:
                 continue
-        value, diag = objective(pol)
+        value, build = objective(pol)
         if best is None or value > best[0]:
-            best = value, pol, diag, entry
+            best = value, pol, build, entry
     if best is None:
         pol = PowerPolicy("const", p_bar)
-        value, diag = objective(pol)
-        best = value, pol, diag, None
-    value, pol, diag, entry = best
-    if callable(diag):
-        diag = diag()
-    if entry is None:
-        diag["warning"] = "no requested family is usable; reporting const fallback"
-    if infeasible or entry is None:
-        diag["infeasible"] = infeasible
-    if ties[1:] and ties[0] == entry:
-        diag["tied_with"] = ties[1:]
-    if skipped:
-        diag["skipped"] = skipped
-    return BoundResult(value=value, policy=pol, diagnostics=diag)
+        value, build = objective(pol)
+        best = value, pol, build, None
+    value, pol, build, entry = best
+
+    def diagnostics() -> dict:
+        diag = build()
+        if entry is None:
+            diag["warning"] = "no requested family is usable; reporting const fallback"
+        if infeasible or entry is None:
+            diag["infeasible"] = infeasible
+        if ties[1:] and ties[0] == entry:
+            diag["tied_with"] = ties[1:]
+        if skipped:
+            diag["skipped"] = skipped
+        return diag
+
+    return BoundResult(value, pol, diagnostics, fallback=entry is None)
 
 
 def usable(result: BoundResult) -> BoundResult:
@@ -142,9 +169,9 @@ def usable(result: BoundResult) -> BoundResult:
     fallback stands in for the families asked for, so raise
     NonInvertibleChannelError naming the first that did not calibrate, or
     CsiError if every entry was skipped for needing full CSI."""
-    diag = result.diagnostics
-    if "warning" not in diag:
+    if not result.fallback:
         return result
+    diag = result.diagnostics
     if diag["infeasible"]:
         raise NonInvertibleChannelError(next(iter(diag["infeasible"].values())))
     if not diag.get("skipped"):
@@ -153,17 +180,15 @@ def usable(result: BoundResult) -> BoundResult:
     raise CsiError(f"policy {entry!r} {reason}: it reads h_e, which main CSI lacks")
 
 
-def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, dict]:
+def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, Callable[[], dict]]:
     """The upper bounds' objective: min{E[r_s], ess-inf r_main}."""
     floor = delay_floor(pol, dist_m)
-    diag = {"r_d_floor": floor}
     if floor <= 0.0:
-        diag["binding"] = "r_d_floor"
-        return 0.0, diag
+        return 0.0, lambda: {"r_d_floor": floor, "binding": "r_d_floor"}
     ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
-    diag["r_s_expected"] = ers
-    diag["binding"] = "r_s_expected" if ers <= floor else "r_d_floor"
-    return min(ers, floor), diag
+    binding = "r_s_expected" if ers <= floor else "r_d_floor"
+    return min(ers, floor), lambda: {"r_d_floor": floor, "r_s_expected": ers,
+                                     "binding": binding}
 
 
 def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -204,14 +229,14 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     Off a point-mass pair, an entry whose cap ess-inf min(r_main, r_eve)
     is 0 (every family but full-inv, and full-inv at zero power) is worth
     exactly 0 at any kappa, so its E[r_s'] is evaluated only if that entry
-    is the one reported.
+    is the one reported and its diagnostics are read.
     """
     if q_kappa is not None and not q_kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {q_kappa}")
     kappa0 = 0.0 if q_kappa is None else float(q_kappa)
     point_mass = dist_m.is_degenerate and dist_e.is_degenerate
 
-    def objective(pol: PowerPolicy) -> tuple[float, dict | Callable[[], dict]]:
+    def objective(pol: PowerPolicy) -> tuple[float, Callable[[], dict]]:
         cap = common_rate_floor(pol, dist_m, dist_e)
 
         def value_at(kappa: float) -> tuple[float, dict]:
@@ -242,7 +267,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             direct = value_at(dist_m.params[0])
             if direct[0] > value:
                 value, diag = direct
-        return value, diag
+        return value, lambda: diag
 
     return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI, objective)
 
@@ -287,12 +312,14 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
     R = 0 on f(R) = R - K(R) then lands each step on the root
     S / (1 + W) of the current segment's line, where S and W sum w_i g_i
     and w_i over the gaps above R.  f is concave and increasing, so the
-    steps rise without passing the root.  A step that drops no gap below
-    R returns R itself, the exact root on the crossing segment; between
-    the first step and that last one, each step crosses a breakpoint.  A
-    step that reaches R_d means K(R_d) >= R_d and the answer is R_d.
-    ``fixed_point_iterations`` counts the steps taken, and ``binding`` is
-    "r_d_floor" when R* = R_d, else "key_rate".
+    steps rise without passing the root.  An iteration after the first
+    that drops no gap below R would repeat the last step and return R
+    itself, so it stops there: R is the exact root on the crossing
+    segment.  Between the first step and that last iteration, each step
+    crosses a breakpoint.  A step that reaches R_d means K(R_d) >= R_d and
+    the answer is R_d.  ``fixed_point_iterations`` counts the iterations,
+    the last included, and ``binding`` is "r_d_floor" when R* = R_d, else
+    "key_rate".
     """
     r_d = delay_floor(policy, dist_m)
     diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": 0}
@@ -311,7 +338,10 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
     while True:
         diag["fixed_point_iterations"] += 1
         above = g_act > root
-        if not above.all():
+        if above.all():
+            if root > 0.0:  # no gap dropped: the step would repeat the last one, root
+                break
+        else:
             g_act, w_act = g_act[above], w_act[above]
         step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
         if step >= r_d:
@@ -333,8 +363,11 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     """Achievable rate with only the main gain known: everything rides the
     one-time pad, and the sustainable rate is the fixed point of the key
     balance, maximized over main-CSI families."""
-    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI,
-                 lambda pol: fixed_point_rate(pol, dist_m, dist_e, nodes))
+    def objective(pol: PowerPolicy) -> tuple[float, Callable[[], dict]]:
+        root, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
+        return root, lambda: diag
+
+    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI, objective)
 
 
 def _log_ratio(a: float, b: float) -> float:

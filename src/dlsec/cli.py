@@ -78,8 +78,8 @@ _DIST = {
     "dist_e": _opt("chisq:4", help="eavesdropper gain law"),
 }
 _MENU = {
-    "policy": _opt(cast=_parse_policy_list, action="append",
-                   help="restrict the family menu (repeatable)"),
+    "policy": _opt(cast=_parse_policy_list, action="extend",
+                   help="restrict the family menu: a comma list (repeatable)"),
     "q_kappa": _opt(cast=float, help="pin q(h) = max(h_e, kappa) instead of optimizing"),
 }
 _COMMON = {
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for dest, (_default, cast, kw) in options.items():
             flag = "-" + dest if len(dest) == 1 else "--" + dest.replace("_", "-")
-            if "action" not in kw:  # append and store_const take no cast
+            if kw.get("action") != "store_const":  # store_const takes no cast
                 kw = dict(kw, type=cast)
             p.add_argument(flag, default=None, **kw)
         p.add_argument("--config", help="plain-text config file of key = value lines")

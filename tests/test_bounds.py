@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import dlsec
-from dlsec.bounds import (_CERT_TOL, _best, _digamma, fixed_point_rate, high_snr_limit,
-                          key_rate, lower_full, lower_main, upper_full, upper_main, usable)
-from dlsec.fading import ChannelState, FadingDistribution, parse_distribution
+from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
+                          _digamma, fixed_point_rate, high_snr_limit, key_rate, lower_full,
+                          lower_main, resolve_menu_entry, upper_full, upper_main, usable)
+from dlsec.cli import main as cli_main
+from dlsec.fading import ChannelState, FadingDistribution, parse_distribution, pair_rule
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
-from dlsec.policy import FULL_CSI, CsiError, NonInvertibleChannelError, calibrate
+from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
+                          calibrate)
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, per_state_rates, secrecy_gap)
 
@@ -112,10 +115,76 @@ class TestLowerFull:
             assert lo <= hi + 1e-9
 
 
-def eager_lower_full(dm, de, p_bar, menu=None, q_kappa=None):
-    """lower_full with every entry's rates and diagnostics built as it is
-    scored: off a point-mass pair E[r_s'] is evaluated whatever the cap,
-    and on one every rate is read off per_state_rates at the atom."""
+def eager_best(dm, de, p_bar, menu, csi, objective):
+    """The menu pass with every entry's diagnostics built as it is scored,
+    for an ``objective(policy) -> (value, dict)``; the fallback is marked
+    by its ``warning`` alone (read by :func:`eager_usable`)."""
+    best, infeasible, skipped, ties = None, {}, {}, []
+    if menu is None:
+        menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
+    for entry in menu:
+        family, h_min = resolve_menu_entry(entry, dm)
+        if csi == MAIN_CSI and family == "full-inv":
+            skipped[entry] = "needs full CSI"
+            continue
+        try:
+            pol = calibrate(family, dm, de, p_bar, h_min)
+        except NonInvertibleChannelError as err:
+            infeasible[entry] = str(err)
+            continue
+        if dm.is_degenerate and pol.h_min <= dm.params[0] and family != "full-inv":
+            ties.append(entry)
+            if len(ties) > 1:
+                continue
+        value, diag = objective(pol)
+        if best is None or value > best[0]:
+            best = value, pol, diag, entry
+    if best is None:
+        pol = PowerPolicy("const", p_bar)
+        value, diag = objective(pol)
+        best = value, pol, diag, None
+    value, pol, diag, entry = best
+    if entry is None:
+        diag["warning"] = "no requested family is usable; reporting const fallback"
+    if infeasible or entry is None:
+        diag["infeasible"] = infeasible
+    if ties[1:] and ties[0] == entry:
+        diag["tied_with"] = ties[1:]
+    if skipped:
+        diag["skipped"] = skipped
+    return BoundResult(value, pol, diag)
+
+
+def eager_usable(result):
+    """usable as it read an eager result: its ``warning`` marks the fallback."""
+    diag = result.diagnostics
+    if "warning" not in diag:
+        return result
+    if diag["infeasible"]:
+        raise NonInvertibleChannelError(next(iter(diag["infeasible"].values())))
+    if not diag.get("skipped"):
+        raise ValueError("the family menu is empty")
+    entry, reason = next(iter(diag["skipped"].items()))
+    raise CsiError(f"policy {entry!r} {reason}: it reads h_e, which main CSI lacks")
+
+
+def eager_capped_secrecy_rate(pol, dm, de):
+    floor = delay_floor(pol, dm)
+    diag = {"r_d_floor": floor}
+    if floor <= 0.0:
+        diag["binding"] = "r_d_floor"
+        return 0.0, diag
+    ers = ergodic_secrecy_rate(pol, dm, de)
+    diag["r_s_expected"] = ers
+    diag["binding"] = "r_s_expected" if ers <= floor else "r_d_floor"
+    return min(ers, floor), diag
+
+
+def eager_lower_full_objective(dm, de, q_kappa=None):
+    """lower_full's objective with every entry's rates and diagnostics
+    built as it is scored: off a point-mass pair E[r_s'] is evaluated
+    whatever the cap, and on one every rate is read off per_state_rates
+    at the atom."""
     atom = (ChannelState(dm.params[0], de.params[0])
             if dm.is_degenerate and de.is_degenerate else None)
 
@@ -145,13 +214,43 @@ def eager_lower_full(dm, de, p_bar, menu=None, q_kappa=None):
                 best = direct
         return best
 
-    return _best(dm, de, p_bar, menu, 200, FULL_CSI, objective)
+    return objective
+
+
+def eager_lower_full(dm, de, p_bar, menu=None, q_kappa=None):
+    return eager_best(dm, de, p_bar, menu, FULL_CSI,
+                      eager_lower_full_objective(dm, de, q_kappa))
+
+
+def eager_bound(bound, dm, de, p_bar, menu=None):
+    """Each bound with its diagnostics built eagerly."""
+    if bound is lower_full:
+        return eager_lower_full(dm, de, p_bar, menu)
+    if bound is lower_main:
+        return eager_best(dm, de, p_bar, menu, MAIN_CSI,
+                          lambda pol: fixed_point_rate(pol, dm, de))
+    csi = FULL_CSI if bound is upper_full else MAIN_CSI
+    return eager_best(dm, de, p_bar, menu, csi,
+                      lambda pol: eager_capped_secrecy_rate(pol, dm, de))
+
+
+def usable_outcome(use, result):
+    """(error type, message) that ``use`` raises on ``result``, or None."""
+    try:
+        use(result)
+    except (ValueError, CsiError) as err:
+        return type(err), str(err)
+    return None
+
+
+FOUR_BOUNDS = [upper_full, lower_full, upper_main, lower_main]
+TIE_PAIR = ("const:179.145", "gamma:6.91056:0.0728084", 10.0 ** 4.696)
 
 
 class TestLazyDiagnostics:
-    """lower_full scores a zero-cap entry as 0 without E[r_s'] and builds
-    diagnostics only for the entry it reports; its value, policy and every
-    diagnostic must equal the eager evaluation's."""
+    """A bound scores its entries by value alone and builds diagnostics
+    on the first read, for the entry it reports; its value, policy and
+    every diagnostic must equal the eager evaluation's."""
 
     @pytest.mark.parametrize("spec_m, spec_e, p_bar, menu, q_kappa, family", [
         ("chisq:4", "chisq:4", 100.0, None, None, "full-inv"),
@@ -171,23 +270,85 @@ class TestLazyDiagnostics:
         assert (got.value, got.policy, got.diagnostics) == (want.value, want.policy,
                                                             want.diagnostics)
 
-    @pytest.mark.parametrize("spec_m, spec_e, p_bar, builds", [
-        ("chisq:4", "chisq:4", 100.0, 2),
-        ("exp:1", "exp:1", 100.0, 1),
-        ("chisq:4", "chisq:4", 0.0, 1),
-        ("gamma:3:0.01", "exp:2", 100.0, 2),
-        ("const:2", "chisq:4", 100.0, 2),
+    @pytest.mark.parametrize("bound", FOUR_BOUNDS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("spec_m, spec_e, p_bar, menu, keys", [
+        ("chisq:4", "chisq:4", 100.0, None, ()),
+        ("exp:1", "exp:1", 100.0, None, ("infeasible",)),
+        ("chisq:4", "chisq:4", 0.0, None, ()),
+        ("gamma:3:0.01", "exp:2", 100.0, None, ()),
+        ("gamma:0.5:2", "gamma:0.8:0.1", 1e4, None, ("infeasible",)),
+        ("const:2", "chisq:4", 100.0, ["full-inv", "main-inv"], ()),
+        ("exp:1", "exp:1", 10.0, ["full-inv", "main-inv"], ("warning", "infeasible")),
+        ("chisq:4", "chisq:4", 10.0, ["full-inv"], ()),
+        ("chisq:4", "chisq:4", 10.0, [], ("warning", "infeasible")),
+        (*TIE_PAIR, ["const", "main-inv", "trunc-inv"], ("tied_with",)),
+        (*TIE_PAIR, ["trunc-inv:180"], ("warning", "infeasible")),
     ])
-    def test_gap_builds_for_the_four_bounds(self, spec_m, spec_e, p_bar, builds):
-        """Only the families whose value reads a gap build one: on a
-        continuous pair, lower_full's zero-cap const and trunc-inv do not;
-        on a point-mass main gain, main-inv and trunc-inv tie with const
-        and are not scored."""
+    def test_four_bounds_equal_eager_evaluation(self, bound, spec_m, spec_e, p_bar, menu,
+                                                keys):
+        """Each case's diagnostics carry ``keys`` for every bound, and
+        ``skipped`` under main CSI where the menu names full-inv; usable
+        raises what it raised on the eager result, and a second read
+        returns the same dict."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        got = bound(dm, de, p_bar, family_menu=menu)
+        want = eager_bound(bound, dm, de, p_bar, menu)
+        assert usable_outcome(usable, got) == usable_outcome(eager_usable, want)
+        assert got.fallback == ("warning" in want.diagnostics)
+        diag = got.diagnostics
+        assert diag is got.diagnostics
+        assert (got.value, got.policy) == (want.value, want.policy)
+        assert repr(sorted(diag.items())) == repr(sorted(want.diagnostics.items()))
+        assert set(keys) <= diag.keys()
+        needs_full_csi = bound in (upper_main, lower_main) and "full-inv" in (menu or ())
+        assert ("skipped" in diag) == needs_full_csi
+
+    def test_plain_dict_is_kept(self):
+        diag = {"binding": "r_d_floor"}
+        res = BoundResult(value=0.0, policy=PowerPolicy("const", 1.0), diagnostics=diag)
+        assert res.diagnostics is diag and not res.fallback
+        assert BoundResult(0.0, PowerPolicy("const", 1.0)).diagnostics == {}
+
+    GAP_BUILD_CASES = [
+        # law pair, budget, builds reading values only, builds reading diagnostics too
+        ("chisq:4", "chisq:4", 100.0, 2, 2),
+        ("exp:1", "exp:1", 100.0, 0, 1),
+        ("chisq:4", "chisq:4", 0.0, 0, 1),
+        ("gamma:3:0.01", "exp:2", 100.0, 1, 2),
+        ("const:2", "chisq:4", 100.0, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("spec_m, spec_e, p_bar, builds, _", GAP_BUILD_CASES)
+    def test_gap_builds_for_the_four_bounds(self, spec_m, spec_e, p_bar, builds, _):
+        """Reading values only, just the families whose value reads a gap
+        build one: on a continuous pair, lower_full's zero-cap const and
+        trunc-inv do not (nor does its reported zero-cap entry, whose
+        E[r_s'] only its diagnostics need); on a point-mass main gain,
+        main-inv and trunc-inv tie with const and are not scored."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         secrecy_gap.cache_clear()
-        for bound in (upper_full, lower_full, upper_main, lower_main):
-            bound(dm, de, p_bar)
+        for bound in FOUR_BOUNDS:
+            bound(dm, de, p_bar).value
         assert secrecy_gap.cache_info().misses == builds
+
+    @pytest.mark.parametrize("spec_m, spec_e, p_bar, _, builds", GAP_BUILD_CASES)
+    def test_gap_builds_reading_diagnostics(self, spec_m, spec_e, p_bar, _, builds):
+        """Reading diagnostics adds one build where lower_full reports a
+        zero-cap entry: its E[r_s'] at q = h_e."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        secrecy_gap.cache_clear()
+        for bound in FOUR_BOUNDS:
+            bound(dm, de, p_bar).diagnostics
+        assert secrecy_gap.cache_info().misses == builds
+
+    def test_sweep_on_non_invertible_pair_builds_no_gap(self, capsys):
+        """`dlsec sweep` reads values only: on exp:1 / exp:1 every usable
+        family scores 0 without a gap at each of the 21 budgets."""
+        secrecy_gap.cache_clear()
+        assert cli_main(["sweep", "--dist-m", "exp:1", "--dist-e", "exp:1",
+                         "--snr-db-grid", "0:40:2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 22
+        assert secrecy_gap.cache_info().misses == 0
 
 
 def atom_value_over_kappa(pol, dm, de, kappas):
@@ -302,16 +463,19 @@ class TestPointMassTie:
 
 def test_memory_held_after_many_law_pairs():
     """The four bounds at 200 nodes over 80 distinct gamma pairs leave
-    under 16 MiB held once garbage is collected: only the last few law
-    pairs' weights and gaps stay cached (about 6 MiB), where keeping three
-    40 000-point arrays a pair for 64 pairs would hold about 62 MiB."""
+    under 16 MiB held once garbage is collected, with every result kept
+    and its diagnostics unread: only the last few law pairs' weights and
+    gaps stay cached (about 6 MiB), where keeping three 40 000-point
+    arrays a pair for 64 pairs would hold about 62 MiB, and a result's
+    diagnostics builder holds no array."""
     tracemalloc.start()
     try:
+        results = []
         for i in range(80):
             dm = FadingDistribution("gamma", (1.5 + 0.05 * i, 1.0 + 0.01 * i))
             de = FadingDistribution("gamma", (2.5 + 0.03 * i, 0.5))
             for bound in (upper_full, lower_full, upper_main, lower_main):
-                bound(dm, de, 100.0, nodes=200)
+                results.append(bound(dm, de, 100.0, nodes=200))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -432,7 +596,7 @@ class TestLowerMain:
     def test_iterations_are_observed_evaluations(self):
         """const:3 / const:1 under main-inv has one gap value, so K is
         linear below it: the first Newton step lands on R* = K(0) / 2
-        exactly and the second confirms it."""
+        exactly, and the second iteration drops no gap, which confirms it."""
         dm, de = parse_distribution("const:3"), parse_distribution("const:1")
         pol = calibrate("main-inv", dm, de, 100.0)
         r_star, diag = fixed_point_rate(pol, dm, de)
@@ -473,6 +637,63 @@ class TestLowerMain:
         for p_bar in (1.0, 100.0, 10_000.0):
             assert (lower_main(CHISQ4, CHISQ4, p_bar).value
                     <= lower_full(CHISQ4, CHISQ4, p_bar).value + 1e-9)
+
+
+def reference_fixed_point_rate(policy, dist_m, dist_e, nodes=200):
+    """fixed_point_rate with the Newton loop stopped only by a step that
+    does not rise: each iteration, the last included, evaluates its step."""
+    r_d = delay_floor(policy, dist_m)
+    diag = {"r_d_floor": r_d, "fixed_point_iterations": 0}
+    if r_d <= 0.0:
+        diag.update(key_rate_at_zero=0.0, key_balance_margin=0.0, feasible=True,
+                    binding="r_d_floor")
+        return 0.0, diag
+    gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
+    gap, w = gap.ravel(), pair_rule(dist_m, dist_e, nodes).w
+    positive = gap > 0.0
+    g_pos, w_pos = gap[positive], w[positive]
+    g_act, w_act = g_pos, w_pos
+    root = 0.0
+    while True:
+        diag["fixed_point_iterations"] += 1
+        above = g_act > root
+        if not above.all():
+            g_act, w_act = g_act[above], w_act[above]
+        step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
+        if step >= r_d:
+            root = r_d
+            break
+        if step <= root:
+            break
+        root = step
+    diag["key_rate_at_zero"] = key_rate_at_zero
+    k_root = weighted_sum(w_pos, np.maximum(g_pos - root, 0.0))
+    diag["key_balance_margin"] = min(k_root, r_d) - root
+    diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
+    diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
+    return root, diag
+
+
+def test_fixed_point_stops_where_the_full_loop_does():
+    """Random main-CSI gamma pairs (shapes 1.05-8, scales 1e-2-1e2),
+    families and budgets: stopping at the first iteration that drops no
+    gap gives the root, the iteration count and every diagnostic of the
+    loop that evaluates that iteration's step."""
+    rng = np.random.default_rng(22)
+    iterations = set()
+    for _ in range(60):
+        dm, de = (FadingDistribution("gamma", (float(rng.uniform(1.05, 8.0)),
+                                               float(10.0 ** rng.uniform(-2.0, 2.0))))
+                  for _ in range(2))
+        p_bar = float(10.0 ** rng.uniform(-1.0, 5.0))
+        for entry in ("main-inv", "trunc-inv", "const"):
+            family, h_min = resolve_menu_entry(entry, dm)
+            pol = calibrate(family, dm, de, p_bar, h_min)
+            got = fixed_point_rate(pol, dm, de)
+            want = reference_fixed_point_rate(pol, dm, de)
+            assert repr(got) == repr(want), (dm, de, entry, p_bar)
+            iterations.add(got[1]["fixed_point_iterations"])
+    assert len(iterations) >= 3, iterations
 
 
 def dense_key_rate(gap, w, r):

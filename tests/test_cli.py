@@ -380,6 +380,26 @@ class TestConfigFileAndEnv:
         assert families <= {"full-inv", "main-inv"}
         assert "skipped" in json.loads(out)["upper_main"]["diagnostics"]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ()), ("sweep", ("--snr-db-grid", "0:20:10")),
+    ])
+    def test_policy_list_forms_agree(self, capsys, tmp_path, command, extra):
+        """A comma list after one flag, the flag repeated and a comma list
+        in the config file make the same menu."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policy = full-inv, main-inv\n")
+        outputs = []
+        for argv in (["--policy", "full-inv,main-inv"],
+                     ["--policy", "full-inv", "--policy", "main-inv"],
+                     ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, command, *extra, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        if command == "bounds":
+            assert json.loads(outputs[0])["upper_main"]["diagnostics"]["skipped"] == {
+                "full-inv": "needs full CSI"}
+
     def test_config_values_are_cast(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bits = yes\nnodes = 64\nq_kappa = 0\n")
