@@ -101,7 +101,7 @@ def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, flo
     return parse_policy(entry)
 
 
-def _best(dist_m, dist_e, p_bar, family_menu, nodes, csi, objective) -> BoundResult:
+def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
     (None picks the CSI case's default) to the budget, score it with
     ``objective(policy) -> (value, build)`` and keep the first maximum.
@@ -195,7 +195,7 @@ def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with both gains known: max over the menu of
     min{E[r_s], ess-inf r_main}."""
-    return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI,
+    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI,
                  lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
@@ -203,7 +203,7 @@ def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with only the main gain known: as :func:`upper_full` but
     restricted to policies that depend on h_m alone."""
-    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI,
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
                  lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
@@ -269,7 +269,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                 value, diag = direct
         return value, lambda: diag
 
-    return _best(dist_m, dist_e, p_bar, family_menu, nodes, FULL_CSI, objective)
+    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -367,7 +367,7 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         root, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
         return root, lambda: diag
 
-    return _best(dist_m, dist_e, p_bar, family_menu, nodes, MAIN_CSI, objective)
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective)
 
 
 def _log_ratio(a: float, b: float) -> float:

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, low
 from .fading import pair_rule, parse_distribution
 from .numerics import RngSeed, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
-from .protocol import SCHEMES, SimConfig, simulate
+from .protocol import INIT_MODES, SCHEMES, SimConfig, simulate
 from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
                     secrecy_gap)
 
@@ -46,6 +47,7 @@ LN2 = math.log(2.0)
 
 _FALLBACK_SEED = 12345
 _MAX_GRID_POINTS = 100_000  # of a start:stop:step sweep grid
+MAX_SIGMA = 4.0  # validate's agreement tolerance, in standard errors
 
 
 def _parse_bool(text: str) -> bool:
@@ -86,6 +88,8 @@ _COMMON = {
     "nodes": _opt(200, int, help="quadrature nodes per dimension"),
     "seed": _opt(cast=int, help="RNG seed (default: $DST_SEED or 12345)"),
 }
+# simulate's run settings are declared once, with their defaults, in SimConfig
+_SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
 _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "bounds": ("print the four bounds plus the high-SNR limit", {
         **_DIST,
@@ -109,12 +113,12 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_DIST,
         "policy": _opt(help="policy grammar, e.g. full-inv"),
         "pbar_db": _opt(20.0, float, help="average power budget in dB"),
-        "a": _opt(500, int, help="blocks per super-block"),
-        "b": _opt(20, int, help="super-block count"),
-        "n1": _opt(10_000, int, help="symbols per block"),
-        "delta": _opt(0.05, float, help="scheduling backoff in [0,1)"),
+        "a": _opt(_SIM_DEFAULTS["a"], int, help="blocks per super-block"),
+        "b": _opt(_SIM_DEFAULTS["b"], int, help="super-block count"),
+        "n1": _opt(_SIM_DEFAULTS["n1"], int, help="symbols per block"),
+        "delta": _opt(_SIM_DEFAULTS["delta"], float, help="scheduling backoff in [0,1)"),
         "q_kappa": _MENU["q_kappa"],
-        "init": _opt("insecure", choices=("insecure", "dedicated"),
+        "init": _opt(_SIM_DEFAULTS["init"], choices=INIT_MODES,
                      help="super-block-1 handling"),
         "out": _opt("simreport", help="output prefix for .json/.csv"),
         **_COMMON,
@@ -122,8 +126,6 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "validate": ("numeric cross-checks; nonzero exit on failure", {
         "quick": _opt(False, _parse_bool, action="store_const", const=True,
                       help="smaller sample sizes, subset of checks"),
-        "max_sigma": _opt(4.0, float,
-                          help="agreement tolerance in standard errors (testing hook)"),
         **_COMMON,
     }),
 }
@@ -314,7 +316,6 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
 
 def cmd_validate(args) -> int:
     n = 100_000 if args.quick else 1_000_000
-    sigma = args.max_sigma
     seed = args.seed
     checks: list[tuple] = []  # name, quad, reference, tol[, quad_error]
 
@@ -338,7 +339,7 @@ def cmd_validate(args) -> int:
         quad = ergodic_secrecy_rate(pol, dist_m, dist_e, args.nodes)
         est = mc_expect(lambda st, pol=pol: per_state_rates(pol, st).r_s,
                         dist_m, dist_e, n, RngSeed(seed, stream))
-        checks.append((name, quad, est.mean, sigma * est.stderr + 1e-9))
+        checks.append((name, quad, est.mean, MAX_SIGMA * est.stderr + 1e-9))
         stream += 1
 
     # calibrated average power hits the budget, also on gamma:8:1000, whose
@@ -353,7 +354,7 @@ def cmd_validate(args) -> int:
                         RngSeed(seed, stream))
         stream += 1
         checks.append((f"calibration[{spec}/full-inv] mc", est.mean, p_bar,
-                       sigma * est.stderr + 1e-9))
+                       MAX_SIGMA * est.stderr + 1e-9))
 
     # high-SNR limit: the exact ln 2 - 1/4 of the chisq:4 pair (the rule
     # reads it to 3.9e-16, rounding), then Monte Carlo
@@ -364,7 +365,7 @@ def cmd_validate(args) -> int:
     checks.append(("high-snr-limit[chisq:4] exact", limit.value, LN2 - 0.25, 1e-15,
                    limit.quad_error))
     checks.append(("high-snr-limit[chisq:4] mc", limit.value, est.mean,
-                   sigma * est.stderr + 1e-9, limit.quad_error))
+                   MAX_SIGMA * est.stderr + 1e-9, limit.quad_error))
     # one atom: E[(log(2/h))^+] at h ~ chisq:4 is Ein(1) - 1 + 1/e = gamma + E1(1) - 1 + 1/e
     atom = high_snr_limit(parse_distribution("const:2"), dist)
     checks.append(("high-snr-limit[const:2/chisq:4] exact", atom.value, 0.5772156649015329

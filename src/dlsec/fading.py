@@ -34,7 +34,14 @@ import numpy as np
 from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, halfline_nodes,
                        weighted_sum)
 
-_KINDS = ("chisq", "gamma", "exp", "const")
+# Every kind of the grammar, once: its parameter count and the map from its
+# parameters to its canonical gamma (shape, scale), None for the point mass.
+_KINDS = {
+    "chisq": (1, lambda dof: (dof / 2.0, 2.0)),
+    "gamma": (2, lambda shape, scale: (shape, scale)),
+    "exp": (1, lambda mean: (1.0, mean)),
+    "const": (1, None),
+}
 _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # The fraction's last factors round to within 2 ulps of 1 at random, so it
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
@@ -208,47 +215,38 @@ class FadingDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         p = tuple(float(v) for v in self.params)
         object.__setattr__(self, "params", p)
+        arity = _KINDS[self.kind][0]
+        if len(p) != arity:
+            raise ValueError(f"{self.kind} takes {arity} parameter(s), got {p}")
         if not all(0.0 < v < math.inf for v in p):
             raise ValueError(f"{self.kind} needs positive finite parameters, got {p}")
-        if self.kind == "chisq":
-            if len(p) != 1 or not p[0].is_integer():
-                raise ValueError(f"chisq needs a positive integer dof, got {p}")
-        elif self.kind == "gamma":
-            if len(p) != 2:
-                raise ValueError(f"gamma needs (shape, scale), got {p}")
-        elif len(p) != 1:
-            raise ValueError(f"{self.kind} needs one parameter, got {p}")
+        if self.kind == "chisq" and not p[0].is_integer():
+            raise ValueError(f"chisq needs a positive integer dof, got {p}")
         if not self.is_degenerate and not SHAPE_MIN <= self.shape <= SHAPE_MAX:
-            raise ValueError(f"{self.spec()}: gamma shape {self.shape:g} is outside "
+            raise ValueError(f"gamma shape {self.shape:g} of {self.kind} is outside "
                              f"[{SHAPE_MIN:g}, {SHAPE_MAX:g}], where the law is evaluated")
 
     # --- structure ---
 
     @property
     def is_degenerate(self) -> bool:
-        return self.kind == "const"
+        return _KINDS[self.kind][1] is None
+
+    def _gamma(self, name: str) -> tuple[float, float]:
+        to_gamma = _KINDS[self.kind][1]
+        if to_gamma is None:
+            raise ValueError(f"a point mass has no gamma {name}")
+        return to_gamma(*self.params)
 
     @property
     def shape(self) -> float:
         """Canonical gamma shape of a continuous law."""
-        if self.kind == "chisq":
-            return self.params[0] / 2.0
-        if self.kind == "gamma":
-            return self.params[0]
-        if self.kind == "exp":
-            return 1.0
-        raise ValueError("a point mass has no gamma shape")
+        return self._gamma("shape")[0]
 
     @property
     def scale(self) -> float:
         """Canonical gamma scale of a continuous law."""
-        if self.kind == "chisq":
-            return 2.0
-        if self.kind == "gamma":
-            return self.params[1]
-        if self.kind == "exp":
-            return self.params[0]
-        raise ValueError("a point mass has no gamma scale")
+        return self._gamma("scale")[1]
 
     @property
     def support_min(self) -> float:
@@ -307,22 +305,17 @@ class FadingDistribution:
 def parse_distribution(text: str) -> FadingDistribution:
     """Parse the grammar ``chisq:4 | gamma:2:1 | exp:1 | const:2.5``.
 
-    Case-insensitive; raises ValueError on anything else.
+    Case-insensitive; raises ValueError on anything else, naming the text.
     """
-    parts = [p.strip() for p in str(text).strip().lower().split(":")]
-    kind = parts[0]
+    kind, *parts = [p.strip() for p in str(text).strip().lower().split(":")]
     try:
-        args = tuple(float(p) for p in parts[1:])
+        args = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"bad distribution spec {text!r}: non-numeric parameter") from None
-    want = {"chisq": 1, "gamma": 2, "exp": 1, "const": 1}
-    if kind not in want:
-        raise ValueError(f"bad distribution spec {text!r}: unknown kind {kind!r}")
-    if len(args) != want[kind]:
-        raise ValueError(
-            f"bad distribution spec {text!r}: {kind} takes {want[kind]} parameter(s)"
-        )
-    return FadingDistribution(kind, args)
+    try:
+        return FadingDistribution(kind, args)
+    except ValueError as err:
+        raise ValueError(f"bad distribution spec {text!r}: {err}") from None
 
 
 def inverse_moment(dist: FadingDistribution) -> float:

@@ -27,6 +27,12 @@ import numpy as np
 # 1e10 the median's cdf reads 0.49998) and the quantile's start overflows.
 SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
 
+# The quadrature sizes both rules accept.  The cap bounds the cost: leggauss
+# is cubic in the size (1.0 s of CPU at 2000), and a pair rule and its gaps
+# are nodes^2 doubles, 8 of each cached: one dlsec sweep at 2000 nodes peaked
+# at 429 MB RSS (2-vCPU x86-64).  The tests use at most 1000, the benchmark 400.
+NODES_MIN, NODES_MAX = 8, 2000
+
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand returned NaN or +-inf at an evaluation point."""
@@ -102,6 +108,12 @@ class Estimate:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
+def _check_nodes(nodes: int) -> int:
+    if not NODES_MIN <= nodes <= NODES_MAX:
+        raise ValueError(f"nodes must be in [{NODES_MIN}, {NODES_MAX}], got {nodes}")
+    return int(nodes)
+
+
 @lru_cache(maxsize=None)
 def halfline_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas and weights for integrals over (0, inf).
@@ -111,9 +123,7 @@ def halfline_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     implicit in the node placement.  Returned arrays are read-only and
     cached, so two calls with the same node count share storage.
     """
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
-    u, w = np.polynomial.legendre.leggauss(int(nodes))
+    u, w = np.polynomial.legendre.leggauss(_check_nodes(nodes))
     t = 0.5 * (u + 1.0)
     x = t / (1.0 - t)
     weights = 0.5 * w / (1.0 - t) ** 2
@@ -136,8 +146,7 @@ def tanh_sinh_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     shape k, exp(-pi k sinh T), falls below 2^-52: T = 6.5, rounded up to a
     half.  Cached and read-only.
     """
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
+    nodes = _check_nodes(nodes)
     half_width = math.ceil(2.0 * math.asinh(52.0 * math.log(2.0) / (math.pi * SHAPE_MIN))) / 2.0
     h = 2.0 ** -math.ceil(math.log2((nodes - 1) / (2.0 * half_width)))
     n = int(half_width / h)

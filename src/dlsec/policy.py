@@ -73,11 +73,6 @@ class PowerPolicy:
             out = np.where(hm >= self.h_min, self.c / hm, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def spec(self) -> str:
-        if self.family == "trunc-inv":
-            return f"trunc-inv:{self.h_min:g}"
-        return self.family
-
 
 def parse_policy(text: str) -> tuple[str, float]:
     """Parse ``const | full-inv | main-inv | trunc-inv:<h_min>`` to (family, h_min)."""

@@ -22,6 +22,7 @@ from dlsec.policy import NonInvertibleChannelError, calibrate
 from dlsec.protocol import SimConfig, simulate
 from dlsec.rates import delay_floor
 
+from child_env import child_env
 from flat_grid import flat_grid
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -197,7 +198,7 @@ def test_c9_simulation_determinism(tmp_path):
     for tag in ("first", "second"):
         prefix = str(tmp_path / tag)
         res = subprocess.run(args + ["--out", prefix], capture_output=True,
-                             text=True, check=True)
+                             text=True, env=child_env(), check=True)
         blobs.append((res.stdout,
                       (tmp_path / f"{tag}.json").read_bytes(),
                       (tmp_path / f"{tag}.csv").read_bytes()))

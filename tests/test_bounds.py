@@ -2,7 +2,6 @@
 
 import gc
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 
-import dlsec
 from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
                           _digamma, fixed_point_rate, high_snr_limit, key_rate, lower_full,
                           lower_main, resolve_menu_entry, upper_full, upper_main, usable)
@@ -23,6 +21,7 @@ from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelErro
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, per_state_rates, secrecy_gap)
 
+from child_env import child_env
 from flat_grid import flat_grid
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -397,7 +396,7 @@ class TestPointMassKappaSearch:
                 "from dlsec.fading import parse_distribution as law\n"
                 "print(lower_full(law('const:1e10'), law('const:1'), 100.0).value)")
         proc = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=_SRC), timeout=60, check=True)
+                              env=child_env(), timeout=60, check=True)
         assert math.isfinite(float(proc.stdout))
 
     def test_negative_pinned_kappa_rejected(self):
@@ -1215,8 +1214,6 @@ SCIPY_LAW_PINS = {
     ('upper_main', 'gamma:3:0.01', 'exp:2', 40.0): 0.01451768724133976,
 }
 
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(dlsec.__file__)))
-
 # Recomputes the pinned cases; argv[1] is the repr of their keys.
 _PIN_SCRIPT = """
 import ast, sys
@@ -1306,7 +1303,7 @@ class TestPinnedValues:
                      [PINNED_LIMIT[k] for k in sorted(PINNED_LIMIT)],
                      [PINNED_FALLBACK[db] for db in sorted(PINNED_FALLBACK)]))
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_SRC)
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-c", _PIN_SCRIPT,
                  repr((sorted(PINNED_BOUNDS), sorted(PINNED_LIMIT), sorted(PINNED_FALLBACK)))],

@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, exit codes, file outputs, config file."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,10 +12,14 @@ import warnings
 
 import pytest
 
+from dlsec import cli
 from dlsec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                        main)
 from dlsec.fading import inverse_min_moment, parse_distribution
 from dlsec.policy import calibrate
+from dlsec.protocol import SimConfig
+
+from child_env import child_env
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +171,11 @@ class TestBounds:
         uf = doc["upper_full"]
         assert abs(uf["value_bits"] - uf["value"] / math.log(2.0)) < 1e-12
 
+    def test_too_many_nodes_names_the_bound(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--nodes", "100000")
+        assert code == EXIT_USAGE
+        assert err == "error: nodes must be in [8, 2000], got 100000\n"
+
 
 class TestSweep:
     def test_columns_and_ordering(self, capsys):
@@ -269,7 +279,7 @@ class TestSimulate:
         for tag in ("x", "y"):
             prefix = str(tmp_path / tag)
             res = subprocess.run(args + ["--out", prefix], capture_output=True,
-                                 text=True, check=True)
+                                 text=True, env=child_env(), check=True)
             outs.append((res.stdout,
                          (tmp_path / f"{tag}.json").read_bytes(),
                          (tmp_path / f"{tag}.csv").read_bytes()))
@@ -294,6 +304,25 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--scheme", "full",
                              "--delta", "1.5", "--out", str(tmp_path / "z"))
         assert code == EXIT_USAGE
+
+    def test_defaults_are_simconfig_defaults(self, monkeypatch):
+        """With no flags, simulate runs SimConfig's own default for every
+        setting that has one (the seed comes from DST_SEED or 12345)."""
+        class Ran(Exception):
+            pass
+
+        def capture(config):
+            raise Ran(config)
+
+        monkeypatch.setattr(cli, "simulate", capture)
+        monkeypatch.delenv("DST_SEED", raising=False)
+        with pytest.raises(Ran) as ran:
+            main(["simulate"])
+        config = ran.value.args[0]
+        defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)
+                    if f.default is not dataclasses.MISSING and f.name != "seed"}
+        assert set(defaults) == {"policy", "b", "a", "n1", "delta", "q_kappa", "init", "nodes"}
+        assert {name: getattr(config, name) for name in defaults} == defaults
 
 
 class TestValidate:
@@ -331,9 +360,9 @@ class TestValidate:
         line = next(l for l in out.splitlines() if "calibration[gamma:8:1000/full-inv] mc" in l)
         assert line.startswith("ok ")
 
-    def test_injected_bad_tolerance_exits_4(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--quick",
-                               "--max-sigma", "1e-9")
+    def test_injected_bad_tolerance_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SIGMA", 1e-9)
+        code, out, _ = run_cli(capsys, "validate", "--quick")
         assert code == EXIT_VALIDATION
         assert "FAIL" in out
         assert "validation failed for:" in out

@@ -142,6 +142,11 @@ ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
     # main CSI cannot run a policy that reads h_e
     (["simulate", "--scheme", "main", "--policy", "full-inv", "-a", "2", "-b", "2"],
      EXIT_USAGE),
+    # past the quadrature's size bound: refused before leggauss allocates
+    (["bounds", "--nodes", "100000"], EXIT_USAGE),
+    (["sweep", "--nodes", "100000"], EXIT_USAGE),
+    (["simulate", "-a", "2", "-b", "2", "--nodes", "100000"], EXIT_USAGE),
+    (["validate", "--quick", "--nodes", "100000"], EXIT_USAGE),
 ])
 def test_known_bad_inputs(argv, code, out_dir):
     assert run(argv, out_dir)[0] == code

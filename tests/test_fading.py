@@ -15,6 +15,7 @@ from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 import moment_reference as reference
+from child_env import child_env
 from flat_grid import flat_grid
 
 
@@ -39,6 +40,39 @@ class TestGrammar:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_distribution(text)
+
+    @pytest.mark.parametrize("text", ["rayleigh:1", "chisq", "gamma:2", "exp:abc",
+                                      "const:-1", "chisq:2.5", "chisq:101"])
+    def test_errors_name_the_text(self, text):
+        with pytest.raises(ValueError, match=f"^bad distribution spec {re.escape(repr(text))}: "):
+            parse_distribution(text)
+
+    @pytest.mark.parametrize("text,shape,scale,spec", [
+        *[(f"chisq:{k}", k / 2.0, 2.0, f"chisq:{k}") for k in range(1, 9)],
+        ("exp:1", 1.0, 1.0, "exp:1"),
+        ("exp:0.01", 1.0, 0.01, "exp:0.01"),
+        ("gamma:2:1", 2.0, 1.0, "gamma:2:1"),
+        ("gamma:0.3:5", 0.3, 5.0, "gamma:0.3:5"),
+        ("gamma:8:1e3", 8.0, 1000.0, "gamma:8:1000"),
+    ])
+    def test_canonical_gamma_of_each_kind(self, text, shape, scale, spec):
+        d = parse_distribution(text)
+        assert (d.shape, d.scale, d.spec(), d.is_degenerate) == (shape, scale, spec, False)
+
+    def test_point_mass_has_no_canonical_gamma(self):
+        d = parse_distribution("const:2.5")
+        assert (d.spec(), d.is_degenerate, d.support_min) == ("const:2.5", True, 2.5)
+        for name in ("shape", "scale"):
+            with pytest.raises(ValueError, match=f"a point mass has no gamma {name}"):
+                getattr(d, name)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("chisq", ()), ("chisq", (4, 4)), ("gamma", (2,)), ("gamma", (2, 1, 1)),
+        ("exp", ()), ("exp", (1, 1)), ("const", (1, 2)),
+    ])
+    def test_wrong_arity_names_the_kind(self, kind, params):
+        with pytest.raises(ValueError, match=f"^{kind} takes {2 if kind == 'gamma' else 1} "):
+            FadingDistribution(kind, params)
 
     @pytest.mark.parametrize("text", ["gamma:nan:1", "gamma:inf:1", "gamma:2:nan",
                                       "gamma:2:inf", "exp:nan", "exp:inf", "chisq:nan",
@@ -166,7 +200,7 @@ class TestLawEdges:
         code = ("import sys, dlsec, dlsec.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120, check=True)
+                              text=True, env=child_env(), timeout=120, check=True)
         assert proc.stdout.strip() == "[]"
 
 

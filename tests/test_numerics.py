@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 import dlsec
-from dlsec.numerics import (Estimate, NonFiniteIntegrandError, RngSeed, halfline_nodes,
-                            mc_expect, tanh_sinh_nodes, weighted_sum)
+from dlsec.numerics import (NODES_MAX, NODES_MIN, Estimate, NonFiniteIntegrandError, RngSeed,
+                            halfline_nodes, mc_expect, tanh_sinh_nodes, weighted_sum)
 from dlsec.fading import parse_distribution
 
 
@@ -104,6 +104,21 @@ class TestTanhSinhRule:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             tanh_sinh_nodes(4)
+
+
+@pytest.mark.parametrize("rule", [halfline_nodes, tanh_sinh_nodes])
+class TestNodesBound:
+    """Both rules take their size from one range, checked before anything
+    is allocated: 100 000 nodes would ask leggauss for 74.5 GiB."""
+
+    def test_accepts_the_ends(self, rule):
+        assert rule(NODES_MIN)[0].size >= NODES_MIN
+        assert rule(NODES_MAX)[0].size >= NODES_MAX
+
+    @pytest.mark.parametrize("nodes", [NODES_MIN - 1, NODES_MAX + 1, 100_000])
+    def test_rejects_outside_naming_the_range(self, rule, nodes):
+        with pytest.raises(ValueError, match=rf"nodes must be in \[8, 2000\], got {nodes}$"):
+            rule(nodes)
 
 
 CHISQ4 = parse_distribution("chisq:4")
