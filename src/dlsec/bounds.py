@@ -15,17 +15,19 @@ R - min{K(R), R_d} is strictly increasing with one root, and Newton's
 method from R = 0 reaches it exactly on the crossing segment of K
 (:func:`fixed_point_rate`).  :func:`key_rate` evaluates K at any R.
 
-All four bounds integrate the same per-state gap r_main - r_eve: E[r_s]
-(upper bounds), E[r_s'] at q = h_e (lower_full) and K(R) (lower_main).
-:func:`dlsec.rates.secrecy_gap` evaluates it once per calibrated policy
-and keeps the last 8, so the bounds at one budget build it at most once
+All four bounds integrate the same per-state secrecy rate
+r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
+(lower_full) and K(R) (lower_main).  :func:`dlsec.rates.secrecy_gap`
+evaluates it once per calibrated policy, one log over the grid, and
+keeps the last 8, so the bounds at one budget build it at most once
 per family, and only for the families whose value reads it: an entry
 with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
 point-mass pair (lower_full) is worth 0 without it.  A result builds its
 diagnostics on first read, for the reported entry only, so a zero-cap
 lower_full entry evaluates E[r_s'] only if its diagnostics are read
-(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does).  A
-new budget rescales every policy, so nothing older is hit again.  The law-only
+(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does),
+and lower_main sums its key balance check only then.  A new budget
+rescales every policy, so nothing older is hit again.  The law-only
 inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
 and the trunc-inv default cutoff) are cached per law, 64 entries each,
 so calibrating at a new budget is one division.  Every expectation over
@@ -284,9 +286,10 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 
 def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, for a flat gap
-    and its weights (``secrecy_gap(...)[0].ravel()`` and the ``w`` of
-    :func:`~dlsec.fading.pair_rule`).
+    """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, for flat
+    per-state rates and their weights (the r_s grid
+    ``secrecy_gap(...)[0].ravel()`` and the ``w`` of
+    :func:`~dlsec.fading.pair_rule`; a signed gap gives the same K).
 
     Only the gaps above R count, so K(R) = S - R W, where S and W sum
     w_i g_i and w_i over them.  The positive gaps are sorted once and S
@@ -302,41 +305,19 @@ def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return s[i] - r * ws[i]
 
 
-def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
-                     dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
-    """Solve R = min{K(R), R_d} for one calibrated main-CSI policy.
-
-    On the grid, K(R) = sum_i w_i (g_i - R)^+ over the shared gap of
-    :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Only positive
-    gaps count for R >= 0, so they are kept once.  Newton's method from
-    R = 0 on f(R) = R - K(R) then lands each step on the root
-    S / (1 + W) of the current segment's line, where S and W sum w_i g_i
-    and w_i over the gaps above R.  f is concave and increasing, so the
-    steps rise without passing the root.  An iteration after the first
-    that drops no gap below R would repeat the last step and return R
-    itself, so it stops there: R is the exact root on the crossing
-    segment.  Between the first step and that last iteration, each step
-    crosses a breakpoint.  A step that reaches R_d means K(R_d) >= R_d and
-    the answer is R_d.  ``fixed_point_iterations`` counts the iterations,
-    the last included, and ``binding`` is "r_d_floor" when R* = R_d, else
-    "key_rate".
-    """
+def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution,
+                 dist_e: FadingDistribution, nodes: int) -> tuple[float, float, int]:
+    """(R*, R_d, iterations) of :func:`fixed_point_rate`, without its
+    diagnostics."""
     r_d = delay_floor(policy, dist_m)
-    diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": 0}
     if r_d <= 0.0:
-        diag["key_rate_at_zero"] = 0.0
-        diag["key_balance_margin"] = 0.0
-        diag["feasible"] = True
-        diag["binding"] = "r_d_floor"
-        return 0.0, diag
-    gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
-    gap, w = gap.ravel(), pair_rule(dist_m, dist_e, nodes).w
-    positive = gap > 0.0
-    g_pos, w_pos = gap[positive], w[positive]
-    g_act, w_act = g_pos, w_pos
-    root = 0.0
+        return 0.0, r_d, 0
+    r_s = secrecy_gap(policy, dist_m, dist_e, nodes)[0].ravel()
+    positive = r_s > 0.0
+    g_act, w_act = r_s[positive], pair_rule(dist_m, dist_e, nodes).w[positive]
+    root, iterations = 0.0, 0
     while True:
-        diag["fixed_point_iterations"] += 1
+        iterations += 1
         above = g_act > root
         if above.all():
             if root > 0.0:  # no gap dropped: the step would repeat the last one, root
@@ -345,13 +326,43 @@ def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
             g_act, w_act = g_act[above], w_act[above]
         step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
         if step >= r_d:
-            root = r_d
-            break
+            return r_d, r_d, iterations
         if step <= root:
             break
         root = step
-    diag["key_rate_at_zero"] = key_rate_at_zero
-    k_root = weighted_sum(w_pos, np.maximum(g_pos - root, 0.0))
+    return root, r_d, iterations
+
+
+def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
+                     dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
+    """Solve R = min{K(R), R_d} for one calibrated main-CSI policy.
+
+    On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s grid
+    of :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Only
+    positive r_s count for R >= 0, so they are kept once.  Newton's method
+    from R = 0 on f(R) = R - K(R) then lands each step on the root
+    S / (1 + W) of the current segment's line, where S and W sum w_i r_s,i
+    and w_i over the r_s,i above R.  f is concave and increasing, so the
+    steps rise without passing the root.  An iteration after the first
+    that drops no gap below R would repeat the last step and return R
+    itself, so it stops there: R is the exact root on the crossing
+    segment.  Between the first step and that last iteration, each step
+    crosses a breakpoint.  A step that reaches R_d means K(R_d) >= R_d and
+    the answer is R_d.  ``fixed_point_iterations`` counts the iterations,
+    the last included, ``key_balance_margin`` is min{K(R*), R_d} - R*,
+    and ``binding`` is "r_d_floor" when R* = R_d, else "key_rate".
+    """
+    root, r_d, iterations = _fixed_point(policy, dist_m, dist_e, nodes)
+    diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": iterations}
+    if r_d <= 0.0:
+        diag.update(key_rate_at_zero=0.0, key_balance_margin=0.0, feasible=True,
+                    binding="r_d_floor")
+        return root, diag
+    r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
+    r_s = r_s.ravel()
+    positive = r_s > 0.0
+    w_pos = pair_rule(dist_m, dist_e, nodes).w[positive]
+    k_root = weighted_sum(w_pos, np.maximum(r_s[positive] - root, 0.0))
     diag["key_balance_margin"] = min(k_root, r_d) - root
     diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
     diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
@@ -362,10 +373,12 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Achievable rate with only the main gain known: everything rides the
     one-time pad, and the sustainable rate is the fixed point of the key
-    balance, maximized over main-CSI families."""
+    balance, maximized over main-CSI families.  An entry is scored by its
+    root alone; :func:`fixed_point_rate`, with its key balance check, runs
+    only when the reported entry's diagnostics are read."""
     def objective(pol: PowerPolicy) -> tuple[float, Callable[[], dict]]:
-        root, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
-        return root, lambda: diag
+        return (_fixed_point(pol, dist_m, dist_e, nodes)[0],
+                lambda: fixed_point_rate(pol, dist_m, dist_e, nodes)[1])
 
     return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective)
 

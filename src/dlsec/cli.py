@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
                      upper_full, upper_main, usable)
 from .fading import pair_rule, parse_distribution
-from .numerics import RngSeed, mc_expect
+from .numerics import RngSeed, _check_nodes, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import INIT_MODES, SCHEMES, SimConfig, simulate
 from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
@@ -174,6 +174,7 @@ def _resolve_options(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, dest, file_values.get(dest, default))
     if args.seed is None:
         args.seed = int(os.environ.get("DST_SEED", str(_FALLBACK_SEED)))
+    args.nodes = _check_nodes(args.nodes)  # also where no quadrature rule is built
     return args
 
 

@@ -405,10 +405,13 @@ class PairRule:
         """
         total = weighted_sum(self.w, y.ravel())
         if not math.isfinite(total) and not np.all(np.isfinite(y)):
-            i, j = np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape)
-            hm, he = self.h_m[i, 0], self.h_e[j]
-            raise ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
+            raise self.not_finite_at(*np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape))
         return total
+
+    def not_finite_at(self, i: int, j: int) -> ValueError:
+        """The error for an integrand that is not finite at node pair (i, j)."""
+        hm, he = self.h_m[i, 0], self.h_e[j]
+        return ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
 
 
 def _law_rule(dist: FadingDistribution, nodes: int) -> tuple[np.ndarray, np.ndarray]:

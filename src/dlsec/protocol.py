@@ -56,7 +56,7 @@ import numpy as np
 
 from .bounds import lower_full, lower_main, resolve_menu_entry, usable
 from .fading import ChannelState, FadingDistribution
-from .numerics import RngSeed
+from .numerics import RngSeed, _check_nodes
 from .policy import calibrate
 from .rates import per_state_rates
 
@@ -128,6 +128,7 @@ class SimConfig:
             raise ValueError(f"p_bar must be >= 0, got {self.p_bar}")
         if self.q_kappa is not None and not self.q_kappa >= 0.0:
             raise ValueError(f"q_kappa must be >= 0, got {self.q_kappa}")
+        _check_nodes(self.nodes)  # also where no quadrature rule is built (baseline)
 
     @property
     def n(self) -> int:

@@ -11,6 +11,10 @@ The per-state picture for a policy P and state h = (h_m, h_e):
 kappa = 0 gives q = h_e, which zeroes the direct share and maximizes the
 key share.
 
+Every bound reads r_s on the law pair's product rule (:func:`secrecy_gap`):
+its mean E[r_s] is also E[r_s'] at kappa = 0, and the main-CSI key rate
+sums its positive part.  r_s is 0 wherever h_m <= h_e, whatever the power.
+
 Essential infima over the fading law are computed symbolically per policy
 family, never by sampling: a minimum over an unbounded continuous support
 is not estimable from finite draws.
@@ -45,15 +49,19 @@ def log_rate(p, h):
     Where p h overflows to inf, 1 + p h is p h to the last bit, so the rate
     is log p + log h; everywhere else it is ``np.log1p(p * h)`` itself.  The
     overflow is read off the multiply's floating-point flag, so the common
-    case costs no extra pass.
+    case costs no extra pass, and the log is taken in place in the product,
+    so a grid holds one array, not two.
     """
     try:
         with np.errstate(over="raise"):
-            return np.log1p(p * h)
+            ph = p * h
     except FloatingPointError:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ph = p * h
             return np.where(np.isinf(ph), np.log(p) + np.log(h), np.log1p(ph))
+    if isinstance(ph, np.ndarray) and ph.dtype.kind == "f":  # a fresh product
+        return np.log1p(ph, out=ph)
+    return np.log1p(ph)
 
 
 def per_state_rates(policy: PowerPolicy, state: ChannelState,
@@ -68,14 +76,17 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     h_m = np.asarray(state.h_m, dtype=float)
     h_e = np.asarray(state.h_e, dtype=float)
-    p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
-    r_main = log_rate(p, h_m)
-    r_eve = log_rate(p, h_e)
-    with np.errstate(invalid="ignore"):  # log(1 + P q) = 0 where P = 0, kappa = inf too
+    # an overflowing power gives inf - inf = NaN, which the caller's finite
+    # check reports (trunc-inv's overflow below its cutoff is discarded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
+        r_main = log_rate(p, h_m)
+        r_eve = log_rate(p, h_e)
+        # log(1 + P q) = 0 where P = 0, kappa = inf too
         r_q = np.where(p == 0.0, 0.0, log_rate(p, np.maximum(h_e, kappa)))
-    r_s = np.maximum(r_main - r_eve, 0.0)
-    r_s_prime = np.maximum(r_main - r_q, 0.0)
-    r_s_dprime = np.maximum(r_s - r_s_prime, 0.0)
+        r_s = np.maximum(r_main - r_eve, 0.0)
+        r_s_prime = np.maximum(r_main - r_q, 0.0)
+        r_s_dprime = np.maximum(r_s - r_s_prime, 0.0)
 
     def out(a):
         return float(a) if a.ndim == 0 else a
@@ -87,22 +98,44 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
 @lru_cache(maxsize=8)
 def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
                 dist_e: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, float]:
-    """The gap r_main - r_eve at every node pair of
-    :func:`~dlsec.fading.pair_rule` (read-only), and E[r_s].
+    """The per-state secrecy rate r_s = [r_main - r_eve]^+ at every node
+    pair of :func:`~dlsec.fading.pair_rule` (read-only), and E[r_s].
 
-    ``gap.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
+    ``r_s.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
     E[r_s'] at q = h_e and the main-CSI key rate K(R) all read this one
     evaluation.  The cache holds every family of one (law pair, budget)
     that the bounds evaluate, at most the 4 default ones, with room to
-    spare (8 gaps at 200 nodes: 2.5 MB); a new budget rescales every
-    policy, so no entry is hit across budgets.  Only
-    full-inv's power depends on both gains; const's is the scalar c.
+    spare (8 grids at 200 nodes: 2.5 MB); a new budget rescales every
+    policy, so no entry is hit across budgets.
+
+    Each family takes at most one log over the grid: const's power is the
+    scalar c, main-inv and trunc-inv read a power per main node, and
+    full-inv reads one per eavesdropper node.  r_s is 0 wherever
+    h_m <= h_e, and where h_m > h_e full-inv's c / min(h_m, h_e) is
+    exactly c / h_e, so P = c / h_e gives every r_s bit for bit as the
+    power on the grid would.  That power overflows somewhere exactly when
+    it does at the lowest node pair (the nodes are sorted), which is
+    reported as the non-finite point, as the grid's mean would report it.
     """
     rule = pair_rule(dist_m, dist_e, nodes)
-    p = policy.c if policy.family == "const" else policy.power(rule.h_m, rule.h_e)
-    gap = log_rate(p, rule.h_m) - log_rate(p, rule.h_e)
-    gap.flags.writeable = False
-    return gap, rule.mean(np.maximum(gap, 0.0))
+    h_m, h_e = rule.h_m, rule.h_e
+    if policy.family == "const":
+        r_s = log_rate(policy.c, h_m) - log_rate(policy.c, h_e)
+    elif policy.family == "full-inv":
+        if math.isinf(policy.c / float(min(h_m[0, 0], h_e[0]))):
+            raise rule.not_finite_at(0, 0)
+        p = policy.c / h_e
+        r_s = log_rate(p, h_m)  # the log over the grid, a fresh array
+        r_s -= log_rate(p, h_e)
+    else:
+        # a power that overflows makes inf - inf, which the mean reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = policy.power(h_m)
+            r_eve = log_rate(p, h_e)  # the log over the grid, a fresh array
+            r_s = np.subtract(log_rate(p, h_m), r_eve, out=r_eve)
+    np.maximum(r_s, 0.0, out=r_s)
+    r_s.flags.writeable = False
+    return r_s, rule.mean(r_s)
 
 
 def ergodic_secrecy_rate(policy: PowerPolicy, dist_m: FadingDistribution,

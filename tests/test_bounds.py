@@ -6,11 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
+import dlsec.rates as rates_module
+from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult, _best,
                           _digamma, fixed_point_rate, high_snr_limit, key_rate, lower_full,
                           lower_main, resolve_menu_entry, upper_full, upper_main, usable)
 from dlsec.cli import main as cli_main
@@ -19,10 +21,11 @@ from dlsec.numerics import RngSeed, mc_expect, weighted_sum
 from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
                           calibrate)
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
-                         expected_key_share, per_state_rates, secrecy_gap)
+                         expected_key_share, log_rate, per_state_rates, secrecy_gap)
 
 from child_env import child_env
 from flat_grid import flat_grid
+from random_laws import random_law
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -638,16 +641,17 @@ class TestLowerMain:
                     <= lower_full(CHISQ4, CHISQ4, p_bar).value + 1e-9)
 
 
-def reference_fixed_point_rate(policy, dist_m, dist_e, nodes=200):
+def reference_fixed_point_rate(policy, dist_m, dist_e, nodes=200, grid=secrecy_gap):
     """fixed_point_rate with the Newton loop stopped only by a step that
-    does not rise: each iteration, the last included, evaluates its step."""
+    does not rise: each iteration, the last included, evaluates its step.
+    The key balance is summed as the root is found, on ``grid``'s rates."""
     r_d = delay_floor(policy, dist_m)
     diag = {"r_d_floor": r_d, "fixed_point_iterations": 0}
     if r_d <= 0.0:
         diag.update(key_rate_at_zero=0.0, key_balance_margin=0.0, feasible=True,
                     binding="r_d_floor")
         return 0.0, diag
-    gap, key_rate_at_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
+    gap, key_rate_at_zero = grid(policy, dist_m, dist_e, nodes)
     gap, w = gap.ravel(), pair_rule(dist_m, dist_e, nodes).w
     positive = gap > 0.0
     g_pos, w_pos = gap[positive], w[positive]
@@ -693,6 +697,89 @@ def test_fixed_point_stops_where_the_full_loop_does():
             assert repr(got) == repr(want), (dm, de, entry, p_bar)
             iterations.add(got[1]["fixed_point_iterations"])
     assert len(iterations) >= 3, iterations
+
+
+@lru_cache(maxsize=8)
+def signed_gap(policy, dist_m, dist_e, nodes=200):
+    """The signed r_main - r_eve, with full-inv's power c / min(h_m, h_e)
+    at every node pair (two logs over the grid), and E[r_s] as the mean of
+    its positive part: the reference for secrecy_gap's clipped r_s grid."""
+    rule = pair_rule(dist_m, dist_e, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = policy.c if policy.family == "const" else policy.power(rule.h_m, rule.h_e)
+        gap = log_rate(p, rule.h_m) - log_rate(p, rule.h_e)
+        gap.flags.writeable = False
+        return gap, rule.mean(np.maximum(gap, 0.0))
+
+
+def bound_outcome(bound, *args, **kwargs):
+    """repr of a bound's value, policy and sorted diagnostics, or the
+    (type, message) of the error it raises."""
+    try:
+        res = bound(*args, **kwargs)
+        return repr((res.value, res.policy, sorted(res.diagnostics.items())))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def signed_outcomes(dm, de, p_bar, monkeypatch):
+    """The four bounds' outcomes with every rate read off the signed grid."""
+    def lower_main_signed(dm, de, p_bar):
+        def objective(pol):
+            root, diag = reference_fixed_point_rate(pol, dm, de, grid=signed_gap)
+            return root, lambda: diag
+        return _best(dm, de, p_bar, None, MAIN_CSI, objective)
+
+    with monkeypatch.context() as m:
+        m.setattr(rates_module, "secrecy_gap", signed_gap)
+        return [bound_outcome(bound, dm, de, p_bar)
+                for bound in (upper_full, lower_full, upper_main, lower_main_signed)]
+
+
+# far atoms, where full-inv's power overflows at the lowest node pair from
+# about 3 050 dB on: (law pair, raises somewhere in 3 000-3 080 dB)
+OVERFLOW_PAIRS = [("chisq:4", "const:1e300", True), ("gamma:3:1", "const:1e290", True),
+                  ("const:1e300", "chisq:4", True), ("chisq:4", "chisq:4", True),
+                  ("exp:1", "const:1e300", False)]
+
+
+class TestClippedGridIdentity:
+    """The clipped r_s grid, with full-inv's power read off h_e, and the
+    key balance summed on the first read of diagnostics give every value,
+    policy, diagnostic and error of the signed two-log grid."""
+
+    def test_random_law_pairs(self, monkeypatch):
+        """300 pairs at -30 to 200 dB; at least 200 signed grids built."""
+        rng = np.random.default_rng(2024)
+        signed_gap.cache_clear()
+        for _ in range(300):
+            dm, de = random_law(rng), random_law(rng)
+            p_bar = float(10.0 ** rng.uniform(-3.0, 20.0))
+            want = signed_outcomes(dm, de, p_bar, monkeypatch)
+            got = [bound_outcome(bound, dm, de, p_bar) for bound in FOUR_BOUNDS]
+            assert got == want, (dm, de, p_bar)
+        assert signed_gap.cache_info().misses >= 200
+
+    @pytest.mark.parametrize("spec_m, spec_e, raises", OVERFLOW_PAIRS)
+    def test_overflowing_budgets(self, spec_m, spec_e, raises, monkeypatch):
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        raised = 0
+        for db in range(3000, 3081, 10):
+            want = signed_outcomes(dm, de, 10.0 ** (db / 10.0), monkeypatch)
+            got = [bound_outcome(bound, dm, de, 10.0 ** (db / 10.0)) for bound in FOUR_BOUNDS]
+            assert got == want, db
+            raised += sum(isinstance(o, tuple) for o in got)
+        assert (raised > 0) == raises
+
+    def test_lower_full_at_positive_kappa(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            dm, de = random_law(rng), random_law(rng)
+            p_bar = float(10.0 ** rng.uniform(-3.0, 20.0))
+            got = bound_outcome(lower_full, dm, de, p_bar, q_kappa=0.7)
+            with monkeypatch.context() as m:
+                m.setattr(rates_module, "secrecy_gap", signed_gap)
+                assert got == bound_outcome(lower_full, dm, de, p_bar, q_kappa=0.7)
 
 
 def dense_key_rate(gap, w, r):

@@ -176,6 +176,31 @@ class TestBounds:
         assert code == EXIT_USAGE
         assert err == "error: nodes must be in [8, 2000], got 100000\n"
 
+    def test_nodes_checked_on_a_point_mass_pair(self, capsys):
+        """A point-mass pair builds no half-line rule; the count is refused anyway."""
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "const:2", "--dist-e", "const:1",
+                                 "--nodes", "100000")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: nodes must be in [8, 2000], got 100000\n"
+
+    @pytest.mark.parametrize("flags, code, err", [
+        ([], EXIT_USAGE,
+         "error: integrand not finite at grid point (h_m=3.59657e-05, h_e=1e+300)\n"),
+        (["--policy", "main-inv"], EXIT_USAGE,
+         "error: integrand not finite at grid point (h_m=3.59657e-05, h_e=1e+300)\n"),
+        (["--policy", "trunc-inv:1", "--q-kappa", "0.7"], EXIT_OK, ""),
+    ])
+    def test_overflowing_power_prints_no_numpy_warning(self, flags, code, err):
+        """At 3 050 dB the inversion powers overflow at the lowest main
+        nodes.  In a child process, with Python's default warning filters,
+        stderr is the one error line naming that point, or nothing where
+        the overflow lies below trunc-inv's cutoff: no numpy RuntimeWarning."""
+        res = subprocess.run([sys.executable, "-m", "dlsec.cli", "bounds", "--dist-m", "chisq:4",
+                              "--dist-e", "const:1e300", "--pbar-db", "3050", *flags],
+                             capture_output=True, text=True, env=child_env())
+        assert (res.returncode, res.stderr) == (code, err)
+        assert (res.stdout == "") == (code != EXIT_OK)
+
 
 class TestSweep:
     def test_columns_and_ordering(self, capsys):

@@ -147,6 +147,9 @@ ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
     (["sweep", "--nodes", "100000"], EXIT_USAGE),
     (["simulate", "-a", "2", "-b", "2", "--nodes", "100000"], EXIT_USAGE),
     (["validate", "--quick", "--nodes", "100000"], EXIT_USAGE),
+    # refused where no quadrature rule is built too: a point-mass pair, the baseline
+    (["bounds", "--dist-m", "const:2", "--dist-e", "const:1", "--nodes", "100000"], EXIT_USAGE),
+    (["simulate", "--scheme", "baseline", "-a", "2", "-b", "2", "--nodes", "7"], EXIT_USAGE),
 ])
 def test_known_bad_inputs(argv, code, out_dir):
     assert run(argv, out_dir)[0] == code

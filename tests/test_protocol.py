@@ -166,6 +166,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="q_kappa must be >= 0"):
             make_config(q_kappa=kappa)
 
+    @pytest.mark.parametrize("nodes", [7, 2001])
+    def test_nodes_checked_for_every_scheme(self, nodes):
+        """The quadrature size is refused up front, also for the baseline,
+        which builds no quadrature rule."""
+        for scheme in ("full", "main", "baseline"):
+            with pytest.raises(ValueError, match=r"nodes must be in \[8, 2000\]"):
+                make_config(scheme=scheme, nodes=nodes)
+
     def test_block_counts_must_fit_int64(self):
         with pytest.raises(ValueError, match="n1 must be"):
             make_config(n1=10**20)

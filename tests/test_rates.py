@@ -14,6 +14,7 @@ from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, log_rate, per_state_rates, secrecy_gap)
 
 from flat_grid import flat_grid
+from random_laws import random_law
 
 CHISQ4 = parse_distribution("chisq:4")
 UNIT = PowerPolicy("const", 1.0)
@@ -219,23 +220,50 @@ class TestErgodicSecrecyRate:
     ])
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv:0.7"])
     def test_gap_equals_two_dimensional_formula(self, spec_m, spec_e, family):
-        """The gap is bit-identical to r_main - r_eve of per_state_rates on
-        the broadcast state (main nodes a column, eavesdropper nodes a row),
-        and, flattened, to log1p(P h_m) - log1p(P h_e) on the flat grid."""
+        """The grid is bit-identical to r_s of per_state_rates on the
+        broadcast state (main nodes a column, eavesdropper nodes a row),
+        and, flattened, to [log1p(P h_m) - log1p(P h_e)]^+ on the flat grid."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         fam, h_min = family.split(":")[0], float(family.partition(":")[2] or 0.0)
         try:
             pol = calibrate(fam, dm, de, 100.0, h_min)
         except NonInvertibleChannelError:
             pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
-        gap = secrecy_gap(pol, dm, de, 64)[0]
+        r_s = secrecy_gap(pol, dm, de, 64)[0]
         rule = pair_rule(dm, de, 64)
         r = per_state_rates(pol, ChannelState(rule.h_m, rule.h_e))
-        assert gap.shape == (rule.h_m.size, rule.h_e.size)
-        assert np.array_equal(gap, r.r_main - r.r_eve)
+        assert r_s.shape == (rule.h_m.size, rule.h_e.size)
+        assert np.array_equal(r_s, r.r_s)
         hm, he, _ = flat_grid(dm, de, 64)
         p = pol.power(hm, he)
-        assert np.array_equal(gap.ravel(), np.log1p(p * hm) - np.log1p(p * he))
+        assert np.array_equal(r_s.ravel(), np.maximum(np.log1p(p * hm) - np.log1p(p * he), 0.0))
+
+
+@pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
+def test_grid_is_the_clipped_per_state_rate(family):
+    """On random law pairs and budgets (-30 to 200 dB), the r_s grid is
+    exactly 0 wherever h_m <= h_e and max(r_main - r_eve, 0) of
+    per_state_rates everywhere else, bit for bit, and E[r_s] is its mean."""
+    rng = np.random.default_rng(24)
+    positive = 0
+    for _ in range(40):
+        dm, de = random_law(rng), random_law(rng)
+        p_bar = float(10.0 ** rng.uniform(-3.0, 20.0))
+        h_min = dm.quantile(0.5) if family == "trunc-inv" else 0.0
+        try:
+            pol = calibrate(family, dm, de, p_bar, h_min)
+        except NonInvertibleChannelError:
+            pol = PowerPolicy(family, p_bar, h_min)  # any scale will do
+        r_s, ers = secrecy_gap(pol, dm, de, 32)
+        rule = pair_rule(dm, de, 32)
+        behind = rule.h_m <= rule.h_e
+        assert np.all(r_s[behind] == 0.0)
+        r = per_state_rates(pol, ChannelState(rule.h_m, rule.h_e))
+        want = np.maximum(r.r_main - r.r_eve, 0.0)
+        assert np.array_equal(r_s[~behind], want[~behind])
+        assert ers == rule.mean(r_s)
+        positive += int((r_s > 0.0).any())
+    assert positive >= 10
 
 
 class TestDelayFloor:
