@@ -22,16 +22,19 @@ evaluates it once per calibrated policy, one log over the grid, and
 keeps the last 8, so the bounds at one budget build it at most once
 per family, and only for the families whose value reads it: an entry
 with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
-point-mass pair (lower_full) is worth 0 without it.  A result builds its
-diagnostics on first read, for the reported entry only, so a zero-cap
-lower_full entry evaluates E[r_s'] only if its diagnostics are read
-(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does),
-and lower_main sums its key balance check only then.  A new budget
-rescales every policy, so nothing older is hit again.  The law-only
-inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
-and the trunc-inv default cutoff) are cached per law, 64 entries each,
-so calibrating at a new budget is one division.  Every expectation over
-(h_m, h_e) is a sum on the law pair's :func:`dlsec.fading.pair_rule`.
+point-mass pair (lower_full) is worth 0 without it.  Such an entry after
+a kept one cannot win at all, so the menu pass defers it: it is not
+resolved (no median cutoff), calibrated (no truncated inverse moment) or
+scored until diagnostics are read.  A result builds its diagnostics on
+first read, for the reported entry only, so a zero-cap lower_full entry
+evaluates E[r_s'] only if its diagnostics are read (`dlsec bounds` and
+`simulate` read them; `dlsec sweep` never does), and lower_main sums its
+key balance check only then.  A new budget rescales every policy, so
+nothing older is hit again.  The law-only inputs of calibration
+(E[1/min(h_m, h_e)], the truncated inverse moment and the trunc-inv
+default cutoff) are cached per law, 64 entries each, so calibrating at a
+new budget is one division.  Every expectation over (h_m, h_e) is a sum
+on the law pair's :func:`dlsec.fading.pair_rule`.
 """
 
 from __future__ import annotations
@@ -103,7 +106,23 @@ def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, flo
     return parse_policy(entry)
 
 
-def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
+# The median of Gamma(k, 1) rises with k and is 5.57e-7 at SHAPE_MIN, so a
+# median cutoff is positive wherever the law's scale times this is.
+_MEDIAN_MIN = 5e-7
+
+
+def _worth_zero(entry: str, dist_m: FadingDistribution, zero: tuple[str, ...]) -> bool:
+    """Whether ``entry`` names a family in ``zero``, parsed (so a malformed
+    entry raises) but not resolved.  A bare trunc-inv whose median cutoff
+    could underflow to 0 does not count: calibration rejects that cutoff,
+    and it must raise when the menu is read."""
+    if entry.strip().lower() == "trunc-inv":
+        return "trunc-inv" in zero and (dist_m.is_degenerate
+                                        or dist_m.scale * _MEDIAN_MIN > 0.0)
+    return parse_policy(entry)[0] in zero
+
+
+def _best(dist_m, dist_e, p_bar, family_menu, csi, objective, zero=()) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
     (None picks the CSI case's default) to the budget, score it with
     ``objective(policy) -> (value, build)`` and keep the first maximum.
@@ -111,6 +130,14 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     entry's ``build`` is called, on the result's first read of
     ``diagnostics``, so a caller that reads only ``value`` never builds
     them.
+
+    ``zero`` names the families whose objective the laws alone make 0
+    (delay floor 0, or common-rate cap 0).  Values are >= 0 and the first
+    maximum is kept, so once an entry is kept such a later entry cannot
+    replace it: it is parsed but deferred, neither resolved, calibrated
+    nor scored.  The first read of ``diagnostics`` runs the same per-entry
+    step on the deferred entries, in menu order, so the diagnostics are
+    those of a pass over every entry.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
     whose inverse moment diverges are recorded as ``infeasible``.  On a
@@ -122,26 +149,36 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     the same objective and reported as the ``fallback``, with a warning
     (see :func:`usable`).
     """
-    best = None
-    infeasible: dict[str, str] = {}
-    skipped: dict[str, str] = {}
-    ties: list[str] = []  # on a point-mass main gain: the scored entry, then its ties
     if family_menu is None:
         family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
-    for entry in family_menu:
+    menu = tuple(family_menu)
+
+    def visit(entry: str) -> PowerPolicy | tuple[str, str]:
+        """The entry's calibrated policy, or ("skipped" | "infeasible", reason)."""
         family, h_min = resolve_menu_entry(entry, dist_m)
         if csi == MAIN_CSI and family == "full-inv":
-            skipped[entry] = "needs full CSI"
-            continue
+            return "skipped", "needs full CSI"
         try:
-            pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
+            return calibrate(family, dist_m, dist_e, p_bar, h_min)
         except NonInvertibleChannelError as err:
-            infeasible[entry] = str(err)
+            return "infeasible", str(err)
+
+    def tied(pol: PowerPolicy) -> bool:
+        return (dist_m.is_degenerate and pol.h_min <= dist_m.params[0]
+                and pol.family != "full-inv")
+
+    outcomes: list = [None] * len(menu)  # None while an entry is deferred
+    best, tie_scored = None, False
+    for i, entry in enumerate(menu):
+        if best is not None and _worth_zero(entry, dist_m, zero):
             continue
-        if dist_m.is_degenerate and pol.h_min <= dist_m.params[0] and family != "full-inv":
-            ties.append(entry)
-            if len(ties) > 1:
+        pol = outcomes[i] = visit(entry)
+        if not isinstance(pol, PowerPolicy):
+            continue
+        if tied(pol):
+            if tie_scored:
                 continue
+            tie_scored = True
         value, build = objective(pol)
         if best is None or value > best[0]:
             best = value, pol, build, entry
@@ -153,6 +190,15 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
 
     def diagnostics() -> dict:
         diag = build()
+        infeasible: dict[str, str] = {}
+        skipped: dict[str, str] = {}
+        ties = []  # on a point-mass main gain: the scored entry, then its ties
+        for name, out in zip(menu, outcomes):
+            out = out or visit(name)
+            if not isinstance(out, PowerPolicy):
+                (skipped if out[0] == "skipped" else infeasible)[name] = out[1]
+            elif tied(out):
+                ties.append(name)
         if entry is None:
             diag["warning"] = "no requested family is usable; reporting const fallback"
         if infeasible or entry is None:
@@ -193,12 +239,19 @@ def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, Callable[[]
                                      "binding": binding}
 
 
+def _zero_floor(dist_m: FadingDistribution) -> tuple[str, ...]:
+    """The families whose delay floor ess-inf r_main the main law alone
+    makes 0: const and trunc-inv (any cutoff) where its support reaches 0."""
+    return ("const", "trunc-inv") if dist_m.support_min == 0.0 else ()
+
+
 def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with both gains known: max over the menu of
     min{E[r_s], ess-inf r_main}."""
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI,
-                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
+                 _zero_floor(dist_m))
 
 
 def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -206,7 +259,8 @@ def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     """Upper bound with only the main gain known: as :func:`upper_full` but
     restricted to policies that depend on h_m alone."""
     return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
-                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
+                 _zero_floor(dist_m))
 
 
 def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -271,7 +325,9 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                 value, diag = direct
         return value, lambda: diag
 
-    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
+    # off a point-mass pair, the common-rate cap of every family but full-inv is 0
+    zero_cap = () if point_mass else ("const", "main-inv", "trunc-inv")
+    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective, zero_cap)
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -380,7 +436,7 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         return (_fixed_point(pol, dist_m, dist_e, nodes)[0],
                 lambda: fixed_point_rate(pol, dist_m, dist_e, nodes)[1])
 
-    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective)
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective, _zero_floor(dist_m))
 
 
 def _log_ratio(a: float, b: float) -> float:

@@ -64,6 +64,21 @@ def log_rate(p, h):
     return np.log1p(ph)
 
 
+def outer_log_rate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(1 + a_i b_j) over the outer grid of two vectors >= 0, fresh.
+
+    The products are ``np.einsum("i,j->ij", a, b)``, the same IEEE values
+    as the broadcast ``a[:, None] * b`` in about half the time, and the log
+    is taken in place.  Rounding is monotone, so no product exceeds the
+    largest, max(a) max(b): the grid overflows exactly where that product
+    does, and then it takes :func:`log_rate`'s split-log path.
+    """
+    if math.isinf(float(a.max()) * float(b.max())):
+        return log_rate(a[:, None], b)
+    grid = np.einsum("i,j->ij", a, b)
+    return np.log1p(grid, out=grid)
+
+
 def per_state_rates(policy: PowerPolicy, state: ChannelState,
                     kappa: float = 0.0) -> RateBreakdown:
     """Rate breakdown at one state (or states that broadcast together), for
@@ -110,12 +125,14 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
 
     Each family takes at most one log over the grid: const's power is the
     scalar c, main-inv and trunc-inv read a power per main node, and
-    full-inv reads one per eavesdropper node.  r_s is 0 wherever
-    h_m <= h_e, and where h_m > h_e full-inv's c / min(h_m, h_e) is
-    exactly c / h_e, so P = c / h_e gives every r_s bit for bit as the
-    power on the grid would.  That power overflows somewhere exactly when
-    it does at the lowest node pair (the nodes are sorted), which is
-    reported as the non-finite point, as the grid's mean would report it.
+    full-inv reads one per eavesdropper node; the inversion families take
+    their power x gain grid as an outer product (:func:`outer_log_rate`).
+    r_s is 0 wherever h_m <= h_e, and where h_m > h_e full-inv's
+    c / min(h_m, h_e) is exactly c / h_e, so P = c / h_e gives every r_s
+    bit for bit as the power on the grid would.  That power overflows
+    somewhere exactly when it does at the lowest node pair (the nodes are
+    sorted), which is reported as the non-finite point, as the grid's mean
+    would report it.
     """
     rule = pair_rule(dist_m, dist_e, nodes)
     h_m, h_e = rule.h_m, rule.h_e
@@ -125,13 +142,13 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
         if math.isinf(policy.c / float(min(h_m[0, 0], h_e[0]))):
             raise rule.not_finite_at(0, 0)
         p = policy.c / h_e
-        r_s = log_rate(p, h_m)  # the log over the grid, a fresh array
+        r_s = outer_log_rate(h_m[:, 0], p)  # the log over the grid, a fresh array
         r_s -= log_rate(p, h_e)
     else:
         # a power that overflows makes inf - inf, which the mean reports
         with np.errstate(over="ignore", invalid="ignore"):
             p = policy.power(h_m)
-            r_eve = log_rate(p, h_e)  # the log over the grid, a fresh array
+            r_eve = outer_log_rate(p[:, 0], h_e)  # the log over the grid, a fresh array
             r_s = np.subtract(log_rate(p, h_m), r_eve, out=r_eve)
     np.maximum(r_s, 0.0, out=r_s)
     r_s.flags.writeable = False
@@ -150,11 +167,22 @@ def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
     """E[r_s'] by quadrature, for q(h) = max(h_e, kappa).
 
     kappa = 0 makes r_s' = r_s, so it reads E[r_s] off :func:`secrecy_gap`.
+    Otherwise r_s' alone is taken on the rule, by the float operations of
+    :func:`per_state_rates` in the one grid of its log, with no grid for
+    the other rates.
     """
     if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
+    if not kappa >= 0.0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     rule = pair_rule(dist_m, dist_e, nodes)
-    return rule.mean(per_state_rates(policy, ChannelState(rule.h_m, rule.h_e), kappa).r_s_prime)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = policy.power(rule.h_m, rule.h_e)
+        r_s_prime = log_rate(p, np.maximum(rule.h_e, kappa))  # log(1 + P q), a fresh grid
+        np.copyto(r_s_prime, 0.0, where=p == 0.0)  # 0 where P = 0, kappa = inf too
+        np.subtract(log_rate(p, rule.h_m), r_s_prime, out=r_s_prime)
+        np.maximum(r_s_prime, 0.0, out=r_s_prime)
+    return rule.mean(r_s_prime)
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:

@@ -1,6 +1,7 @@
 """Random gain laws for property tests over the whole grammar."""
 
 from dlsec.fading import FadingDistribution
+from dlsec.numerics import SHAPE_MAX
 
 
 def random_law(rng):
@@ -14,4 +15,6 @@ def random_law(rng):
         return FadingDistribution("exp", (scale,))
     if kind == 2:
         return FadingDistribution("chisq", (float(rng.integers(1, 13)),))
-    return FadingDistribution("gamma", (float(10.0 ** rng.uniform(-1.3, 1.7)), scale))
+    # 10^1.7 is 50.1: cap at the largest shape the grammar accepts
+    shape = min(float(10.0 ** rng.uniform(-1.3, 1.7)), SHAPE_MAX)
+    return FadingDistribution("gamma", (shape, scale))

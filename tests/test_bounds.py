@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 
 import dlsec.rates as rates_module
-from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult, _best,
-                          _digamma, fixed_point_rate, high_snr_limit, key_rate, lower_full,
-                          lower_main, resolve_menu_entry, upper_full, upper_main, usable)
+from dlsec.bounds import (_CERT_TOL, BoundResult, _best, _digamma, fixed_point_rate,
+                          high_snr_limit, key_rate, lower_full, lower_main, resolve_menu_entry,
+                          upper_full, upper_main, usable)
 from dlsec.cli import main as cli_main
 from dlsec.fading import ChannelState, FadingDistribution, parse_distribution, pair_rule
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
-from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
-                          calibrate)
-from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
-                         expected_key_share, log_rate, per_state_rates, secrecy_gap)
+from dlsec.policy import MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy, calibrate
+from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, log_rate,
+                         per_state_rates, secrecy_gap)
 
 from child_env import child_env
+from eager_reference import eager_bound, eager_lower_full, eager_usable, usable_outcome
 from flat_grid import flat_grid
 from random_laws import random_law
 
@@ -115,134 +115,6 @@ class TestLowerFull:
             lo = lower_full(CHISQ4, CHISQ4, p_bar).value
             hi = upper_full(CHISQ4, CHISQ4, p_bar).value
             assert lo <= hi + 1e-9
-
-
-def eager_best(dm, de, p_bar, menu, csi, objective):
-    """The menu pass with every entry's diagnostics built as it is scored,
-    for an ``objective(policy) -> (value, dict)``; the fallback is marked
-    by its ``warning`` alone (read by :func:`eager_usable`)."""
-    best, infeasible, skipped, ties = None, {}, {}, []
-    if menu is None:
-        menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
-    for entry in menu:
-        family, h_min = resolve_menu_entry(entry, dm)
-        if csi == MAIN_CSI and family == "full-inv":
-            skipped[entry] = "needs full CSI"
-            continue
-        try:
-            pol = calibrate(family, dm, de, p_bar, h_min)
-        except NonInvertibleChannelError as err:
-            infeasible[entry] = str(err)
-            continue
-        if dm.is_degenerate and pol.h_min <= dm.params[0] and family != "full-inv":
-            ties.append(entry)
-            if len(ties) > 1:
-                continue
-        value, diag = objective(pol)
-        if best is None or value > best[0]:
-            best = value, pol, diag, entry
-    if best is None:
-        pol = PowerPolicy("const", p_bar)
-        value, diag = objective(pol)
-        best = value, pol, diag, None
-    value, pol, diag, entry = best
-    if entry is None:
-        diag["warning"] = "no requested family is usable; reporting const fallback"
-    if infeasible or entry is None:
-        diag["infeasible"] = infeasible
-    if ties[1:] and ties[0] == entry:
-        diag["tied_with"] = ties[1:]
-    if skipped:
-        diag["skipped"] = skipped
-    return BoundResult(value, pol, diag)
-
-
-def eager_usable(result):
-    """usable as it read an eager result: its ``warning`` marks the fallback."""
-    diag = result.diagnostics
-    if "warning" not in diag:
-        return result
-    if diag["infeasible"]:
-        raise NonInvertibleChannelError(next(iter(diag["infeasible"].values())))
-    if not diag.get("skipped"):
-        raise ValueError("the family menu is empty")
-    entry, reason = next(iter(diag["skipped"].items()))
-    raise CsiError(f"policy {entry!r} {reason}: it reads h_e, which main CSI lacks")
-
-
-def eager_capped_secrecy_rate(pol, dm, de):
-    floor = delay_floor(pol, dm)
-    diag = {"r_d_floor": floor}
-    if floor <= 0.0:
-        diag["binding"] = "r_d_floor"
-        return 0.0, diag
-    ers = ergodic_secrecy_rate(pol, dm, de)
-    diag["r_s_expected"] = ers
-    diag["binding"] = "r_s_expected" if ers <= floor else "r_d_floor"
-    return min(ers, floor), diag
-
-
-def eager_lower_full_objective(dm, de, q_kappa=None):
-    """lower_full's objective with every entry's rates and diagnostics
-    built as it is scored: off a point-mass pair E[r_s'] is evaluated
-    whatever the cap, and on one every rate is read off per_state_rates
-    at the atom."""
-    atom = (ChannelState(dm.params[0], de.params[0])
-            if dm.is_degenerate and de.is_degenerate else None)
-
-    def objective(pol):
-        cap = common_rate_floor(pol, dm, de)
-
-        def value_at(kappa):
-            if atom is not None:
-                r = per_state_rates(pol, atom, kappa)
-                key_mean, dfloor = r.r_s_prime, r.r_s_dprime
-            else:
-                key_mean, dfloor = expected_key_share(pol, dm, de, kappa=kappa), 0.0
-            r_o = min(key_mean, cap)
-            diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
-                    "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
-                    "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
-            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
-                                and diag["common_rate_margin"] >= -_CERT_TOL)
-            return dfloor + r_o, diag
-
-        if q_kappa is not None:
-            return value_at(q_kappa)
-        best = value_at(0.0)
-        if atom is not None:
-            direct = value_at(atom.h_m)
-            if direct[0] > best[0]:
-                best = direct
-        return best
-
-    return objective
-
-
-def eager_lower_full(dm, de, p_bar, menu=None, q_kappa=None):
-    return eager_best(dm, de, p_bar, menu, FULL_CSI,
-                      eager_lower_full_objective(dm, de, q_kappa))
-
-
-def eager_bound(bound, dm, de, p_bar, menu=None):
-    """Each bound with its diagnostics built eagerly."""
-    if bound is lower_full:
-        return eager_lower_full(dm, de, p_bar, menu)
-    if bound is lower_main:
-        return eager_best(dm, de, p_bar, menu, MAIN_CSI,
-                          lambda pol: fixed_point_rate(pol, dm, de))
-    csi = FULL_CSI if bound is upper_full else MAIN_CSI
-    return eager_best(dm, de, p_bar, menu, csi,
-                      lambda pol: eager_capped_secrecy_rate(pol, dm, de))
-
-
-def usable_outcome(use, result):
-    """(error type, message) that ``use`` raises on ``result``, or None."""
-    try:
-        use(result)
-    except (ValueError, CsiError) as err:
-        return type(err), str(err)
-    return None
 
 
 FOUR_BOUNDS = [upper_full, lower_full, upper_main, lower_main]

@@ -13,7 +13,7 @@ from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, log_rate, per_state_rates, secrecy_gap)
 
-from flat_grid import flat_grid
+from flat_grid import flat_grid, law_rule
 from random_laws import random_law
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -330,3 +330,112 @@ class TestSupportFloors:
         dm, de = parse_distribution("const:9"), parse_distribution("const:1")
         want = math.log(5.0) - (math.log(10.0) - math.log(4.0))
         assert abs(floor(dm, de, 3.0) - want) < 1e-15
+
+
+def broadcast_gap(policy, rule):
+    """The r_s grid built by 2-D broadcasting, as ``log_rate`` takes a
+    column of main-node values against a row of eavesdropper-node values:
+    the reference for secrecy_gap's outer products."""
+    h_m, h_e = rule.h_m, rule.h_e
+    with np.errstate(over="ignore", invalid="ignore"):
+        if policy.family == "const":
+            p = policy.c
+        elif policy.family == "full-inv":
+            p = policy.c / h_e
+        else:
+            p = policy.power(h_m)
+        return np.maximum(log_rate(p, h_m) - log_rate(p, h_e), 0.0), p
+
+
+def grid_policies(dm, de, p_bar):
+    """The four families at ``p_bar``, trunc-inv at the median main gain;
+    a family that does not calibrate takes the budget as its scale."""
+    for family in ("const", "full-inv", "main-inv", "trunc-inv"):
+        h_min = dm.quantile(0.5) if family == "trunc-inv" else 0.0
+        try:
+            yield calibrate(family, dm, de, p_bar, h_min)
+        except NonInvertibleChannelError:
+            yield PowerPolicy(family, min(p_bar, 1e300), h_min)
+
+
+class TestOuterProductGrids:
+    """pair_rule's weights and secrecy_gap's power x gain grids, built as
+    outer products, equal the 2-D broadcast build bit for bit."""
+
+    LAW_PAIRS = [("chisq:4", "const:1e300"), ("const:1e300", "chisq:4"),
+                 ("const:1e300", "gamma:3:1"), ("gamma:2:1000", "const:1e300")]
+
+    def cases(self):
+        rng = np.random.default_rng(25)
+        pairs = [(random_law(rng), random_law(rng)) for _ in range(60)]
+        pairs += [tuple(map(parse_distribution, pair)) for pair in self.LAW_PAIRS]
+        for dm, de in pairs:
+            for p_bar in (float(10.0 ** rng.uniform(-3.0, 20.0)),
+                          float(10.0 ** rng.uniform(290.0, 305.0))):
+                yield dm, de, p_bar
+
+    def test_pair_rule_weights(self):
+        for dm, de, _ in self.cases():
+            (_, wm), (_, we) = law_rule(dm), law_rule(de)
+            assert pair_rule(dm, de).w.tobytes() == np.outer(wm, we).ravel().tobytes()
+
+    def test_secrecy_gap_grids(self):
+        """Budgets up to 3 050 dB; on the const:1e300 pairs the grid's
+        largest power x gain product overflows, and the split-log path
+        gives the broadcast build's bits too."""
+        compared = overflowed = 0
+        for dm, de, p_bar in self.cases():
+            rule = pair_rule(dm, de)
+            for pol in grid_policies(dm, de, p_bar):
+                want, p = broadcast_gap(pol, rule)
+                try:
+                    got = secrecy_gap(pol, dm, de)[0]
+                except ValueError as err:
+                    # a non-finite point, or full-inv's power overflowing at the corner
+                    assert "not finite" in str(err)
+                    continue
+                assert got.tobytes() == want.tobytes(), (dm, de, pol)
+                compared += 1
+                if pol.family != "const":
+                    h = rule.h_m if pol.family == "full-inv" else rule.h_e
+                    overflowed += math.isinf(float(np.max(p)) * float(h.max()))
+        assert compared >= 450 and overflowed >= 20
+
+
+class TestKeyShareInPlace:
+    """expected_key_share above kappa = 0 is the mean of per_state_rates'
+    r_s' on the rule, bit for bit, or raises what that mean raises."""
+
+    @staticmethod
+    def per_state_route(pol, dm, de, kappa):
+        rule = pair_rule(dm, de)
+        try:
+            return rule.mean(per_state_rates(pol, ChannelState(rule.h_m, rule.h_e),
+                                             kappa).r_s_prime)
+        except ValueError as err:
+            return type(err), str(err)
+
+    def test_random_pairs_families_and_kappas(self):
+        rng = np.random.default_rng(26)
+        equal = 0
+        for _ in range(50):
+            dm, de = random_law(rng), random_law(rng)
+            p_bar = float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 20.0), 1e305]))
+            kappas = [float(10.0 ** rng.uniform(-4.0, 4.0)), math.inf]
+            if not de.is_degenerate:
+                kappas.append(de.quantile(0.5))
+            for pol in grid_policies(dm, de, p_bar):
+                for kappa in kappas:
+                    try:
+                        got = expected_key_share(pol, dm, de, kappa)
+                    except ValueError as err:
+                        got = type(err), str(err)
+                    assert got == self.per_state_route(pol, dm, de, kappa), (dm, de, pol, kappa)
+                    equal += isinstance(got, float)
+        assert equal >= 500
+
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_bad_kappa(self, kappa):
+        pol = calibrate("const", CHISQ4, CHISQ4, 10.0)
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            expected_key_share(pol, CHISQ4, CHISQ4, kappa)
