@@ -45,12 +45,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import FadingDistribution, inverse_min_moment, pair_rule
-from .numerics import tanh_sinh_nodes, weighted_sum
+from .fading import FadingDistribution, _gamma_quantile, inverse_min_moment, pair_rule
+from .numerics import SHAPE_MIN, tanh_sinh_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
-                    secrecy_gap)
+                    secrecy_gap, zero_cap_families, zero_floor_families)
 
 DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
@@ -96,19 +96,24 @@ class HighSnrLimit(NamedTuple):
     quad_error: float
 
 
+def _bare_trunc_inv(entry: str) -> bool:
+    """Whether a menu entry is 'trunc-inv' with no cutoff."""
+    return entry.strip().lower() == "trunc-inv"
+
+
 @lru_cache(maxsize=64)
 def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, float]:
     """Menu entries follow the policy grammar; a bare 'trunc-inv' defaults
     its cutoff to the median main gain (a law-only quantile, hence the
     cache)."""
-    if entry.strip().lower() == "trunc-inv":
+    if _bare_trunc_inv(entry):
         return "trunc-inv", dist_m.quantile(0.5)
     return parse_policy(entry)
 
 
-# The median of Gamma(k, 1) rises with k and is 5.57e-7 at SHAPE_MIN, so a
-# median cutoff is positive wherever the law's scale times this is.
-_MEDIAN_MIN = 5e-7
+# The median of Gamma(k, 1) rises with k, so it is least at SHAPE_MIN, and a
+# median cutoff is positive wherever the law's scale times this one is.
+_MEDIAN_MIN = _gamma_quantile(SHAPE_MIN, 0.5)
 
 
 def _worth_zero(entry: str, dist_m: FadingDistribution, zero: tuple[str, ...]) -> bool:
@@ -116,7 +121,7 @@ def _worth_zero(entry: str, dist_m: FadingDistribution, zero: tuple[str, ...]) -
     entry raises) but not resolved.  A bare trunc-inv whose median cutoff
     could underflow to 0 does not count: calibration rejects that cutoff,
     and it must raise when the menu is read."""
-    if entry.strip().lower() == "trunc-inv":
+    if _bare_trunc_inv(entry):
         return "trunc-inv" in zero and (dist_m.is_degenerate
                                         or dist_m.scale * _MEDIAN_MIN > 0.0)
     return parse_policy(entry)[0] in zero
@@ -239,19 +244,13 @@ def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, Callable[[]
                                      "binding": binding}
 
 
-def _zero_floor(dist_m: FadingDistribution) -> tuple[str, ...]:
-    """The families whose delay floor ess-inf r_main the main law alone
-    makes 0: const and trunc-inv (any cutoff) where its support reaches 0."""
-    return ("const", "trunc-inv") if dist_m.support_min == 0.0 else ()
-
-
 def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Upper bound with both gains known: max over the menu of
     min{E[r_s], ess-inf r_main}."""
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI,
                  lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
-                 _zero_floor(dist_m))
+                 zero_floor_families(dist_m))
 
 
 def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -260,7 +259,7 @@ def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     restricted to policies that depend on h_m alone."""
     return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
                  lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
-                 _zero_floor(dist_m))
+                 zero_floor_families(dist_m))
 
 
 def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -325,9 +324,8 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                 value, diag = direct
         return value, lambda: diag
 
-    # off a point-mass pair, the common-rate cap of every family but full-inv is 0
-    zero_cap = () if point_mass else ("const", "main-inv", "trunc-inv")
-    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective, zero_cap)
+    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective,
+                 zero_cap_families(dist_m, dist_e))
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -436,7 +434,8 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         return (_fixed_point(pol, dist_m, dist_e, nodes)[0],
                 lambda: fixed_point_rate(pol, dist_m, dist_e, nodes)[1])
 
-    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective, _zero_floor(dist_m))
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective,
+                 zero_floor_families(dist_m))
 
 
 def _log_ratio(a: float, b: float) -> float:

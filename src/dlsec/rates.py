@@ -167,22 +167,21 @@ def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
     """E[r_s'] by quadrature, for q(h) = max(h_e, kappa).
 
     kappa = 0 makes r_s' = r_s, so it reads E[r_s] off :func:`secrecy_gap`.
-    Otherwise r_s' alone is taken on the rule, by the float operations of
-    :func:`per_state_rates` in the one grid of its log, with no grid for
-    the other rates.
     """
     if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
-    if not kappa >= 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
     rule = pair_rule(dist_m, dist_e, nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = policy.power(rule.h_m, rule.h_e)
-        r_s_prime = log_rate(p, np.maximum(rule.h_e, kappa))  # log(1 + P q), a fresh grid
-        np.copyto(r_s_prime, 0.0, where=p == 0.0)  # 0 where P = 0, kappa = inf too
-        np.subtract(log_rate(p, rule.h_m), r_s_prime, out=r_s_prime)
-        np.maximum(r_s_prime, 0.0, out=r_s_prime)
-    return rule.mean(r_s_prime)
+    return rule.mean(per_state_rates(policy, ChannelState(rule.h_m, rule.h_e), kappa).r_s_prime)
+
+
+def zero_floor_families(dist_m: FadingDistribution) -> tuple[str, ...]:
+    """The families whose delay floor the main law alone makes 0: const,
+    and trunc-inv at any cutoff, where the support reaches 0.
+
+    :func:`delay_floor` reads this set, and the bounds' menu pass defers
+    these entries once one is kept, so the two cannot disagree.
+    """
+    return ("const", "trunc-inv") if dist_m.support_min == 0.0 else ()
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
@@ -192,6 +191,8 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     (P * h_m >= c pointwise, with equality on the minimizing coordinate);
     trunc-inv -> 0 whenever the support extends below the cutoff.
     """
+    if policy.family in zero_floor_families(dist_m):
+        return 0.0
     lo = dist_m.support_min
     if policy.family == "const":  # log-split where c * lo overflows, as log_rate
         clo = policy.c * lo
@@ -199,6 +200,19 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     if policy.family == "trunc-inv" and lo < policy.h_min:
         return 0.0  # no power below the cutoff
     return float(np.log1p(policy.c))
+
+
+def zero_cap_families(dist_m: FadingDistribution,
+                      dist_e: FadingDistribution) -> tuple[str, ...]:
+    """The families whose common-rate cap the laws alone make 0: every one
+    but full-inv, off a point-mass pair.
+
+    :func:`common_rate_floor` reads this set, and lower_full's menu pass
+    defers these entries once one is kept, so the two cannot disagree.
+    """
+    if dist_m.is_degenerate and dist_e.is_degenerate:
+        return ()
+    return ("const", "main-inv", "trunc-inv")
 
 
 def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -212,7 +226,7 @@ def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
     """
     if policy.family == "full-inv":
         return float(np.log1p(policy.c))
-    if dist_m.is_degenerate and dist_e.is_degenerate:
-        r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
-        return float(min(r.r_main, r.r_eve))
-    return 0.0
+    if policy.family in zero_cap_families(dist_m, dist_e):
+        return 0.0
+    r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
+    return float(min(r.r_main, r.r_eve))

@@ -400,42 +400,3 @@ class TestOuterProductGrids:
                     h = rule.h_m if pol.family == "full-inv" else rule.h_e
                     overflowed += math.isinf(float(np.max(p)) * float(h.max()))
         assert compared >= 450 and overflowed >= 20
-
-
-class TestKeyShareInPlace:
-    """expected_key_share above kappa = 0 is the mean of per_state_rates'
-    r_s' on the rule, bit for bit, or raises what that mean raises."""
-
-    @staticmethod
-    def per_state_route(pol, dm, de, kappa):
-        rule = pair_rule(dm, de)
-        try:
-            return rule.mean(per_state_rates(pol, ChannelState(rule.h_m, rule.h_e),
-                                             kappa).r_s_prime)
-        except ValueError as err:
-            return type(err), str(err)
-
-    def test_random_pairs_families_and_kappas(self):
-        rng = np.random.default_rng(26)
-        equal = 0
-        for _ in range(50):
-            dm, de = random_law(rng), random_law(rng)
-            p_bar = float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 20.0), 1e305]))
-            kappas = [float(10.0 ** rng.uniform(-4.0, 4.0)), math.inf]
-            if not de.is_degenerate:
-                kappas.append(de.quantile(0.5))
-            for pol in grid_policies(dm, de, p_bar):
-                for kappa in kappas:
-                    try:
-                        got = expected_key_share(pol, dm, de, kappa)
-                    except ValueError as err:
-                        got = type(err), str(err)
-                    assert got == self.per_state_route(pol, dm, de, kappa), (dm, de, pol, kappa)
-                    equal += isinstance(got, float)
-        assert equal >= 500
-
-    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
-    def test_bad_kappa(self, kappa):
-        pol = calibrate("const", CHISQ4, CHISQ4, 10.0)
-        with pytest.raises(ValueError, match="kappa must be >= 0"):
-            expected_key_share(pol, CHISQ4, CHISQ4, kappa)
