@@ -15,6 +15,17 @@ R - min{K(R), R_d} is strictly increasing with one root, and Newton's
 method from R = 0 reaches it exactly on the crossing segment of K
 (:func:`fixed_point_rate`).  :func:`key_rate` evaluates K at any R.
 
+The default menus are const, full-inv and main-inv (full CSI) and const
+and main-inv (main CSI).  The bounds are delay-limited, and trunc-inv
+sends nothing below its cutoff: on a continuous main law its delay floor
+(upper bounds, lower_main) and its common-rate cap (lower_full) are 0, and
+on a point-mass main gain v its median cutoff is v, where it ties with
+const.  It can never beat const, which comes first and always calibrates,
+so it is not in a default menu; an explicit menu may name it.  A default
+menu resolves no median cutoff, so trunc-inv is never named in its
+``tied_with`` or ``infeasible``, and a law whose median underflows does
+not make it raise.
+
 All four bounds integrate the same per-state secrecy rate
 r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
 (lower_full) and K(R) (lower_main).  :func:`dlsec.rates.secrecy_gap`
@@ -22,19 +33,16 @@ evaluates it once per calibrated policy, one log over the grid, and
 keeps the last 8, so the bounds at one budget build it at most once
 per family, and only for the families whose value reads it: an entry
 with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
-point-mass pair (lower_full) is worth 0 without it.  Such an entry after
-a kept one cannot win at all, so the menu pass defers it: it is not
-resolved (no median cutoff), calibrated (no truncated inverse moment) or
-scored until diagnostics are read.  A result builds its diagnostics on
-first read, for the reported entry only, so a zero-cap lower_full entry
-evaluates E[r_s'] only if its diagnostics are read (`dlsec bounds` and
-`simulate` read them; `dlsec sweep` never does), and lower_main sums its
-key balance check only then.  A new budget rescales every policy, so
-nothing older is hit again.  The law-only inputs of calibration
-(E[1/min(h_m, h_e)], the truncated inverse moment and the trunc-inv
-default cutoff) are cached per law, 64 entries each, so calibrating at a
-new budget is one division.  Every expectation over (h_m, h_e) is a sum
-on the law pair's :func:`dlsec.fading.pair_rule`.
+point-mass pair (lower_full) is worth 0 without it.  A result builds its
+diagnostics on first read, for the reported entry only, so a zero-cap
+lower_full entry evaluates E[r_s'] only if its diagnostics are read
+(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does),
+and lower_main sums its key balance check only then.  A new budget
+rescales every policy, so nothing older is hit again.  The law-only
+inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
+and the trunc-inv median cutoff) are cached per law, 64 entries each,
+so calibrating at a new budget is one division.  Every expectation over
+(h_m, h_e) is a sum on the law pair's :func:`dlsec.fading.pair_rule`.
 """
 
 from __future__ import annotations
@@ -45,15 +53,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import FadingDistribution, _gamma_quantile, inverse_min_moment, pair_rule
-from .numerics import SHAPE_MIN, tanh_sinh_nodes, weighted_sum
+from .fading import FadingDistribution, inverse_min_moment, pair_rule
+from .numerics import tanh_sinh_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
 from .rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate, expected_key_share,
-                    secrecy_gap, zero_cap_families, zero_floor_families)
+                    secrecy_gap)
 
-DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv", "trunc-inv")
-DEFAULT_MAIN_MENU = ("const", "main-inv", "trunc-inv")
+DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv")
+DEFAULT_MAIN_MENU = ("const", "main-inv")
 
 _CERT_TOL = 1e-9
 
@@ -96,53 +104,25 @@ class HighSnrLimit(NamedTuple):
     quad_error: float
 
 
-def _bare_trunc_inv(entry: str) -> bool:
-    """Whether a menu entry is 'trunc-inv' with no cutoff."""
-    return entry.strip().lower() == "trunc-inv"
-
-
 @lru_cache(maxsize=64)
 def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, float]:
     """Menu entries follow the policy grammar; a bare 'trunc-inv' defaults
     its cutoff to the median main gain (a law-only quantile, hence the
     cache)."""
-    if _bare_trunc_inv(entry):
+    if entry.strip().lower() == "trunc-inv":
         return "trunc-inv", dist_m.quantile(0.5)
     return parse_policy(entry)
 
 
-# The median of Gamma(k, 1) rises with k, so it is least at SHAPE_MIN, and a
-# median cutoff is positive wherever the law's scale times this one is.
-_MEDIAN_MIN = _gamma_quantile(SHAPE_MIN, 0.5)
-
-
-def _worth_zero(entry: str, dist_m: FadingDistribution, zero: tuple[str, ...]) -> bool:
-    """Whether ``entry`` names a family in ``zero``, parsed (so a malformed
-    entry raises) but not resolved.  A bare trunc-inv whose median cutoff
-    could underflow to 0 does not count: calibration rejects that cutoff,
-    and it must raise when the menu is read."""
-    if _bare_trunc_inv(entry):
-        return "trunc-inv" in zero and (dist_m.is_degenerate
-                                        or dist_m.scale * _MEDIAN_MIN > 0.0)
-    return parse_policy(entry)[0] in zero
-
-
-def _best(dist_m, dist_e, p_bar, family_menu, csi, objective, zero=()) -> BoundResult:
+def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
-    (None picks the CSI case's default) to the budget, score it with
-    ``objective(policy) -> (value, build)`` and keep the first maximum.
+    (None picks the CSI case's default, which leaves out trunc-inv: it
+    never beats const, see the module docstring) to the budget, score it
+    with ``objective(policy) -> (value, build)`` and keep the first maximum.
     ``build()`` returns the entry's diagnostics dict.  Only the reported
     entry's ``build`` is called, on the result's first read of
     ``diagnostics``, so a caller that reads only ``value`` never builds
     them.
-
-    ``zero`` names the families whose objective the laws alone make 0
-    (delay floor 0, or common-rate cap 0).  Values are >= 0 and the first
-    maximum is kept, so once an entry is kept such a later entry cannot
-    replace it: it is parsed but deferred, neither resolved, calibrated
-    nor scored.  The first read of ``diagnostics`` runs the same per-entry
-    step on the deferred entries, in menu order, so the diagnostics are
-    those of a pass over every entry.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
     whose inverse moment diverges are recorded as ``infeasible``.  On a
@@ -154,36 +134,26 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective, zero=()) -> BoundR
     the same objective and reported as the ``fallback``, with a warning
     (see :func:`usable`).
     """
+    best = None
+    infeasible: dict[str, str] = {}
+    skipped: dict[str, str] = {}
+    ties: list[str] = []  # on a point-mass main gain: the scored entry, then its ties
     if family_menu is None:
         family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
-    menu = tuple(family_menu)
-
-    def visit(entry: str) -> PowerPolicy | tuple[str, str]:
-        """The entry's calibrated policy, or ("skipped" | "infeasible", reason)."""
+    for entry in family_menu:
         family, h_min = resolve_menu_entry(entry, dist_m)
         if csi == MAIN_CSI and family == "full-inv":
-            return "skipped", "needs full CSI"
+            skipped[entry] = "needs full CSI"
+            continue
         try:
-            return calibrate(family, dist_m, dist_e, p_bar, h_min)
+            pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
         except NonInvertibleChannelError as err:
-            return "infeasible", str(err)
-
-    def tied(pol: PowerPolicy) -> bool:
-        return (dist_m.is_degenerate and pol.h_min <= dist_m.params[0]
-                and pol.family != "full-inv")
-
-    outcomes: list = [None] * len(menu)  # None while an entry is deferred
-    best, tie_scored = None, False
-    for i, entry in enumerate(menu):
-        if best is not None and _worth_zero(entry, dist_m, zero):
+            infeasible[entry] = str(err)
             continue
-        pol = outcomes[i] = visit(entry)
-        if not isinstance(pol, PowerPolicy):
-            continue
-        if tied(pol):
-            if tie_scored:
+        if dist_m.is_degenerate and pol.h_min <= dist_m.params[0] and family != "full-inv":
+            ties.append(entry)
+            if len(ties) > 1:
                 continue
-            tie_scored = True
         value, build = objective(pol)
         if best is None or value > best[0]:
             best = value, pol, build, entry
@@ -195,15 +165,6 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective, zero=()) -> BoundR
 
     def diagnostics() -> dict:
         diag = build()
-        infeasible: dict[str, str] = {}
-        skipped: dict[str, str] = {}
-        ties = []  # on a point-mass main gain: the scored entry, then its ties
-        for name, out in zip(menu, outcomes):
-            out = out or visit(name)
-            if not isinstance(out, PowerPolicy):
-                (skipped if out[0] == "skipped" else infeasible)[name] = out[1]
-            elif tied(out):
-                ties.append(name)
         if entry is None:
             diag["warning"] = "no requested family is usable; reporting const fallback"
         if infeasible or entry is None:
@@ -249,8 +210,7 @@ def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     """Upper bound with both gains known: max over the menu of
     min{E[r_s], ess-inf r_main}."""
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI,
-                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
-                 zero_floor_families(dist_m))
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
 def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -258,8 +218,7 @@ def upper_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     """Upper bound with only the main gain known: as :func:`upper_full` but
     restricted to policies that depend on h_m alone."""
     return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
-                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes),
-                 zero_floor_families(dist_m))
+                 lambda pol: _capped_secrecy_rate(pol, dist_m, dist_e, nodes))
 
 
 def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -324,8 +283,7 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
                 value, diag = direct
         return value, lambda: diag
 
-    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective,
-                 zero_cap_families(dist_m, dist_e))
+    return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -434,8 +392,7 @@ def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
         return (_fixed_point(pol, dist_m, dist_e, nodes)[0],
                 lambda: fixed_point_rate(pol, dist_m, dist_e, nodes)[1])
 
-    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective,
-                 zero_floor_families(dist_m))
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective)
 
 
 def _log_ratio(a: float, b: float) -> float:

@@ -46,6 +46,7 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # The fraction's last factors round to within 2 ulps of 1 at random, so it
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
 _CF_TOL = 4.0 * _EPS
+_FLOAT_MAX = float(np.finfo(float).max)
 _QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
 
 
@@ -267,7 +268,8 @@ class FadingDistribution:
         if not np.all(arr > 0):
             raise ValueError("pdf is defined for x > 0 only")
         k, theta = self.shape, self.scale
-        y = arr / theta
+        with np.errstate(over="ignore"):  # e^-y is 0 wherever x / theta overflows
+            y = np.minimum(arr / theta, _FLOAT_MAX)
         out = np.exp((k - 1.0) * np.log(y) - y - math.lgamma(k)) / theta
         return float(out) if arr.ndim == 0 else out
 
@@ -338,7 +340,8 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
 
     For Gamma(k, theta) and y = h_min / theta: Gamma(k-1, y) / (Gamma(k) theta),
     that is Q(k-1, y) / ((k-1) theta) for k > 2.  Law-only, so cached: a
-    sweep calibrates trunc-inv at every SNR point against the same moment.
+    sweep whose menu names trunc-inv calibrates it at every SNR point
+    against the same moment.
     """
     if not h_min >= 0:
         raise ValueError(f"h_min must be >= 0, got {h_min}")

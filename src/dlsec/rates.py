@@ -119,7 +119,7 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
     ``r_s.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
     E[r_s'] at q = h_e and the main-CSI key rate K(R) all read this one
     evaluation.  The cache holds every family of one (law pair, budget)
-    that the bounds evaluate, at most the 4 default ones, with room to
+    that the bounds evaluate, at most the 3 default ones, with room to
     spare (8 grids at 200 nodes: 2.5 MB); a new budget rescales every
     policy, so no entry is hit across budgets.
 
@@ -174,16 +174,6 @@ def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
     return rule.mean(per_state_rates(policy, ChannelState(rule.h_m, rule.h_e), kappa).r_s_prime)
 
 
-def zero_floor_families(dist_m: FadingDistribution) -> tuple[str, ...]:
-    """The families whose delay floor the main law alone makes 0: const,
-    and trunc-inv at any cutoff, where the support reaches 0.
-
-    :func:`delay_floor` reads this set, and the bounds' menu pass defers
-    these entries once one is kept, so the two cannot disagree.
-    """
-    return ("const", "trunc-inv") if dist_m.support_min == 0.0 else ()
-
-
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     """Essential infimum of the main-channel rate, per family, in closed form.
 
@@ -191,8 +181,6 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     (P * h_m >= c pointwise, with equality on the minimizing coordinate);
     trunc-inv -> 0 whenever the support extends below the cutoff.
     """
-    if policy.family in zero_floor_families(dist_m):
-        return 0.0
     lo = dist_m.support_min
     if policy.family == "const":  # log-split where c * lo overflows, as log_rate
         clo = policy.c * lo
@@ -200,19 +188,6 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     if policy.family == "trunc-inv" and lo < policy.h_min:
         return 0.0  # no power below the cutoff
     return float(np.log1p(policy.c))
-
-
-def zero_cap_families(dist_m: FadingDistribution,
-                      dist_e: FadingDistribution) -> tuple[str, ...]:
-    """The families whose common-rate cap the laws alone make 0: every one
-    but full-inv, off a point-mass pair.
-
-    :func:`common_rate_floor` reads this set, and lower_full's menu pass
-    defers these entries once one is kept, so the two cannot disagree.
-    """
-    if dist_m.is_degenerate and dist_e.is_degenerate:
-        return ()
-    return ("const", "main-inv", "trunc-inv")
 
 
 def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
@@ -226,7 +201,7 @@ def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
     """
     if policy.family == "full-inv":
         return float(np.log1p(policy.c))
-    if policy.family in zero_cap_families(dist_m, dist_e):
-        return 0.0
-    r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
-    return float(min(r.r_main, r.r_eve))
+    if dist_m.is_degenerate and dist_e.is_degenerate:
+        r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
+        return float(min(r.r_main, r.r_eve))
+    return 0.0

@@ -1,4 +1,4 @@
-"""The eager menu pass: the reference the bounds' lazy and deferred passes
+"""The eager menu pass: the reference the bounds' lazily built diagnostics
 must equal.
 
 Every menu entry is resolved, calibrated and scored in menu order, and each

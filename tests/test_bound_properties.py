@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from dlsec.bounds import (DEFAULT_FULL_MENU, high_snr_limit, lower_full, lower_main,
-                          resolve_menu_entry, upper_full, upper_main)
+from dlsec.bounds import (high_snr_limit, lower_full, lower_main, resolve_menu_entry,
+                          upper_full, upper_main)
 from dlsec.fading import FadingDistribution
 from dlsec.policy import calibrate, expected_power
 
@@ -55,9 +55,9 @@ def test_bound_invariants(dist_m, dist_e, db):
     assert at_most(um, uf)
     for before, after in zip(at_low, four_bounds(dist_m, dist_e, high)):
         assert at_most(before, after)
-    # E[P] = p_bar, with E[P] / c from scipy rather than the moment that
-    # calibrate divided by
-    for entry in DEFAULT_FULL_MENU:
+    # E[P] = p_bar for every family (trunc-inv at its median cutoff), with
+    # E[P] / c from scipy rather than the moment that calibrate divided by
+    for entry in ("const", "full-inv", "main-inv", "trunc-inv"):
         family, h_min = resolve_menu_entry(entry, dist_m)
         pol = calibrate(family, dist_m, dist_e, low, h_min)
         power = pol.c * reference.power_moment(family, dist_m, dist_e, h_min)

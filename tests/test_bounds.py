@@ -195,10 +195,10 @@ class TestLazyDiagnostics:
     @pytest.mark.parametrize("spec_m, spec_e, p_bar, builds, _", GAP_BUILD_CASES)
     def test_gap_builds_for_the_four_bounds(self, spec_m, spec_e, p_bar, builds, _):
         """Reading values only, just the families whose value reads a gap
-        build one: on a continuous pair, lower_full's zero-cap const and
-        trunc-inv do not (nor does its reported zero-cap entry, whose
-        E[r_s'] only its diagnostics need); on a point-mass main gain,
-        main-inv and trunc-inv tie with const and are not scored."""
+        build one: on a continuous pair, lower_full's zero-cap const does
+        not (nor does its reported zero-cap entry, whose E[r_s'] only its
+        diagnostics need); on a point-mass main gain, main-inv ties with
+        const and is not scored."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         secrecy_gap.cache_clear()
         for bound in FOUR_BOUNDS:

@@ -70,9 +70,9 @@ class TestBounds:
             assert math.isfinite(value) and value <= limit + 1e-9, key
 
     def test_scale_that_overflows_is_skipped(self, capsys):
-        """At 3000 dB over const:1e10, main-inv's and trunc-inv's scales
-        p_bar / E[1/h_m] overflow: both are recorded as infeasible and the
-        rest of the menu still runs."""
+        """At 3000 dB over const:1e10, main-inv's scale p_bar / E[1/h_m]
+        overflows: it is recorded as infeasible and the rest of the menu
+        still runs."""
         code, out, err = run_cli(capsys, "bounds", "--dist-m", "const:1e10",
                                  "--dist-e", "const:1", "--pbar-db", "3000")
         assert code == EXIT_OK and err == ""
@@ -84,13 +84,14 @@ class TestBounds:
 
     @pytest.mark.parametrize("argv", [("bounds",), ("sweep", "--snr-db-grid", "0:10:5")])
     def test_infinite_median_cutoff_is_skipped(self, capsys, argv):
-        """The median of gamma:50:1e308 overflows, so the bare trunc-inv
+        """The median of gamma:50:1e308 overflows, so a bare trunc-inv
         entry's cutoff is inf: it is recorded as infeasible, with no
         warning, and the rest of the menu still runs."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv, "--dist-m", "gamma:50:1e308",
-                                     "--dist-e", "chisq:4")
+                                     "--dist-e", "chisq:4",
+                                     "--policy", "const,full-inv,main-inv,trunc-inv")
         assert code == EXIT_OK and err == ""
         if argv[0] == "bounds":
             doc = json.loads(out)

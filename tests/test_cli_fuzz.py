@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -160,3 +161,21 @@ def test_zero_power_at_infinite_kappa_is_finite():
     with contextlib.redirect_stdout(out):
         assert main(ZERO_POWER_KAPPA_INF) == 0
     assert math.isfinite(json.loads(out.getvalue())["lower_full"]["value"])
+
+
+@pytest.mark.parametrize("law", ["exp:1e-310", "gamma:2:1e-310", "gamma:0.3:5e-324"])
+def test_subnormal_scale_gives_finite_json(law):
+    """A main law at a subnormal scale: x / theta overflows at the rule's
+    nodes, where the density is 0, so no NaN reaches the JSON and numpy
+    warns of nothing.  The median of gamma:0.3:5e-324 underflows to 0,
+    which the default menus never read."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["bounds", "--dist-m", law, "--dist-e", "chisq:4"])
+    assert (code, err.getvalue()) == (0, "")
+    assert "NaN" not in out.getvalue()
+    doc = json.loads(out.getvalue())
+    assert all(math.isfinite(doc[key]["value"])
+               for key in ("upper_full", "lower_full", "upper_main", "lower_main"))

@@ -1,6 +1,6 @@
-"""The menu pass's deferral: an entry that the laws alone make worth 0 is
-neither resolved, calibrated nor scored once an entry is kept, and the
-first read of diagnostics visits it, so every outcome equals the eager pass."""
+"""The menu pass: the default menus hold only families that can win, so
+they give what the menus with trunc-inv gave, and its lazy diagnostics
+equal the eager pass on any menu."""
 
 from collections import Counter
 
@@ -11,12 +11,17 @@ import dlsec.fading as fading_module
 import dlsec.policy as policy_module
 from dlsec.bounds import (lower_full, lower_main, resolve_menu_entry, upper_full, upper_main,
                           usable)
-from dlsec.fading import parse_distribution
+from dlsec.fading import FadingDistribution, parse_distribution
 
 from eager_reference import eager_bound, eager_lower_full, eager_usable, usable_outcome
 from random_laws import random_law
 
 FOUR_BOUNDS = [upper_full, lower_full, upper_main, lower_main]
+# each bound's default menu with a bare trunc-inv at the end
+FULL_WITH_TRUNC_INV = ("const", "full-inv", "main-inv", "trunc-inv")
+MAIN_WITH_TRUNC_INV = ("const", "main-inv", "trunc-inv")
+WITH_TRUNC_INV = {upper_full: FULL_WITH_TRUNC_INV, lower_full: FULL_WITH_TRUNC_INV,
+                  upper_main: MAIN_WITH_TRUNC_INV, lower_main: MAIN_WITH_TRUNC_INV}
 
 
 @pytest.fixture
@@ -44,64 +49,120 @@ def diagnostics_repr(result):
     return repr((result.value, result.policy, result.diagnostics))
 
 
-class TestDeferredEntries:
-    @pytest.mark.parametrize("spec_m, spec_e, p_bar, menu, deferred_infeasible", [
-        ("chisq:4", "chisq:4", 100.0, None, False),
-        ("exp:1", "exp:1", 100.0, None, False),
-        ("gamma:3:0.01", "exp:2", 1e4, None, False),
-        ("gamma:0.5:2", "gamma:0.8:0.1", 1e4, None, False),
-        ("chisq:4", "const:2", 0.0, None, False),
-        ("exp:1", "exp:1", 100.0, ["const", "full-inv", "trunc-inv:1e300", "main-inv"], True),
-        ("chisq:4", "chisq:4", 10.0, ["main-inv", "trunc-inv:1e300", "trunc-inv"], True),
-    ])
-    def test_value_reads_skip_law_only_work(self, law_only_calls, spec_m, spec_e, p_bar,
-                                            menu, deferred_infeasible):
-        """Value-only reads of the four bounds on a continuous main law (as
-        `dlsec sweep` and the benchmark make) resolve no median cutoff and
-        calibrate no trunc-inv entry behind a kept one; the first read of
-        diagnostics visits them, and reports what the eager pass reports,
-        ``infeasible`` in menu order included."""
-        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
-        results = [bound(dm, de, p_bar, family_menu=menu) for bound in FOUR_BOUNDS]
-        assert [res.value for res in results] == [
-            eager_bound(bound, dm, de, p_bar, menu).value for bound in FOUR_BOUNDS]
-        resolve_menu_entry.cache_clear()
-        law_only_calls.clear()
-        for bound in FOUR_BOUNDS:
-            bound(dm, de, p_bar, family_menu=menu).value
-        assert law_only_calls == {}
-        for bound, res in zip(FOUR_BOUNDS, results):
-            want = eager_bound(bound, dm, de, p_bar, menu)
-            assert diagnostics_repr(res) == diagnostics_repr(want)
-        assert law_only_calls["truncated_inverse_moment"] > 0
-        infeasible = results[0].diagnostics.get("infeasible", {})
-        assert ("trunc-inv:1e300" in infeasible) == deferred_infeasible
+@pytest.mark.parametrize("spec_m, spec_e, p_bar", [
+    ("chisq:4", "chisq:4", 100.0),
+    ("exp:1", "exp:1", 100.0),
+    ("gamma:3:0.01", "exp:2", 1e4),
+    ("gamma:0.5:2", "gamma:0.8:0.1", 1e4),
+    ("chisq:4", "const:2", 0.0),
+    ("const:2", "chisq:4", 100.0),
+])
+def test_default_menus_do_no_trunc_inv_work(law_only_calls, spec_m, spec_e, p_bar):
+    """Value and diagnostics reads of the four bounds on their default
+    menus resolve no median cutoff and compute no truncated moment."""
+    dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+    for bound in FOUR_BOUNDS:
+        bound(dm, de, p_bar).value
+        bound(dm, de, p_bar).diagnostics
+    assert law_only_calls == {}
 
-    def test_deferred_ties_are_named(self, law_only_calls):
-        """On a point-mass main gain against a continuous one, lower_full
-        defers main-inv and trunc-inv (cap 0) behind const; at zero power
-        const is reported and its diagnostics still name both as ties."""
-        dm, de = parse_distribution("const:2"), parse_distribution("chisq:4")
-        res = lower_full(dm, de, 0.0)
-        assert law_only_calls == {}
-        assert res.policy.family == "const"
-        assert res.diagnostics["tied_with"] == ["main-inv", "trunc-inv"]
-        assert diagnostics_repr(res) == diagnostics_repr(eager_lower_full(dm, de, 0.0))
 
-    def test_underflowing_median_cutoff_still_raises(self):
-        """A bare trunc-inv whose median cutoff underflows to 0 is rejected
-        by calibration when the menu is read, as before, not deferred."""
-        dm, de = parse_distribution("gamma:0.05:5e-324"), parse_distribution("chisq:4")
-        for bound in FOUR_BOUNDS:
-            with pytest.raises(ValueError, match="positive cutoff"):
-                bound(dm, de, 10.0)
+def test_ties_are_named():
+    """On a point-mass main gain against a continuous one, a menu with a
+    bare trunc-inv (median cutoff: the atom) scores const and names
+    main-inv and trunc-inv as its ties."""
+    dm, de = parse_distribution("const:2"), parse_distribution("chisq:4")
+    res = lower_full(dm, de, 0.0, family_menu=FULL_WITH_TRUNC_INV)
+    assert res.policy.family == "const"
+    assert res.diagnostics["tied_with"] == ["main-inv", "trunc-inv"]
+    want = eager_lower_full(dm, de, 0.0, FULL_WITH_TRUNC_INV)
+    assert diagnostics_repr(res) == diagnostics_repr(want)
+
+
+def test_underflowing_median_cutoff_raises_only_where_named():
+    """A bare trunc-inv whose median cutoff underflows to 0 is rejected by
+    calibration; the default menus resolve no median, so they do not
+    raise on that law."""
+    dm, de = parse_distribution("gamma:0.05:5e-324"), parse_distribution("chisq:4")
+    assert dm.quantile(0.5) == 0.0
+    for bound in FOUR_BOUNDS:
+        with pytest.raises(ValueError, match="positive cutoff"):
+            bound(dm, de, 10.0, family_menu=WITH_TRUNC_INV[bound])
+        assert not bound(dm, de, 10.0).fallback
+
+
+def without_trunc_inv(diag):
+    """``diag`` with the bare trunc-inv entry taken out of ``tied_with``
+    and ``infeasible``, and either dropped when that leaves it empty (an
+    empty ``infeasible`` is kept beside a fallback ``warning``)."""
+    diag = dict(diag)
+    if "tied_with" in diag:
+        diag["tied_with"] = [e for e in diag["tied_with"] if e != "trunc-inv"]
+        if not diag["tied_with"]:
+            del diag["tied_with"]
+    if "infeasible" in diag:
+        diag["infeasible"] = {e: r for e, r in diag["infeasible"].items() if e != "trunc-inv"}
+        if not diag["infeasible"] and "warning" not in diag:
+            del diag["infeasible"]
+    return diag
+
+
+def menu_outcome(bound, dm, de, p_bar, menu, read=lambda diag: diag):
+    """The repr of a bound's value, policy and fallback flag, and of
+    ``read(diagnostics)``; or the error the bound raises."""
+    try:
+        res = bound(dm, de, p_bar, family_menu=menu)
+        return repr((res.value, res.policy, res.fallback)), repr(read(res.diagnostics))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def extreme_law(rng):
+    """A point mass, an exponential or a gamma law at a subnormal scale,
+    or at the smallest normal one."""
+    scale = float(rng.choice([5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308]))
+    kind = rng.integers(3)
+    if kind == 0:
+        return FadingDistribution("const", (scale,))
+    if kind == 1:
+        return FadingDistribution("exp", (scale,))
+    return FadingDistribution("gamma", (float(10.0 ** rng.uniform(-1.3, 1.69)), scale))
+
+
+def test_default_menu_matches_the_menu_with_trunc_inv():
+    """Random law pairs (point masses and subnormal scales among them) x
+    budgets (0, -30 to 60 dB, and 3 050 dB, where powers overflow): each
+    bound on its default menu gives the value, policy and fallback flag,
+    by repr, or the error, of its menu with a bare trunc-inv at the end,
+    and the same diagnostics but for trunc-inv's names in ``tied_with``
+    and ``infeasible``.  The one difference: where the median underflows
+    to 0, only the menu that names trunc-inv raises."""
+    rng = np.random.default_rng(26)
+    kinds = Counter()
+    for _ in range(150):
+        dm, de = (extreme_law(rng) if rng.random() < 0.3 else random_law(rng)
+                  for _ in range(2))
+        for p_bar in (0.0, float(10.0 ** rng.uniform(-3.0, 6.0)), 1e305):
+            for bound in FOUR_BOUNDS:
+                old = menu_outcome(bound, dm, de, p_bar, WITH_TRUNC_INV[bound],
+                                   without_trunc_inv)
+                new = menu_outcome(bound, dm, de, p_bar, None)
+                case = (bound.__name__, dm, de, p_bar)
+                if "positive cutoff" in str(old[1]):
+                    assert dm.quantile(0.5) == 0.0 and not isinstance(new[0], type), case
+                    kinds["median underflows"] += 1
+                    continue
+                assert new == old, case
+                kinds["error" if isinstance(new[0], type) else "result"] += 1
+    assert kinds["result"] >= 1000 and kinds["error"] >= 20
+    assert kinds["median underflows"] >= 4
 
 
 def random_menu(rng, dm):
     """A menu mixing bare and explicit trunc-inv (a cutoff inside the
     support, one above it that never transmits), full-inv (skipped under
-    main CSI), duplicates, and now and then a malformed entry at the end,
-    behind whatever entry was kept; None (the default menu) at times."""
+    main CSI), duplicates, and now and then a malformed entry at the end;
+    None (the default menu) at times."""
     if rng.random() < 0.15:
         return None
     if dm.is_degenerate:
@@ -135,7 +196,7 @@ def eager_outcome(run):
         return type(err), str(err)
 
 
-def test_deferral_equals_the_eager_pass():
+def test_lazy_diagnostics_equal_the_eager_pass():
     """Random law pairs x random menus x budgets (0, -30 to 200 dB, and
     3 050 dB, where powers overflow): each bound, and lower_full at a
     pinned kappa, gives the eager pass's value, policy, diagnostics (by
