@@ -36,13 +36,14 @@ with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
 point-mass pair (lower_full) is worth 0 without it.  A result builds its
 diagnostics on first read, for the reported entry only, so a zero-cap
 lower_full entry evaluates E[r_s'] only if its diagnostics are read
-(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does),
-and lower_main sums its key balance check only then.  A new budget
-rescales every policy, so nothing older is hit again.  The law-only
-inputs of calibration (E[1/min(h_m, h_e)], the truncated inverse moment
-and the trunc-inv median cutoff) are cached per law, 64 entries each,
-so calibrating at a new budget is one division.  Every expectation over
-(h_m, h_e) is a sum on the law pair's :func:`dlsec.fading.pair_rule`.
+(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does);
+lower_main's entries are each one Newton run (:func:`_fixed_point`),
+whose diagnostics keep its root and sum K(R*) only when read.  A new
+budget rescales every policy, so nothing older is hit again.  The
+law-only inputs of calibration (E[1/min(h_m, h_e)], the truncated
+inverse moment and the trunc-inv median cutoff) are cached per law, 64
+entries each, so calibrating at a new budget is one division.  Every
+expectation over (h_m, h_e) is a sum on :func:`dlsec.fading.pair_rule`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import FadingDistribution, inverse_min_moment, pair_rule
+from .fading import FadingDistribution, invertible, pair_rule
 from .numerics import tanh_sinh_nodes, weighted_sum
 from .policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
                      calibrate, parse_policy)
@@ -96,8 +97,9 @@ class BoundResult:
 
 class HighSnrLimit(NamedTuple):
     """Value of E[(log(h_m/h_e))^+], the invertibility flag that gates its
-    achievability (finiteness of E[1/min(h_m, h_e)]), and the quadrature's
-    error estimate (0.0 where the value is exact)."""
+    achievability (finiteness of E[1/min(h_m, h_e)], from the shapes:
+    :func:`~dlsec.fading.invertible`), and the quadrature's error estimate
+    (0.0 where the value is exact)."""
 
     value: float
     invertible: bool
@@ -125,14 +127,14 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     them.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
-    whose inverse moment diverges are recorded as ``infeasible``.  On a
-    point-mass main gain v, const, main-inv and trunc-inv with a cutoff
-    <= v all transmit p_bar in every state: each is calibrated, but only
-    the first that calibrates is scored, and its diagnostics name the
-    others as ``tied_with``, so the reported family does not hang on
-    last-ulp noise.  When no entry is usable, constant power is scored by
-    the same objective and reported as the ``fallback``, with a warning
-    (see :func:`usable`).
+    that do not calibrate (an inverse moment that diverges or overflows)
+    are recorded as ``infeasible``.  On a point-mass main gain v, const,
+    main-inv and trunc-inv with a cutoff <= v all transmit p_bar in every
+    state: each is calibrated, but only the first that calibrates is
+    scored, and its diagnostics name the others as ``tied_with``, so the
+    reported family does not hang on last-ulp noise.  When no entry is
+    usable, constant power is scored by the same objective and reported as
+    the ``fallback``, with a warning (see :func:`usable`).
     """
     best = None
     infeasible: dict[str, str] = {}
@@ -317,82 +319,76 @@ def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return s[i] - r * ws[i]
 
 
-def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution,
-                 dist_e: FadingDistribution, nodes: int) -> tuple[float, float, int]:
-    """(R*, R_d, iterations) of :func:`fixed_point_rate`, without its
-    diagnostics."""
+def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: FadingDistribution,
+                 nodes: int) -> tuple[float, Callable[[], dict]]:
+    """Solve R = min{K(R), R_d} for one calibrated main-CSI policy: R* and
+    a builder of its diagnostics (``lower_main``'s objective).
+
+    On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s grid
+    of :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Newton's
+    method from R = 0 on f(R) = R - K(R) lands each step on the root
+    S / (1 + W) of the current segment's line, where S and W sum w_i r_s,i
+    and w_i over the r_s,i above R (so the first iteration drops the zero
+    gaps).  f is concave and increasing, so the steps rise without passing
+    the root.  An iteration after the first that drops no gap below R
+    would repeat the last step and return R itself, so it stops there: R
+    is the exact root on the crossing segment.  Between the first step and
+    that last iteration, each step crosses a breakpoint.  A step that
+    reaches R_d means K(R_d) >= R_d and the answer is R_d.
+    ``fixed_point_iterations`` counts the iterations, the last included,
+    ``key_balance_margin`` is min{K(R*), R_d} - R*, and ``binding`` is
+    "r_d_floor" when R* = R_d, else "key_rate".  The builder keeps no
+    array: it sums K(R*) on the cached r_s grid.
+    """
     r_d = delay_floor(policy, dist_m)
-    if r_d <= 0.0:
-        return 0.0, r_d, 0
-    r_s = secrecy_gap(policy, dist_m, dist_e, nodes)[0].ravel()
-    positive = r_s > 0.0
-    g_act, w_act = r_s[positive], pair_rule(dist_m, dist_e, nodes).w[positive]
     root, iterations = 0.0, 0
-    while True:
-        iterations += 1
-        above = g_act > root
-        if above.all():
-            if root > 0.0:  # no gap dropped: the step would repeat the last one, root
+    if r_d > 0.0:
+        g_act = secrecy_gap(policy, dist_m, dist_e, nodes)[0].ravel()
+        w_act = pair_rule(dist_m, dist_e, nodes).w
+        while root < r_d:  # a step that reaches R_d ends the loop there
+            iterations += 1
+            above = g_act > root
+            if above.all():
+                if root > 0.0:  # no gap dropped: the step would repeat the last one, root
+                    break
+            else:
+                g_act, w_act = g_act[above], w_act[above]
+            step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
+            if step <= root:
                 break
-        else:
-            g_act, w_act = g_act[above], w_act[above]
-        step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
-        if step >= r_d:
-            return r_d, r_d, iterations
-        if step <= root:
-            break
-        root = step
-    return root, r_d, iterations
+            root = min(step, r_d)
+
+    def build() -> dict:
+        diag = {"r_d_floor": r_d, "fixed_point_iterations": iterations, "key_rate_at_zero": 0.0,
+                "key_balance_margin": 0.0, "feasible": True, "binding": "r_d_floor"}
+        if r_d > 0.0:
+            r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
+            r_s = r_s.ravel()
+            positive = r_s > 0.0
+            w_pos = pair_rule(dist_m, dist_e, nodes).w[positive]
+            k_root = weighted_sum(w_pos, np.maximum(r_s[positive] - root, 0.0))
+            diag["key_balance_margin"] = min(k_root, r_d) - root
+            diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
+            diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
+        return diag
+
+    return root, build
 
 
 def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
                      dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
-    """Solve R = min{K(R), R_d} for one calibrated main-CSI policy.
-
-    On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s grid
-    of :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Only
-    positive r_s count for R >= 0, so they are kept once.  Newton's method
-    from R = 0 on f(R) = R - K(R) then lands each step on the root
-    S / (1 + W) of the current segment's line, where S and W sum w_i r_s,i
-    and w_i over the r_s,i above R.  f is concave and increasing, so the
-    steps rise without passing the root.  An iteration after the first
-    that drops no gap below R would repeat the last step and return R
-    itself, so it stops there: R is the exact root on the crossing
-    segment.  Between the first step and that last iteration, each step
-    crosses a breakpoint.  A step that reaches R_d means K(R_d) >= R_d and
-    the answer is R_d.  ``fixed_point_iterations`` counts the iterations,
-    the last included, ``key_balance_margin`` is min{K(R*), R_d} - R*,
-    and ``binding`` is "r_d_floor" when R* = R_d, else "key_rate".
-    """
-    root, r_d, iterations = _fixed_point(policy, dist_m, dist_e, nodes)
-    diag: dict = {"r_d_floor": r_d, "fixed_point_iterations": iterations}
-    if r_d <= 0.0:
-        diag.update(key_rate_at_zero=0.0, key_balance_margin=0.0, feasible=True,
-                    binding="r_d_floor")
-        return root, diag
-    r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
-    r_s = r_s.ravel()
-    positive = r_s > 0.0
-    w_pos = pair_rule(dist_m, dist_e, nodes).w[positive]
-    k_root = weighted_sum(w_pos, np.maximum(r_s[positive] - root, 0.0))
-    diag["key_balance_margin"] = min(k_root, r_d) - root
-    diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
-    diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
-    return root, diag
+    """R* of R = min{K(R), R_d} and its diagnostics (see :func:`_fixed_point`)."""
+    root, build = _fixed_point(policy, dist_m, dist_e, nodes)
+    return root, build()
 
 
 def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Achievable rate with only the main gain known: everything rides the
     one-time pad, and the sustainable rate is the fixed point of the key
-    balance, maximized over main-CSI families.  An entry is scored by its
-    root alone; :func:`fixed_point_rate`, with its key balance check, runs
-    only when the reported entry's diagnostics are read."""
-    def objective(pol: PowerPolicy) -> tuple[float, Callable[[], dict]]:
-        return (_fixed_point(pol, dist_m, dist_e, nodes)[0],
-                lambda: fixed_point_rate(pol, dist_m, dist_e, nodes)[1])
-
-    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI, objective)
+    balance (:func:`_fixed_point`), maximized over main-CSI families."""
+    return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
+                 lambda pol: _fixed_point(pol, dist_m, dist_e, nodes))
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -469,7 +465,6 @@ def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
     side whose law has the smaller mean (compared in logs; equal means sum
     directly), and E[log X] is added when the sides are swapped.
     """
-    invertible = math.isfinite(inverse_min_moment(dist_m, dist_e))
     (loc_m, k_m, psi_m), (loc_e, k_e, psi_e) = _log_moments(dist_m), _log_moments(dist_e)
     log_loc = _log_ratio(loc_m, loc_e)
     if log_loc + math.log(k_m / k_e) > 0.0:
@@ -477,4 +472,4 @@ def high_snr_limit(dist_m: FadingDistribution, dist_e: FadingDistribution,
         value += log_loc + psi_m - psi_e
     else:
         value, error = _log_excess(dist_m, dist_e, nodes)
-    return HighSnrLimit(value, invertible, error)
+    return HighSnrLimit(value, invertible(dist_m, dist_e), error)

@@ -35,8 +35,7 @@ from .fading import pair_rule, parse_distribution
 from .numerics import RngSeed, _check_nodes, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import INIT_MODES, SCHEMES, SimConfig, simulate
-from .rates import (delay_floor, ergodic_secrecy_rate, per_state_rates,
-                    secrecy_gap)
+from .rates import ergodic_secrecy_rate, per_state_rates, secrecy_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -302,17 +301,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> float:
-    """|Newton fixed point - grid argmin of |R - min{K(R), R_d}|| for main-inv."""
+def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> tuple[float, float]:
+    """|Newton fixed point - grid argmin of |R - min{K(R), R_d}|| for main-inv,
+    and the tolerance it must meet: the scan's step R_d / (grid_points - 1)."""
     pol = calibrate("main-inv", dist_m, dist_e, p_bar)
-    r_star, _ = fixed_point_rate(pol, dist_m, dist_e, nodes)
-    r_d = delay_floor(pol, dist_m)
+    r_star, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
+    r_d = diag["r_d_floor"]
     gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
     grid = np.linspace(0.0, r_d, grid_points)
     k = key_rate(gap.ravel(), pair_rule(dist_m, dist_e, nodes).w, grid)
     g = grid - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
-    return abs(r_star - best)
+    return abs(r_star - best), r_d / (grid_points - 1)
 
 
 def cmd_validate(args) -> int:
@@ -382,8 +382,7 @@ def cmd_validate(args) -> int:
             failures.append(name)
 
     scan_points = 2_001 if args.quick else 10_001
-    gap = _fixed_point_scan_gap(dist, dist, p_bar, args.nodes, scan_points)
-    fp_tol = delay_floor(calibrate("main-inv", dist, dist, p_bar), dist) / (scan_points - 1)
+    gap, fp_tol = _fixed_point_scan_gap(dist, dist, p_bar, args.nodes, scan_points)
     ok = gap <= fp_tol
     print(f"{'ok  ' if ok else 'FAIL'} fixed-point[chisq:4/main-inv]: "
           f"grid gap {gap:.3e} (tol {fp_tol:.3e})")

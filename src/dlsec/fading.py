@@ -5,10 +5,11 @@ Continuous gains are all members of the gamma family in a canonical
 Gamma(k/2, 2) and an exponential with mean mu is Gamma(1, mu).  A
 degenerate point mass is kept separate because it has no density.
 
-Divergence of inverse moments is decided analytically from the density
-exponent near zero (finite iff density ~ C*x^a with a > 0, i.e. canonical
+Divergence of inverse moments is decided by :func:`invertible` from the
+density exponent near zero (finite iff density ~ C*x^a with a > 0, i.e.
 shape > 1), never numerically: quadrature silently truncates the
-singularity and would report a misleading finite number.
+singularity and would report a misleading finite number.  A finite moment
+past the float range (gamma:1.5:1e-323) reads inf, reported as overflow.
 
 The gamma law is evaluated with numpy and :mod:`math` alone.  The cdf is
 the regularized lower incomplete gamma P(k, y): a power series below
@@ -47,6 +48,7 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
 _CF_TOL = 4.0 * _EPS
 _FLOAT_MAX = float(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
 
 
@@ -185,7 +187,7 @@ def _gamma_quantile(k: float, p: float) -> float:
         else:
             lo = y
         step = g / slope
-        y_next = y * math.exp(-step) if math.isfinite(step) else math.nan
+        y_next = y * math.exp(-step) if -_LOG_FLOAT_MAX < step < math.inf else math.nan
         if not lo < y_next < hi:
             y_next = math.sqrt(lo * hi) if lo > 0.0 and hi < math.inf else (
                 hi / 16.0 if lo == 0.0 else lo * 16.0)
@@ -284,6 +286,8 @@ class FadingDistribution:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p: float) -> float:
+        """The x with P(h <= x) = p, 0 < p < 1; below the smallest normal
+        float (2.2e-308) only roughly, and 0.0 where it underflows."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {p}")
         if self.is_degenerate:
@@ -320,18 +324,22 @@ def parse_distribution(text: str) -> FadingDistribution:
         raise ValueError(f"bad distribution spec {text!r}: {err}") from None
 
 
+def invertible(*laws: FadingDistribution) -> bool:
+    """Whether E[1/h] (so E[1/min(h_m, h_e)]) is finite: every continuous shape > 1."""
+    return all(d.is_degenerate or d.shape > 1.0 for d in laws)
+
+
 def inverse_moment(dist: FadingDistribution) -> float:
-    """E[1/h], or math.inf when the integral diverges.
+    """E[1/h], or math.inf when the integral diverges (see :func:`invertible`)
+    or its value overflows the float range.
 
     For Gamma(k, theta) this is 1/((k-1)*theta) when k > 1 and divergent
     otherwise; a point mass at v gives 1/v.
     """
-    if dist.is_degenerate:
-        return 1.0 / dist.params[0]
-    k = dist.shape
-    if k <= 1.0:
+    if not invertible(dist):
         return math.inf
-    return 1.0 / ((k - 1.0) * dist.scale)
+    scale = dist.params[0] if dist.is_degenerate else (dist.shape - 1.0) * dist.scale
+    return 1.0 / scale if scale > 0.0 else math.inf  # (k-1)*theta can underflow to 0
 
 
 @lru_cache(maxsize=64)
@@ -359,21 +367,17 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
 
 @lru_cache(maxsize=64)
 def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -> float:
-    """E[1/min(h_m, h_e)] for independent gains, or math.inf when divergent.
+    """E[1/min(h_m, h_e)] for independent gains, or math.inf when it
+    diverges (see :func:`invertible`) or overflows the float range.
 
-    Law-only, so cached (full-inv calibration and the high-SNR
-    invertibility flag read it for every budget).
-
-    Finite iff every continuous component has canonical gamma shape > 1
-    (density exponent at zero positive), decided analytically.  The values
-    are closed forms: an atom v against Gamma(k, theta) gives
+    Law-only, so cached (full-inv calibration reads it for every budget).
+    The values are closed forms: an atom v against Gamma(k, theta) gives
     E[1/h; h < v] + P(h >= v) / v, and two gamma laws split U at
     u* = theta_m / (theta_m + theta_e) in Lukacs coordinates (h_m / theta_m
     = U S, h_e / theta_e = (1-U) S, U ~ Beta(k_m, k_e) apart from S).
     """
-    for d in (dist_m, dist_e):
-        if not d.is_degenerate and d.shape <= 1.0:
-            return math.inf
+    if not invertible(dist_m, dist_e):
+        return math.inf
     if dist_m.is_degenerate and dist_e.is_degenerate:
         return 1.0 / min(dist_m.params[0], dist_e.params[0])
     if dist_m.is_degenerate or dist_e.is_degenerate:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import (FadingDistribution, inverse_min_moment, inverse_moment,
+from .fading import (FadingDistribution, inverse_min_moment, inverse_moment, invertible,
                      truncated_inverse_moment)
 
 FAMILIES = ("const", "full-inv", "main-inv", "trunc-inv")
@@ -24,8 +24,8 @@ MAIN_CSI = "main"
 
 class NonInvertibleChannelError(ValueError):
     """An inversion policy was requested but the inverse moment diverges, a
-    truncated one never transmits (no mass above its cutoff), or the
-    calibrated scale overflows."""
+    truncated one never transmits (no mass above its cutoff), or a finite
+    moment or the calibrated scale overflows the float range."""
 
 
 class CsiError(ValueError):
@@ -116,7 +116,7 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
 
     Raises:
         NonInvertibleChannelError: when the required inverse moment
-            diverges, naming the offending moment, when a trunc-inv cutoff
+            diverges or overflows, naming it, when a trunc-inv cutoff
             leaves no mass above it, or when the scale overflows.
     """
     if not 0.0 <= p_bar < math.inf:
@@ -127,9 +127,11 @@ def calibrate(family: str, dist_m: FadingDistribution, dist_e: FadingDistributio
         raise ValueError("trunc-inv needs a positive cutoff h_min")
     moment = _power_moment(family, dist_m, dist_e, h_min)
     if math.isinf(moment):
-        name, laws = (("E[1/min(h_m, h_e)]", f"{dist_m.spec()} / {dist_e.spec()}")
-                      if family == "full-inv" else ("E[1/h_m]", dist_m.spec()))
-        raise NonInvertibleChannelError(f"non-invertible channel: {name} diverges for {laws}")
+        name, laws = (("E[1/min(h_m, h_e)]", (dist_m, dist_e))
+                      if family == "full-inv" else ("E[1/h_m]", (dist_m,)))
+        what = (f"{family}: {name} is finite but overflows the float range" if invertible(*laws)
+                else f"non-invertible channel: {name} diverges")
+        raise NonInvertibleChannelError(f"{what} for {' / '.join(d.spec() for d in laws)}")
     if p_bar == 0.0:
         return PowerPolicy(family, 0.0, h_min)
     if family == "trunc-inv" and moment == 0.0:

@@ -497,6 +497,22 @@ class TestLowerMain:
         assert diag["fixed_point_iterations"] == 1
         assert diag["key_balance_margin"] == 0.0
 
+    def test_diagnostics_read_reuses_the_scoring_run(self, monkeypatch):
+        """The Newton run that scores an entry keeps its root, R_d and
+        iteration count for the diagnostics, so a read after the value
+        sums only K(R*): one weighted sum, not the loop's again."""
+        import dlsec.bounds as bounds_mod
+        res = lower_main(CHISQ4, CHISQ4, 100.0)
+        calls = []
+
+        def counted(w, y):
+            calls.append(len(y))
+            return weighted_sum(w, y)
+
+        monkeypatch.setattr(bounds_mod, "weighted_sum", counted)
+        assert res.diagnostics["fixed_point_iterations"] >= 2
+        assert len(calls) == 1, calls
+
     def test_positive_for_invertible_channel(self):
         assert lower_main(CHISQ4, CHISQ4, 100.0).value > 0.01
 
@@ -741,6 +757,13 @@ class TestHighSnrLimit:
         est = mc_expect(lambda st: np.maximum(np.log(st.h_m / st.h_e), 0.0),
                         CHISQ4, CHISQ4, 1_000_000, RngSeed(10))
         assert abs(res.value - est.mean) <= 4.0 * est.stderr
+
+    @pytest.mark.parametrize("spec_m", ["gamma:1.5:1e-323", "gamma:2:1e-310",
+                                        "gamma:1.2:5e-324"])
+    def test_flag_reads_the_shapes_not_the_float_range(self, spec_m):
+        """Both shapes exceed 1, so E[1/min(h_m, h_e)] is finite, although
+        at these scales it overflows the float range."""
+        assert high_snr_limit(parse_distribution(spec_m), CHISQ4).invertible is True
 
     def test_common_law_symmetry(self):
         """For h_m ~ h_e the value is half the mean absolute log ratio."""

@@ -116,6 +116,9 @@ ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
                         "--pbar-db=-inf", "--q-kappa", "inf"]
 
 
+TINY_SCALE_LAWS = ("gamma:1.2:5e-324", "gamma:1.5:1e-323", "gamma:2:1e-310")
+
+
 @pytest.mark.parametrize("argv,code", [
     (["bounds", "--dist-m", "gamma:nan:1"], EXIT_USAGE),
     (["bounds", "--dist-m", "gamma:inf:1"], EXIT_USAGE),
@@ -151,6 +154,11 @@ ZERO_POWER_KAPPA_INF = ["bounds", "--dist-m", "const:3", "--dist-e", "const:1",
     # refused where no quadrature rule is built too: a point-mass pair, the baseline
     (["bounds", "--dist-m", "const:2", "--dist-e", "const:1", "--nodes", "100000"], EXIT_USAGE),
     (["simulate", "--scheme", "baseline", "-a", "2", "-b", "2", "--nodes", "7"], EXIT_USAGE),
+    # every shape > 1 but a subnormal scale: the inverse moments are finite
+    # and overflow the float range, so the inversion entries are infeasible
+    *[(["bounds", "--dist-m", law, "--dist-e", "chisq:4"], 0) for law in TINY_SCALE_LAWS],
+    (["simulate", "--scheme", "main", "--dist-m", "gamma:1.2:5e-324", "-a", "2", "-b", "2"],
+     EXIT_INFEASIBLE),
 ])
 def test_known_bad_inputs(argv, code, out_dir):
     assert run(argv, out_dir)[0] == code
@@ -179,3 +187,18 @@ def test_subnormal_scale_gives_finite_json(law):
     doc = json.loads(out.getvalue())
     assert all(math.isfinite(doc[key]["value"])
                for key in ("upper_full", "lower_full", "upper_main", "lower_main"))
+
+
+@pytest.mark.parametrize("law", TINY_SCALE_LAWS)
+def test_finite_moment_past_the_float_range_is_no_divergence(law):
+    """Invertibility is read from the shapes: the limit's flag is on, and
+    each inversion entry is infeasible for an overflow, not a divergence."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bounds", "--dist-m", law, "--dist-e", "chisq:4"]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["high_snr_limit"]["invertible"] is True
+    reasons = [reason for key in ("upper_full", "lower_full", "upper_main", "lower_main")
+               for reason in doc[key]["diagnostics"]["infeasible"].values()]
+    assert len(reasons) == 6
+    assert all("is finite but overflows the float range" in r for r in reasons), reasons

@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaincinv
 
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
-                          inverse_min_moment, inverse_moment, pair_rule, parse_distribution,
-                          truncated_inverse_moment)
+                          inverse_min_moment, inverse_moment, invertible, pair_rule,
+                          parse_distribution, truncated_inverse_moment)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 import moment_reference as reference
@@ -191,6 +192,33 @@ class TestLawEdges:
         got = d.cdf(np.array([-1.0, 0.0, math.inf, math.nan]))
         np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, math.nan])
 
+    def test_quantile_in_both_far_tails(self):
+        """Random shapes (log-uniform over the accepted range) at levels
+        1e-30 to 1 from either end, within 1e-10 relative of scipy's
+        gammaincinv.  Two levels first: at chisq:20 and gamma:10:1, p = 0.97,
+        Newton closes on the root from above, a last step too small to move
+        y leaves the bracket, and from the fallback's point the next step's
+        exp overflowed.  A quantile below the smallest normal float reads
+        below it too (0.0 where it underflows), as the docstring states."""
+        for spec, scale in (("gamma:10:1", 1.0), ("chisq:20", 2.0)):
+            want = scale * gammaincinv(10.0, 0.97)  # 16.7312 at scale 1
+            assert abs(parse_distribution(spec).quantile(0.97) - want) <= 1e-10 * want
+        rng = np.random.default_rng(27)
+        tiny, underflows = np.finfo(float).tiny, 0
+        for _ in range(3000):
+            k = float(np.exp(rng.uniform(math.log(SHAPE_MIN), math.log(SHAPE_MAX))))
+            tail = float(10.0 ** -rng.uniform(0.0, 30.0))
+            p = tail if rng.random() < 0.5 else 1.0 - tail
+            if not 0.0 < p < 1.0:
+                continue
+            got, want = FadingDistribution("gamma", (k, 1.0)).quantile(p), gammaincinv(k, p)
+            if want < tiny:
+                underflows += got == 0.0
+                assert got < tiny, (k, p, got, want)
+            else:
+                assert abs(got - want) <= 1e-10 * want, (k, p, got, want)
+        assert underflows > 0
+
     def test_point_mass_cdf_and_quantile(self):
         d = parse_distribution("const:2")
         np.testing.assert_array_equal(d.cdf(np.array([1.0, 2.0, 3.0])), [0.0, 1.0, 1.0])
@@ -255,6 +283,19 @@ class TestSample:
 
 
 class TestInverseMoments:
+    def test_invertible_reads_the_shapes(self):
+        assert invertible(parse_distribution("chisq:4"), parse_distribution("const:1e-300"))
+        assert invertible(parse_distribution("gamma:1.2:5e-324"))
+        assert not invertible(parse_distribution("chisq:4"), parse_distribution("exp:1"))
+        assert not invertible(parse_distribution("gamma:0.5:1e300"))
+
+    def test_finite_moment_past_the_float_range_is_inf(self):
+        """(k - 1) theta underflows to 0 at gamma:1.2:5e-324: the finite
+        moment overflows, and no division by zero raises."""
+        for spec in ("gamma:1.2:5e-324", "gamma:2:1e-310"):
+            d = parse_distribution(spec)
+            assert invertible(d) and inverse_moment(d) == math.inf
+
     def test_gamma_closed_form(self):
         assert abs(inverse_moment(parse_distribution("gamma:2:1")) - 1.0) < 1e-12
 

@@ -1,11 +1,13 @@
 """Power policy tests: evaluation, CSI capability, calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dlsec.fading import parse_distribution
 from dlsec.numerics import RngSeed, mc_expect
-from dlsec.policy import (CsiError, NonInvertibleChannelError, PowerPolicy,
+from dlsec.policy import (CsiError, NonInvertibleChannelError, PowerPolicy, _power_moment,
                           calibrate, expected_power, parse_policy)
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -57,6 +59,30 @@ class TestPower:
             np.testing.assert_allclose(p2, 2.0 * p1, rtol=1e-14)
 
 
+class TestPolicyChecks:
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown policy family 'waterfill'"):
+            PowerPolicy("waterfill", 1.0)
+        with pytest.raises(ValueError, match="unknown policy family 'waterfill'"):
+            _power_moment("waterfill", CHISQ4, CHISQ4, 0.0)
+
+    @pytest.mark.parametrize("c", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_scale_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+            PowerPolicy("const", c)
+
+    @pytest.mark.parametrize("h_min", [0.0, -1.0, math.nan])
+    def test_truncation_needs_a_positive_cutoff(self, h_min):
+        with pytest.raises(ValueError, match="trunc-inv needs a positive cutoff"):
+            PowerPolicy("trunc-inv", 1.0, h_min)
+
+    def test_zero_scale_spends_nothing(self):
+        """E[P] of c = 0 is 0, also where the family's moment diverges
+        (0 * inf would be NaN)."""
+        for family in ("const", "full-inv", "main-inv"):
+            assert expected_power(PowerPolicy(family, 0.0), EXP1, EXP1) == 0.0
+
+
 class TestGrammar:
     def test_parse(self):
         assert parse_policy("const") == ("const", 0.0)
@@ -102,6 +128,19 @@ class TestCalibrate:
         with pytest.raises(NonInvertibleChannelError, match="overflows"):
             calibrate("main-inv", parse_distribution("gamma:50:1e308"), CHISQ4, 1.0)
         assert calibrate("const", atom, CHISQ4, 1e300).c == 1e300
+
+    @pytest.mark.parametrize("family,spec_m,name", [
+        ("main-inv", "gamma:1.2:5e-324", "E\\[1/h_m\\]"),
+        ("main-inv", "gamma:2:1e-310", "E\\[1/h_m\\]"),
+        ("full-inv", "gamma:1.5:1e-323", "E\\[1/min\\(h_m, h_e\\)\\]"),
+    ])
+    def test_finite_moment_past_the_float_range_is_an_overflow(self, family, spec_m, name):
+        """Both shapes exceed 1, so the moment is finite: at these scales it
+        only overflows the float range, which is no divergence."""
+        dist_m = parse_distribution(spec_m)
+        with pytest.raises(NonInvertibleChannelError,
+                           match=f"^{family}: {name} is finite but overflows the float range"):
+            calibrate(family, dist_m, CHISQ4, 1.0)
 
     def test_infinite_cutoff_is_infeasible(self):
         """A trunc-inv cutoff of inf (the median of gamma:50:1e308, or
