@@ -28,12 +28,14 @@ not make it raise.
 
 All four bounds integrate the same per-state secrecy rate
 r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
-(lower_full) and K(R) (lower_main).  :func:`dlsec.rates.secrecy_gap`
-evaluates it once per calibrated policy, one log over the grid, and
-keeps the last 8, so the bounds at one budget build it at most once
-per family, and only for the families whose value reads it: an entry
-with delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
-point-mass pair (lower_full) is worth 0 without it.  A result builds its
+(lower_full) and K(R) (lower_main).  It is 0 wherever h_m <= h_e, so
+:func:`dlsec.rates.secrecy_gap` evaluates it only on the node pairs with
+h_m > h_e (19 900 of the 40 000 at 200 nodes), once per calibrated
+policy, one log over the list, and keeps the last 4, so the bounds at one
+budget build it at most once per family, and only for the families whose
+value reads it: an entry with delay floor 0 (upper bounds, lower_main)
+or common-rate cap 0 off a point-mass pair (lower_full) is worth 0
+without it.  A result builds its
 diagnostics on first read, for the reported entry only, so a zero-cap
 lower_full entry evaluates E[r_s'] only if its diagnostics are read
 (`dlsec bounds` and `simulate` read them; `dlsec sweep` never does);
@@ -43,7 +45,8 @@ budget rescales every policy, so nothing older is hit again.  The
 law-only inputs of calibration (E[1/min(h_m, h_e)], the truncated
 inverse moment and the trunc-inv median cutoff) are cached per law, 64
 entries each, so calibrating at a new budget is one division.  Every
-expectation over (h_m, h_e) is a sum on :func:`dlsec.fading.pair_rule`.
+expectation over (h_m, h_e) is a sum over :func:`dlsec.fading.pair_rule`'s
+list of those pairs.
 """
 
 from __future__ import annotations
@@ -130,11 +133,13 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     that do not calibrate (an inverse moment that diverges or overflows)
     are recorded as ``infeasible``.  On a point-mass main gain v, const,
     main-inv and trunc-inv with a cutoff <= v all transmit p_bar in every
-    state: each is calibrated, but only the first that calibrates is
-    scored, and its diagnostics name the others as ``tied_with``, so the
-    reported family does not hang on last-ulp noise.  When no entry is
-    usable, constant power is scored by the same objective and reported as
-    the ``fallback``, with a warning (see :func:`usable`).
+    state, and so does full-inv when the eavesdropper gain is a point mass
+    too: each is calibrated, but only the first that calibrates is scored,
+    and its diagnostics name the others as ``tied_with``, so the reported
+    family does not hang on last-ulp noise (each family forms its rates
+    its own way: see :func:`dlsec.rates.secrecy_gap`).  When no entry is
+    usable, constant power is scored by the same objective and reported
+    as the ``fallback``, with a warning (see :func:`usable`).
     """
     best = None
     infeasible: dict[str, str] = {}
@@ -152,7 +157,8 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
-        if dist_m.is_degenerate and pol.h_min <= dist_m.params[0] and family != "full-inv":
+        if (dist_m.is_degenerate and pol.h_min <= dist_m.params[0]
+                and (family != "full-inv" or dist_e.is_degenerate)):
             ties.append(entry)
             if len(ties) > 1:
                 continue
@@ -301,14 +307,14 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, for flat
-    per-state rates and their weights (the r_s grid
-    ``secrecy_gap(...)[0].ravel()`` and the ``w`` of
+    per-state rates and their weights (the r_s list
+    ``secrecy_gap(...)[0]`` and the ``w`` of
     :func:`~dlsec.fading.pair_rule`; a signed gap gives the same K).
 
     Only the gaps above R count, so K(R) = S - R W, where S and W sum
     w_i g_i and w_i over them.  The positive gaps are sorted once and S
     and W are suffix sums read at ``searchsorted``.  A plain cumsum over
-    the 40 000 grid points would drift from the exact sum by a few 1e-15;
+    the 19 900 pairs would drift from the exact sum by a few 1e-15;
     :func:`_suffix_sums` keeps each one within about an ulp.
     """
     positive = gap > 0.0
@@ -324,13 +330,14 @@ def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: Fading
     """Solve R = min{K(R), R_d} for one calibrated main-CSI policy: R* and
     a builder of its diagnostics (``lower_main``'s objective).
 
-    On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s grid
+    On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s list
     of :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Newton's
     method from R = 0 on f(R) = R - K(R) lands each step on the root
     S / (1 + W) of the current segment's line, where S and W sum w_i r_s,i
-    and w_i over the r_s,i above R (so the first iteration drops the zero
-    gaps).  f is concave and increasing, so the steps rise without passing
-    the root.  An iteration after the first that drops no gap below R
+    and w_i over the r_s,i above R (so the first iteration drops any zero
+    gaps: on the list of pairs with h_m > h_e, only trunc-inv's below its
+    cutoff, or rates that round to 0).  f is concave and increasing, so
+    the steps rise without passing the root.  An iteration after the first that drops no gap below R
     would repeat the last step and return R itself, so it stops there: R
     is the exact root on the crossing segment.  Between the first step and
     that last iteration, each step crosses a breakpoint.  A step that
@@ -338,12 +345,12 @@ def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: Fading
     ``fixed_point_iterations`` counts the iterations, the last included,
     ``key_balance_margin`` is min{K(R*), R_d} - R*, and ``binding`` is
     "r_d_floor" when R* = R_d, else "key_rate".  The builder keeps no
-    array: it sums K(R*) on the cached r_s grid.
+    array: it sums K(R*) on the cached r_s list.
     """
     r_d = delay_floor(policy, dist_m)
     root, iterations = 0.0, 0
     if r_d > 0.0:
-        g_act = secrecy_gap(policy, dist_m, dist_e, nodes)[0].ravel()
+        g_act = secrecy_gap(policy, dist_m, dist_e, nodes)[0]
         w_act = pair_rule(dist_m, dist_e, nodes).w
         while root < r_d:  # a step that reaches R_d ends the loop there
             iterations += 1
@@ -363,7 +370,6 @@ def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: Fading
                 "key_balance_margin": 0.0, "feasible": True, "binding": "r_d_floor"}
         if r_d > 0.0:
             r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
-            r_s = r_s.ravel()
             positive = r_s > 0.0
             w_pos = pair_rule(dist_m, dist_e, nodes).w[positive]
             k_root = weighted_sum(w_pos, np.maximum(r_s[positive] - root, 0.0))

@@ -309,7 +309,7 @@ def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> tuple[fl
     r_d = diag["r_d_floor"]
     gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
     grid = np.linspace(0.0, r_d, grid_points)
-    k = key_rate(gap.ravel(), pair_rule(dist_m, dist_e, nodes).w, grid)
+    k = key_rate(gap, pair_rule(dist_m, dist_e, nodes).w, grid)
     g = grid - np.minimum(k, r_d)
     best = float(grid[int(np.argmin(np.abs(g)))])
     return abs(r_star - best), r_d / (grid_points - 1)

@@ -49,6 +49,8 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 _CF_TOL = 4.0 * _EPS
 _FLOAT_MAX = float(np.finfo(float).max)
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_EULER_GAMMA = 0.5772156649015329
 _QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
 
 
@@ -187,12 +189,12 @@ def _gamma_quantile(k: float, p: float) -> float:
         else:
             lo = y
         step = g / slope
+        if abs(step) < 1e-9:  # converged, before the bracket test: y is one of its ends
+            return y * math.exp(-step)
         y_next = y * math.exp(-step) if -_LOG_FLOAT_MAX < step < math.inf else math.nan
         if not lo < y_next < hi:
             y_next = math.sqrt(lo * hi) if lo > 0.0 and hi < math.inf else (
                 hi / 16.0 if lo == 0.0 else lo * 16.0)
-        elif abs(step) < 1e-9:
-            return y_next
         if y_next == y:
             return y
         y = y_next
@@ -358,10 +360,20 @@ def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
         return 1.0 / v if v >= h_min else 0.0
     k, theta = dist.shape, dist.scale
     y = h_min / theta
-    if y == 0.0 or y == math.inf:  # h_min = 0 (or underflow), or no mass above it
-        return inverse_moment(dist) if y == 0.0 else 0.0
+    if h_min == 0.0 or y == math.inf:  # no cutoff, or no mass above it
+        return inverse_moment(dist) if h_min == 0.0 else 0.0
     if k > 2.0:
         return _gamma_pq(k - 1.0, y)[1] / (k - 1.0) / theta
+    if y < _TINY:
+        # y is below the normal floats: past the last bit Gamma(a, y) is
+        # (Gamma(k) - y^a) / a, a = k - 1, or -gamma - log y at a = 0, taken
+        # in logs from log y (y^a overflows for a < 0 before the moment does)
+        a, log_y = k - 1.0, math.log(h_min) - math.log(theta)
+        if a == 0.0:
+            return (-_EULER_GAMMA - log_y) / theta
+        x = a * log_y - math.lgamma(k)  # log(y^a / Gamma(k))
+        log_part = x + math.log(math.expm1(-x) / a) if x > 0.0 else math.log(-math.expm1(x) / a)
+        return math.exp(log_part - math.log(theta))
     return _upper_gamma(k - 1.0, y) / math.gamma(k) / theta
 
 
@@ -393,16 +405,37 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -
 
 @dataclass(frozen=True, eq=False)
 class PairRule:
-    """A law pair's quadrature rule, read-only: ``h_m`` and ``h_e``
-    broadcast to its node pairs, and ``w`` holds their weights (sum ~1)
-    flat, lined up with ``y.ravel()`` for ``y`` evaluated on them."""
+    """A law pair's quadrature rule on the node pairs (i, j) with
+    h_m[i] > h_e[j], the only pairs where the secrecy rate can be non-zero,
+    listed row by row.  Read-only.
+
+    ``h_m`` and ``h_e`` are the two laws' nodes, ascending, so row i's
+    pairs are j = 0, 1, ... up to the first eavesdropper node at or above
+    h_m[i]; they sit at ``starts[i]`` up to ``starts[i + 1]`` of the list.
+    Per pair, ``w`` holds the weight and ``ratio`` the gain ratio
+    h_e[j] / h_m[i] (< 1).  The indices are derived from ``starts`` when
+    needed (:meth:`indices`), not kept.
+    """
 
     h_m: np.ndarray
     h_e: np.ndarray
+    starts: np.ndarray
     w: np.ndarray
+    ratio: np.ndarray
+
+    def indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of every pair of the list, derived from the row starts."""
+        counts = np.diff(self.starts)
+        i = np.repeat(np.arange(counts.size), counts)
+        return i, np.arange(self.starts[-1]) - np.repeat(self.starts[:-1], counts)
+
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h_m, h_e) at every pair of the list."""
+        i, j = self.indices()
+        return self.h_m[i], self.h_e[j]
 
     def mean(self, y: np.ndarray) -> float:
-        """E[y] for a finite y taken at every node pair.
+        """E[y] for a finite y taken at every pair of the list (y = 0 off it).
 
         The weights are finite and >= 0, so a non-finite y makes the sum
         non-finite (inf, or NaN from 0 * inf); y itself is scanned only then.
@@ -410,14 +443,15 @@ class PairRule:
         Raises:
             ValueError: naming the first node pair where ``y`` is not finite.
         """
-        total = weighted_sum(self.w, y.ravel())
+        total = weighted_sum(self.w, y)
         if not math.isfinite(total) and not np.all(np.isfinite(y)):
-            raise self.not_finite_at(*np.unravel_index(int(np.argmax(~np.isfinite(y))), y.shape))
+            raise self.not_finite_at(int(np.argmax(~np.isfinite(y))))
         return total
 
-    def not_finite_at(self, i: int, j: int) -> ValueError:
-        """The error for an integrand that is not finite at node pair (i, j)."""
-        hm, he = self.h_m[i, 0], self.h_e[j]
+    def not_finite_at(self, k: int) -> ValueError:
+        """The error for an integrand that is not finite at the list's pair k."""
+        i = int(np.searchsorted(self.starts, k, side="right")) - 1
+        hm, he = self.h_m[i], self.h_e[k - self.starts[i]]
         return ValueError(f"integrand not finite at grid point (h_m={hm:.6g}, h_e={he:.6g})")
 
 
@@ -430,18 +464,21 @@ def _law_rule(dist: FadingDistribution, nodes: int) -> tuple[np.ndarray, np.ndar
     return x, w * dist.pdf(x)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def pair_rule(dist_m: FadingDistribution, dist_e: FadingDistribution,
               nodes: int = 200) -> PairRule:
-    """The product of the two per-law rules of :func:`_law_rule`: main nodes
-    as a column, eavesdropper nodes as a row, and the weight of pair (i, j)
-    at flat index i * n_e + j, their outer product by ``np.einsum`` (the
-    same IEEE products as ``np.outer``, in about half the time).  Cached;
-    the bounds read one law pair at a time, so 8 entries (320 KB each at
-    200 nodes) are plenty.
+    """The product of the two per-law rules of :func:`_law_rule`, kept on
+    the node pairs with h_m > h_e: for two continuous laws, which share
+    their abscissas, the 19 900 pairs j < i of 200 nodes.  The weight of
+    pair (i, j) is the product w_m[i] * w_e[j], the bits of the full
+    product rule's.  Cached; the bounds read one law pair at a time, so 4
+    entries (320 KB each at 200 nodes) are plenty.
     """
     (xm, wm), (xe, we) = _law_rule(dist_m, nodes), _law_rule(dist_e, nodes)
-    rule = PairRule(xm[:, None], xe, np.einsum("i,j->ij", wm, we).ravel())
-    for a in (rule.h_m, rule.h_e, rule.w):
+    counts = np.searchsorted(xe, xm)  # row i: the eavesdropper nodes below xm[i]
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    j = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
+    rule = PairRule(xm, xe, starts, np.repeat(wm, counts) * we[j], xe[j] / np.repeat(xm, counts))
+    for a in (rule.h_m, rule.h_e, rule.starts, rule.w, rule.ratio):
         a.flags.writeable = False
     return rule

@@ -28,9 +28,11 @@ import numpy as np
 SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
 
 # The quadrature sizes both rules accept.  The cap bounds the cost: leggauss
-# is cubic in the size (1.0 s of CPU at 2000), and a pair rule and its gaps
-# are nodes^2 doubles, 8 of each cached: one dlsec sweep at 2000 nodes peaked
-# at 429 MB RSS (2-vCPU x86-64).  The tests use at most 1000, the benchmark 400.
+# is cubic in the size (1.0 s of CPU at 2000), and a pair list holds two
+# doubles per node pair with h_m > h_e (about nodes^2 / 2 pairs) and a gap
+# one, 4 of each cached: one dlsec sweep at 2000 nodes peaked at 198 MB RSS
+# (381 MB with the full nodes^2 grids; 2-vCPU x86-64).  The tests use at most
+# 1000, the benchmark 400.
 NODES_MIN, NODES_MAX = 8, 2000
 
 
@@ -71,8 +73,8 @@ class ChannelState:
     """One fading realization: main and eavesdropper power gains.
 
     Fields may be scalars or arrays that broadcast together: equal-length
-    arrays in the Monte Carlo and simulation paths, the node pairs of
-    ``fading.pair_rule``.
+    arrays in the Monte Carlo and simulation paths, and on the node pairs
+    of a ``fading.pair_rule`` list.
     """
 
     h_m: float | np.ndarray

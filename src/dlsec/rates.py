@@ -11,9 +11,11 @@ The per-state picture for a policy P and state h = (h_m, h_e):
 kappa = 0 gives q = h_e, which zeroes the direct share and maximizes the
 key share.
 
-Every bound reads r_s on the law pair's product rule (:func:`secrecy_gap`):
-its mean E[r_s] is also E[r_s'] at kappa = 0, and the main-CSI key rate
-sums its positive part.  r_s is 0 wherever h_m <= h_e, whatever the power.
+r_s is 0 wherever h_m <= h_e, whatever the power, and so is r_s' at any
+kappa.  So every expectation is a sum over the node pairs of the law
+pair's product rule with h_m > h_e (:func:`~dlsec.fading.pair_rule`), and
+every bound reads r_s there (:func:`secrecy_gap`): its mean E[r_s] is also
+E[r_s'] at kappa = 0, and the main-CSI key rate sums its positive part.
 
 Essential infima over the fading law are computed symbolically per policy
 family, never by sampling: a minimum over an unbounded continuous support
@@ -28,8 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fading import ChannelState, FadingDistribution, pair_rule
+from .fading import ChannelState, FadingDistribution, PairRule, pair_rule
 from .policy import PowerPolicy
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +68,6 @@ def log_rate(p, h):
     return np.log1p(ph)
 
 
-def outer_log_rate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(1 + a_i b_j) over the outer grid of two vectors >= 0, fresh.
-
-    The products are ``np.einsum("i,j->ij", a, b)``, the same IEEE values
-    as the broadcast ``a[:, None] * b`` in about half the time, and the log
-    is taken in place.  Rounding is monotone, so no product exceeds the
-    largest, max(a) max(b): the grid overflows exactly where that product
-    does, and then it takes :func:`log_rate`'s split-log path.
-    """
-    if math.isinf(float(a.max()) * float(b.max())):
-        return log_rate(a[:, None], b)
-    grid = np.einsum("i,j->ij", a, b)
-    return np.log1p(grid, out=grid)
-
-
 def per_state_rates(policy: PowerPolicy, state: ChannelState,
                     kappa: float = 0.0) -> RateBreakdown:
     """Rate breakdown at one state (or states that broadcast together), for
@@ -110,46 +99,60 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
                          out(r_s_prime), out(r_s_dprime))
 
 
-@lru_cache(maxsize=8)
+def _log_rate_inverse(c: float, rule: PairRule) -> np.ndarray:
+    """log(1 + c h_m / h_e) at every pair of the list, fresh, for c > 0.
+
+    h_m / h_e is 1 / ratio, to an ulp or two, wherever the ratios are
+    normal floats; the least of them is the last row's first pair's,
+    h_e[0] / h_m[-1].  Below that (far atoms) the quotient is formed from
+    the gains, and where it overflows the logs are taken apart, as
+    :func:`log_rate` does.
+    """
+    if not rule.w.size or rule.h_e[0] / rule.h_m[-1] >= _TINY:
+        return log_rate(c, 1.0 / rule.ratio)
+    h_m, h_e = rule.states()
+    with np.errstate(over="ignore"):
+        q = h_m / h_e
+    return np.where(np.isinf(q), math.log(c) + (np.log(h_m) - np.log(h_e)), log_rate(c, q))
+
+
+@lru_cache(maxsize=4)
 def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
                 dist_e: FadingDistribution, nodes: int = 200) -> tuple[np.ndarray, float]:
-    """The per-state secrecy rate r_s = [r_main - r_eve]^+ at every node
-    pair of :func:`~dlsec.fading.pair_rule` (read-only), and E[r_s].
+    """The per-state secrecy rate r_s = [r_main - r_eve]^+ at every pair of
+    :func:`~dlsec.fading.pair_rule`'s list (read-only, lined up with its
+    weights ``w``), and E[r_s].
 
-    ``r_s.ravel()`` lines up with the rule's weights ``w``.  E[r_s],
-    E[r_s'] at q = h_e and the main-CSI key rate K(R) all read this one
-    evaluation.  The cache holds every family of one (law pair, budget)
-    that the bounds evaluate, at most the 3 default ones, with room to
-    spare (8 grids at 200 nodes: 2.5 MB); a new budget rescales every
-    policy, so no entry is hit across budgets.
+    Off the list, h_m <= h_e, so P h_m <= P h_e for every power (rounding
+    is monotone) and r_s is exactly 0, as is r_s' at any kappa: every
+    expectation of them is a sum over the list.  E[r_s], E[r_s'] at
+    q = h_e and the main-CSI key rate K(R) all read this one evaluation.
+    The cache holds every family of one (law pair, budget) that the bounds
+    evaluate, at most the 3 default ones, with room to spare (4 lists at
+    200 nodes: 640 KB); a new budget rescales every policy, so no entry is
+    hit across budgets.
 
-    Each family takes at most one log over the grid: const's power is the
-    scalar c, main-inv and trunc-inv read a power per main node, and
-    full-inv reads one per eavesdropper node; the inversion families take
-    their power x gain grid as an outer product (:func:`outer_log_rate`).
-    r_s is 0 wherever h_m <= h_e, and where h_m > h_e full-inv's
-    c / min(h_m, h_e) is exactly c / h_e, so P = c / h_e gives every r_s
-    bit for bit as the power on the grid would.  That power overflows
-    somewhere exactly when it does at the lowest node pair (the nodes are
-    sorted), which is reported as the non-finite point, as the grid's mean
-    would report it.
+    const is the difference of its per-node logs, log1p(c h_m) -
+    log1p(c h_e).  The inversion families read the gain ratio, so no power
+    is formed and no product overflows: main-inv and trunc-inv (P = c / h_m,
+    0 below the cutoff, whose pairs lead the list) give log1p(c) -
+    log1p(c h_e / h_m), and full-inv (P = c / min(h_m, h_e) = c / h_e on the
+    list) gives log(1 + c h_m / h_e) - log1p(c).
     """
     rule = pair_rule(dist_m, dist_e, nodes)
-    h_m, h_e = rule.h_m, rule.h_e
+    c = policy.c
     if policy.family == "const":
-        r_s = log_rate(policy.c, h_m) - log_rate(policy.c, h_e)
+        i, j = rule.indices()
+        r_s = log_rate(c, rule.h_m)[i] - log_rate(c, rule.h_e)[j]
+    elif c == 0.0:  # no power, no rate
+        r_s = np.zeros(rule.w.size)
     elif policy.family == "full-inv":
-        if math.isinf(policy.c / float(min(h_m[0, 0], h_e[0]))):
-            raise rule.not_finite_at(0, 0)
-        p = policy.c / h_e
-        r_s = outer_log_rate(h_m[:, 0], p)  # the log over the grid, a fresh array
-        r_s -= log_rate(p, h_e)
-    else:
-        # a power that overflows makes inf - inf, which the mean reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = policy.power(h_m)
-            r_eve = outer_log_rate(p[:, 0], h_e)  # the log over the grid, a fresh array
-            r_s = np.subtract(log_rate(p, h_m), r_eve, out=r_eve)
+        r_s = _log_rate_inverse(c, rule)
+        r_s -= np.log1p(c)
+    else:  # main-inv and trunc-inv; trunc-inv's pairs below the cutoff lead the list
+        r_s = log_rate(c, rule.ratio)
+        np.subtract(np.log1p(c), r_s, out=r_s)
+        r_s[:rule.starts[np.searchsorted(rule.h_m, policy.h_min)]] = 0.0
     np.maximum(r_s, 0.0, out=r_s)
     r_s.flags.writeable = False
     return r_s, rule.mean(r_s)
@@ -164,14 +167,18 @@ def ergodic_secrecy_rate(policy: PowerPolicy, dist_m: FadingDistribution,
 def expected_key_share(policy: PowerPolicy, dist_m: FadingDistribution,
                        dist_e: FadingDistribution, kappa: float = 0.0,
                        nodes: int = 200) -> float:
-    """E[r_s'] by quadrature, for q(h) = max(h_e, kappa).
+    """E[r_s'] by quadrature, for q(h) = max(h_e, kappa): a sum over the
+    pairs of :func:`~dlsec.fading.pair_rule`'s list, the only ones where
+    r_s' can be non-zero.
 
     kappa = 0 makes r_s' = r_s, so it reads E[r_s] off :func:`secrecy_gap`.
     """
     if kappa == 0.0:
         return secrecy_gap(policy, dist_m, dist_e, nodes)[1]
     rule = pair_rule(dist_m, dist_e, nodes)
-    return rule.mean(per_state_rates(policy, ChannelState(rule.h_m, rule.h_e), kappa).r_s_prime)
+    if not rule.w.size:
+        return 0.0
+    return rule.mean(per_state_rates(policy, ChannelState(*rule.states()), kappa).r_s_prime)
 
 
 def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:

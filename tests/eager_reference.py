@@ -6,6 +6,8 @@ scored entry's diagnostics are built as it is scored, so the result holds
 what a pass over every entry yields, with no laziness to hide a difference.
 """
 
+import numpy as np
+
 from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
                           fixed_point_rate, lower_full, lower_main, resolve_menu_entry,
                           upper_full)
@@ -14,6 +16,8 @@ from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelErro
                           calibrate)
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, per_state_rates)
+
+from flat_grid import ratio_gap
 
 
 def eager_best(dm, de, p_bar, menu, csi, objective):
@@ -35,7 +39,8 @@ def eager_best(dm, de, p_bar, menu, csi, objective):
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
-        if dm.is_degenerate and pol.h_min <= dm.params[0] and family != "full-inv":
+        if (dm.is_degenerate and pol.h_min <= dm.params[0]
+                and (family != "full-inv" or de.is_degenerate)):
             ties.append(entry)
             if len(ties) > 1:
                 continue
@@ -88,9 +93,10 @@ def eager_capped_secrecy_rate(pol, dm, de):
 def eager_lower_full_objective(dm, de, q_kappa=None):
     """lower_full's objective with every entry's rates and diagnostics
     built as it is scored: off a point-mass pair E[r_s'] is evaluated
-    whatever the cap, and on one every rate is read off per_state_rates
-    at the atom.  An entry worth 0 by its cap alone needs E[r_s'] only for
-    its diagnostics, so an error there is returned in their place."""
+    whatever the cap, and on one every rate is read at the atom, r_s in
+    the ratio form (0 where v_m <= v_e) and r_s' at kappa > 0 off
+    per_state_rates.  An entry worth 0 by its cap alone needs E[r_s'] only
+    for its diagnostics, so an error there is returned in their place."""
     atom = (ChannelState(dm.params[0], de.params[0])
             if dm.is_degenerate and de.is_degenerate else None)
 
@@ -99,8 +105,11 @@ def eager_lower_full_objective(dm, de, q_kappa=None):
 
         def value_at(kappa):
             if atom is not None:
-                r = per_state_rates(pol, atom, kappa)
-                key_mean, dfloor = r.r_s_prime, r.r_s_dprime
+                r_s = 0.0
+                if atom.h_m > atom.h_e:
+                    r_s = float(ratio_gap(pol, np.array([atom.h_m]), np.array([atom.h_e]))[0])
+                key_mean = r_s if kappa == 0.0 else per_state_rates(pol, atom, kappa).r_s_prime
+                dfloor = max(r_s - key_mean, 0.0)
             else:
                 key_mean, dfloor = expected_key_share(pol, dm, de, kappa=kappa), 0.0
             r_o = min(key_mean, cap)

@@ -5,11 +5,20 @@ Each law's rule is built here from ``halfline_nodes`` and the law's
 under test.  h_m repeats each main node once per eavesdropper node, h_e
 tiles the eavesdropper nodes, and the weights are the products of the two
 per-law weights, so index i * n_e + j is node pair (i, j).
+
+:func:`pair_list` masks that grid to the node pairs with h_m > h_e, in the
+same row-major order, and :func:`reference_gap` evaluates the secrecy rate
+on it in the ratio form the bounds use.
 """
+
+import math
 
 import numpy as np
 
-from dlsec.numerics import halfline_nodes
+from dlsec.numerics import halfline_nodes, weighted_sum
+from dlsec.rates import log_rate
+
+TINY = float(np.finfo(float).tiny)
 
 
 def law_rule(dist, nodes=200):
@@ -27,3 +36,65 @@ def flat_grid(dist_m, dist_e, nodes=200):
     xe, we = law_rule(dist_e, nodes)
     return (np.repeat(xm, xe.size), np.tile(xe, xm.size),
             np.repeat(wm, we.size) * np.tile(we, wm.size))
+
+
+def pair_list(dist_m, dist_e, nodes=200):
+    """(h_m, h_e, w, i, j): the flat grid at its node pairs with h_m > h_e,
+    in row-major order, with each pair's main and eavesdropper node index."""
+    h_m, h_e, w = flat_grid(dist_m, dist_e, nodes)
+    keep = np.flatnonzero(h_m > h_e)
+    i, j = np.divmod(keep, law_rule(dist_e, nodes)[0].size)
+    return h_m[keep], h_e[keep], w[keep], i, j
+
+
+def product_gap(policy, h_m, h_e):
+    """r_s = [log(1 + P h_m) - log(1 + P h_e)]^+ with the power P formed at
+    each state, as per_state_rates forms it (NaN where P overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = policy.power(h_m, h_e)
+        return np.maximum(log_rate(p, h_m) - log_rate(p, h_e), 0.0)
+
+
+def ratio_gap(policy, h_m, h_e):
+    """r_s on pairs with h_m > h_e in the ratio form, no power formed.
+
+    const: log(1 + c h_m) - log(1 + c h_e).  main-inv, and trunc-inv where
+    h_m >= h_min (0 below): log1p(c) - log(1 + c r), r = h_e / h_m.
+    full-inv: log(1 + c / r) - log1p(c), with 1 / r read as h_m / h_e when
+    some r of the list is below the smallest normal float, and log c +
+    log h_m - log h_e where that quotient overflows.
+    """
+    c = policy.c
+    if policy.family == "const":
+        r_s = log_rate(c, h_m) - log_rate(c, h_e)
+    elif c == 0.0:
+        r_s = np.zeros(h_m.size)
+    elif policy.family == "full-inv":
+        r = h_e / h_m
+        if not r.size or r.min() >= TINY:
+            r_s = log_rate(c, 1.0 / r)
+        else:
+            with np.errstate(over="ignore"):
+                q = h_m / h_e
+            r_s = np.where(np.isinf(q), math.log(c) + (np.log(h_m) - np.log(h_e)),
+                           log_rate(c, q))
+        r_s = r_s - np.log1p(c)
+    else:
+        r_s = np.log1p(c) - log_rate(c, h_e / h_m)
+        if policy.family == "trunc-inv":
+            r_s = np.where(h_m >= policy.h_min, r_s, 0.0)
+    return np.maximum(r_s, 0.0)
+
+
+def reference_gap(policy, dist_m, dist_e, nodes=200):
+    """(r_s, E[r_s]) of :func:`ratio_gap` on :func:`pair_list`, the
+    signature of ``dlsec.rates.secrecy_gap``."""
+    h_m, h_e, w, _, _ = pair_list(dist_m, dist_e, nodes)
+    r_s = ratio_gap(policy, h_m, h_e)
+    return r_s, weighted_sum(w, r_s)
+
+
+def ulp_bound(policy, product, ulps=5):
+    """The allowed gap between the ratio and product forms of r_s:
+    ``ulps`` units in the last place of max(r_s, log1p(c))."""
+    return ulps * np.spacing(np.maximum(product, np.log1p(policy.c)))

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dlsec.bounds import lower_full, lower_main, upper_full, upper_main
 from dlsec.cli import EXIT_INFEASIBLE, EXIT_USAGE, main
+from dlsec.fading import parse_distribution
 
 # NaN, +-inf, huge, tiny, negative, zero and non-numeric texts
 EDGES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "0", "-0", "-1", "abc", "")
@@ -187,6 +189,51 @@ def test_subnormal_scale_gives_finite_json(law):
     doc = json.loads(out.getvalue())
     assert all(math.isfinite(doc[key]["value"])
                for key in ("upper_full", "lower_full", "upper_main", "lower_main"))
+
+
+# huge-scale main laws whose main-inv power c / h_m overflowed at the low
+# nodes, so the whole bound exited 2 naming a grid point
+HUGE_SCALE_CASES = [("gamma:2:1e300", "60"), ("gamma:50:1e300", "60"), ("gamma:2:1e308", "-20")]
+
+
+@pytest.mark.parametrize("law, db", HUGE_SCALE_CASES)
+def test_huge_scale_main_law_gives_finite_json(law, db):
+    """main-inv reads the gain ratio, so its power never overflows: exit 0,
+    every bound finite, and no numpy warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["bounds", "--dist-m", law, "--dist-e", "chisq:4", f"--pbar-db={db}"])
+    assert (code, err.getvalue()) == (0, "")
+    doc = json.loads(out.getvalue())
+    assert all(math.isfinite(doc[key]["value"])
+               for key in ("upper_full", "lower_full", "upper_main", "lower_main"))
+
+
+EXTREME_LAWS = ("chisq:4", "exp:1", "gamma:0.5:1", "gamma:2:1e300", "gamma:50:1e300",
+                "gamma:2:1e308", "gamma:2:1e-300", "exp:1e-300", "const:1e300",
+                "const:1e-300", "const:1", "gamma:1.5:1e-323")
+
+
+def test_extreme_grid_never_raises():
+    """12 laws (scales of 1e+-300, point masses) crossed with themselves,
+    at -20, 60 and 3 050 dB, the four bounds on their default menus: 1 728
+    rows, each a finite value >= 0.  193 of them raised "integrand not
+    finite" when the inversion families formed their powers (main-inv's
+    c / h_m at the huge scales, full-inv's c / h_e at 3 050 dB)."""
+    laws = [parse_distribution(text) for text in EXTREME_LAWS]
+    rows = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dm in laws:
+            for de in laws:
+                for db in (-20.0, 60.0, 3050.0):
+                    for bound in (upper_full, lower_full, upper_main, lower_main):
+                        value = bound(dm, de, 10.0 ** (db / 10.0)).value
+                        assert 0.0 <= value < math.inf, (bound.__name__, dm, de, db)
+                        rows += 1
+    assert rows == 1728
 
 
 @pytest.mark.parametrize("law", TINY_SCALE_LAWS)

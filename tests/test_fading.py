@@ -5,19 +5,25 @@ import re
 import subprocess
 import sys
 
+import hashlib
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import gammaincinv
 
+import dlsec.fading as fading_module
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
                           inverse_min_moment, inverse_moment, invertible, pair_rule,
                           parse_distribution, truncated_inverse_moment)
+from dlsec.policy import calibrate
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 import moment_reference as reference
 from child_env import child_env
-from flat_grid import flat_grid
+from flat_grid import pair_list
+from random_laws import random_law
 
 
 class TestGrammar:
@@ -184,6 +190,13 @@ class TestLawAgainstScipy:
             assert abs(d.quantile(p) - want) <= 1e-13 * want, p
 
 
+# The scan's quantiles (in scan order, levels in (0, 1) only) that went
+# through the bracket's fallback while the bracket was tested before
+# convergence, and the sha256 of the repr of the list of all the others.
+FALLBACK_QUANTILES = {767, 909, 1066, 1182, 1420, 1421, 2073, 2174, 2191, 2291}
+KEPT_QUANTILES_SHA256 = "50d365ea3d5d98488e8b61f4199c1d7ecda7f91f553fd6eca7b46417c28303c5"
+
+
 class TestLawEdges:
     def test_cdf_outside_the_open_half_line(self):
         d = parse_distribution("gamma:2:3")
@@ -218,6 +231,44 @@ class TestLawEdges:
             else:
                 assert abs(got - want) <= 1e-10 * want, (k, p, got, want)
         assert underflows > 0
+
+    @pytest.mark.parametrize("spec", ["chisq:20", "gamma:10:1"])
+    def test_converged_step_ends_the_search(self, spec, monkeypatch):
+        """At p = 0.97 Newton converges in 3 steps; its last step, too small
+        to move y, is taken as converged before the bracket test (which it
+        fails, y being one end of the bracket), so the search takes at most
+        6 cdf evaluations, not the 35 a detour through the bracket's
+        fallback took."""
+        calls = []
+        pq = fading_module._gamma_pq
+        monkeypatch.setattr(fading_module, "_gamma_pq", lambda k, y: calls.append(y) or pq(k, y))
+        d = parse_distribution(spec)
+        want = d.scale * gammaincinv(10.0, 0.97)
+        assert abs(d.quantile(0.97) - want) <= 1e-10 * want
+        assert len(calls) <= 6, len(calls)
+
+    def test_converged_first_keeps_every_other_quantile(self):
+        """The far-tails scan above: the 2 305 quantiles that never reached
+        the bracket's fallback keep the bits they had when the bracket was
+        tested first (sha256 of their repr list), and the 10 that did stay
+        within 1e-10 of scipy."""
+        rng = np.random.default_rng(27)
+        kept, moved = [], 0
+        for _ in range(3000):
+            k = float(np.exp(rng.uniform(math.log(SHAPE_MIN), math.log(SHAPE_MAX))))
+            tail = float(10.0 ** -rng.uniform(0.0, 30.0))
+            p = tail if rng.random() < 0.5 else 1.0 - tail
+            if not 0.0 < p < 1.0:
+                continue
+            got = FadingDistribution("gamma", (k, 1.0)).quantile(p)
+            if len(kept) + moved in FALLBACK_QUANTILES:
+                want = gammaincinv(k, p)
+                assert abs(got - want) <= 1e-10 * want, (k, p)
+                moved += 1
+            else:
+                kept.append(got)
+        assert moved == len(FALLBACK_QUANTILES)
+        assert hashlib.sha256(repr(kept).encode()).hexdigest() == KEPT_QUANTILES_SHA256
 
     def test_point_mass_cdf_and_quantile(self):
         d = parse_distribution("const:2")
@@ -319,6 +370,29 @@ class TestInverseMoments:
         assert truncated_inverse_moment(parse_distribution("const:2"), 3.0) == 0.0
 
 
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.9, 1.0, 1.0001, 1.5, 2.0])
+    def test_truncated_moment_where_the_cutoff_ratio_underflows(self, k):
+        """y = h_min / theta below the normal floats, down to 10^-1454:
+        within 1e-12 of mpmath's Gamma(k - 1, y) / (Gamma(k) theta) (the
+        log form's exp of a log near 700 carries about 700 ulps of 1).
+        Shapes <= 1 read inf here, and 1 < k < 2 the untruncated moment,
+        which overstates it near k = 1 by an order of magnitude."""
+        mpmath.mp.dps = 40
+        for theta, h_min in ((1e300, 1e-30), (1e308, 1e-10), (1e200, 1e-200),
+                             (1.0, 5e-324), (1e10, 1e-310), (1.7e308, 5e-324)):
+            got = truncated_inverse_moment(FadingDistribution("gamma", (k, theta)), h_min)
+            y = mpmath.mpf(h_min) / mpmath.mpf(theta)
+            want = mpmath.gammainc(k - 1.0, y) / (mpmath.gamma(k) * theta)
+            assert abs(got / want - 1) <= 1e-12, (theta, h_min, got, want)
+
+    def test_trunc_inv_calibrates_where_the_cutoff_ratio_underflows(self):
+        """gamma:0.5:1e300 above 1e-30: E[1/h; h >= 1e-30] is 1.128e-135,
+        not a divergent E[1/h]."""
+        pol = calibrate("trunc-inv", parse_distribution("gamma:0.5:1e300"),
+                        parse_distribution("chisq:4"), 1.0, h_min=1e-30)
+        assert math.isclose(1.0 / pol.c, 1.1283791670955e-135, rel_tol=1e-12)
+
+
 class TestInverseMinMoment:
     def test_degenerate_pair(self):
         c2 = parse_distribution("const:2")
@@ -417,39 +491,68 @@ class TestStateAndExpectation:
         with pytest.raises(ValueError):
             ChannelState(math.inf, 1.0)
 
-    def test_expectation_matches_product_of_means(self):
-        d = parse_distribution("chisq:4")
-        g = parse_distribution("gamma:2:1")
-        rule = pair_rule(d, g)
-        got = rule.mean(rule.h_m * rule.h_e)
-        assert abs(got - 4.0 * 2.0) < 1e-8
-
-    def test_expectation_with_atom(self):
-        c = parse_distribution("const:3")
-        d = parse_distribution("chisq:4")
-        rule = pair_rule(c, d)
-        got = rule.mean(rule.h_m + rule.h_e)
-        assert abs(got - 7.0) < 1e-8
-
-    def test_pair_rule_weights_are_the_flat_product_rule(self):
-        """Bit for bit the products of the flat layout, read-only and cached."""
+    def test_list_and_its_mirror_partition_the_product_rule(self):
+        """The pairs with h_m > h_e, those with h_e > h_m (the swapped law
+        pair's list) and, for two continuous laws on their shared nodes,
+        the diagonal make up the whole product rule: E[h_m h_e] = 8."""
         d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
-        rule = pair_rule(d, g, 64)
-        assert np.array_equal(rule.w, flat_grid(d, g, 64)[2])
-        assert rule is pair_rule(d, g, 64)
-        with pytest.raises(ValueError, match="read-only"):
-            rule.w[0] = 0.0
+        below, above = pair_rule(d, g), pair_rule(g, d)
+        (hm, he), (hm2, he2) = below.states(), above.states()
+        x, w = halfline_nodes(200)
+        diagonal = weighted_sum(w * d.pdf(x) * w * g.pdf(x), x * x)
+        got = below.mean(hm * he) + above.mean(hm2 * he2) + diagonal
+        assert abs(got - 4.0 * 2.0) < 1e-8
+        assert below.w.size == above.w.size == 200 * 199 // 2
+
+    def test_list_with_an_atom(self):
+        """const:3 against chisq:4: the chisq nodes below 3, and with the
+        laws swapped those above it, give E[3 + h] = 7."""
+        c, d = parse_distribution("const:3"), parse_distribution("chisq:4")
+        below, above = pair_rule(c, d), pair_rule(d, c)
+        got = sum(rule.mean(np.add(*rule.states())) for rule in (below, above))
+        assert abs(got - 7.0) < 1e-8
+        assert below.w.size + above.w.size == 200
+
+    PAIR_LIST_LAWS = ["const:2", "const:1e300", "const:5e-324", "gamma:2:1e-310",
+                      "exp:1e-300", "gamma:0.3:5e-324", "chisq:4"]
+
+    def test_pairs_and_weights_are_the_masked_flat_grid(self):
+        """On 60 random law pairs, point masses and subnormal scales, the
+        list's states are the flat grid's pairs with h_m > h_e in row-major
+        order, its weights are theirs byte for byte, and its ratios are
+        h_e / h_m; read-only and cached."""
+        rng = np.random.default_rng(28)
+        pairs = [(random_law(rng), random_law(rng)) for _ in range(60)]
+        laws = [parse_distribution(s) for s in self.PAIR_LIST_LAWS]
+        pairs += [(a, b) for a in laws for b in laws]
+        sizes = set()
+        for dm, de in pairs:
+            hm, he, w, _, _ = pair_list(dm, de, 64)
+            rule = pair_rule(dm, de, 64)
+            got_hm, got_he = rule.states()
+            assert got_hm.tobytes() == hm.tobytes() and got_he.tobytes() == he.tobytes()
+            assert rule.w.tobytes() == w.tobytes(), (dm, de)
+            assert rule.ratio.tobytes() == (he / hm).tobytes()
+            assert rule is pair_rule(dm, de, 64)
+            sizes.add(w.size)
+        assert {0, 1, 64 * 63 // 2} <= sizes
+        for a in (rule.h_m, rule.h_e, rule.starts, rule.w, rule.ratio):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_two_continuous_laws_hold_half_the_pairs_less_the_diagonal(self):
+        rule = pair_rule(parse_distribution("chisq:4"), parse_distribution("chisq:4"))
+        assert rule.w.size == rule.ratio.size == 19_900
 
     def test_non_finite_entry_is_named_by_its_node_pair(self):
-        """The error names (h_m, h_e) of the first non-finite entry of a
-        2-D integrand, in the flat order of the weights."""
+        """The error names (h_m, h_e) of the first non-finite entry of an
+        integrand over the list, in the list's order."""
         d, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:1")
         rule = pair_rule(d, g, 16)
-        xm, xe = rule.h_m[:, 0], rule.h_e
-        y = np.zeros((xm.size, xe.size))
-        y[3, 11] = np.nan
-        y[5, 2] = np.inf
-        y[9, 0] = -np.inf
+        hm, he, _, i, j = pair_list(d, g, 16)
+        y = np.zeros(hm.size)
+        y[[17, 40, 90]] = [np.nan, np.inf, -np.inf]
+        assert (i[17], j[17]) == (6, 2)
         with pytest.raises(ValueError, match=re.escape(
-                f"integrand not finite at grid point (h_m={xm[3]:.6g}, h_e={xe[11]:.6g})")):
+                f"integrand not finite at grid point (h_m={hm[17]:.6g}, h_e={he[17]:.6g})")):
             rule.mean(y)

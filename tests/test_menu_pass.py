@@ -136,7 +136,10 @@ def test_default_menu_matches_the_menu_with_trunc_inv():
     by repr, or the error, of its menu with a bare trunc-inv at the end,
     and the same diagnostics but for trunc-inv's names in ``tied_with``
     and ``infeasible``.  The one difference: where the median underflows
-    to 0, only the menu that names trunc-inv raises."""
+    to 0, only the menu that names trunc-inv raises.  No other case
+    raises: the inversion families read the gain ratio and form no power,
+    so none overflows (when they formed it, 3 050 dB raised in 20 or more
+    cases)."""
     rng = np.random.default_rng(26)
     kinds = Counter()
     for _ in range(150):
@@ -154,7 +157,7 @@ def test_default_menu_matches_the_menu_with_trunc_inv():
                     continue
                 assert new == old, case
                 kinds["error" if isinstance(new[0], type) else "result"] += 1
-    assert kinds["result"] >= 1000 and kinds["error"] >= 20
+    assert kinds["result"] >= 1000 and kinds["error"] == 0
     assert kinds["median underflows"] >= 4
 
 

@@ -537,40 +537,44 @@ class TestEncoders:
 # fields likewise; no bit count moved.  The 16 full digests moved again
 # when the calibration moments became closed forms: power by <= 3.8e-15
 # relative, and r_main, r_eve, r_s, r_s_prime, schedule.r_o, r_o_cap and
-# key_share_expected in the last digits; no bit count moved.
+# key_share_expected in the last digits; no bit count moved.  The 16 full
+# digests moved again when the rate functionals came to be summed over the
+# node pairs with h_m > h_e only: schedule.r_o and key_share_expected (which
+# echo lower_full) by <= 1.6e-15 relative, and nothing else (see
+# PRE_PAIR_LIST_SCHEDULES); the CSV kept every byte (CSV_DIGESTS).
 LEDGER_DIGESTS = {
     ("full", "insecure", 0.0, 0, 2, 100):
-        "79a79244a86036ed2629f28fcb4ba98a815db6948eb922593b96ff0272470997",
+        "3e473c30789580a4e9aff0375e864779829cac37a412df50c8dbde8da6197878",
     ("full", "insecure", 0.0, 0, 50, 6):
-        "e5ca84636bf501b83a9357744f1337b6d60fc267c130621ab1c18b92936e369b",
+        "019b3ce7d5af5fe724b272d9f77472d43fcfdb69c4de28858c2770226fe2a9fa",
     ("full", "insecure", 0.0, 1, 2, 100):
-        "ebf1bde3945feebb5e18755c6959beaf8e0f23f0fe1d329a11765d55febcf317",
+        "2f259181d3d8f1e5acf12c6bdc03d7142c35235aeb0861c4b66f5974a3b3d8cf",
     ("full", "insecure", 0.0, 1, 50, 6):
-        "a5bb0c3f107d8156956d1bd3ab950964c3961e5b8c807fb881afee38d2eb04c7",
+        "e9309128a89c9ad5cf812bd96d173c42b35608c41b5d6d0316cf1f6f7e457ad8",
     ("full", "insecure", 0.05, 0, 2, 100):
-        "2570656f09eaadf3be3236e89195f03ae59b0ee105d089380b8ed605ba733d10",
+        "df65ecc4f2ee20c82e041a17ac812f5218d875c76f42cb329c3890ce515298ba",
     ("full", "insecure", 0.05, 0, 50, 6):
-        "d2d6c26b770a8fa4fd1e65dd09fca820922be9ffafe378fb5ff98306240c4926",
+        "c780035c697ce345de39033a713fc47b131dfb210aa2d6eb82c68e72a4e24f41",
     ("full", "insecure", 0.05, 1, 2, 100):
-        "67a583a7262a8d0c3e0829db8def69734efee1a4df6e4bd75c6aabe73202c9ca",
+        "6a4d381a9af60391b4f12d7d96607eefc7dba9324403b586adb3c0ce36e9b4fb",
     ("full", "insecure", 0.05, 1, 50, 6):
-        "604bec231fe27b14067778e2e70c704ff6f5c89f25f19a776ce97399e21ac706",
+        "ef71b73e79f86675a0f95824f963944843f5cd9f77fc85190774a659e5070b00",
     ("full", "dedicated", 0.0, 0, 2, 100):
-        "470ef9927af98750632baf5dc9daad45b96fb24db64015828d78ab644b3ec361",
+        "de32729ba0e89b68b7c795a0f63e7656bd92680496779ba8ab25a14cfadf3176",
     ("full", "dedicated", 0.0, 0, 50, 6):
-        "8aa6912b99e146556bc4989af8c829ca82712c798826451cb83edd38b39aa0a4",
+        "94d03eec6419a712474b4fea502da92cb0f454858e2d241bdae81027d01b0660",
     ("full", "dedicated", 0.0, 1, 2, 100):
-        "a79f7ab4cecc5702cbd8c7fd4507cb85c48034cff0b1925ae929edcbf2ec4c32",
+        "d92a0ec4075b8b3c9ed4b9444dfbab44eb033214e3f25e350d15feb9df8f9770",
     ("full", "dedicated", 0.0, 1, 50, 6):
-        "7be1f55717fed11e06d4c5fa0d7a1c7baf7ce2342b968cb19df3a7d602d9cbaa",
+        "671dcbcd2b8502eec7d9d8fb047a87e26c2fd20c86ef256d0599334d622cb9ac",
     ("full", "dedicated", 0.05, 0, 2, 100):
-        "18be679735ecd5f9ffee0a32236af2700d03910bd0b624a124c409371491c7b3",
+        "d82f20885e48978af821c97a2264e5b9fcb88b3ac41192e1c7c06e00165aed42",
     ("full", "dedicated", 0.05, 0, 50, 6):
-        "27c3748f53d6a0d5f2e8f7f578d13c41d9327365f28c05fa1fe7a842f5437ef4",
+        "26b35276a2f927b5be395c8d0f877709be833c9272352a34356612808292acaa",
     ("full", "dedicated", 0.05, 1, 2, 100):
-        "593b6a00c413c8a94d283252aa6597fa3e66fc8546e712e9fe31d4f384c30477",
+        "a2b905bdacf8b4ffde00d144a71cd024ea7947fcac08b91ef0808ec4b7e5d144",
     ("full", "dedicated", 0.05, 1, 50, 6):
-        "ea63a8c3143d4cb81f9d7fae5977bebc0f7ad9423b5376d5c11099af247a39b1",
+        "363e29dd1c8e07ef95b5d79bcecec407189b3ec49904e9943ab0f4fe42d32a7d",
     ("main", "insecure", 0.0, 0, 2, 100):
         "50136d8c6efb31f854ce3d7cf22581f6302a32bc673b45d3465f11d0f94ddc57",
     ("main", "insecure", 0.0, 0, 50, 6):
@@ -652,14 +656,16 @@ class TestPinnedOutput:
 # the key share runs the per-state path over the joint grid.  Pinned from the
 # release before kappa became a float end to end (it was a q closure).  The
 # two chisq full-inv digests moved in the last digits of their float columns
-# when the calibration moments became closed forms.
+# when the calibration moments became closed forms.  The three chisq digests
+# moved in schedule.r_o and key_share_expected alone when the rate
+# functionals came to be summed over the node pairs with h_m > h_e only.
 KAPPA_DIGESTS = {
     "chisq": ({},
-              "f7bcfd398e87219025a8823850961a32a5bae2369638038c31e83823b895d633"),
+              "71ca6db0608050942f22a672d0eebde2753ca49761aba8486a3762fa57cd62d6"),
     "chisq-dedicated-a2": (dict(init="dedicated", delta=0.0, seed=RngSeed(1), a=2, b=100),
-                           "0b354f082230dad04e6cfa3781df92f941fd0418de5c19cbddda127a3ae18050"),
+                           "7a8d427b80c7a96b279c670b98e69fc775ec2e482ced0eca568489e09731cfb9"),
     "chisq-main-inv": (dict(policy="main-inv", seed=RngSeed(1)),
-                       "8a75d7e1ee186f9ce9dd47ec041edc5899851d64d127c57c68227858bd1a5298"),
+                       "fb8f9b3f2c6b5715c364842ba06ea076530a172ca6b2360c44b6bc5684d0d2cd"),
     "atom": (dict(dist_m=parse_distribution("const:3"), dist_e=parse_distribution("const:1")),
              "739f6d2be1dda9c651091fb7cef4cc578807dc7504ca82ee034c7834e3f648ed"),
 }
@@ -671,3 +677,206 @@ def test_positive_kappa_report_bytes_unchanged(case):
     rep = simulate(make_config(q_kappa=0.7, **kw))
     text = rep.to_json() + rep.csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of csv_text() alone for every configuration of LEDGER_DIGESTS and
+# KAPPA_DIGESTS, from before the rate functionals were summed over the
+# pair list; the per-block columns keep every byte.
+CSV_DIGESTS = {
+    ('baseline', 'dedicated', 0.0, 0, 2, 100):
+        'e760cf4dbfffca005bd755f00526eee847f341b4c5fbf5f8a60d6de301447cef',
+    ('baseline', 'dedicated', 0.0, 0, 50, 6):
+        'c1368b4a05c96a32493b5b8f76ea9262637fe27aa3c3a42dbfcdaff70e8ba925',
+    ('baseline', 'dedicated', 0.0, 1, 2, 100):
+        '74032005d5e8d48e937c0248db13888dced3145a8152f784c43483dd1f220c6f',
+    ('baseline', 'dedicated', 0.0, 1, 50, 6):
+        '9c67f3fa26261471930a8b19bab7e373ffd563b34acce6ca366d381731468452',
+    ('baseline', 'dedicated', 0.05, 0, 2, 100):
+        'e760cf4dbfffca005bd755f00526eee847f341b4c5fbf5f8a60d6de301447cef',
+    ('baseline', 'dedicated', 0.05, 0, 50, 6):
+        'c1368b4a05c96a32493b5b8f76ea9262637fe27aa3c3a42dbfcdaff70e8ba925',
+    ('baseline', 'dedicated', 0.05, 1, 2, 100):
+        '74032005d5e8d48e937c0248db13888dced3145a8152f784c43483dd1f220c6f',
+    ('baseline', 'dedicated', 0.05, 1, 50, 6):
+        '9c67f3fa26261471930a8b19bab7e373ffd563b34acce6ca366d381731468452',
+    ('baseline', 'insecure', 0.0, 0, 2, 100):
+        'e760cf4dbfffca005bd755f00526eee847f341b4c5fbf5f8a60d6de301447cef',
+    ('baseline', 'insecure', 0.0, 0, 50, 6):
+        'c1368b4a05c96a32493b5b8f76ea9262637fe27aa3c3a42dbfcdaff70e8ba925',
+    ('baseline', 'insecure', 0.0, 1, 2, 100):
+        '74032005d5e8d48e937c0248db13888dced3145a8152f784c43483dd1f220c6f',
+    ('baseline', 'insecure', 0.0, 1, 50, 6):
+        '9c67f3fa26261471930a8b19bab7e373ffd563b34acce6ca366d381731468452',
+    ('baseline', 'insecure', 0.05, 0, 2, 100):
+        'e760cf4dbfffca005bd755f00526eee847f341b4c5fbf5f8a60d6de301447cef',
+    ('baseline', 'insecure', 0.05, 0, 50, 6):
+        'c1368b4a05c96a32493b5b8f76ea9262637fe27aa3c3a42dbfcdaff70e8ba925',
+    ('baseline', 'insecure', 0.05, 1, 2, 100):
+        '74032005d5e8d48e937c0248db13888dced3145a8152f784c43483dd1f220c6f',
+    ('baseline', 'insecure', 0.05, 1, 50, 6):
+        '9c67f3fa26261471930a8b19bab7e373ffd563b34acce6ca366d381731468452',
+    ('full', 'dedicated', 0.0, 0, 2, 100):
+        '4168ac69495895b857ba92c13ef1ce2be3336ecb1d3df8c581d1bd06f379b9e8',
+    ('full', 'dedicated', 0.0, 0, 50, 6):
+        '0e080bb31f2bf9b08cd9d22d53dde5a070b22c044828060dcafb83e9445ea560',
+    ('full', 'dedicated', 0.0, 1, 2, 100):
+        '6227e8daf86708c3fc24426f14287c23eba34c367eb7b8e9c068402ca8610fbc',
+    ('full', 'dedicated', 0.0, 1, 50, 6):
+        '743b13b5d5e22f86b5f100ac8e3d4b5e225ab48a926fda82fd54351bb95e6bac',
+    ('full', 'dedicated', 0.05, 0, 2, 100):
+        '0e2dbbaebffb8d87c954f05cc76bd362fa4902c49abc79a82a10c5d71cb4547f',
+    ('full', 'dedicated', 0.05, 0, 50, 6):
+        '1e1e6f30178b3e93e813132623633e48e030216c16b9944d37ab7410c842a309',
+    ('full', 'dedicated', 0.05, 1, 2, 100):
+        '4096ae24256f10c8616dd60d283ab2dcafcab6091988423d4305f626a1c9461d',
+    ('full', 'dedicated', 0.05, 1, 50, 6):
+        '5d7c1e09ca45501f400c279cc84cd980db0b63d197bc99501c140ede7da72883',
+    ('full', 'insecure', 0.0, 0, 2, 100):
+        'b8ab5dc324792889d7095ff79a252d0d62b8f8235744266d66e1feec0c3dd7b6',
+    ('full', 'insecure', 0.0, 0, 50, 6):
+        '8412c1193c40b8b04053490639484588255423ce42d6ee0c7b77e8f422959dd1',
+    ('full', 'insecure', 0.0, 1, 2, 100):
+        'c12764726c18b083d83b4f8ead051b524abc87da837246793f7dabd97e4bfe5b',
+    ('full', 'insecure', 0.0, 1, 50, 6):
+        'dcb74ef65d483d5dafc0706476650252dacd2d87e422b003f667bcf1f196a091',
+    ('full', 'insecure', 0.05, 0, 2, 100):
+        'c67b1b3def5a9082f42d970fe998fe9602366c8b736eb414530fc7ab37261be5',
+    ('full', 'insecure', 0.05, 0, 50, 6):
+        '6792682f486a8495584ca319af9013104565203db55ba899937df1fceae60bff',
+    ('full', 'insecure', 0.05, 1, 2, 100):
+        '254f3803bc32d4f1a069c3c960873c0ef2e6c0ad9fcf337347324931103c1496',
+    ('full', 'insecure', 0.05, 1, 50, 6):
+        'b31d5498d33484f550cc75c9264f6f35ea275eff0c200a70dbc1e1430d0218df',
+    ('main', 'dedicated', 0.0, 0, 2, 100):
+        '97e402806bb22664836f475176e0ebf3c6fe31949cddd8f5cb1d6e1303d11e73',
+    ('main', 'dedicated', 0.0, 0, 50, 6):
+        'f4f1f89857f7bac1aa788bc7b97cd1bf19bb8ab27681ea5647ab8c5e61067ce5',
+    ('main', 'dedicated', 0.0, 1, 2, 100):
+        'f4b52f1744721737f73ea289fdb345981be41f27ede11ff6893171243fd582ec',
+    ('main', 'dedicated', 0.0, 1, 50, 6):
+        'be4ab0a3d8da40b1adf1df9e4edbb5d03fef8d454d1aae6105673a035fdaf030',
+    ('main', 'dedicated', 0.05, 0, 2, 100):
+        'd44b175ab7c15e20d04adecf1a92666ecd9fe296165f3013d609418ab1fdfcda',
+    ('main', 'dedicated', 0.05, 0, 50, 6):
+        'eede459ba0446cfcedadd741685e396595bcd458b9ced17a03f649a0408b7750',
+    ('main', 'dedicated', 0.05, 1, 2, 100):
+        '133cfe3dc58467c6137088c47ac5b81c916fffd873fba3152c9d6898b0466fd7',
+    ('main', 'dedicated', 0.05, 1, 50, 6):
+        'bca834eb831c003b2531978b3a2a91f5897cda410d24a9487911dc76bd204e21',
+    ('main', 'insecure', 0.0, 0, 2, 100):
+        '2d31670bb3b6083f234e9d56af0909ae41adf7b5b7b88c90d1c13113819372a4',
+    ('main', 'insecure', 0.0, 0, 50, 6):
+        'b8b0324cc0ecc7cd7d745e23653764902626f0da784428d58466c15e95674d60',
+    ('main', 'insecure', 0.0, 1, 2, 100):
+        '194bc60120a99651756d91dd179b9386e1303501331d738e5346344d5425cecb',
+    ('main', 'insecure', 0.0, 1, 50, 6):
+        '969ae01e217fcd2586c0df4599f4392f81fd0e3553d00917192490c25dffdfa8',
+    ('main', 'insecure', 0.05, 0, 2, 100):
+        '8f969d6597da677787a450db8f9bec6327eb087bc3a2c9e250e0a1a4330da642',
+    ('main', 'insecure', 0.05, 0, 50, 6):
+        '97801f56e0217c8840c67b0ef36de0e4034e4cf0b90550a4bcaf5961c6b38ae0',
+    ('main', 'insecure', 0.05, 1, 2, 100):
+        '86e61c83a9baef7b90f53d03e170b30b2873aa562333572bfaf1acdc5f427b02',
+    ('main', 'insecure', 0.05, 1, 50, 6):
+        'b01991848df09448d8ac3c0f38749e0e42cd776092f63a0978b0e197a0dc8338',
+    'atom':
+        '0f1ed5e0658f21fb210946476220b4755f5debc0d34067175fdd197e5eb8a2cc',
+    'chisq':
+        '07a803081b8037180a3676863de697a4aad3a9097fc456515fa7848dab9f8ebd',
+    'chisq-dedicated-a2':
+        '77d8575ac5b237a0ae77d3f1717069934f25f48ce85720e7c40d0c5e124c113b',
+    'chisq-main-inv':
+        '781201ea55d56efc9d1162a69d7568338cdf950717e6754432f20ac33d2da342',
+}
+
+# The configurations whose JSON moved when the rate functionals came to be
+# summed over the pair list: the earlier sha256 of to_json() + csv_text(),
+# and the earlier schedule.r_o and schedule.key_share_expected.
+PRE_PAIR_LIST_SCHEDULES = {
+    ('full', 'dedicated', 0.0, 0, 2, 100):
+        ('470ef9927af98750632baf5dc9daad45b96fb24db64015828d78ab644b3ec361',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'dedicated', 0.0, 0, 50, 6):
+        ('8aa6912b99e146556bc4989af8c829ca82712c798826451cb83edd38b39aa0a4',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'dedicated', 0.0, 1, 2, 100):
+        ('a79f7ab4cecc5702cbd8c7fd4507cb85c48034cff0b1925ae929edcbf2ec4c32',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'dedicated', 0.0, 1, 50, 6):
+        ('7be1f55717fed11e06d4c5fa0d7a1c7baf7ce2342b968cb19df3a7d602d9cbaa',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'dedicated', 0.05, 0, 2, 100):
+        ('18be679735ecd5f9ffee0a32236af2700d03910bd0b624a124c409371491c7b3',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'dedicated', 0.05, 0, 50, 6):
+        ('27c3748f53d6a0d5f2e8f7f578d13c41d9327365f28c05fa1fe7a842f5437ef4',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'dedicated', 0.05, 1, 2, 100):
+        ('593b6a00c413c8a94d283252aa6597fa3e66fc8546e712e9fe31d4f384c30477',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'dedicated', 0.05, 1, 50, 6):
+        ('ea63a8c3143d4cb81f9d7fae5977bebc0f7ad9423b5376d5c11099af247a39b1',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'insecure', 0.0, 0, 2, 100):
+        ('79a79244a86036ed2629f28fcb4ba98a815db6948eb922593b96ff0272470997',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'insecure', 0.0, 0, 50, 6):
+        ('e5ca84636bf501b83a9357744f1337b6d60fc267c130621ab1c18b92936e369b',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'insecure', 0.0, 1, 2, 100):
+        ('ebf1bde3945feebb5e18755c6959beaf8e0f23f0fe1d329a11765d55febcf317',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'insecure', 0.0, 1, 50, 6):
+        ('a5bb0c3f107d8156956d1bd3ab950964c3961e5b8c807fb881afee38d2eb04c7',
+         0.4412334868371167, 0.4412334868371167),
+    ('full', 'insecure', 0.05, 0, 2, 100):
+        ('2570656f09eaadf3be3236e89195f03ae59b0ee105d089380b8ed605ba733d10',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'insecure', 0.05, 0, 50, 6):
+        ('d2d6c26b770a8fa4fd1e65dd09fca820922be9ffafe378fb5ff98306240c4926',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'insecure', 0.05, 1, 2, 100):
+        ('67a583a7262a8d0c3e0829db8def69734efee1a4df6e4bd75c6aabe73202c9ca',
+         0.41917181249526086, 0.4412334868371167),
+    ('full', 'insecure', 0.05, 1, 50, 6):
+        ('604bec231fe27b14067778e2e70c704ff6f5c89f25f19a776ce97399e21ac706',
+         0.41917181249526086, 0.4412334868371167),
+    'chisq':
+        ('f7bcfd398e87219025a8823850961a32a5bae2369638038c31e83823b895d633',
+         0.39492728788237325, 0.4157129346130245),
+    'chisq-dedicated-a2':
+        ('0b354f082230dad04e6cfa3781df92f941fd0418de5c19cbddda127a3ae18050',
+         0.4157129346130245, 0.4157129346130245),
+    'chisq-main-inv':
+        ('8a75d7e1ee186f9ce9dd47ec041edc5899851d64d127c57c68227858bd1a5298',
+         0.0, 0.4128424977633914),
+}
+
+
+def pinned_report(key):
+    """The report of a LEDGER_DIGESTS key or a KAPPA_DIGESTS case."""
+    if isinstance(key, str):
+        return simulate(make_config(q_kappa=0.7, **KAPPA_DIGESTS[key][0]))
+    scheme, init, delta, seed, a, b = key
+    return simulate(make_config(scheme=scheme, init=init, delta=delta, seed=RngSeed(seed), a=a, b=b))
+
+
+@pytest.mark.parametrize("key", sorted(CSV_DIGESTS, key=repr), ids=repr)
+def test_csv_bytes_unchanged(key):
+    rep = pinned_report(key)
+    assert hashlib.sha256(rep.csv_text().encode()).hexdigest() == CSV_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PRE_PAIR_LIST_SCHEDULES, key=repr), ids=repr)
+def test_json_moved_only_in_the_schedule_rates(key):
+    """With the two schedule fields set back to their earlier values the
+    document is the earlier one byte for byte; each moved by <= 2e-15
+    relative."""
+    old_digest, old_r_o, old_share = PRE_PAIR_LIST_SCHEDULES[key]
+    rep = pinned_report(key)
+    doc = rep.to_json_dict()
+    for name, old in (("r_o", old_r_o), ("key_share_expected", old_share)):
+        assert abs(doc["schedule"][name] - old) <= 2e-15 * abs(old)
+        doc["schedule"][name] = old
+    text = json.dumps(doc, sort_keys=True, indent=1) + rep.csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == old_digest

@@ -1,6 +1,7 @@
 """Rate functional tests: per-state breakdown, expectations, floors."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from dlsec.policy import NonInvertibleChannelError, PowerPolicy, calibrate
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, log_rate, per_state_rates, secrecy_gap)
 
-from flat_grid import flat_grid, law_rule
+from flat_grid import flat_grid, pair_list, product_gap, ratio_gap, reference_gap, ulp_bound
 from random_laws import random_law
 
 CHISQ4 = parse_distribution("chisq:4")
@@ -76,11 +77,11 @@ class TestPerStateRates:
         assert np.array_equal(got[0, ~finite[0]], np.log(1e300) + np.log(h[~finite[0]]))
 
     def test_rates_at_a_budget_whose_products_overflow(self):
-        """At c = 1e308 every p h on the grid is near or past the float
-        range: each rate stays finite, with no warning, and E[r_s] is the
-        grid's E[(log(h_m/h_e))^+] to rounding."""
+        """At c = 1e308 every p h on the pair list is near or past the
+        float range: each rate stays finite, with no warning, and E[r_s] is
+        the list's E[log(h_m/h_e)] to rounding."""
         pol = PowerPolicy("const", 1e308)
-        hm, he, w = flat_grid(CHISQ4, CHISQ4, 200)
+        hm, he, w, _, _ = pair_list(CHISQ4, CHISQ4, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = per_state_rates(pol, ChannelState(hm, he), 0.7)
@@ -88,7 +89,7 @@ class TestPerStateRates:
             key_share = expected_key_share(pol, CHISQ4, CHISQ4, 0.7)
         for field in (r.r_main, r.r_eve, r.r_s, r.r_s_prime, r.r_s_dprime):
             assert np.isfinite(field).all()
-        assert abs(ers - weighted_sum(w, np.maximum(np.log(hm / he), 0.0))) < 1e-12
+        assert abs(ers - weighted_sum(w, np.log(hm / he))) < 1e-12
         assert key_share == weighted_sum(w, r.r_s_prime)
 
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
@@ -168,24 +169,30 @@ class TestErgodicSecrecyRate:
 
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
     def test_key_share_equals_secrecy_rate_at_q_he(self, family):
-        """q = h_e makes r_s' = r_s at every state, so the shared gap and
-        the per-state path over the flat joint grid agree bit for bit."""
+        """q = h_e makes r_s' = r_s at every state, so the shared gap is the
+        key share too, and it is the per-state path's r_s on the pair list:
+        bit for bit for const, within the ratio form's ulp bound for the
+        inversion families, and its mean is the list's weighted sum."""
         h_min = CHISQ4.quantile(0.5) if family == "trunc-inv" else 0.0
         pol = calibrate(family, CHISQ4, CHISQ4, 100.0, h_min)
-        hm, he, w = flat_grid(CHISQ4, CHISQ4, 200)
+        hm, he, w, _, _ = pair_list(CHISQ4, CHISQ4, 200)
         per_state = per_state_rates(pol, ChannelState(hm, he))
-        assert ergodic_secrecy_rate(pol, CHISQ4, CHISQ4) == weighted_sum(w, per_state.r_s)
-        assert expected_key_share(pol, CHISQ4, CHISQ4) == weighted_sum(w, per_state.r_s_prime)
+        gap, ers = secrecy_gap(pol, CHISQ4, CHISQ4)
+        assert np.array_equal(per_state.r_s, per_state.r_s_prime)
+        if family == "const":
+            assert np.array_equal(gap, per_state.r_s)
+        assert np.all(np.abs(gap - per_state.r_s) <= ulp_bound(pol, per_state.r_s))
+        assert ers == weighted_sum(w, gap) == expected_key_share(pol, CHISQ4, CHISQ4)
 
     @pytest.mark.parametrize("spec_m,spec_e", [
         ("chisq:4", "chisq:4"), ("const:3", "const:1"), ("exp:1", "const:0.5"),
     ])
     def test_key_share_at_positive_kappa_is_the_grid_mean(self, spec_m, spec_e):
-        """Above kappa = 0 the key share is the grid mean of r_s', which
-        falls as kappa grows."""
+        """Above kappa = 0 the key share is the pair list's mean of r_s',
+        which falls as kappa grows."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         pol = calibrate("const", dm, de, 100.0)
-        hm, he, w = flat_grid(dm, de, 200)
+        hm, he, w, _, _ = pair_list(dm, de, 200)
         shares = []
         for kappa in (0.0, 1.5, 2.0):
             r = per_state_rates(pol, ChannelState(hm, he), kappa)
@@ -195,22 +202,22 @@ class TestErgodicSecrecyRate:
 
     def test_non_finite_integrand_raises_and_gap_is_read_only(self):
         """A NaN or an infinity anywhere in the integrand fails the finite
-        check with the grid point named; the shared gap is read-only and
-        its mean is the flat weighted sum."""
+        check with the node pair named; the shared gap is read-only, one
+        value per pair of the list, and its mean is the list's weighted sum."""
         rule = pair_rule(CHISQ4, CHISQ4, 200)
-        n = rule.h_m.size
+        hm, he, w, _, _ = pair_list(CHISQ4, CHISQ4, 200)
         for bad in (np.nan, np.inf, -np.inf):
-            y = np.ones((n, n))
-            y[n - 1, 0] = bad
-            with pytest.raises(ValueError, match="integrand not finite at grid point"):
+            y = np.ones(hm.size)
+            y[-200] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"integrand not finite at grid point (h_m={hm[-200]:.6g}, "
+                    f"h_e={he[-200]:.6g})")):
                 rule.mean(y)
-        gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0),
-                               CHISQ4, CHISQ4, 200)
-        assert gap.shape == (n, n)
-        assert ers == weighted_sum(flat_grid(CHISQ4, CHISQ4, 200)[2],
-                                   np.maximum(gap, 0.0).ravel())
+        gap, ers = secrecy_gap(calibrate("main-inv", CHISQ4, CHISQ4, 100.0), CHISQ4, CHISQ4, 200)
+        assert gap.shape == (19_900,)
+        assert ers == weighted_sum(w, gap)
         with pytest.raises(ValueError, match="read-only"):
-            gap[0, 0] = 0.0
+            gap[0] = 0.0
 
     # main-gain laws crossed with eavesdropper laws, point masses included
     @pytest.mark.parametrize("spec_m,spec_e", [
@@ -219,10 +226,11 @@ class TestErgodicSecrecyRate:
         ("const:3", "const:1"), ("exp:1", "gamma:7:0.2"),
     ])
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv:0.7"])
-    def test_gap_equals_two_dimensional_formula(self, spec_m, spec_e, family):
-        """The grid is bit-identical to r_s of per_state_rates on the
-        broadcast state (main nodes a column, eavesdropper nodes a row),
-        and, flattened, to [log1p(P h_m) - log1p(P h_e)]^+ on the flat grid."""
+    def test_gap_is_the_ratio_form_on_the_pair_list(self, spec_m, spec_e, family):
+        """One value per pair of the reference list: the ratio form bit for
+        bit, and within 5 ulps of max(r_s, log1p(c)) of the product form,
+        r_s of per_state_rates at the list's states (bit for bit for const,
+        whose formula is unchanged)."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         fam, h_min = family.split(":")[0], float(family.partition(":")[2] or 0.0)
         try:
@@ -230,20 +238,21 @@ class TestErgodicSecrecyRate:
         except NonInvertibleChannelError:
             pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
         r_s = secrecy_gap(pol, dm, de, 64)[0]
-        rule = pair_rule(dm, de, 64)
-        r = per_state_rates(pol, ChannelState(rule.h_m, rule.h_e))
-        assert r_s.shape == (rule.h_m.size, rule.h_e.size)
-        assert np.array_equal(r_s, r.r_s)
-        hm, he, _ = flat_grid(dm, de, 64)
-        p = pol.power(hm, he)
-        assert np.array_equal(r_s.ravel(), np.maximum(np.log1p(p * hm) - np.log1p(p * he), 0.0))
+        hm, he, _, _, _ = pair_list(dm, de, 64)
+        assert r_s.tobytes() == ratio_gap(pol, hm, he).tobytes()
+        product = per_state_rates(pol, ChannelState(hm, he)).r_s if hm.size else hm
+        assert np.array_equal(product, product_gap(pol, hm, he))
+        if fam == "const":
+            assert np.array_equal(r_s, product)
+        assert np.all(np.abs(r_s - product) <= ulp_bound(pol, product))
 
 
 @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
-def test_grid_is_the_clipped_per_state_rate(family):
-    """On random law pairs and budgets (-30 to 200 dB), the r_s grid is
-    exactly 0 wherever h_m <= h_e and max(r_main - r_eve, 0) of
-    per_state_rates everywhere else, bit for bit, and E[r_s] is its mean."""
+def test_gap_is_zero_off_the_list_and_the_per_state_rate_on_it(family):
+    """On random law pairs and budgets (-30 to 200 dB): at every node pair
+    of the flat grid off the list (h_m <= h_e), per_state_rates' r_s, and
+    r_s' at kappa = 0.7, are exactly 0; on the list, the gap is its r_s
+    within the ratio form's ulp bound, and E[r_s] is the list's sum."""
     rng = np.random.default_rng(24)
     positive = 0
     for _ in range(40):
@@ -254,14 +263,16 @@ def test_grid_is_the_clipped_per_state_rate(family):
             pol = calibrate(family, dm, de, p_bar, h_min)
         except NonInvertibleChannelError:
             pol = PowerPolicy(family, p_bar, h_min)  # any scale will do
+        hm, he, w = flat_grid(dm, de, 32)
+        off = hm <= he
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = per_state_rates(pol, ChannelState(hm[off], he[off]), 0.7) if off.any() else None
+            want = product_gap(pol, hm[~off], he[~off])
+        assert r is None or (np.all(r.r_s == 0.0) and np.all(r.r_s_prime == 0.0))
         r_s, ers = secrecy_gap(pol, dm, de, 32)
-        rule = pair_rule(dm, de, 32)
-        behind = rule.h_m <= rule.h_e
-        assert np.all(r_s[behind] == 0.0)
-        r = per_state_rates(pol, ChannelState(rule.h_m, rule.h_e))
-        want = np.maximum(r.r_main - r.r_eve, 0.0)
-        assert np.array_equal(r_s[~behind], want[~behind])
-        assert ers == rule.mean(r_s)
+        finite = np.isfinite(want)
+        assert np.all(np.abs(r_s - want)[finite] <= ulp_bound(pol, want)[finite])
+        assert ers == weighted_sum(w[~off], r_s)
         positive += int((r_s > 0.0).any())
     assert positive >= 10
 
@@ -332,21 +343,6 @@ class TestSupportFloors:
         assert abs(floor(dm, de, 3.0) - want) < 1e-15
 
 
-def broadcast_gap(policy, rule):
-    """The r_s grid built by 2-D broadcasting, as ``log_rate`` takes a
-    column of main-node values against a row of eavesdropper-node values:
-    the reference for secrecy_gap's outer products."""
-    h_m, h_e = rule.h_m, rule.h_e
-    with np.errstate(over="ignore", invalid="ignore"):
-        if policy.family == "const":
-            p = policy.c
-        elif policy.family == "full-inv":
-            p = policy.c / h_e
-        else:
-            p = policy.power(h_m)
-        return np.maximum(log_rate(p, h_m) - log_rate(p, h_e), 0.0), p
-
-
 def grid_policies(dm, de, p_bar):
     """The four families at ``p_bar``, trunc-inv at the median main gain;
     a family that does not calibrate takes the budget as its scale."""
@@ -358,12 +354,15 @@ def grid_policies(dm, de, p_bar):
             yield PowerPolicy(family, min(p_bar, 1e300), h_min)
 
 
-class TestOuterProductGrids:
-    """pair_rule's weights and secrecy_gap's power x gain grids, built as
-    outer products, equal the 2-D broadcast build bit for bit."""
+class TestRatioFormGaps:
+    """secrecy_gap equals the reference ratio form on the reference pair
+    list bit for bit, at every budget: no power is formed, so none
+    overflows, and no gap raises."""
 
     LAW_PAIRS = [("chisq:4", "const:1e300"), ("const:1e300", "chisq:4"),
-                 ("const:1e300", "gamma:3:1"), ("gamma:2:1000", "const:1e300")]
+                 ("const:1e300", "gamma:3:1"), ("gamma:2:1000", "const:1e300"),
+                 ("const:1e300", "const:1e-300"), ("gamma:2:1e300", "chisq:4"),
+                 ("chisq:4", "const:5e-324"), ("const:1e300", "const:1e-10")]
 
     def cases(self):
         rng = np.random.default_rng(25)
@@ -374,29 +373,22 @@ class TestOuterProductGrids:
                           float(10.0 ** rng.uniform(290.0, 305.0))):
                 yield dm, de, p_bar
 
-    def test_pair_rule_weights(self):
-        for dm, de, _ in self.cases():
-            (_, wm), (_, we) = law_rule(dm), law_rule(de)
-            assert pair_rule(dm, de).w.tobytes() == np.outer(wm, we).ravel().tobytes()
-
-    def test_secrecy_gap_grids(self):
-        """Budgets up to 3 050 dB; on the const:1e300 pairs the grid's
-        largest power x gain product overflows, and the split-log path
-        gives the broadcast build's bits too."""
-        compared = overflowed = 0
-        for dm, de, p_bar in self.cases():
-            rule = pair_rule(dm, de)
-            for pol in grid_policies(dm, de, p_bar):
-                want, p = broadcast_gap(pol, rule)
-                try:
-                    got = secrecy_gap(pol, dm, de)[0]
-                except ValueError as err:
-                    # a non-finite point, or full-inv's power overflowing at the corner
-                    assert "not finite" in str(err)
-                    continue
-                assert got.tobytes() == want.tobytes(), (dm, de, pol)
-                compared += 1
-                if pol.family != "const":
-                    h = rule.h_m if pol.family == "full-inv" else rule.h_e
-                    overflowed += math.isinf(float(np.max(p)) * float(h.max()))
-        assert compared >= 450 and overflowed >= 20
+    def test_secrecy_gap_is_the_reference(self):
+        """Budgets up to 3 050 dB, and atoms whose ratio h_e / h_m is
+        subnormal or 0, where full-inv reads h_m / h_e from the gains and
+        takes its logs apart where that overflows.  Everything stays finite,
+        with no numpy warning."""
+        compared = split = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dm, de, p_bar in self.cases():
+                for pol in grid_policies(dm, de, p_bar):
+                    got, mean = secrecy_gap(pol, dm, de)
+                    want, want_mean = reference_gap(pol, dm, de)
+                    assert got.tobytes() == want.tobytes(), (dm, de, pol)
+                    assert repr(mean) == repr(want_mean) and math.isfinite(mean)
+                    compared += 1
+                    if pol.family == "full-inv" and got.size:
+                        hm, he, _, _, _ = pair_list(dm, de)
+                        split += bool(np.min(he / hm) < np.finfo(float).tiny)
+        assert compared >= 500 and split >= 2
