@@ -13,7 +13,7 @@ key rate left after carrying R on the main channel.  On the quadrature
 grid K is convex, piecewise linear and non-increasing in R, so
 R - min{K(R), R_d} is strictly increasing with one root, and Newton's
 method from R = 0 reaches it exactly on the crossing segment of K
-(:func:`fixed_point_rate`).  :func:`key_rate` evaluates K at any R.
+(:func:`fixed_point_rate`).  :func:`key_rate` evaluates K at one R.
 
 The default menus are const, full-inv and main-inv (full CSI) and const
 and main-inv (main CSI).  The bounds are delay-limited, and trunc-inv
@@ -23,30 +23,19 @@ on a point-mass main gain v its median cutoff is v, where it ties with
 const.  It can never beat const, which comes first and always calibrates,
 so it is not in a default menu; an explicit menu may name it.  A default
 menu resolves no median cutoff, so trunc-inv is never named in its
-``tied_with`` or ``infeasible``, and a law whose median underflows does
-not make it raise.
+``tied_with`` or ``infeasible``.
 
 All four bounds integrate the same per-state secrecy rate
 r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
 (lower_full) and K(R) (lower_main).  It is 0 wherever h_m <= h_e, so
-:func:`dlsec.rates.secrecy_gap` evaluates it only on the node pairs with
-h_m > h_e (19 900 of the 40 000 at 200 nodes), once per calibrated
-policy, one log over the list, and keeps the last 4, so the bounds at one
-budget build it at most once per family, and only for the families whose
-value reads it: an entry with delay floor 0 (upper bounds, lower_main)
-or common-rate cap 0 off a point-mass pair (lower_full) is worth 0
-without it.  A result builds its
-diagnostics on first read, for the reported entry only, so a zero-cap
-lower_full entry evaluates E[r_s'] only if its diagnostics are read
-(`dlsec bounds` and `simulate` read them; `dlsec sweep` never does);
-lower_main's entries are each one Newton run (:func:`_fixed_point`),
-whose diagnostics keep its root and sum K(R*) only when read.  A new
-budget rescales every policy, so nothing older is hit again.  The
-law-only inputs of calibration (E[1/min(h_m, h_e)], the truncated
-inverse moment and the trunc-inv median cutoff) are cached per law, 64
-entries each, so calibrating at a new budget is one division.  Every
-expectation over (h_m, h_e) is a sum over :func:`dlsec.fading.pair_rule`'s
-list of those pairs.
+:func:`dlsec.rates.secrecy_gap` evaluates it only on the node pairs of
+:func:`dlsec.fading.pair_rule`'s list (h_m > h_e), once per calibrated
+policy, and only for the families whose value reads it: an entry with
+delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
+point-mass pair (lower_full) is worth 0 without it.  A result builds its
+diagnostics on first read, for the reported entry only, so `dlsec sweep`,
+which never reads them, builds none.  The law-only inputs of calibration
+are cached per law, so calibrating at a new budget is one division.
 """
 
 from __future__ import annotations
@@ -113,9 +102,14 @@ class HighSnrLimit(NamedTuple):
 def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, float]:
     """Menu entries follow the policy grammar; a bare 'trunc-inv' defaults
     its cutoff to the median main gain (a law-only quantile, hence the
-    cache)."""
+    cache), and a median that underflows to 0 leaves it no positive cutoff:
+    NonInvertibleChannelError, as for a cutoff with no mass above it."""
     if entry.strip().lower() == "trunc-inv":
-        return "trunc-inv", dist_m.quantile(0.5)
+        median = dist_m.quantile(0.5)
+        if median == 0.0:
+            raise NonInvertibleChannelError(
+                f"trunc-inv: the median cutoff of {dist_m.spec()} underflows to 0")
+        return "trunc-inv", median
     return parse_policy(entry)
 
 
@@ -148,11 +142,11 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     if family_menu is None:
         family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
     for entry in family_menu:
-        family, h_min = resolve_menu_entry(entry, dist_m)
-        if csi == MAIN_CSI and family == "full-inv":
-            skipped[entry] = "needs full CSI"
-            continue
         try:
+            family, h_min = resolve_menu_entry(entry, dist_m)
+            if csi == MAIN_CSI and family == "full-inv":
+                skipped[entry] = "needs full CSI"
+                continue
             pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
@@ -294,35 +288,11 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
 
 
-def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """[sum x[0:], sum x[1:], ..., x[-1], 0], each within about an ulp:
-    np.cumsum from the end, plus the running sum of each step's rounding
-    error, which Knuth's two-sum recovers exactly from the partial sums."""
-    x = x[::-1]
-    s = np.cumsum(np.append(0.0, x))
-    prev, s = s[:-1], s[1:]
-    part = s - prev
-    return np.append(0.0, s + np.cumsum((prev - (s - part)) + (x - part)))[::-1]
-
-
-def key_rate(gap: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """K(R) = sum_i w_i (g_i - R)^+ at each R >= 0 in ``r``, for flat
-    per-state rates and their weights (the r_s list
-    ``secrecy_gap(...)[0]`` and the ``w`` of
-    :func:`~dlsec.fading.pair_rule`; a signed gap gives the same K).
-
-    Only the gaps above R count, so K(R) = S - R W, where S and W sum
-    w_i g_i and w_i over them.  The positive gaps are sorted once and S
-    and W are suffix sums read at ``searchsorted``.  A plain cumsum over
-    the 19 900 pairs would drift from the exact sum by a few 1e-15;
-    :func:`_suffix_sums` keeps each one within about an ulp.
-    """
-    positive = gap > 0.0
-    order = np.argsort(gap[positive], kind="stable")
-    g, wg = gap[positive][order], w[positive][order]
-    s, ws = _suffix_sums(wg * g), _suffix_sums(wg)
-    i = np.searchsorted(g, r, side="right")
-    return s[i] - r * ws[i]
+def key_rate(gap: np.ndarray, w: np.ndarray, r: float) -> float:
+    """K(R) = sum_i w_i (g_i - R)^+ at one R >= 0, for flat per-state rates
+    and their weights (the r_s list ``secrecy_gap(...)[0]`` and the ``w``
+    of :func:`~dlsec.fading.pair_rule`; a signed gap gives the same K)."""
+    return weighted_sum(w, np.maximum(gap - r, 0.0))
 
 
 def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: FadingDistribution,
@@ -370,9 +340,7 @@ def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: Fading
                 "key_balance_margin": 0.0, "feasible": True, "binding": "r_d_floor"}
         if r_d > 0.0:
             r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
-            positive = r_s > 0.0
-            w_pos = pair_rule(dist_m, dist_e, nodes).w[positive]
-            k_root = weighted_sum(w_pos, np.maximum(r_s[positive] - root, 0.0))
+            k_root = key_rate(r_s, pair_rule(dist_m, dist_e, nodes).w, root)
             diag["key_balance_margin"] = min(k_root, r_d) - root
             diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
             diag["binding"] = "r_d_floor" if root == r_d else "key_rate"

@@ -5,8 +5,8 @@ Subcommands:
                high-SNR limit as JSON
     sweep      CSV of the bounds over an SNR grid
     simulate   run one protocol ledger and write its JSON/CSV report
-    validate   cross-check quadrature against Monte Carlo and the fixed
-               point against a grid scan
+    validate   cross-check quadrature against Monte Carlo and the Newton
+               fixed point against a bisection of the key balance
 
 Exit codes are a stable contract: 0 success, 2 usage/parse error,
 3 infeasible model (e.g. a non-invertible channel with an inversion-only
@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full, lower_main,
                      upper_full, upper_main, usable)
 from .fading import pair_rule, parse_distribution
-from .numerics import RngSeed, _check_nodes, mc_expect
+from .numerics import RngSeed, _check_nodes, flip_point, mc_expect
 from .policy import NonInvertibleChannelError, calibrate, expected_power
 from .protocol import INIT_MODES, SCHEMES, SimConfig, simulate
 from .rates import ergodic_secrecy_rate, per_state_rates, secrecy_gap
@@ -47,6 +47,7 @@ LN2 = math.log(2.0)
 _FALLBACK_SEED = 12345
 _MAX_GRID_POINTS = 100_000  # of a start:stop:step sweep grid
 MAX_SIGMA = 4.0  # validate's agreement tolerance, in standard errors
+FIXED_POINT_TOL = 1e-12  # validate's Newton-vs-bisection tolerance, relative to R_d
 
 
 def _parse_bool(text: str) -> bool:
@@ -301,20 +302,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _fixed_point_scan_gap(dist_m, dist_e, p_bar, nodes, grid_points) -> tuple[float, float]:
-    """|Newton fixed point - grid argmin of |R - min{K(R), R_d}|| for main-inv,
-    and the tolerance it must meet: the scan's step R_d / (grid_points - 1)."""
-    pol = calibrate("main-inv", dist_m, dist_e, p_bar)
-    r_star, diag = fixed_point_rate(pol, dist_m, dist_e, nodes)
-    r_d = diag["r_d_floor"]
-    gap, _ = secrecy_gap(pol, dist_m, dist_e, nodes)
-    grid = np.linspace(0.0, r_d, grid_points)
-    k = key_rate(gap, pair_rule(dist_m, dist_e, nodes).w, grid)
-    g = grid - np.minimum(k, r_d)
-    best = float(grid[int(np.argmin(np.abs(g)))])
-    return abs(r_star - best), r_d / (grid_points - 1)
-
-
 def cmd_validate(args) -> int:
     n = 100_000 if args.quick else 1_000_000
     seed = args.seed
@@ -381,11 +368,16 @@ def cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
-    scan_points = 2_001 if args.quick else 10_001
-    gap, fp_tol = _fixed_point_scan_gap(dist, dist, p_bar, args.nodes, scan_points)
-    ok = gap <= fp_tol
-    print(f"{'ok  ' if ok else 'FAIL'} fixed-point[chisq:4/main-inv]: "
-          f"grid gap {gap:.3e} (tol {fp_tol:.3e})")
+    # Newton's R* against the bisection root of R - min{K(R), R_d} on
+    # [0, R_d]; the bisection's test is false at 0, since K(0) > 0 here
+    pol = calibrate("main-inv", dist, dist, p_bar)
+    r_star, diag = fixed_point_rate(pol, dist, dist, args.nodes)
+    r_d, w = diag["r_d_floor"], pair_rule(dist, dist, args.nodes).w
+    gap = secrecy_gap(pol, dist, dist, args.nodes)[0]
+    root = flip_point(lambda r: r >= min(key_rate(gap, w, r), r_d), 0.0, r_d)[1]
+    ok = abs(r_star - root) <= FIXED_POINT_TOL * r_d
+    print(f"{'ok  ' if ok else 'FAIL'} fixed-point[chisq:4/main-inv]: Newton vs bisection "
+          f"root gap {abs(r_star - root):.3e} (tol {FIXED_POINT_TOL * r_d:.3e})")
     if not ok:
         failures.append("fixed-point[chisq:4/main-inv]")
 

@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 # ChannelState is defined in the leaf module numerics and re-exported here.
-from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, halfline_nodes,
-                       weighted_sum)
+from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, flip_point,
+                       halfline_nodes, weighted_sum)
 
 # Every kind of the grammar, once: its parameter count and the map from its
 # parameters to its canonical gamma (shape, scale), None for the point mass.
@@ -48,10 +48,8 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
 _CF_TOL = 4.0 * _EPS
 _FLOAT_MAX = float(np.finfo(float).max)
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _EULER_GAMMA = 0.5772156649015329
-_QUANTILE_STEPS = 200  # Newton takes 1-6 steps; the cap bounds the bisection fallback
 
 
 def _gamma_cf(k: float, y: float) -> float:
@@ -143,62 +141,17 @@ def _beta_reg(a: float, b: float, x: float, x1: float) -> float:
             return 1.0 - front * h if flip else front * h
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile to 4.5e-4 (Abramowitz-Stegun 26.2.23).
-
-    Only a starting point for :func:`_gamma_quantile`'s Newton steps.
-    """
-    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
-    z = t - ((2.515517 + 0.802853 * t + 0.010328 * t * t)
-             / (1.0 + t * (1.432788 + t * (0.189269 + 0.001308 * t))))
-    return z if p > 0.5 else -z
-
-
 def _gamma_quantile(k: float, p: float) -> float:
-    """The y with P(k, y) = p, for 0 < p < 1.
-
-    Newton's method in log y on log P (log Q above the median, so the upper
-    tail keeps its relative accuracy), from the Wilson-Hilferty start, or
-    from the small-y power law when that start is not positive.  Both logs
-    are concave in log y (the law of log y has a log-concave density), so
-    Newton converges from one side; a step that leaves the bracket of
-    points already seen is replaced by its geometric midpoint.  It stops
-    once a step is below 1e-9 in log y, which the quadratic convergence
-    turns into an error near the rounding of P itself.
+    """The y with P(k, y) = p, for 0 < p < 1: the lower of the two adjacent
+    doubles where the test flips (so 0.0 where the quantile underflows).
+    The test is P >= p where P <= 1/2 and Q <= 1 - p above the median (1 - p
+    is exact for p > 1/2), so each tail keeps its relative accuracy.
     """
-    upper = p > 0.5
-    target = math.log1p(-p) if upper else math.log(p)
-    c = 1.0 / (9.0 * k)
-    y = k * (1.0 - c + _normal_quantile(p) * math.sqrt(c)) ** 3
-    if not y > 0.0:
-        y = math.exp((math.log(p) + math.lgamma(k + 1.0)) / k)
-    lo, hi = 0.0, math.inf
-    for _ in range(_QUANTILE_STEPS):
-        if y == 0.0:
-            return 0.0  # the quantile underflows
-        tail = _gamma_pq(k, y)[1 if upper else 0]
-        # d log(tail) / d log(y) = -+ y f(y) / tail, f the Gamma(k, 1) density
-        slope = math.exp(k * math.log(y) - y - math.lgamma(k)) / tail if tail > 0 else math.inf
-        if upper:
-            slope = -slope
-        g = (math.log(tail) if tail > 0 else -math.inf) - target
-        if g == 0.0:
-            return y
-        if (g > 0.0) != upper:
-            hi = y
-        else:
-            lo = y
-        step = g / slope
-        if abs(step) < 1e-9:  # converged, before the bracket test: y is one of its ends
-            return y * math.exp(-step)
-        y_next = y * math.exp(-step) if -_LOG_FLOAT_MAX < step < math.inf else math.nan
-        if not lo < y_next < hi:
-            y_next = math.sqrt(lo * hi) if lo > 0.0 and hi < math.inf else (
-                hi / 16.0 if lo == 0.0 else lo * 16.0)
-        if y_next == y:
-            return y
-        y = y_next
-    return y
+    def above(y: float) -> bool:
+        lower, upper = _gamma_pq(k, y)
+        return lower >= p if lower <= 0.5 else upper <= 1.0 - p
+
+    return flip_point(above, 0.0, math.inf)[0]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Deterministic numeric kernels shared across the package.
 
 Quadrature on the half line (rational map plus Gauss-Legendre) and on
-(0, 1) (a tanh-sinh rule, for endpoint singularities), and seeded Monte
-Carlo expectation over :class:`ChannelState` samples with standard-error
+(0, 1) (a tanh-sinh rule, for endpoint singularities), a bisection over
+the doubles for roots off the hot path, and seeded Monte Carlo
+expectation over :class:`ChannelState` samples with standard-error
 reporting.  Everything here is pure: identical inputs give bit-identical
 outputs on one machine, and Monte Carlo is reproducible through the
 (seed, stream) contract of :class:`RngSeed`.  Every weighted sum in the
@@ -16,6 +17,7 @@ unit beyond "whatever the integrand carries".
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +26,7 @@ import numpy as np
 
 # The canonical gamma shapes accepted: the range the recurrences are tested
 # on against scipy.  Far outside it they stall or lose accuracy (at shape
-# 1e10 the median's cdf reads 0.49998) and the quantile's start overflows.
+# 1e10 the median's cdf reads 0.49998).
 SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
 
 # The quadrature sizes both rules accept.  The cap bounds the cost: leggauss
@@ -176,6 +178,31 @@ def weighted_sum(w: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """
     out = np.einsum("...i,i->...", y, w)
     return float(out) if out.ndim == 0 else out
+
+
+def flip_point(pred, lo: float, hi: float) -> tuple[float, float]:
+    """The adjacent doubles (a, b) in [lo, hi] with pred(a) false and
+    pred(b) true, for a predicate that is false at ``lo``, true at ``hi``
+    and flips once between them (neither end is evaluated).
+
+    Non-negative doubles, subnormals and inf included, are ordered as
+    their bit patterns read as integers, all below 2^63, so bisecting the
+    integers takes at most 63 evaluations and needs no tolerance.
+    """
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got lo={lo!r}, hi={hi!r}")
+
+    def at(n: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", n))[0]
+
+    a, b = (struct.unpack("<q", struct.pack("<d", abs(x)))[0] for x in (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if pred(at(mid)):
+            b = mid
+        else:
+            a = mid
+    return at(a), at(b)
 
 
 def mc_expect(f, dist_m, dist_e, n: int, seed: RngSeed) -> Estimate:

@@ -30,11 +30,11 @@ def eager_best(dm, de, p_bar, menu, csi, objective):
     if menu is None:
         menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
     for entry in menu:
-        family, h_min = resolve_menu_entry(entry, dm)
-        if csi == MAIN_CSI and family == "full-inv":
-            skipped[entry] = "needs full CSI"
-            continue
         try:
+            family, h_min = resolve_menu_entry(entry, dm)
+            if csi == MAIN_CSI and family == "full-inv":
+                skipped[entry] = "needs full CSI"
+                continue
             pol = calibrate(family, dm, de, p_bar, h_min)
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)

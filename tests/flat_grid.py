@@ -8,7 +8,8 @@ per-law weights, so index i * n_e + j is node pair (i, j).
 
 :func:`pair_list` masks that grid to the node pairs with h_m > h_e, in the
 same row-major order, and :func:`reference_gap` evaluates the secrecy rate
-on it in the ratio form the bounds use.
+on it in the ratio form the bounds use.  :func:`scan_fixed_point` scans
+the main-CSI key balance on the flat grid.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from dlsec.numerics import halfline_nodes, weighted_sum
-from dlsec.rates import log_rate
+from dlsec.rates import delay_floor, log_rate
 
 TINY = float(np.finfo(float).tiny)
 
@@ -45,6 +46,25 @@ def pair_list(dist_m, dist_e, nodes=200):
     keep = np.flatnonzero(h_m > h_e)
     i, j = np.divmod(keep, law_rule(dist_e, nodes)[0].size)
     return h_m[keep], h_e[keep], w[keep], i, j
+
+
+def scan_fixed_point(policy, dist_m, dist_e, points, nodes=200):
+    """Brute-force scan of g(R) = R - min{K(R), R_d} over ``points`` values
+    of R in [0, R_d] on the flat grid, an independent check of the Newton
+    answer: (grid argmin of |g|, grid step, g).  K(R) is S - R W, with S
+    and W the sums of w_i g_i and w_i over the gaps above R: suffix sums of
+    the sorted gaps, whose cumsum drift (a few 1e-15) is far below a step."""
+    r_d = delay_floor(policy, dist_m)
+    hm, he, w = flat_grid(dist_m, dist_e, nodes)
+    p = policy.power(hm, he)
+    gap = np.log1p(p * hm) - np.log1p(p * he)
+    order = np.argsort(gap, kind="stable")
+    g, wg = gap[order], w[order]
+    s, ws = (np.append(np.cumsum(x[::-1])[::-1], 0.0) for x in (wg * g, wg))
+    grid = np.linspace(0.0, r_d, points)
+    i = np.searchsorted(g, grid, side="right")
+    diff = grid - np.minimum(s[i] - grid * ws[i], r_d)
+    return float(grid[int(np.argmin(np.abs(diff)))]), float(grid[1] - grid[0]), diff
 
 
 def product_gap(policy, h_m, h_e):

@@ -14,16 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from dlsec.bounds import (fixed_point_rate, high_snr_limit, key_rate, lower_full,
-                          lower_main, upper_full, upper_main)
+from dlsec.bounds import (fixed_point_rate, high_snr_limit, lower_full, lower_main,
+                          upper_full, upper_main)
 from dlsec.fading import FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect
 from dlsec.policy import NonInvertibleChannelError, calibrate
 from dlsec.protocol import SimConfig, simulate
-from dlsec.rates import delay_floor
 
 from child_env import child_env
-from flat_grid import flat_grid
+from flat_grid import scan_fixed_point
 
 CHISQ4 = parse_distribution("chisq:4")
 GAMMA21 = parse_distribution("gamma:2:1")
@@ -100,15 +99,8 @@ def test_c4_fixed_point_matches_grid_scan():
         dist = FadingDistribution("gamma", (2.0, scale))
         pol = calibrate("main-inv", dist, dist, p_bar)
         r_star, _ = fixed_point_rate(pol, dist, dist)
-        r_d = delay_floor(pol, dist)
-        hm, he, w = flat_grid(dist, dist, 200)
-        p = pol.power(hm, he)
-        gap = np.log1p(p * hm) - np.log1p(p * he)
-        grid = np.linspace(0.0, r_d, points)
-        g = grid - np.minimum(key_rate(gap, w, grid), r_d)
+        best, step, g = scan_fixed_point(pol, dist, dist, points)
         assert np.all(np.diff(g) > 0.0), f"g not strictly increasing (trial {trial})"
-        best = float(grid[int(np.argmin(np.abs(g)))])
-        step = float(grid[1] - grid[0])
         assert abs(r_star - best) <= step, (trial, r_star, best, step)
     report(4, "fixed point vs grid scan", "5 configs, 1e4-point grids")
 

@@ -15,9 +15,11 @@ import pytest
 from dlsec import cli
 from dlsec.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                        main)
-from dlsec.fading import inverse_min_moment, parse_distribution
+from dlsec.bounds import fixed_point_rate, key_rate
+from dlsec.fading import inverse_min_moment, pair_rule, parse_distribution
 from dlsec.policy import calibrate
 from dlsec.protocol import SimConfig
+from dlsec.rates import delay_floor, secrecy_gap
 
 from child_env import child_env
 
@@ -103,6 +105,22 @@ class TestBounds:
             rows = list(csv.DictReader(io.StringIO(out)))
             assert len(rows) == 3
             assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+    def test_underflowing_median_cutoff_is_infeasible(self, capsys):
+        """The mirror of an overflowing median: the median of
+        gamma:0.3:5e-324 underflows to 0, so a bare trunc-inv has no
+        positive cutoff.  It is recorded as infeasible, naming the median,
+        and const still runs; an explicit zero cutoff stays a parse error."""
+        code, out, err = run_cli(capsys, "bounds", "--dist-m", "gamma:0.3:5e-324",
+                                 "--dist-e", "chisq:4", "--policy", "const,trunc-inv")
+        assert code == EXIT_OK and err == ""
+        doc = json.loads(out)
+        for key in BOUND_KEYS:
+            assert doc[key]["policy"]["family"] == "const", key
+            assert doc[key]["diagnostics"]["infeasible"]["trunc-inv"] == (
+                "trunc-inv: the median cutoff of gamma:0.3:4.94066e-324 underflows to 0"), key
+        code, out, err = run_cli(capsys, "bounds", "--policy", "const,trunc-inv:0")
+        assert code == EXIT_USAGE and "cutoff must be positive" in err
 
     def test_infinite_cutoff_menu_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--policy", "trunc-inv:inf")
@@ -325,6 +343,17 @@ class TestSimulate:
         assert off == [h < h_min for h in records["h_m"]]
         assert 0 < sum(off) < len(off)
 
+    def test_underflowing_median_cutoff_exits_3(self, capsys, tmp_path):
+        """A baseline run of a bare trunc-inv whose median cutoff underflows
+        to 0 is infeasible (exit 3), not a usage error, and writes nothing."""
+        prefix = tmp_path / "u"
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "baseline",
+                                 "--policy", "trunc-inv", "--dist-m", "gamma:0.3:5e-324",
+                                 "--out", str(prefix))
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert "median cutoff of gamma:0.3:4.94066e-324 underflows to 0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--scheme", "full",
                              "--delta", "1.5", "--out", str(tmp_path / "z"))
@@ -384,6 +413,35 @@ class TestValidate:
         _, out, _ = run_cli(capsys, "validate", "--quick")
         line = next(l for l in out.splitlines() if "calibration[gamma:8:1000/full-inv] mc" in l)
         assert line.startswith("ok ")
+
+    def test_fixed_point_against_bisection(self, capsys):
+        """Newton's R* and the bisection root of R - min{K(R), R_d} agree
+        to 1e-12 R_d, with and without --quick; the bisection starts where
+        its test is false, K(0) > 0 on chisq:4."""
+        dist = parse_distribution("chisq:4")
+        pol = calibrate("main-inv", dist, dist, 100.0)
+        assert key_rate(secrecy_gap(pol, dist, dist)[0], pair_rule(dist, dist).w, 0.0) > 0.0
+        r_d = delay_floor(pol, dist)
+        for argv in (["--quick"], []):
+            _, out, _ = run_cli(capsys, "validate", *argv)
+            line = next(l for l in out.splitlines() if "fixed-point[" in l)
+            assert line.startswith("ok   fixed-point[chisq:4/main-inv]: Newton vs bisection "
+                                   "root gap ")
+            assert line.endswith(f"(tol {cli.FIXED_POINT_TOL * r_d:.3e})")
+            assert float(line.split("root gap ")[1].split()[0]) <= cli.FIXED_POINT_TOL * r_d
+
+    def test_wrong_fixed_point_exits_4(self, capsys, monkeypatch):
+        """A root off by 1e-9 relative, far inside the old 2 001-point
+        scan's step, fails the check."""
+        def off(*args):
+            r_star, diag = fixed_point_rate(*args)
+            return r_star * (1.0 + 1e-9), diag
+
+        monkeypatch.setattr(cli, "fixed_point_rate", off)
+        code, out, _ = run_cli(capsys, "validate", "--quick")
+        assert code == EXIT_VALIDATION
+        assert "FAIL fixed-point[chisq:4/main-inv]" in out
+        assert out.splitlines()[-1] == "validation failed for: fixed-point[chisq:4/main-inv]"
 
     def test_injected_bad_tolerance_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SIGMA", 1e-9)

@@ -5,15 +5,12 @@ import re
 import subprocess
 import sys
 
-import hashlib
-
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import gammaincinv
 
-import dlsec.fading as fading_module
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
                           inverse_min_moment, inverse_moment, invertible, pair_rule,
                           parse_distribution, truncated_inverse_moment)
@@ -190,13 +187,6 @@ class TestLawAgainstScipy:
             assert abs(d.quantile(p) - want) <= 1e-13 * want, p
 
 
-# The scan's quantiles (in scan order, levels in (0, 1) only) that went
-# through the bracket's fallback while the bracket was tested before
-# convergence, and the sha256 of the repr of the list of all the others.
-FALLBACK_QUANTILES = {767, 909, 1066, 1182, 1420, 1421, 2073, 2174, 2191, 2291}
-KEPT_QUANTILES_SHA256 = "50d365ea3d5d98488e8b61f4199c1d7ecda7f91f553fd6eca7b46417c28303c5"
-
-
 class TestLawEdges:
     def test_cdf_outside_the_open_half_line(self):
         d = parse_distribution("gamma:2:3")
@@ -208,11 +198,10 @@ class TestLawEdges:
     def test_quantile_in_both_far_tails(self):
         """Random shapes (log-uniform over the accepted range) at levels
         1e-30 to 1 from either end, within 1e-10 relative of scipy's
-        gammaincinv.  Two levels first: at chisq:20 and gamma:10:1, p = 0.97,
-        Newton closes on the root from above, a last step too small to move
-        y leaves the bracket, and from the fallback's point the next step's
-        exp overflowed.  A quantile below the smallest normal float reads
-        below it too (0.0 where it underflows), as the docstring states."""
+        gammaincinv.  Two levels first: chisq:20 and gamma:10:1 at p = 0.97,
+        where an earlier Newton search overflowed.  A quantile below the
+        smallest normal float reads below it too (0.0 where it underflows),
+        as the docstring states."""
         for spec, scale in (("gamma:10:1", 1.0), ("chisq:20", 2.0)):
             want = scale * gammaincinv(10.0, 0.97)  # 16.7312 at scale 1
             assert abs(parse_distribution(spec).quantile(0.97) - want) <= 1e-10 * want
@@ -231,44 +220,6 @@ class TestLawEdges:
             else:
                 assert abs(got - want) <= 1e-10 * want, (k, p, got, want)
         assert underflows > 0
-
-    @pytest.mark.parametrize("spec", ["chisq:20", "gamma:10:1"])
-    def test_converged_step_ends_the_search(self, spec, monkeypatch):
-        """At p = 0.97 Newton converges in 3 steps; its last step, too small
-        to move y, is taken as converged before the bracket test (which it
-        fails, y being one end of the bracket), so the search takes at most
-        6 cdf evaluations, not the 35 a detour through the bracket's
-        fallback took."""
-        calls = []
-        pq = fading_module._gamma_pq
-        monkeypatch.setattr(fading_module, "_gamma_pq", lambda k, y: calls.append(y) or pq(k, y))
-        d = parse_distribution(spec)
-        want = d.scale * gammaincinv(10.0, 0.97)
-        assert abs(d.quantile(0.97) - want) <= 1e-10 * want
-        assert len(calls) <= 6, len(calls)
-
-    def test_converged_first_keeps_every_other_quantile(self):
-        """The far-tails scan above: the 2 305 quantiles that never reached
-        the bracket's fallback keep the bits they had when the bracket was
-        tested first (sha256 of their repr list), and the 10 that did stay
-        within 1e-10 of scipy."""
-        rng = np.random.default_rng(27)
-        kept, moved = [], 0
-        for _ in range(3000):
-            k = float(np.exp(rng.uniform(math.log(SHAPE_MIN), math.log(SHAPE_MAX))))
-            tail = float(10.0 ** -rng.uniform(0.0, 30.0))
-            p = tail if rng.random() < 0.5 else 1.0 - tail
-            if not 0.0 < p < 1.0:
-                continue
-            got = FadingDistribution("gamma", (k, 1.0)).quantile(p)
-            if len(kept) + moved in FALLBACK_QUANTILES:
-                want = gammaincinv(k, p)
-                assert abs(got - want) <= 1e-10 * want, (k, p)
-                moved += 1
-            else:
-                kept.append(got)
-        assert moved == len(FALLBACK_QUANTILES)
-        assert hashlib.sha256(repr(kept).encode()).hexdigest() == KEPT_QUANTILES_SHA256
 
     def test_point_mass_cdf_and_quantile(self):
         d = parse_distribution("const:2")

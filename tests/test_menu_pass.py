@@ -79,15 +79,17 @@ def test_ties_are_named():
     assert diagnostics_repr(res) == diagnostics_repr(want)
 
 
-def test_underflowing_median_cutoff_raises_only_where_named():
-    """A bare trunc-inv whose median cutoff underflows to 0 is rejected by
-    calibration; the default menus resolve no median, so they do not
-    raise on that law."""
+def test_underflowing_median_cutoff_is_infeasible():
+    """A bare trunc-inv whose median cutoff underflows to 0 has no positive
+    cutoff: it is listed as infeasible, naming the median, and the rest of
+    its menu is still scored; the default menus resolve no median."""
     dm, de = parse_distribution("gamma:0.05:5e-324"), parse_distribution("chisq:4")
     assert dm.quantile(0.5) == 0.0
     for bound in FOUR_BOUNDS:
-        with pytest.raises(ValueError, match="positive cutoff"):
-            bound(dm, de, 10.0, family_menu=WITH_TRUNC_INV[bound])
+        res = bound(dm, de, 10.0, family_menu=WITH_TRUNC_INV[bound])
+        assert not res.fallback and res.policy.family != "trunc-inv"
+        assert res.diagnostics["infeasible"]["trunc-inv"] == (
+            "trunc-inv: the median cutoff of gamma:0.05:4.94066e-324 underflows to 0")
         assert not bound(dm, de, 10.0).fallback
 
 
@@ -135,11 +137,10 @@ def test_default_menu_matches_the_menu_with_trunc_inv():
     bound on its default menu gives the value, policy and fallback flag,
     by repr, or the error, of its menu with a bare trunc-inv at the end,
     and the same diagnostics but for trunc-inv's names in ``tied_with``
-    and ``infeasible``.  The one difference: where the median underflows
-    to 0, only the menu that names trunc-inv raises.  No other case
-    raises: the inversion families read the gain ratio and form no power,
-    so none overflows (when they formed it, 3 050 dB raised in 20 or more
-    cases)."""
+    and ``infeasible``, also where the median underflows to 0 and trunc-inv
+    is infeasible.  No case raises: the inversion families read the gain
+    ratio and form no power, so none overflows (when they formed it,
+    3 050 dB raised in 20 or more cases)."""
     rng = np.random.default_rng(26)
     kinds = Counter()
     for _ in range(150):
@@ -150,12 +151,8 @@ def test_default_menu_matches_the_menu_with_trunc_inv():
                 old = menu_outcome(bound, dm, de, p_bar, WITH_TRUNC_INV[bound],
                                    without_trunc_inv)
                 new = menu_outcome(bound, dm, de, p_bar, None)
-                case = (bound.__name__, dm, de, p_bar)
-                if "positive cutoff" in str(old[1]):
-                    assert dm.quantile(0.5) == 0.0 and not isinstance(new[0], type), case
-                    kinds["median underflows"] += 1
-                    continue
-                assert new == old, case
+                assert new == old, (bound.__name__, dm, de, p_bar)
+                kinds["median underflows"] += dm.quantile(0.5) == 0.0
                 kinds["error" if isinstance(new[0], type) else "result"] += 1
     assert kinds["result"] >= 1000 and kinds["error"] == 0
     assert kinds["median underflows"] >= 4

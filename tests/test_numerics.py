@@ -1,4 +1,4 @@
-"""Numeric kernel tests: quadrature, Monte Carlo."""
+"""Numeric kernel tests: quadrature, Monte Carlo, the bisection over doubles."""
 
 import math
 
@@ -8,7 +8,8 @@ from scipy import stats
 
 import dlsec
 from dlsec.numerics import (NODES_MAX, NODES_MIN, Estimate, NonFiniteIntegrandError, RngSeed,
-                            halfline_nodes, mc_expect, tanh_sinh_nodes, weighted_sum)
+                            flip_point, halfline_nodes, mc_expect, tanh_sinh_nodes,
+                            weighted_sum)
 from dlsec.fading import parse_distribution
 
 
@@ -196,6 +197,45 @@ class TestCarriers:
         g1 = RngSeed(9, 4).generator()
         g2 = RngSeed(9, 4).generator()
         assert np.array_equal(g1.random(16), g2.random(16))
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+class TestFlipPoint:
+    @pytest.mark.parametrize("t", [5e-324, 1e-310, 2.2250738585072014e-308, 0.3, 1.0, 1e300,
+                                   FLOAT_MAX])
+    def test_adjacent_doubles_at_the_threshold(self, t):
+        """x >= t flips between t's lower neighbour and t itself, subnormal
+        thresholds included, in at most 63 evaluations over [0, float max]
+        and over [0, inf]."""
+        for hi in (FLOAT_MAX, math.inf):
+            calls = []
+            a, b = flip_point(lambda x: calls.append(x) or x >= t, 0.0, hi)
+            assert (a, b) == (math.nextafter(t, 0.0), t)
+            assert 0 < len(calls) <= 63 and all(0.0 < x < hi for x in calls)
+
+    def test_flip_at_either_end(self):
+        """A predicate true everywhere inside flips at lo's neighbour above;
+        one false everywhere inside flips at hi (inf included)."""
+        assert flip_point(lambda x: True, 0.0, 1.0) == (0.0, 5e-324)
+        assert flip_point(lambda x: False, 0.0, 1.0) == (math.nextafter(1.0, 0.0), 1.0)
+        assert flip_point(lambda x: False, 0.0, math.inf) == (FLOAT_MAX, math.inf)
+
+    def test_root_of_a_monotone_function(self):
+        """The two doubles that bracket sqrt(2) as x * x >= 2 sees it."""
+        a, b = flip_point(lambda x: x * x >= 2.0, 1.0, 2.0)
+        assert a * a < 2.0 <= b * b and b == math.nextafter(a, 2.0)
+        assert abs(b - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan)])
+    def test_needs_an_ordered_non_negative_bracket(self, lo, hi):
+        with pytest.raises(ValueError, match="need 0 <= lo < hi"):
+            flip_point(lambda x: True, lo, hi)
+
+    def test_negative_zero_is_zero(self):
+        assert flip_point(lambda x: x >= 1e-310, -0.0, 1.0)[1] == 1e-310
 
 
 def test_public_names_resolve():
