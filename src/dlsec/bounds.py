@@ -32,17 +32,19 @@ r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
 :func:`dlsec.fading.pair_rule`'s list (h_m > h_e), once per calibrated
 policy, and only for the families whose value reads it: an entry with
 delay floor 0 (upper bounds, lower_main) or common-rate cap 0 off a
-point-mass pair (lower_full) is worth 0 without it.  A result builds its
-diagnostics on first read, for the reported entry only, so `dlsec sweep`,
-which never reads them, builds none.  The law-only inputs of calibration
-are cached per law, so calibrating at a new budget is one division.
+point-mass pair (lower_full) is worth 0 without it.  A result's
+diagnostics record what its value computation observed and nothing more,
+so such an entry reports no expectation.  The law-only inputs of
+calibration are cached per law, so calibrating at a new budget is one
+division.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,34 +59,19 @@ DEFAULT_FULL_MENU = ("const", "full-inv", "main-inv")
 DEFAULT_MAIN_MENU = ("const", "main-inv")
 
 _CERT_TOL = 1e-9
+_NEAR_TIE = 1e-12  # relative margin a later menu entry needs to be reported (see _best)
 
 
+@dataclass
 class BoundResult:
-    """A bound value (nats/use), the maximizing policy, and diagnostics.
+    """A bound value (nats/use), the maximizing policy, the diagnostics its
+    value computation observed, and whether ``policy`` is the const
+    fallback of a menu with no usable entry (see :func:`usable`)."""
 
-    ``diagnostics`` is given as a dict, or as a zero-argument callable that
-    builds one on first read (the dict is then kept), so a caller that
-    reads only ``value`` never builds them.  ``fallback`` is True when no
-    menu entry was usable and ``policy`` is the const fallback (see
-    :func:`usable`).
-    """
-
-    __slots__ = ("value", "policy", "fallback", "_diagnostics")
-
-    def __init__(self, value: float, policy: PowerPolicy,
-                 diagnostics: dict | Callable[[], dict] | None = None, fallback: bool = False):
-        self.value, self.policy, self.fallback = value, policy, fallback
-        self._diagnostics = {} if diagnostics is None else diagnostics
-
-    @property
-    def diagnostics(self) -> dict:
-        if callable(self._diagnostics):
-            self._diagnostics = self._diagnostics()
-        return self._diagnostics
-
-    def __repr__(self) -> str:
-        return (f"BoundResult(value={self.value!r}, policy={self.policy!r}, "
-                f"diagnostics={self.diagnostics!r}, fallback={self.fallback!r})")
+    value: float
+    policy: PowerPolicy
+    diagnostics: dict = field(default_factory=dict)
+    fallback: bool = False
 
 
 class HighSnrLimit(NamedTuple):
@@ -117,11 +104,9 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
     (None picks the CSI case's default, which leaves out trunc-inv: it
     never beats const, see the module docstring) to the budget, score it
-    with ``objective(policy) -> (value, build)`` and keep the first maximum.
-    ``build()`` returns the entry's diagnostics dict.  Only the reported
-    entry's ``build`` is called, on the result's first read of
-    ``diagnostics``, so a caller that reads only ``value`` never builds
-    them.
+    with ``objective(policy) -> (value, diagnostics)`` and keep the first
+    maximum: a later entry replaces it only by beating it by more than
+    ``_NEAR_TIE`` relative, so a near-tie is not decided by rounding.
 
     Entries that need full CSI are ``skipped`` under main CSI, and families
     that do not calibrate (an inverse moment that diverges or overflows)
@@ -156,28 +141,23 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
             ties.append(entry)
             if len(ties) > 1:
                 continue
-        value, build = objective(pol)
-        if best is None or value > best[0]:
-            best = value, pol, build, entry
+        value, diag = objective(pol)
+        if best is None or value - best[0] > _NEAR_TIE * abs(best[0]):
+            best = value, pol, diag, entry
     if best is None:
         pol = PowerPolicy("const", p_bar)
-        value, build = objective(pol)
-        best = value, pol, build, None
-    value, pol, build, entry = best
-
-    def diagnostics() -> dict:
-        diag = build()
-        if entry is None:
-            diag["warning"] = "no requested family is usable; reporting const fallback"
-        if infeasible or entry is None:
-            diag["infeasible"] = infeasible
-        if ties[1:] and ties[0] == entry:
-            diag["tied_with"] = ties[1:]
-        if skipped:
-            diag["skipped"] = skipped
-        return diag
-
-    return BoundResult(value, pol, diagnostics, fallback=entry is None)
+        value, diag = objective(pol)
+        best = value, pol, diag, None
+    value, pol, diag, entry = best
+    if entry is None:
+        diag["warning"] = "no requested family is usable; reporting const fallback"
+    if infeasible or entry is None:
+        diag["infeasible"] = infeasible
+    if ties[1:] and ties[0] == entry:
+        diag["tied_with"] = ties[1:]
+    if skipped:
+        diag["skipped"] = skipped
+    return BoundResult(value, pol, diag, fallback=entry is None)
 
 
 def usable(result: BoundResult) -> BoundResult:
@@ -196,15 +176,14 @@ def usable(result: BoundResult) -> BoundResult:
     raise CsiError(f"policy {entry!r} {reason}: it reads h_e, which main CSI lacks")
 
 
-def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, Callable[[], dict]]:
+def _capped_secrecy_rate(pol, dist_m, dist_e, nodes) -> tuple[float, dict]:
     """The upper bounds' objective: min{E[r_s], ess-inf r_main}."""
     floor = delay_floor(pol, dist_m)
     if floor <= 0.0:
-        return 0.0, lambda: {"r_d_floor": floor, "binding": "r_d_floor"}
+        return 0.0, {"r_d_floor": floor, "binding": "r_d_floor"}
     ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
     binding = "r_s_expected" if ers <= floor else "r_d_floor"
-    return min(ers, floor), lambda: {"r_d_floor": floor, "r_s_expected": ers,
-                                     "binding": binding}
+    return min(ers, floor), {"r_d_floor": floor, "r_s_expected": ers, "binding": binding}
 
 
 def upper_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
@@ -242,18 +221,24 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     gives r_s - r_s' + min{r_s', cap} <= r_s, and kappa = v_m (r_s' = 0)
     attains r_s, so the first maximum of kappa = 0 and v_m is taken.
 
-    Off a point-mass pair, an entry whose cap ess-inf min(r_main, r_eve)
-    is 0 (every family but full-inv, and full-inv at zero power) is worth
-    exactly 0 at any kappa, so its E[r_s'] is evaluated only if that entry
-    is the one reported and its diagnostics are read.
+    The pad rate r_o = min{E[r_s'], cap}, cap = ess-inf min(r_main, r_eve),
+    fits the key budget and the common rate by construction, and
+    ``binding`` names the smaller term (the cap on a tie).  Off a
+    point-mass pair, an entry whose cap is 0 (every family but full-inv,
+    and full-inv at zero power) is worth exactly 0 at any kappa: its E[r_s']
+    is neither evaluated nor reported.
     """
     if q_kappa is not None and not q_kappa >= 0.0:
         raise ValueError(f"kappa must be >= 0, got {q_kappa}")
     kappa0 = 0.0 if q_kappa is None else float(q_kappa)
     point_mass = dist_m.is_degenerate and dist_e.is_degenerate
 
-    def objective(pol: PowerPolicy) -> tuple[float, Callable[[], dict]]:
+    def objective(pol: PowerPolicy) -> tuple[float, dict]:
         cap = common_rate_floor(pol, dist_m, dist_e)
+        if not point_mass and cap == 0.0:
+            # dfloor is 0 and E[r_s'] >= 0, so min{E[r_s'], 0} is 0 already
+            return 0.0, {"q_kappa": kappa0, "r_o_chosen": 0.0, "r_o_cap": cap,
+                         "r_dprime_floor": 0.0, "binding": "r_o_cap"}
 
         def value_at(kappa: float) -> tuple[float, dict]:
             key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
@@ -261,29 +246,22 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             if point_mass:  # the rule is the atom at weight 1: E[r_s''] is its ess-inf
                 dfloor = max(ergodic_secrecy_rate(pol, dist_m, dist_e, nodes) - key_mean, 0.0)
             r_o = min(key_mean, cap)
-            diag = {
+            return dfloor + r_o, {
                 "q_kappa": kappa,
                 "r_o_chosen": r_o,
                 "r_o_cap": cap,
                 "r_s_prime_expected": key_mean,
                 "r_dprime_floor": dfloor,
-                "key_budget_margin": key_mean - r_o,
-                "common_rate_margin": cap - r_o,
+                "binding": "r_o_cap" if cap <= key_mean else "r_s_prime_expected",
             }
-            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
-                                and diag["common_rate_margin"] >= -_CERT_TOL)
-            return dfloor + r_o, diag
 
-        if not point_mass and cap == 0.0:
-            # dfloor is 0 and E[r_s'] >= 0, so min{E[r_s'], 0} is 0 already
-            return 0.0, lambda: value_at(kappa0)[1]
         value, diag = value_at(kappa0)
         if point_mass and q_kappa is None:
             # kappa = v_m zeroes the key share, so the whole r_s is direct
             direct = value_at(dist_m.params[0])
             if direct[0] > value:
                 value, diag = direct
-        return value, lambda: diag
+        return value, diag
 
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
 
@@ -295,74 +273,61 @@ def key_rate(gap: np.ndarray, w: np.ndarray, r: float) -> float:
     return weighted_sum(w, np.maximum(gap - r, 0.0))
 
 
-def _fixed_point(policy: PowerPolicy, dist_m: FadingDistribution, dist_e: FadingDistribution,
-                 nodes: int) -> tuple[float, Callable[[], dict]]:
+def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
+                     dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
     """Solve R = min{K(R), R_d} for one calibrated main-CSI policy: R* and
-    a builder of its diagnostics (``lower_main``'s objective).
+    its diagnostics (``lower_main``'s objective).
 
     On the grid, K(R) = sum_i w_i (r_s,i - R)^+ over the shared r_s list
     of :func:`dlsec.rates.secrecy_gap`, and K(0) is E[r_s].  Newton's
     method from R = 0 on f(R) = R - K(R) lands each step on the root
     S / (1 + W) of the current segment's line, where S and W sum w_i r_s,i
     and w_i over the r_s,i above R (so the first iteration drops any zero
-    gaps: on the list of pairs with h_m > h_e, only trunc-inv's below its
-    cutoff, or rates that round to 0).  f is concave and increasing, so
-    the steps rise without passing the root.  An iteration after the first that drops no gap below R
-    would repeat the last step and return R itself, so it stops there: R
-    is the exact root on the crossing segment.  Between the first step and
-    that last iteration, each step crosses a breakpoint.  A step that
-    reaches R_d means K(R_d) >= R_d and the answer is R_d.
-    ``fixed_point_iterations`` counts the iterations, the last included,
-    ``key_balance_margin`` is min{K(R*), R_d} - R*, and ``binding`` is
-    "r_d_floor" when R* = R_d, else "key_rate".  The builder keeps no
-    array: it sums K(R*) on the cached r_s list.
+    gaps).  f is concave and increasing, so the steps rise without passing
+    the root, each crossing a breakpoint, until an iteration drops no gap:
+    its step would repeat the last, so R is the exact root on the crossing
+    segment, and K(R) = S - W R.  A step that reaches R_d means
+    K(R_d) >= R_d and the answer is R_d; K(R_d) is then summed once over
+    the loop's remaining gaps.  ``fixed_point_iterations`` counts the
+    iterations, the last included, ``key_balance_margin`` is
+    min{K(R*), R_d} - R*, and ``binding`` is "r_d_floor" when R* = R_d,
+    else "key_rate".
     """
     r_d = delay_floor(policy, dist_m)
+    if r_d <= 0.0:
+        return 0.0, {"r_d_floor": r_d, "fixed_point_iterations": 0, "key_rate_at_zero": 0.0,
+                     "key_balance_margin": 0.0, "feasible": True, "binding": "r_d_floor"}
+    g_act, k_zero = secrecy_gap(policy, dist_m, dist_e, nodes)
+    w_act = pair_rule(dist_m, dist_e, nodes).w
     root, iterations = 0.0, 0
-    if r_d > 0.0:
-        g_act = secrecy_gap(policy, dist_m, dist_e, nodes)[0]
-        w_act = pair_rule(dist_m, dist_e, nodes).w
-        while root < r_d:  # a step that reaches R_d ends the loop there
-            iterations += 1
-            above = g_act > root
-            if above.all():
-                if root > 0.0:  # no gap dropped: the step would repeat the last one, root
-                    break
-            else:
-                g_act, w_act = g_act[above], w_act[above]
-            step = weighted_sum(w_act, g_act) / (1.0 + float(w_act.sum()))
-            if step <= root:
+    while root < r_d:  # a step that reaches R_d ends the loop there
+        iterations += 1
+        above = g_act > root
+        if above.all():
+            if root > 0.0:  # no gap dropped: the step would repeat the last one, root
                 break
-            root = min(step, r_d)
-
-    def build() -> dict:
-        diag = {"r_d_floor": r_d, "fixed_point_iterations": iterations, "key_rate_at_zero": 0.0,
-                "key_balance_margin": 0.0, "feasible": True, "binding": "r_d_floor"}
-        if r_d > 0.0:
-            r_s, diag["key_rate_at_zero"] = secrecy_gap(policy, dist_m, dist_e, nodes)
-            k_root = key_rate(r_s, pair_rule(dist_m, dist_e, nodes).w, root)
-            diag["key_balance_margin"] = min(k_root, r_d) - root
-            diag["feasible"] = diag["key_balance_margin"] >= -_CERT_TOL
-            diag["binding"] = "r_d_floor" if root == r_d else "key_rate"
-        return diag
-
-    return root, build
-
-
-def fixed_point_rate(policy: PowerPolicy, dist_m: FadingDistribution,
-                     dist_e: FadingDistribution, nodes: int = 200) -> tuple[float, dict]:
-    """R* of R = min{K(R), R_d} and its diagnostics (see :func:`_fixed_point`)."""
-    root, build = _fixed_point(policy, dist_m, dist_e, nodes)
-    return root, build()
+        else:
+            g_act, w_act = g_act[above], w_act[above]
+        total, weight = weighted_sum(w_act, g_act), float(w_act.sum())
+        step = total / (1.0 + weight)
+        if step <= root:
+            break
+        root = min(step, r_d)
+    k_root = key_rate(g_act, w_act, r_d) if root == r_d else total - weight * root
+    margin = min(k_root, r_d) - root
+    return root, {"r_d_floor": r_d, "fixed_point_iterations": iterations,
+                  "key_rate_at_zero": k_zero, "key_balance_margin": margin,
+                  "feasible": margin >= -_CERT_TOL,
+                  "binding": "r_d_floor" if root == r_d else "key_rate"}
 
 
 def lower_main(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: float,
                family_menu: Sequence[str] | None = None, nodes: int = 200) -> BoundResult:
     """Achievable rate with only the main gain known: everything rides the
     one-time pad, and the sustainable rate is the fixed point of the key
-    balance (:func:`_fixed_point`), maximized over main-CSI families."""
+    balance (:func:`fixed_point_rate`), maximized over main-CSI families."""
     return _best(dist_m, dist_e, p_bar, family_menu, MAIN_CSI,
-                 lambda pol: _fixed_point(pol, dist_m, dist_e, nodes))
+                 lambda pol: fixed_point_rate(pol, dist_m, dist_e, nodes))
 
 
 def _log_ratio(a: float, b: float) -> float:

@@ -15,7 +15,7 @@ policy menu), 4 validation failure.
 SNR convention: pbar_db = 10*log10(p_bar) with unit noise variance.
 Flags override an optional plain-text config file of ``key = value`` lines
 (unknown keys are errors).  The environment variable DST_SEED supplies the
-default seed.
+default seed of the two commands that draw samples, simulate and validate.
 """
 
 from __future__ import annotations
@@ -84,10 +84,8 @@ _MENU = {
                    help="restrict the family menu: a comma list (repeatable)"),
     "q_kappa": _opt(cast=float, help="pin q(h) = max(h_e, kappa) instead of optimizing"),
 }
-_COMMON = {
-    "nodes": _opt(200, int, help="quadrature nodes per dimension"),
-    "seed": _opt(cast=int, help="RNG seed (default: $DST_SEED or 12345)"),
-}
+_NODES = {"nodes": _opt(200, int, help="quadrature nodes per dimension")}
+_SEED = {"seed": _opt(cast=int, help="RNG seed (default: $DST_SEED or 12345)")}
 # simulate's run settings are declared once, with their defaults, in SimConfig
 _SIM_DEFAULTS = {f.name: f.default for f in fields(SimConfig)}
 _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
@@ -98,7 +96,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_MENU,
         "bits": _opt(False, _parse_bool, action="store_const", const=True,
                      help="also report values in bits/use"),
-        **_COMMON,
+        **_NODES,
     }),
     "sweep": ("CSV of the bounds over an SNR grid", {
         **_DIST,
@@ -106,7 +104,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
                             help="grid: 'start:stop:step' (inclusive) or comma list"),
         **_MENU,
         "out": _opt(help="output CSV path (default stdout)"),
-        **_COMMON,
+        **_NODES,
     }),
     "simulate": ("run one protocol ledger", {
         "scheme": _opt("full", choices=SCHEMES),
@@ -121,12 +119,14 @@ _COMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "init": _opt(_SIM_DEFAULTS["init"], choices=INIT_MODES,
                      help="super-block-1 handling"),
         "out": _opt("simreport", help="output prefix for .json/.csv"),
-        **_COMMON,
+        **_NODES,
+        **_SEED,
     }),
     "validate": ("numeric cross-checks; nonzero exit on failure", {
         "quick": _opt(False, _parse_bool, action="store_const", const=True,
                       help="smaller sample sizes, subset of checks"),
-        **_COMMON,
+        **_NODES,
+        **_SEED,
     }),
 }
 
@@ -172,7 +172,7 @@ def _resolve_options(args: argparse.Namespace) -> argparse.Namespace:
     for dest, (default, _cast, _kw) in known.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, file_values.get(dest, default))
-    if args.seed is None:
+    if "seed" in known and args.seed is None:  # only the commands that draw samples
         args.seed = int(os.environ.get("DST_SEED", str(_FALLBACK_SEED)))
     args.nodes = _check_nodes(args.nodes)  # also where no quadrature rule is built
     return args

@@ -58,7 +58,7 @@ from .bounds import lower_full, lower_main, resolve_menu_entry, usable
 from .fading import ChannelState, FadingDistribution
 from .numerics import RngSeed, _check_nodes
 from .policy import calibrate
-from .rates import per_state_rates
+from .rates import expected_key_share, per_state_rates
 
 LN2 = math.log(2.0)
 
@@ -327,7 +327,8 @@ def simulate(config: SimConfig) -> SimReport:
         r_o = (1.0 - config.delta) * diag["r_o_chosen"]
         sched = int(_bits(r_o, n1))
         schedule = {"r_o": r_o, "otp_bits_per_block": sched,
-                    "key_share_expected": diag["r_s_prime_expected"],
+                    "key_share_expected": expected_key_share(pol, config.dist_m, config.dist_e,
+                                                             kappa, config.nodes),
                     "r_o_cap": diag["r_o_cap"], "backoff": config.delta}
         gen, direct, spendable_every = _bits(rb.r_s_prime, n1), _bits(rb.r_s_dprime, n1), 1
     elif config.scheme == "main":

@@ -1,14 +1,14 @@
-"""The eager menu pass: the reference the bounds' lazily built diagnostics
-must equal.
+"""The eager menu pass: the reference the bounds' results must equal.
 
-Every menu entry is resolved, calibrated and scored in menu order, and each
-scored entry's diagnostics are built as it is scored, so the result holds
-what a pass over every entry yields, with no laziness to hide a difference.
+Every menu entry is resolved, calibrated and scored in menu order, each
+scored entry's diagnostics are built as it is scored, and the point-mass
+rates are read at the atom in their own forms, so the result holds what a
+plain pass over every entry yields.
 """
 
 import numpy as np
 
-from dlsec.bounds import (_CERT_TOL, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
+from dlsec.bounds import (_NEAR_TIE, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
                           fixed_point_rate, lower_full, lower_main, resolve_menu_entry,
                           upper_full)
 from dlsec.fading import ChannelState
@@ -22,10 +22,9 @@ from flat_grid import ratio_gap
 
 def eager_best(dm, de, p_bar, menu, csi, objective):
     """The menu pass with every entry's diagnostics built as it is scored,
-    for an ``objective(policy) -> (value, dict)``; the fallback is marked
-    by its ``warning`` alone (read by :func:`eager_usable`).  An objective
-    may return, in place of the dict, the error that building diagnostics
-    its value does not need raised: it is raised if that entry is reported."""
+    for an ``objective(policy) -> (value, dict)``: a later entry wins only
+    by more than ``_NEAR_TIE`` of the first maximum.  The fallback is
+    marked by its ``warning`` alone (read by :func:`eager_usable`)."""
     best, infeasible, skipped, ties = None, {}, {}, []
     if menu is None:
         menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
@@ -45,15 +44,13 @@ def eager_best(dm, de, p_bar, menu, csi, objective):
             if len(ties) > 1:
                 continue
         value, diag = objective(pol)
-        if best is None or value > best[0]:
+        if best is None or value > best[0] + _NEAR_TIE * abs(best[0]):
             best = value, pol, diag, entry
     if best is None:
         pol = PowerPolicy("const", p_bar)
         value, diag = objective(pol)
         best = value, pol, diag, None
     value, pol, diag, entry = best
-    if isinstance(diag, ValueError):
-        raise diag
     if entry is None:
         diag["warning"] = "no requested family is usable; reporting const fallback"
     if infeasible or entry is None:
@@ -92,16 +89,19 @@ def eager_capped_secrecy_rate(pol, dm, de):
 
 def eager_lower_full_objective(dm, de, q_kappa=None):
     """lower_full's objective with every entry's rates and diagnostics
-    built as it is scored: off a point-mass pair E[r_s'] is evaluated
-    whatever the cap, and on one every rate is read at the atom, r_s in
-    the ratio form (0 where v_m <= v_e) and r_s' at kappa > 0 off
-    per_state_rates.  An entry worth 0 by its cap alone needs E[r_s'] only
-    for its diagnostics, so an error there is returned in their place."""
+    built as it is scored: off a point-mass pair an entry with cap 0 is
+    worth 0 and reports no E[r_s'], and on one every rate is read at the
+    atom, r_s in the ratio form (0 where v_m <= v_e) and r_s' at kappa > 0
+    off per_state_rates."""
     atom = (ChannelState(dm.params[0], de.params[0])
             if dm.is_degenerate and de.is_degenerate else None)
 
     def objective(pol):
         cap = common_rate_floor(pol, dm, de)
+        kappa0 = 0.0 if q_kappa is None else q_kappa
+        if atom is None and cap == 0.0:
+            return 0.0, {"q_kappa": kappa0, "r_o_chosen": 0.0, "r_o_cap": cap,
+                         "r_dprime_floor": 0.0, "binding": "r_o_cap"}
 
         def value_at(kappa):
             if atom is not None:
@@ -115,17 +115,9 @@ def eager_lower_full_objective(dm, de, q_kappa=None):
             r_o = min(key_mean, cap)
             diag = {"q_kappa": kappa, "r_o_chosen": r_o, "r_o_cap": cap,
                     "r_s_prime_expected": key_mean, "r_dprime_floor": dfloor,
-                    "key_budget_margin": key_mean - r_o, "common_rate_margin": cap - r_o}
-            diag["feasible"] = (diag["key_budget_margin"] >= -_CERT_TOL
-                                and diag["common_rate_margin"] >= -_CERT_TOL)
+                    "binding": "r_o_cap" if cap <= key_mean else "r_s_prime_expected"}
             return dfloor + r_o, diag
 
-        kappa0 = 0.0 if q_kappa is None else q_kappa
-        if atom is None and cap == 0.0:
-            try:
-                return 0.0, value_at(kappa0)[1]
-            except ValueError as err:
-                return 0.0, err
         best = value_at(kappa0)
         if atom is not None and q_kappa is None:
             direct = value_at(atom.h_m)

@@ -538,3 +538,55 @@ class TestConfigFileAndEnv:
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["config"]["seed"]["seed"] == 99
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bounds", ()), ("sweep", ("--snr-db-grid", "0:20:10")),
+    ])
+    def test_seedless_commands_take_no_seed(self, capsys, tmp_path, monkeypatch, command,
+                                            extra):
+        """bounds and sweep draw no samples: a DST_SEED that is no integer
+        does not stop them, and --seed or a seed line in their config file
+        is a usage error."""
+        monkeypatch.setenv("DST_SEED", "abc")
+        code, _, err = run_cli(capsys, command, *extra, "--nodes", "16")
+        assert (code, err) == (EXIT_OK, "")
+        with pytest.raises(SystemExit) as stop:
+            main([command, *extra, "--seed", "5"])
+        assert stop.value.code == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        code, _, err = run_cli(capsys, command, *extra, "--config", str(cfg))
+        assert code == EXIT_USAGE and "unknown key 'seed'" in err
+
+
+class ReadRecorder:
+    """A resolved namespace that records which options are read."""
+
+    def __init__(self, args):
+        self._values, self.read = vars(args), set()
+
+    def __getattr__(self, name):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self._values[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--nodes", "16"],
+    ["sweep", "--snr-db-grid", "0:10:10", "--nodes", "16"],
+    ["simulate", "-a", "10", "-b", "2", "--n1", "100"],
+    ["validate", "--quick"],
+], ids=lambda argv: argv[0])
+def test_every_declared_option_is_read(capsys, tmp_path, argv):
+    """Each command's handler reads every option cli._COMMANDS declares for
+    it, so no flag or config key is accepted and then ignored."""
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "run")]
+    args = cli._resolve_options(cli.build_parser().parse_args(argv))
+    handler = {"bounds": cli.cmd_bounds, "sweep": cli.cmd_sweep,
+               "simulate": cli.cmd_simulate, "validate": cli.cmd_validate}[argv[0]]
+    recorder = ReadRecorder(args)
+    assert handler(recorder) == EXIT_OK
+    capsys.readouterr()
+    assert set(cli._COMMANDS[argv[0]][1]) - recorder.read == set()

@@ -365,6 +365,24 @@ class TestScheduleFromBound:
         assert secure == int(_bits(rate, config.n1))
         assert abs(secure - rate * config.n1 / LN2) <= 0.5
 
+    @pytest.mark.parametrize("spec_m, spec_e, seed, want", [
+        ("const:3", "const:1", 1, 7483), ("const:3", "const:1", 2, 7483),
+        ("const:1000", "const:0.01", 1, 74146)])
+    def test_point_mass_main_delivers_lower_main(self, spec_m, spec_e, seed, want):
+        """On a point-mass pair at the CLI defaults, every state gives the
+        same key rate, so the main scheme never starves, and the blocks of
+        super-blocks 2 on carry, on average, the bits of (1 - delta) times
+        lower_main (unrounded: 7 483.19 and 74 145.86)."""
+        dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+        config = SimConfig(scheme="main", dist_m=dm, dist_e=de, p_bar=100.0,
+                           seed=RngSeed(seed))
+        bound = lower_main(dm, de, 100.0, [config.policy_spec()])
+        rep = simulate(config)
+        assert rep.starvation_events == 0
+        later = rep.records[rep.records.m >= 2]
+        secure = float(np.mean(later.data_delivered - later.insecure_bits))
+        assert secure == int(_bits((1.0 - config.delta) * bound.value, config.n1)) == want
+
     @pytest.mark.parametrize("scheme", ["full", "main", "baseline"])
     def test_unset_kappa_reports_the_kappa_used(self, scheme):
         config = make_config(scheme=scheme, a=5, b=2)
