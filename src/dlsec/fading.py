@@ -366,8 +366,9 @@ class PairRule:
     pairs are j = 0, 1, ... up to the first eavesdropper node at or above
     h_m[i]; they sit at ``starts[i]`` up to ``starts[i + 1]`` of the list.
     Per pair, ``w`` holds the weight and ``ratio`` the gain ratio
-    h_e[j] / h_m[i] (< 1).  The indices are derived from ``starts`` when
-    needed (:meth:`indices`), not kept.
+    h_e[j] / h_m[i] (< 1), and ``w_total`` is the weights' sum, P(h_m > h_e)
+    on the rule.  The indices are derived from ``starts`` when needed
+    (:meth:`indices`), not kept.
     """
 
     h_m: np.ndarray
@@ -375,6 +376,7 @@ class PairRule:
     starts: np.ndarray
     w: np.ndarray
     ratio: np.ndarray
+    w_total: float
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) of every pair of the list, derived from the row starts."""
@@ -431,7 +433,8 @@ def pair_rule(dist_m: FadingDistribution, dist_e: FadingDistribution,
     counts = np.searchsorted(xe, xm)  # row i: the eavesdropper nodes below xm[i]
     starts = np.concatenate(([0], np.cumsum(counts)))
     j = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
-    rule = PairRule(xm, xe, starts, np.repeat(wm, counts) * we[j], xe[j] / np.repeat(xm, counts))
+    w = np.repeat(wm, counts) * we[j]
+    rule = PairRule(xm, xe, starts, w, xe[j] / np.repeat(xm, counts), float(w.sum()))
     for a in (rule.h_m, rule.h_e, rule.starts, rule.w, rule.ratio):
         a.flags.writeable = False
     return rule

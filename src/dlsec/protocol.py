@@ -326,9 +326,10 @@ def simulate(config: SimConfig) -> SimReport:
     if config.scheme == "full":
         r_o = (1.0 - config.delta) * diag["r_o_chosen"]
         sched = int(_bits(r_o, n1))
-        schedule = {"r_o": r_o, "otp_bits_per_block": sched,
-                    "key_share_expected": expected_key_share(pol, config.dist_m, config.dist_e,
-                                                             kappa, config.nodes),
+        key_share = diag.get("r_s_prime_expected")
+        if key_share is None:  # a zero-cap entry: lower_full's value did not read E[r_s']
+            key_share = expected_key_share(pol, config.dist_m, config.dist_e, kappa, config.nodes)
+        schedule = {"r_o": r_o, "otp_bits_per_block": sched, "key_share_expected": key_share,
                     "r_o_cap": diag["r_o_cap"], "backoff": config.delta}
         gen, direct, spendable_every = _bits(rb.r_s_prime, n1), _bits(rb.r_s_dprime, n1), 1
     elif config.scheme == "main":

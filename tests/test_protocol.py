@@ -391,6 +391,29 @@ class TestScheduleFromBound:
         assert rep.config.q_kappa == 0.0
         assert json.loads(rep.to_json())["config"]["q_kappa"] == 0.0
 
+    @pytest.mark.parametrize("policy", ["full-inv", "main-inv"])
+    def test_positive_kappa_sums_the_key_share_once(self, policy, monkeypatch):
+        """At kappa > 0, E[r_s'] runs the per-state path over the pair list.
+        full-inv's entry reports it, and the schedule reads it off the
+        bound; main-inv's common-rate cap is 0, so lower_full does not
+        evaluate it, and the schedule does, once."""
+        import dlsec.bounds as bounds_module
+        import dlsec.protocol as protocol_module
+        from dlsec.rates import expected_key_share
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].family)
+            return expected_key_share(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "expected_key_share", counted)
+        monkeypatch.setattr(protocol_module, "expected_key_share", counted)
+        rep = simulate(make_config(q_kappa=0.7, policy=policy, a=5, b=2))
+        assert calls == [policy]
+        diag = lower_full(CHISQ4, CHISQ4, 100.0, [policy], q_kappa=0.7).diagnostics
+        share = rep.to_json_dict()["schedule"]["key_share_expected"]
+        assert share == diag.get("r_s_prime_expected", share) > 0.0
+
     def test_main_rejects_a_full_csi_policy(self):
         with pytest.raises(CsiError, match="'full-inv' needs full CSI"):
             simulate(make_config(scheme="main", policy="full-inv", a=5, b=2))
@@ -583,7 +606,11 @@ class TestEncoders:
 # digests moved again when the rate functionals came to be summed over the
 # node pairs with h_m > h_e only: schedule.r_o and key_share_expected (which
 # echo lower_full) by <= 1.6e-15 relative, and nothing else (see
-# PRE_PAIR_LIST_SCHEDULES); the CSV kept every byte (CSV_DIGESTS).
+# PRE_PAIR_LIST_SCHEDULES); the CSV kept every byte (CSV_DIGESTS).  The 16
+# main digests moved again when the fixed point came to take its segment
+# sums off the gaps it drops: schedule.fixed_point_rate and data_rate (which
+# echo lower_main) by <= 3.9e-16 relative, and nothing else (see
+# PRE_DROPPED_GAP_SCHEDULES).
 LEDGER_DIGESTS = {
     ("full", "insecure", 0.0, 0, 2, 100):
         "3e473c30789580a4e9aff0375e864779829cac37a412df50c8dbde8da6197878",
@@ -618,37 +645,37 @@ LEDGER_DIGESTS = {
     ("full", "dedicated", 0.05, 1, 50, 6):
         "363e29dd1c8e07ef95b5d79bcecec407189b3ec49904e9943ab0f4fe42d32a7d",
     ("main", "insecure", 0.0, 0, 2, 100):
-        "50136d8c6efb31f854ce3d7cf22581f6302a32bc673b45d3465f11d0f94ddc57",
+        "dee931ce864966a7e51da937bab8d9ab867ae531721c9d27d24bbbdee2c6671c",
     ("main", "insecure", 0.0, 0, 50, 6):
-        "5e95ce4748063dac3521527519414161990ce057739756cbc6e138752b390d29",
+        "05fe11906af5c722ce16280b59054c46de08728968cc77f319a6eb2ebaed1612",
     ("main", "insecure", 0.0, 1, 2, 100):
-        "22f4fdba308a5349891b1aefbb1d8eb2fdcf3cfa2eece0d2157cfe77be5295c6",
+        "8b7540fb56c5289646322f39aaa472e985b8fe0b424a80f4fb6c4796726e65d3",
     ("main", "insecure", 0.0, 1, 50, 6):
-        "f27f74d2470d8cbc1cea62fa5088d5f7b14fc04123cb9387468a3e9678f653a8",
+        "8b8b9a381bc59f494aeee2656ba9ccbb7651b1dd460855e1baa9dc330db78323",
     ("main", "insecure", 0.05, 0, 2, 100):
-        "f77d433ef3a6eaef54098d2b33b734b7c86b4e22b20df52b02a781d2965ee201",
+        "b0f28ef0fde77091be846aecd480e90eb5ef2c19a77baef7c56b4ec8021e9def",
     ("main", "insecure", 0.05, 0, 50, 6):
-        "a4289fcf89932d2bfd056988ffd00bf463ce548574fa3b6c02e5e417dbf1a53c",
+        "a15a71def26fa71f8646a2c049c973bedf391380ebc04309c89c4804e95a4bd0",
     ("main", "insecure", 0.05, 1, 2, 100):
-        "5a153eabb1d227b9dd76b0a17e3681e7070bc385b221997fc6450b8a4a03f872",
+        "e0cac1964ec511dd43005e95cd8d613bb8a7213c3228358e16e122830d5f284d",
     ("main", "insecure", 0.05, 1, 50, 6):
-        "2fafad68528c1304c0ee1438a6fa82fecc1b3f310f5fd8afd3d87b412b7ff4b4",
+        "fe24d18e1e65e0c8fb4d1d729f31803aad9d38a9e7807e563f37fcc363e9bb13",
     ("main", "dedicated", 0.0, 0, 2, 100):
-        "9e3cd6c5da60b94f8a0ead2955da9602ee347d96e7314fcdac1680ebde6e8864",
+        "da1f4b8e4ce1b59c860e95c584002daeb7e29adc40f72ab0d102f8e3bcae81a1",
     ("main", "dedicated", 0.0, 0, 50, 6):
-        "248ae9db88cae43a3b4da529f005f0680caf991ab6bd9f6be35263c70fc8def1",
+        "1a80af144b7fd7e1f7d7fe8e654d1b31e0c73b9f3e893d78eddac2e711c22948",
     ("main", "dedicated", 0.0, 1, 2, 100):
-        "ea65b2996e4c2d6ec17ba696bdde4b52e02f59853ce4e9a56013f0b8f9f50164",
+        "5ea5bbf5c6d78f011bfc07963a348bd4d1d8ba898bc9879bcf53be5be77b307b",
     ("main", "dedicated", 0.0, 1, 50, 6):
-        "4577dd6a33f7a9744602af69ac8712ed9d8bbd201af1e5024d2c9976f3b8a5e5",
+        "b5e7a58c4a3364f4c3d38f3374dc7fc24fab73ee52b0a5baa55131d1d431922c",
     ("main", "dedicated", 0.05, 0, 2, 100):
-        "9cdc679b3215b552dfd99651bb03a8ea2c3ea3c8fab13d573428c774317b03d3",
+        "de210504f217d1a6a3406ea7a5127ca2e416449548488a295094fa547a8ff152",
     ("main", "dedicated", 0.05, 0, 50, 6):
-        "a34862add11b1f8c695d3a40bc594d18ace5412b99c79a1b1a887b6b8e744a76",
+        "84aa87bdfd7ec229b44562306eb75d220bf56439ad243ef9a8175e6e0c2dbe58",
     ("main", "dedicated", 0.05, 1, 2, 100):
-        "adc48923a4e2151d314fdce6176ca4977b04f2c17ed9b1bf6830ae6b4080d548",
+        "f04cfb98b7cd7195f2407bf6496360685a3f7b314c066c788e8443934eaf0cc1",
     ("main", "dedicated", 0.05, 1, 50, 6):
-        "f93dd7667521c953f65a60b41172d7d9fe68ba9fd69e7aa37b4ccaaa4ec1490f",
+        "7f294286a2d9e186be33b6c31be213b084c7961005982a090d0727ed7b863d7a",
     ("baseline", "insecure", 0.0, 0, 2, 100):
         "19557761ad4b73ccde78ecec97c8860794798dd96e787a0b7e135d32d3f9c7c2",
     ("baseline", "insecure", 0.0, 0, 50, 6):
@@ -895,6 +922,61 @@ PRE_PAIR_LIST_SCHEDULES = {
 }
 
 
+# The main configurations whose JSON moved when the fixed point came to take
+# its segment sums off the gaps it drops: the earlier sha256 of to_json() +
+# csv_text(), and the earlier schedule.fixed_point_rate and data_rate.
+PRE_DROPPED_GAP_SCHEDULES = {
+    ('main', 'dedicated', 0.0, 0, 2, 100):
+        ('9e3cd6c5da60b94f8a0ead2955da9602ee347d96e7314fcdac1680ebde6e8864',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'dedicated', 0.0, 0, 50, 6):
+        ('248ae9db88cae43a3b4da529f005f0680caf991ab6bd9f6be35263c70fc8def1',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'dedicated', 0.0, 1, 2, 100):
+        ('ea65b2996e4c2d6ec17ba696bdde4b52e02f59853ce4e9a56013f0b8f9f50164',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'dedicated', 0.0, 1, 50, 6):
+        ('4577dd6a33f7a9744602af69ac8712ed9d8bbd201af1e5024d2c9976f3b8a5e5',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'dedicated', 0.05, 0, 2, 100):
+        ('9cdc679b3215b552dfd99651bb03a8ea2c3ea3c8fab13d573428c774317b03d3',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'dedicated', 0.05, 0, 50, 6):
+        ('a34862add11b1f8c695d3a40bc594d18ace5412b99c79a1b1a887b6b8e744a76',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'dedicated', 0.05, 1, 2, 100):
+        ('adc48923a4e2151d314fdce6176ca4977b04f2c17ed9b1bf6830ae6b4080d548',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'dedicated', 0.05, 1, 50, 6):
+        ('f93dd7667521c953f65a60b41172d7d9fe68ba9fd69e7aa37b4ccaaa4ec1490f',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'insecure', 0.0, 0, 2, 100):
+        ('50136d8c6efb31f854ce3d7cf22581f6302a32bc673b45d3465f11d0f94ddc57',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'insecure', 0.0, 0, 50, 6):
+        ('5e95ce4748063dac3521527519414161990ce057739756cbc6e138752b390d29',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'insecure', 0.0, 1, 2, 100):
+        ('22f4fdba308a5349891b1aefbb1d8eb2fdcf3cfa2eece0d2157cfe77be5295c6',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'insecure', 0.0, 1, 50, 6):
+        ('f27f74d2470d8cbc1cea62fa5088d5f7b14fc04123cb9387468a3e9678f653a8',
+         0.30290537634182013, 0.30290537634182013),
+    ('main', 'insecure', 0.05, 0, 2, 100):
+        ('f77d433ef3a6eaef54098d2b33b734b7c86b4e22b20df52b02a781d2965ee201',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'insecure', 0.05, 0, 50, 6):
+        ('a4289fcf89932d2bfd056988ffd00bf463ce548574fa3b6c02e5e417dbf1a53c',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'insecure', 0.05, 1, 2, 100):
+        ('5a153eabb1d227b9dd76b0a17e3681e7070bc385b221997fc6450b8a4a03f872',
+         0.30290537634182013, 0.28776010752472914),
+    ('main', 'insecure', 0.05, 1, 50, 6):
+        ('2fafad68528c1304c0ee1438a6fa82fecc1b3f310f5fd8afd3d87b412b7ff4b4',
+         0.30290537634182013, 0.28776010752472914),
+}
+
+
 def pinned_report(key):
     """The report of a LEDGER_DIGESTS key or a KAPPA_DIGESTS case."""
     if isinstance(key, str):
@@ -919,6 +1001,22 @@ def test_json_moved_only_in_the_schedule_rates(key):
     doc = rep.to_json_dict()
     for name, old in (("r_o", old_r_o), ("key_share_expected", old_share)):
         assert abs(doc["schedule"][name] - old) <= 2e-15 * abs(old)
+        doc["schedule"][name] = old
+    text = json.dumps(doc, sort_keys=True, indent=1) + rep.csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == old_digest
+
+
+@pytest.mark.parametrize("key", sorted(PRE_DROPPED_GAP_SCHEDULES, key=repr), ids=repr)
+def test_main_json_moved_only_in_the_fixed_point_rates(key):
+    """With the fixed-point rate and the data rate set back to their earlier
+    values the document is the earlier one byte for byte; each moved by
+    <= 4e-16 relative."""
+    old_digest, old_rate, old_data_rate = PRE_DROPPED_GAP_SCHEDULES[key]
+    rep = pinned_report(key)
+    doc = rep.to_json_dict()
+    for name, old in (("fixed_point_rate", old_rate), ("data_rate", old_data_rate)):
+        assert doc["schedule"][name] != old
+        assert abs(doc["schedule"][name] - old) <= 4e-16 * abs(old)
         doc["schedule"][name] = old
     text = json.dumps(doc, sort_keys=True, indent=1) + rep.csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == old_digest
