@@ -18,14 +18,8 @@ K(0) = E[r_s] and the list's total weight, less the sums over the few
 gaps at or below R.  :func:`key_rate` evaluates K at one R.
 
 The default menus are const, full-inv and main-inv (full CSI) and const
-and main-inv (main CSI).  The bounds are delay-limited, and trunc-inv
-sends nothing below its cutoff: on a continuous main law its delay floor
-(upper bounds, lower_main) and its common-rate cap (lower_full) are 0, and
-on a point-mass main gain v its median cutoff is v, where it ties with
-const.  It can never beat const, which comes first and always calibrates,
-so it is not in a default menu; an explicit menu may name it.  A default
-menu resolves no median cutoff, so trunc-inv is never named in its
-``tied_with`` or ``infeasible``.
+and main-inv (main CSI), every family of the policy grammar that each CSI
+case allows; an explicit menu may name any of them, in any order.
 
 All four bounds integrate the same per-state secrecy rate
 r_s = [r_main - r_eve]^+: E[r_s] (upper bounds), E[r_s'] at q = h_e
@@ -45,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,40 +80,26 @@ class HighSnrLimit(NamedTuple):
     quad_error: float
 
 
-@lru_cache(maxsize=64)
-def resolve_menu_entry(entry: str, dist_m: FadingDistribution) -> tuple[str, float]:
-    """Menu entries follow the policy grammar; a bare 'trunc-inv' defaults
-    its cutoff to the median main gain (a law-only quantile, hence the
-    cache), and a median that underflows to 0 leaves it no positive cutoff:
-    NonInvertibleChannelError, as for a cutoff with no mass above it."""
-    if entry.strip().lower() == "trunc-inv":
-        median = dist_m.quantile(0.5)
-        if median == 0.0:
-            raise NonInvertibleChannelError(
-                f"trunc-inv: the median cutoff of {dist_m.spec()} underflows to 0")
-        return "trunc-inv", median
-    return parse_policy(entry)
-
-
 def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
     """The menu pass behind every bound: calibrate each entry of the menu
-    (None picks the CSI case's default, which leaves out trunc-inv: it
-    never beats const, see the module docstring) to the budget, score it
-    with ``objective(policy) -> (value, diagnostics)`` and keep the first
+    (None picks the CSI case's default) to the budget, score it with
+    ``objective(policy) -> (value, diagnostics)`` and keep the first
     maximum: a later entry replaces it only by beating it by more than
     ``_NEAR_TIE`` relative, so a near-tie is not decided by rounding.
 
-    Entries that need full CSI are ``skipped`` under main CSI, and families
-    that do not calibrate (an inverse moment that diverges or overflows)
-    are recorded as ``infeasible``.  On a point-mass main gain v, const,
-    main-inv and trunc-inv with a cutoff <= v all transmit p_bar in every
-    state, and so does full-inv when the eavesdropper gain is a point mass
-    too: each is calibrated, but only the first that calibrates is scored,
-    and its diagnostics name the others as ``tied_with``, so the reported
-    family does not hang on last-ulp noise (each family forms its rates
-    its own way: see :func:`dlsec.rates.secrecy_gap`).  When no entry is
-    usable, constant power is scored by the same objective and reported
-    as the ``fallback``, with a warning (see :func:`usable`).
+    Entries are parsed by :func:`~dlsec.policy.parse_policy`, whose
+    ValueError on a bad or retired entry propagates.  Entries that need
+    full CSI are ``skipped`` under main CSI, and families that do not
+    calibrate (an inverse moment that diverges or overflows) are recorded
+    as ``infeasible``.  On a point-mass main gain, const and main-inv both
+    transmit p_bar in every state, and so does full-inv when the
+    eavesdropper gain is a point mass too: each is calibrated, but only the
+    first that calibrates is scored, and its diagnostics name the others as
+    ``tied_with``, so the reported family does not hang on last-ulp noise
+    (each family forms its rates its own way: see
+    :func:`dlsec.rates.secrecy_gap`).  When no entry is usable, constant
+    power is scored by the same objective and reported as the
+    ``fallback``, with a warning (see :func:`usable`).
     """
     best = None
     infeasible: dict[str, str] = {}
@@ -130,16 +109,15 @@ def _best(dist_m, dist_e, p_bar, family_menu, csi, objective) -> BoundResult:
         family_menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
     for entry in family_menu:
         try:
-            family, h_min = resolve_menu_entry(entry, dist_m)
+            family = parse_policy(entry)
             if csi == MAIN_CSI and family == "full-inv":
                 skipped[entry] = "needs full CSI"
                 continue
-            pol = calibrate(family, dist_m, dist_e, p_bar, h_min)
+            pol = calibrate(family, dist_m, dist_e, p_bar)
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
-        if (dist_m.is_degenerate and pol.h_min <= dist_m.params[0]
-                and (family != "full-inv" or dist_e.is_degenerate)):
+        if dist_m.is_degenerate and (family != "full-inv" or dist_e.is_degenerate):
             ties.append(entry)
             if len(ties) > 1:
                 continue

@@ -201,7 +201,7 @@ def _bound_json(result, bits: bool) -> dict:
     pol = result.policy
     out = {
         "value": result.value,
-        "policy": {"family": pol.family, "c": pol.c, "h_min": pol.h_min},
+        "policy": {"family": pol.family, "c": pol.c},
         "diagnostics": result.diagnostics,
     }
     if bits:

@@ -17,9 +17,8 @@ y = k + 1 and a modified-Lentz continued fraction for Q = 1 - P above it
 (Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2), in pure
 :mod:`math` on one scalar; an array maps it element by element.  The
 inverse moments that calibrate channel inversion are closed forms on the
-same recurrences, an incomplete gamma of order in (-1, 1] and the
-regularized incomplete beta (Numerical Recipes section 6.4), so they hold
-for every scale the grammar accepts.
+same recurrences and the regularized incomplete beta (Numerical Recipes
+section 6.4), so they hold for every scale the grammar accepts.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 # ChannelState is defined in the leaf module numerics and re-exported here.
-from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, flip_point,
-                       halfline_nodes, weighted_sum)
+from .numerics import (SHAPE_MAX, SHAPE_MIN, ChannelState, RngSeed, halfline_nodes,
+                       weighted_sum)
 
 # Every kind of the grammar, once: its parameter count and the map from its
 # parameters to its canonical gamma (shape, scale), None for the point mass.
@@ -48,15 +47,13 @@ _EPS = 2.0 ** -52  # the series stops once a term is below this share of the sum
 # stops at 4 ulps; a test of 1 ulp could wait forever on one element.
 _CF_TOL = 4.0 * _EPS
 _FLOAT_MAX = float(np.finfo(float).max)
-_TINY = float(np.finfo(float).tiny)  # the smallest normal float
-_EULER_GAMMA = 0.5772156649015329
 
 
 def _gamma_cf(k: float, y: float) -> float:
     """The h with Gamma(k, y) = y^k e^-y h, by the modified-Lentz continued
-    fraction (DLMF 8.9.2) at y >= max(k + 1, 1).  There its Lentz ratios
+    fraction (DLMF 8.9.2) at y >= k + 1, k > 0.  There its Lentz ratios
     stay positive (c > b/2 and d > 7e-5/b, b the current partial denominator,
-    on shapes 1e-4 to 1e5 and on orders -1 to 1), so it needs no zero guard.
+    on shapes 1e-4 to 1e5 and on orders 0 to 1), so it needs no zero guard.
     """
     b = y + 1.0 - k
     c = math.inf
@@ -96,25 +93,6 @@ def _gamma_pq(k: float, y: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
-def _upper_gamma(a: float, y: float) -> float:
-    """Gamma(a, y) for -1 < a <= 1 and finite y > 0, where Q = 1 - P cancels.
-
-    From y = 1 on, the continued fraction; below, Gamma(a, 1) plus
-    int_y^1 t^(a-1) e^-t dt = sum_n (-1)^n (1 - y^(a+n)) / (n! (a+n)) (-log y
-    at n = a = 0), which is at least 1/e of its first term: no cancellation.
-    """
-    if y >= 1.0:
-        return math.exp(a * math.log(y) - y) * _gamma_cf(a, y)
-    log_y = math.log(y)
-    total = math.exp(-1.0) * _gamma_cf(a, 1.0)
-    for n in itertools.count():
-        e = a + n
-        term = (-log_y if e == 0.0 else -math.expm1(e * log_y) / e) / math.factorial(n)
-        total += -term if n % 2 else term
-        if term < total * _EPS:
-            return total
-
-
 def _beta_reg(a: float, b: float, x: float, x1: float) -> float:
     """I_x(a, b), with x1 = 1 - x given apart so both keep their relative
     accuracy: the continued fraction of Numerical Recipes 3rd ed. section
@@ -139,19 +117,6 @@ def _beta_reg(a: float, b: float, x: float, x1: float) -> float:
             h *= d * c
         if abs(d * c - 1.0) <= _CF_TOL:
             return 1.0 - front * h if flip else front * h
-
-
-def _gamma_quantile(k: float, p: float) -> float:
-    """The y with P(k, y) = p, for 0 < p < 1: the lower of the two adjacent
-    doubles where the test flips (so 0.0 where the quantile underflows).
-    The test is P >= p where P <= 1/2 and Q <= 1 - p above the median (1 - p
-    is exact for p > 1/2), so each tail keeps its relative accuracy.
-    """
-    def above(y: float) -> bool:
-        lower, upper = _gamma_pq(k, y)
-        return lower >= p if lower <= 0.5 else upper <= 1.0 - p
-
-    return flip_point(above, 0.0, math.inf)[0]
 
 
 @dataclass(frozen=True)
@@ -240,15 +205,6 @@ class FadingDistribution:
             out = np.reshape([_gamma_pq(k, v / theta)[0] for v in arr.ravel().tolist()], arr.shape)
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, p: float) -> float:
-        """The x with P(h <= x) = p, 0 < p < 1; below the smallest normal
-        float (2.2e-308) only roughly, and 0.0 where it underflows."""
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {p}")
-        if self.is_degenerate:
-            return self.params[0]
-        return self.scale * _gamma_quantile(self.shape, float(p))
-
     def sample(self, rng: RngSeed | np.random.Generator, n: int) -> np.ndarray:
         """n iid draws; deterministic given an RngSeed."""
         if n < 1:
@@ -295,39 +251,6 @@ def inverse_moment(dist: FadingDistribution) -> float:
         return math.inf
     scale = dist.params[0] if dist.is_degenerate else (dist.shape - 1.0) * dist.scale
     return 1.0 / scale if scale > 0.0 else math.inf  # (k-1)*theta can underflow to 0
-
-
-@lru_cache(maxsize=64)
-def truncated_inverse_moment(dist: FadingDistribution, h_min: float) -> float:
-    """E[1/h restricted to h >= h_min]; finite for every h_min > 0.
-
-    For Gamma(k, theta) and y = h_min / theta: Gamma(k-1, y) / (Gamma(k) theta),
-    that is Q(k-1, y) / ((k-1) theta) for k > 2.  Law-only, so cached: a
-    sweep whose menu names trunc-inv calibrates it at every SNR point
-    against the same moment.
-    """
-    if not h_min >= 0:
-        raise ValueError(f"h_min must be >= 0, got {h_min}")
-    if dist.is_degenerate:
-        v = dist.params[0]
-        return 1.0 / v if v >= h_min else 0.0
-    k, theta = dist.shape, dist.scale
-    y = h_min / theta
-    if h_min == 0.0 or y == math.inf:  # no cutoff, or no mass above it
-        return inverse_moment(dist) if h_min == 0.0 else 0.0
-    if k > 2.0:
-        return _gamma_pq(k - 1.0, y)[1] / (k - 1.0) / theta
-    if y < _TINY:
-        # y is below the normal floats: past the last bit Gamma(a, y) is
-        # (Gamma(k) - y^a) / a, a = k - 1, or -gamma - log y at a = 0, taken
-        # in logs from log y (y^a overflows for a < 0 before the moment does)
-        a, log_y = k - 1.0, math.log(h_min) - math.log(theta)
-        if a == 0.0:
-            return (-_EULER_GAMMA - log_y) / theta
-        x = a * log_y - math.lgamma(k)  # log(y^a / Gamma(k))
-        log_part = x + math.log(math.expm1(-x) / a) if x > 0.0 else math.log(-math.expm1(x) / a)
-        return math.exp(log_part - math.log(theta))
-    return _upper_gamma(k - 1.0, y) / math.gamma(k) / theta
 
 
 @lru_cache(maxsize=64)

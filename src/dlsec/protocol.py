@@ -43,6 +43,14 @@ A finite-a backoff delta scales the consumption schedule below the mean
 generation rate; at delta = 0 the empirical key rate dips below its
 expectation on some super-blocks and the pad can starve.  Starvation is
 not an error: the block's pad lane is skipped and the event is counted.
+
+Delivery, one rule for both bound schemes: delta backs off the pad lane
+alone, since the direct lane needs no key.  From super-block 2 on, an
+unstarved ``full`` block delivers _bits(r_s'') on its direct lane plus
+_bits((1 - delta) r_o) on its pad lane, and a ``main`` block delivers its
+pad lane alone, _bits((1 - delta) R*).  So a ``full`` run whose bound puts
+all of r_s on the direct lane (a point-mass pair at kappa = v_m, r_o = 0)
+delivers the whole bound per block, not (1 - delta) of it.
 """
 
 from __future__ import annotations
@@ -54,10 +62,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import lower_full, lower_main, resolve_menu_entry, usable
+from .bounds import lower_full, lower_main, usable
 from .fading import ChannelState, FadingDistribution
 from .numerics import RngSeed, _check_nodes
-from .policy import calibrate
+from .policy import calibrate, parse_policy
 from .rates import expected_key_share, per_state_rates
 
 LN2 = math.log(2.0)
@@ -90,11 +98,11 @@ _COLUMNS = (
 class SimConfig:
     """Configuration of one simulation run.
 
-    ``policy`` uses the policy grammar, where a bare ``trunc-inv`` takes the
-    median main gain as its cutoff, as in a bound's menu; an empty string
-    picks the scheme's natural default (full -> full-inv, main -> main-inv,
-    baseline -> const).  ``q_kappa`` None takes the bound's kappa (0 for
-    main and baseline); a value pins it.
+    ``policy`` uses the policy grammar (const, full-inv or main-inv), as a
+    bound's menu entry does; an empty string picks the scheme's natural
+    default (full -> full-inv, main -> main-inv, baseline -> const).
+    ``q_kappa`` None takes the bound's kappa (0 for main and baseline); a
+    value pins it.
     """
 
     scheme: str
@@ -303,8 +311,8 @@ def simulate(config: SimConfig) -> SimReport:
     args = (config.dist_m, config.dist_e, config.p_bar, [config.policy_spec()])
     kappa = 0.0 if config.q_kappa is None else config.q_kappa
     if config.scheme == "baseline":  # no bound describes it
-        family, h_min = resolve_menu_entry(config.policy_spec(), config.dist_m)
-        pol = calibrate(family, config.dist_m, config.dist_e, config.p_bar, h_min)
+        pol = calibrate(parse_policy(config.policy_spec()), config.dist_m, config.dist_e,
+                        config.p_bar)
     else:
         bound = usable(lower_full(*args, q_kappa=config.q_kappa, nodes=config.nodes)
                        if config.scheme == "full" else lower_main(*args, nodes=config.nodes))

@@ -80,8 +80,7 @@ def per_state_rates(policy: PowerPolicy, state: ChannelState,
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     h_m = np.asarray(state.h_m, dtype=float)
     h_e = np.asarray(state.h_e, dtype=float)
-    # an overflowing power gives inf - inf = NaN, which the caller's finite
-    # check reports (trunc-inv's overflow below its cutoff is discarded)
+    # an overflowing power gives inf - inf = NaN, which the caller's finite check reports
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.asarray(policy.power(state.h_m, state.h_e), dtype=float)
         r_main = log_rate(p, h_m)
@@ -134,10 +133,9 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
 
     const is the difference of its per-node logs, log1p(c h_m) -
     log1p(c h_e).  The inversion families read the gain ratio, so no power
-    is formed and no product overflows: main-inv and trunc-inv (P = c / h_m,
-    0 below the cutoff, whose pairs lead the list) give log1p(c) -
-    log1p(c h_e / h_m), and full-inv (P = c / min(h_m, h_e) = c / h_e on the
-    list) gives log(1 + c h_m / h_e) - log1p(c).
+    is formed and no product overflows: main-inv (P = c / h_m) gives
+    log1p(c) - log1p(c h_e / h_m), and full-inv (P = c / min(h_m, h_e) =
+    c / h_e on the list) gives log(1 + c h_m / h_e) - log1p(c).
     """
     rule = pair_rule(dist_m, dist_e, nodes)
     c = policy.c
@@ -149,10 +147,9 @@ def secrecy_gap(policy: PowerPolicy, dist_m: FadingDistribution,
     elif policy.family == "full-inv":
         r_s = _log_rate_inverse(c, rule)
         r_s -= np.log1p(c)
-    else:  # main-inv and trunc-inv; trunc-inv's pairs below the cutoff lead the list
+    else:  # main-inv
         r_s = log_rate(c, rule.ratio)
         np.subtract(np.log1p(c), r_s, out=r_s)
-        r_s[:rule.starts[np.searchsorted(rule.h_m, policy.h_min)]] = 0.0
     np.maximum(r_s, 0.0, out=r_s)
     r_s.flags.writeable = False
     return r_s, rule.mean(r_s)
@@ -185,15 +182,12 @@ def delay_floor(policy: PowerPolicy, dist_m: FadingDistribution) -> float:
     """Essential infimum of the main-channel rate, per family, in closed form.
 
     const over support reaching 0 -> 0; inversion families -> log(1 + c)
-    (P * h_m >= c pointwise, with equality on the minimizing coordinate);
-    trunc-inv -> 0 whenever the support extends below the cutoff.
+    (P * h_m >= c pointwise, with equality on the minimizing coordinate).
     """
     lo = dist_m.support_min
     if policy.family == "const":  # log-split where c * lo overflows, as log_rate
         clo = policy.c * lo
         return float(np.log1p(clo)) if clo < math.inf else math.log(policy.c) + math.log(lo)
-    if policy.family == "trunc-inv" and lo < policy.h_min:
-        return 0.0  # no power below the cutoff
     return float(np.log1p(policy.c))
 
 

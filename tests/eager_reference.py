@@ -1,6 +1,6 @@
 """The eager menu pass: the reference the bounds' results must equal.
 
-Every menu entry is resolved, calibrated and scored in menu order, each
+Every menu entry is parsed, calibrated and scored in menu order, each
 scored entry's diagnostics are built as it is scored, and the point-mass
 rates are read at the atom in their own forms, so the result holds what a
 plain pass over every entry yields.
@@ -9,11 +9,10 @@ plain pass over every entry yields.
 import numpy as np
 
 from dlsec.bounds import (_NEAR_TIE, DEFAULT_FULL_MENU, DEFAULT_MAIN_MENU, BoundResult,
-                          fixed_point_rate, lower_full, lower_main, resolve_menu_entry,
-                          upper_full)
+                          fixed_point_rate, lower_full, lower_main, upper_full)
 from dlsec.fading import ChannelState
 from dlsec.policy import (FULL_CSI, MAIN_CSI, CsiError, NonInvertibleChannelError, PowerPolicy,
-                          calibrate)
+                          calibrate, parse_policy)
 from dlsec.rates import (common_rate_floor, delay_floor, ergodic_secrecy_rate,
                          expected_key_share, per_state_rates)
 
@@ -30,16 +29,15 @@ def eager_best(dm, de, p_bar, menu, csi, objective):
         menu = DEFAULT_FULL_MENU if csi == FULL_CSI else DEFAULT_MAIN_MENU
     for entry in menu:
         try:
-            family, h_min = resolve_menu_entry(entry, dm)
+            family = parse_policy(entry)
             if csi == MAIN_CSI and family == "full-inv":
                 skipped[entry] = "needs full CSI"
                 continue
-            pol = calibrate(family, dm, de, p_bar, h_min)
+            pol = calibrate(family, dm, de, p_bar)
         except NonInvertibleChannelError as err:
             infeasible[entry] = str(err)
             continue
-        if (dm.is_degenerate and pol.h_min <= dm.params[0]
-                and (family != "full-inv" or de.is_degenerate)):
+        if dm.is_degenerate and (family != "full-inv" or de.is_degenerate):
             ties.append(entry)
             if len(ties) > 1:
                 continue

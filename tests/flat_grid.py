@@ -78,8 +78,8 @@ def product_gap(policy, h_m, h_e):
 def ratio_gap(policy, h_m, h_e):
     """r_s on pairs with h_m > h_e in the ratio form, no power formed.
 
-    const: log(1 + c h_m) - log(1 + c h_e).  main-inv, and trunc-inv where
-    h_m >= h_min (0 below): log1p(c) - log(1 + c r), r = h_e / h_m.
+    const: log(1 + c h_m) - log(1 + c h_e).  main-inv: log1p(c) -
+    log(1 + c r), r = h_e / h_m.
     full-inv: log(1 + c / r) - log1p(c), with 1 / r read as h_m / h_e when
     some r of the list is below the smallest normal float, and log c +
     log h_m - log h_e where that quotient overflows.
@@ -101,8 +101,6 @@ def ratio_gap(policy, h_m, h_e):
         r_s = r_s - np.log1p(c)
     else:
         r_s = np.log1p(c) - log_rate(c, h_e / h_m)
-        if policy.family == "trunc-inv":
-            r_s = np.where(h_m >= policy.h_min, r_s, 0.0)
     return np.maximum(r_s, 0.0)
 
 

@@ -1,37 +1,10 @@
 """The calibration moments from scipy, as an independent reference.
 
-Each moment is built here from :mod:`scipy.special` and
-:mod:`scipy.integrate`, not read from the code under test: the
-regularized incomplete beta and gamma where scipy has the function, and a
-quadrature in log coordinates for Gamma(a, y) at orders a <= 0, where
-``gammaincc`` is undefined.
+Each moment is built here from :mod:`scipy.special`, not read from the
+code under test: the regularized incomplete beta and gamma.
 """
 
-import math
-
-from scipy import integrate, special
-
-
-def upper_gamma(a, y):
-    """Gamma(a, y) for a > -1 and y > 0.
-
-    With t = y e^s, Gamma(a, y) = y^a e^-y int_0^inf exp(a s - y (e^s - 1)) ds.
-    The integrand is 1 at s = 0, falls off a cliff past s = log(1 + 1/y)
-    and is below e^-750 past log(1 + 750/y), so the rule gets both points.
-    """
-    cliff, end = math.log1p(1.0 / y), math.log1p(750.0 / y)
-    val, _ = integrate.quad(lambda s: math.exp(a * s - y * math.expm1(s)), 0.0, end,
-                            points=[cliff], epsabs=0.0, epsrel=1e-13, limit=400)
-    return math.exp(a * math.log(y) - y) * val
-
-
-def truncated_inverse_moment(dist, h_min):
-    """E[1/h; h >= h_min] = Gamma(k-1, y) / (Gamma(k) theta), y = h_min / theta."""
-    k, theta = dist.shape, dist.scale
-    y = h_min / theta
-    if k > 1.0:
-        return special.gammaincc(k - 1.0, y) / ((k - 1.0) * theta)
-    return upper_gamma(k - 1.0, y) / (special.gamma(k) * theta)
+from scipy import special
 
 
 def inverse_min_moment(dist_m, dist_e):
@@ -49,12 +22,10 @@ def inverse_min_moment(dist_m, dist_e):
             + special.betainc(k_m - 1.0, k_e, u1) / ((k_m - 1.0) * t_m))
 
 
-def power_moment(family, dist_m, dist_e, h_min=0.0):
+def power_moment(family, dist_m, dist_e):
     """E[P(h)] / c for a policy family: the scale's reference divisor."""
     if family == "const":
         return 1.0
     if family == "full-inv":
         return inverse_min_moment(dist_m, dist_e)
-    if family == "main-inv":
-        return 1.0 / ((dist_m.shape - 1.0) * dist_m.scale)
-    return truncated_inverse_moment(dist_m, h_min)
+    return 1.0 / ((dist_m.shape - 1.0) * dist_m.scale)

@@ -164,15 +164,14 @@ def test_c8_calibration_menu():
     4 stderr of a 1e6-sample Monte Carlo; a non-invertible pair raises."""
     p_bar = 100.0
     cases = [
-        ("const", CHISQ4, CHISQ4, 0.0),
-        ("full-inv", CHISQ4, CHISQ4, 0.0),
-        ("full-inv", GAMMA21, GAMMA21, 0.0),
-        ("main-inv", CHISQ4, CHISQ4, 0.0),
-        ("main-inv", GAMMA21, GAMMA21, 0.0),
-        ("trunc-inv", CHISQ4, CHISQ4, 1.0),
+        ("const", CHISQ4, CHISQ4),
+        ("full-inv", CHISQ4, CHISQ4),
+        ("full-inv", GAMMA21, GAMMA21),
+        ("main-inv", CHISQ4, CHISQ4),
+        ("main-inv", GAMMA21, GAMMA21),
     ]
-    for i, (family, dm, de, h_min) in enumerate(cases):
-        pol = calibrate(family, dm, de, p_bar, h_min)
+    for i, (family, dm, de) in enumerate(cases):
+        pol = calibrate(family, dm, de, p_bar)
         est = mc_expect(lambda st, pol=pol: pol.power(st.h_m, st.h_e),
                         dm, de, 1_000_000, RngSeed(40 + i))
         assert abs(est.mean - p_bar) <= 4.0 * est.stderr + 1e-9, (family, est)

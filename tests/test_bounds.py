@@ -14,8 +14,8 @@ import pytest
 
 import dlsec.rates as rates_module
 from dlsec.bounds import (_CERT_TOL, BoundResult, _best, _digamma, fixed_point_rate,
-                          high_snr_limit, key_rate, lower_full, lower_main, resolve_menu_entry,
-                          upper_full, upper_main, usable)
+                          high_snr_limit, key_rate, lower_full, lower_main, upper_full,
+                          upper_main, usable)
 from dlsec.cli import main as cli_main
 from dlsec.fading import ChannelState, FadingDistribution, pair_rule, parse_distribution
 from dlsec.numerics import RngSeed, mc_expect, weighted_sum
@@ -128,8 +128,6 @@ class TestEagerReference:
         ("chisq:4", "chisq:4", 0.0, None, None, "const"),
         ("chisq:4", "chisq:4", 100.0, None, 0.5, "full-inv"),
         ("exp:1", "exp:1", 100.0, None, 0.5, "const"),
-        ("chisq:4", "chisq:4", 100.0, ["trunc-inv:0.5"], None, "trunc-inv"),
-        ("chisq:4", "chisq:4", 100.0, ["trunc-inv:0.5"], 0.5, "trunc-inv"),
         ("const:2", "chisq:4", 100.0, None, None, "full-inv"),
     ])
     def test_equals_eager_evaluation(self, spec_m, spec_e, p_bar, menu, q_kappa, family):
@@ -151,8 +149,8 @@ class TestEagerReference:
         ("exp:1", "exp:1", 10.0, ["full-inv", "main-inv"], ("warning", "infeasible")),
         ("chisq:4", "chisq:4", 10.0, ["full-inv"], ()),
         ("chisq:4", "chisq:4", 10.0, [], ("warning", "infeasible")),
-        (*TIE_PAIR, ["const", "main-inv", "trunc-inv"], ("tied_with",)),
-        (*TIE_PAIR, ["trunc-inv:180"], ("warning", "infeasible")),
+        (*TIE_PAIR, ["const", "main-inv"], ("tied_with",)),
+        (*TIE_PAIR, ["full-inv"], ()),
     ])
     def test_four_bounds_equal_eager_evaluation(self, bound, spec_m, spec_e, p_bar, menu,
                                                 keys):
@@ -247,7 +245,7 @@ class TestPointMassKappaSearch:
             de = FadingDistribution("const", (ve,))
             p_bar = 0.0 if i == 0 else 10.0 ** rng.uniform(-1.0, 5.0)
             for menu in (None, ["const"], ["full-inv", "main-inv"],
-                         [f"trunc-inv:{vm / 2:.6g}", "const"]):
+                         ["main-inv", "const"]):
                 for q_kappa in (0.0, 0.7):
                     got = lower_full(dm, de, p_bar, family_menu=menu, q_kappa=q_kappa)
                     want = eager_lower_full(dm, de, p_bar, menu, q_kappa)
@@ -286,9 +284,9 @@ class TestPointMassKappaSearch:
 
 
 class TestPointMassTie:
-    """On a point-mass main gain v, const, main-inv and trunc-inv with a
-    cutoff <= v all transmit p_bar in every state.  The menu scores the
-    first of them that calibrates and names the others as ``tied_with``.
+    """On a point-mass main gain, const and main-inv both transmit p_bar in
+    every state.  The menu scores the first of them that calibrates and
+    names the other as ``tied_with``.
     The pair is the one where the reported family once flipped from const
     to main-inv when a sum changed order."""
 
@@ -298,30 +296,22 @@ class TestPointMassTie:
 
     @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
                              ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("menu", [["const", "main-inv", "trunc-inv"],
-                                      ["trunc-inv", "const", "main-inv"],
-                                      ["main-inv", "trunc-inv:179.145", "const"]])
+    @pytest.mark.parametrize("menu", [["const", "main-inv"], ["main-inv", "const"]])
     def test_first_of_the_tie_is_scored(self, bound, menu):
         got = bound(self.DM, self.DE, self.P_BAR, family_menu=menu)
         alone = bound(self.DM, self.DE, self.P_BAR, family_menu=menu[:1])
-        assert got.policy.family == alone.policy.family == menu[0].split(":")[0]
+        assert got.policy.family == alone.policy.family == menu[0]
         assert got.diagnostics["tied_with"] == menu[1:]
         assert got.value == alone.value
 
     @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
                              ids=lambda f: f.__name__)
     def test_tied_families_agree_to_a_few_ulps(self, bound):
-        """Scored alone, each tied family gives the const value up to the
-        rounding of its scale c = p_bar v and its power c / v."""
+        """Scored alone, main-inv gives the const value up to the rounding
+        of its scale c = p_bar v and its power c / v."""
         want = bound(self.DM, self.DE, self.P_BAR, family_menu=["const"]).value
-        for entry in ("main-inv", "trunc-inv", "trunc-inv:179.145"):
-            got = bound(self.DM, self.DE, self.P_BAR, family_menu=[entry]).value
-            assert abs(got - want) <= 4.0 * math.ulp(want), entry
-
-    def test_cutoff_above_the_atom_is_no_tie(self):
-        got = upper_main(self.DM, self.DE, self.P_BAR, family_menu=["const", "trunc-inv:180"])
-        assert "tied_with" not in got.diagnostics
-        assert "never transmits" in got.diagnostics["infeasible"]["trunc-inv:180"]
+        got = bound(self.DM, self.DE, self.P_BAR, family_menu=["main-inv"]).value
+        assert abs(got - want) <= 4.0 * math.ulp(want)
 
     def test_tie_is_named_only_on_its_scored_entry(self):
         """upper_full reports full-inv, which ties with nothing."""
@@ -387,8 +377,9 @@ class TestUpperMain:
 
 class TestConstFallback:
     """A menu with no usable entry reports constant power scored by the
-    bound's own objective.  On this pair trunc-inv:180 never transmits
-    (the main gain is an atom below its cutoff)."""
+    bound's own objective.  On this pair every family calibrates, so the
+    menus with no usable entry are the empty one and, under main CSI, a
+    full-inv menu, whose entry is skipped."""
 
     PAIR = (parse_distribution("const:179.145"),
             parse_distribution("gamma:6.91056:0.0728084"), 10.0 ** 4.696)
@@ -396,22 +387,34 @@ class TestConstFallback:
     @pytest.mark.parametrize("bound", [upper_full, lower_full, upper_main, lower_main],
                              ids=lambda f: f.__name__)
     def test_fallback_is_the_const_entry(self, bound):
-        got = bound(*self.PAIR, family_menu=["trunc-inv:180"])
+        main_csi = bound in (upper_main, lower_main)
+        got = bound(*self.PAIR, family_menu=["full-inv"] if main_csi else [])
         want = bound(*self.PAIR, family_menu=["const"])
         assert got.policy == want.policy
         assert got.value == want.value
         diag = dict(got.diagnostics)
-        assert "trunc-inv:180" in diag.pop("infeasible")
+        assert diag.pop("infeasible") == {}
         assert diag.pop("warning")
+        assert ("full-inv" in diag.pop("skipped", {})) == main_csi
         assert diag == want.diagnostics
 
     def test_lower_main_is_not_read_off_the_upper_objective(self):
         """min{E[r_s], R_d} of the fallback is 5.949, which lower_main
         reported while every fallback was scored that way."""
-        upper = upper_main(*self.PAIR, family_menu=["trunc-inv:180"]).value
-        lower = lower_main(*self.PAIR, family_menu=["trunc-inv:180"]).value
+        upper = upper_main(*self.PAIR, family_menu=["full-inv"]).value
+        lower = lower_main(*self.PAIR, family_menu=["full-inv"]).value
         assert abs(upper - 5.949) < 5e-4
         assert abs(lower - 2.975) < 5e-4
+
+
+@pytest.mark.parametrize("bound", FOUR_BOUNDS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("menu", [["trunc-inv"], ["const", "trunc-inv:0.5"]])
+def test_trunc_inv_menu_entry_raises(bound, menu):
+    """A retired family in a Python menu raises ValueError with the reason:
+    it is a usage error, not an infeasible entry, so no fallback is scored."""
+    with pytest.raises(ValueError, match="trunc-inv is retired") as err:
+        bound(CHISQ4, CHISQ4, 100.0, family_menu=menu)
+    assert not isinstance(err.value, NonInvertibleChannelError)
 
 
 class TestUsable:
@@ -635,9 +638,8 @@ def test_fixed_point_stops_where_the_full_loop_does():
                                                float(10.0 ** rng.uniform(-2.0, 2.0))))
                   for _ in range(2))
         p_bar = float(10.0 ** rng.uniform(-1.0, 5.0))
-        for entry in ("main-inv", "trunc-inv", "const"):
-            family, h_min = resolve_menu_entry(entry, dm)
-            pol = calibrate(family, dm, de, p_bar, h_min)
+        for entry in ("main-inv", "const"):
+            pol = calibrate(entry, dm, de, p_bar)
             trace = []
             got = fixed_point_rate(pol, dm, de)
             want = reference_fixed_point_rate(pol, dm, de, trace=trace)

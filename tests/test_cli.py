@@ -86,47 +86,6 @@ class TestBounds:
             assert math.isfinite(doc[key]["value"]), key
             assert math.isfinite(doc[key]["diagnostics"].get("r_d_floor", 0.0)), key
 
-    @pytest.mark.parametrize("argv", [("bounds",), ("sweep", "--snr-db-grid", "0:10:5")])
-    def test_infinite_median_cutoff_is_skipped(self, capsys, argv):
-        """The median of gamma:50:1e308 overflows, so a bare trunc-inv
-        entry's cutoff is inf: it is recorded as infeasible, with no
-        warning, and the rest of the menu still runs."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv, "--dist-m", "gamma:50:1e308",
-                                     "--dist-e", "chisq:4",
-                                     "--policy", "const,full-inv,main-inv,trunc-inv")
-        assert code == EXIT_OK and err == ""
-        if argv[0] == "bounds":
-            doc = json.loads(out)
-            for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
-                assert "h_min=inf" in doc[key]["diagnostics"]["infeasible"]["trunc-inv"], key
-        else:
-            rows = list(csv.DictReader(io.StringIO(out)))
-            assert len(rows) == 3
-            assert all(math.isfinite(float(v)) for row in rows for v in row.values())
-
-    def test_underflowing_median_cutoff_is_infeasible(self, capsys):
-        """The mirror of an overflowing median: the median of
-        gamma:0.3:5e-324 underflows to 0, so a bare trunc-inv has no
-        positive cutoff.  It is recorded as infeasible, naming the median,
-        and const still runs; an explicit zero cutoff stays a parse error."""
-        code, out, err = run_cli(capsys, "bounds", "--dist-m", "gamma:0.3:5e-324",
-                                 "--dist-e", "chisq:4", "--policy", "const,trunc-inv")
-        assert code == EXIT_OK and err == ""
-        doc = json.loads(out)
-        for key in BOUND_KEYS:
-            assert doc[key]["policy"]["family"] == "const", key
-            assert doc[key]["diagnostics"]["infeasible"]["trunc-inv"] == (
-                "trunc-inv: the median cutoff of gamma:0.3:4.94066e-324 underflows to 0"), key
-        code, out, err = run_cli(capsys, "bounds", "--policy", "const,trunc-inv:0")
-        assert code == EXIT_USAGE and "cutoff must be positive" in err
-
-    def test_infinite_cutoff_menu_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--policy", "trunc-inv:inf")
-        assert code == EXIT_INFEASIBLE and out == ""
-        assert "h_min=inf never transmits" in err
-
     def test_non_invertible_menu_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "exp:1",
                                "--dist-e", "exp:1", "--policy", "full-inv")
@@ -149,42 +108,36 @@ class TestBounds:
         assert calibrate("full-inv", parse_distribution("gamma:2:1e-10"),
                          parse_distribution("chisq:4"), 100.0).c == 100.0 / got
 
-    def test_trunc_cutoff_above_atom_is_infeasible(self, capsys):
-        """A cutoff above a point-mass main gain never transmits: that entry
-        is recorded as infeasible and the rest of the menu still runs."""
-        code, out, _ = run_cli(capsys, "bounds", "--dist-m", "const:0.1",
-                               "--dist-e", "const:1", "--policy", "trunc-inv:0.5",
-                               "--policy", "const")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
-            diag = doc[key]["diagnostics"]
-            assert "never transmits" in diag["infeasible"]["trunc-inv:0.5"]
-            assert doc[key]["policy"]["family"] == "const"
-
-    def test_only_trunc_cutoff_above_atom_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--dist-m", "const:0.1",
-                                 "--dist-e", "const:1", "--policy", "trunc-inv:0.5")
-        assert code == EXIT_INFEASIBLE
-        assert "never transmits" in err and out == ""
-
-    def test_trunc_cutoff_above_underflowing_mass_is_infeasible(self, capsys):
-        """Above 0.5, exp:1e-300 holds mass e^(-5e299), which is 0 in floating
-        point: trunc-inv never transmits, as above a point mass, so that
-        entry is recorded as infeasible and const still runs."""
-        code, out, _ = run_cli(capsys, "bounds", "--dist-m", "exp:1e-300",
-                               "--policy", "trunc-inv:0.5", "--policy", "const")
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        for key in ("upper_full", "lower_full", "upper_main", "lower_main"):
-            diag = doc[key]["diagnostics"]
-            assert "never transmits" in diag["infeasible"]["trunc-inv:0.5"]
-            assert doc[key]["policy"]["family"] == "const"
-
     def test_bad_grammar_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--dist-m", "rayleigh:1")
         assert code == EXIT_USAGE
         assert "bad distribution spec" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--policy", "trunc-inv"),
+        ("bounds", "--policy", "trunc-inv:0.5"),
+        ("bounds", "--policy", "const,trunc-inv"),
+        ("sweep", "--policy", "main-inv", "--policy", "Trunc-Inv", "--snr-db-grid", "0:10:5"),
+    ])
+    def test_trunc_inv_is_a_usage_error(self, capsys, argv):
+        """trunc-inv, bare or with a cutoff, is refused with its reason: a
+        usage error (exit 2), not an infeasible model (exit 3), so it is
+        never listed under ``infeasible`` and nothing is printed."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "trunc-inv is retired: truncated inversion sends nothing below its cutoff" in err
+
+    def test_policy_object_is_family_and_scale(self, capsys):
+        """Each bound's ``policy`` object holds exactly the family and its
+        calibrated scale ``c``."""
+        code, out, _ = run_cli(capsys, "bounds")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        for key in BOUND_KEYS:
+            assert sorted(doc[key]["policy"]) == ["c", "family"], key
+        chisq4 = parse_distribution("chisq:4")
+        assert doc["upper_full"]["policy"] == {
+            "family": "full-inv", "c": calibrate("full-inv", chisq4, chisq4, 100.0).c}
 
     def test_bits_columns(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--pbar-db", "20", "--bits")
@@ -205,7 +158,7 @@ class TestBounds:
         assert err == "error: nodes must be in [8, 2000], got 100000\n"
 
     @pytest.mark.parametrize("flags", [[], ["--policy", "main-inv"],
-                                       ["--policy", "trunc-inv:1", "--q-kappa", "0.7"]])
+                                       ["--policy", "full-inv", "--q-kappa", "0.7"]])
     def test_overflowing_power_prints_no_numpy_warning(self, flags):
         """At 3 050 dB the inversion powers would overflow at the lowest
         main nodes (this once exited 2 naming that point).  No chisq:4 node
@@ -328,30 +281,17 @@ class TestSimulate:
                          (tmp_path / f"{tag}.csv").read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_bare_trunc_inv_takes_the_median_cutoff(self, capsys, tmp_path):
-        """A bare trunc-inv resolves as in a bound's menu: the cutoff is the
-        median main gain, and the power is 0 exactly below it."""
-        prefix = str(tmp_path / "ti")
-        code, _, _ = run_cli(capsys, "simulate", "--policy", "trunc-inv", "-a", "50",
-                             "-b", "4", "--n1", "500", "--out", prefix)
-        assert code == EXIT_OK
-        doc = json.loads((tmp_path / "ti.json").read_text())
-        assert doc["config"]["policy"] == "trunc-inv"
-        h_min = parse_distribution(doc["config"]["dist_m"]).quantile(0.5)
-        records = doc["records"]
-        off = [p == 0.0 for p in records["power"]]
-        assert off == [h < h_min for h in records["h_m"]]
-        assert 0 < sum(off) < len(off)
-
-    def test_underflowing_median_cutoff_exits_3(self, capsys, tmp_path):
-        """A baseline run of a bare trunc-inv whose median cutoff underflows
-        to 0 is infeasible (exit 3), not a usage error, and writes nothing."""
-        prefix = tmp_path / "u"
-        code, out, err = run_cli(capsys, "simulate", "--scheme", "baseline",
-                                 "--policy", "trunc-inv", "--dist-m", "gamma:0.3:5e-324",
-                                 "--out", str(prefix))
-        assert code == EXIT_INFEASIBLE and out == ""
-        assert "median cutoff of gamma:0.3:4.94066e-324 underflows to 0" in err
+    @pytest.mark.parametrize("scheme, policy", [
+        ("baseline", "trunc-inv:1"), ("baseline", "trunc-inv"), ("full", "trunc-inv"),
+        ("main", "trunc-inv:0.5"),
+    ])
+    def test_trunc_inv_exits_2_and_writes_nothing(self, capsys, tmp_path, scheme, policy):
+        """trunc-inv is refused for every scheme, the baseline (which no
+        bound describes) included: exit 2, with the reason."""
+        code, out, err = run_cli(capsys, "simulate", "--scheme", scheme, "--policy", policy,
+                                 "-a", "5", "-b", "2", "--out", str(tmp_path / "t"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "trunc-inv is retired" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_config_exits_2(self, capsys, tmp_path):
@@ -481,6 +421,19 @@ class TestConfigFileAndEnv:
                                  "--policy", "full-inv")
         assert code == EXIT_INFEASIBLE and out == ""
         assert "non-invertible channel" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_config_trunc_inv_is_a_usage_error(self, capsys, tmp_path, command):
+        """A retired family from the config file is refused as from a flag:
+        exit 2, naming the reason, and nothing written."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policy = trunc-inv\n")
+        extra = (("--scheme", "baseline", "--out", str(tmp_path / "r"))
+                 if command == "simulate" else ())
+        code, out, err = run_cli(capsys, command, *extra, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "trunc-inv is retired" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_config_policy_list(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

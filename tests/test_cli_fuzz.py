@@ -138,8 +138,9 @@ TINY_SCALE_LAWS = ("gamma:1.2:5e-324", "gamma:1.5:1e-323", "gamma:2:1e-310")
     (["simulate", "-a", "2", "-b", "2", "--q-kappa", "nan"], EXIT_USAGE),
     (["bounds", "--dist-m", "const:1e10", "--dist-e", "const:1"], 0),
     (ZERO_POWER_KAPPA_INF, 0),
-    (["bounds", "--q-kappa", "inf", "--policy", "trunc-inv:1"], 0),
-    (["simulate", "--q-kappa", "inf", "--policy", "trunc-inv:1", "-a", "5", "-b", "2"], 0),
+    (["bounds", "--q-kappa", "inf", "--policy", "trunc-inv:1"], EXIT_USAGE),
+    (["simulate", "--q-kappa", "inf", "--policy", "trunc-inv:1", "-a", "5", "-b", "2"],
+     EXIT_USAGE),
     (["bounds", "--dist-m", "const:1e8", "--dist-e", "const:1"], 0),
     (["bounds", "--dist-m", "const:1e300", "--dist-e", "const:1e-300"], 0),
     (["bounds", "--dist-m", "const:1e-300", "--dist-e", "const:1e300"], 0),

@@ -5,16 +5,13 @@ import re
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaincinv
 
 from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
                           inverse_min_moment, inverse_moment, invertible, pair_rule,
-                          parse_distribution, truncated_inverse_moment)
-from dlsec.policy import calibrate
+                          parse_distribution)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
 import moment_reference as reference
@@ -146,7 +143,6 @@ class TestPdf:
 # 1e-30 (far lower tail) to k + 40 sqrt(k) + 40 (far upper tail).
 LAW_SHAPES = (0.05, 0.3, 0.9, 1.0, 2.0, 7.5, 50.0)
 LAW_SCALES = (1e-3, 1.0, 1e3)
-QUANTILE_LEVELS = (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12)
 
 
 def law_points(k):
@@ -179,13 +175,6 @@ class TestLawAgainstScipy:
         scalar = np.array([d.cdf(float(v)) for v in x[::7]])
         np.testing.assert_allclose(scalar, want[::7], rtol=1e-12, atol=0.0)
 
-    def test_quantile(self, k, scale):
-        """1e-13 relative, from p = 1e-12 to 1 - 1e-12."""
-        d = FadingDistribution("gamma", (k, scale))
-        for p in QUANTILE_LEVELS:
-            want = stats.gamma.ppf(p, a=k, scale=scale)
-            assert abs(d.quantile(p) - want) <= 1e-13 * want, p
-
 
 class TestLawEdges:
     def test_cdf_outside_the_open_half_line(self):
@@ -195,36 +184,9 @@ class TestLawEdges:
         got = d.cdf(np.array([-1.0, 0.0, math.inf, math.nan]))
         np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, math.nan])
 
-    def test_quantile_in_both_far_tails(self):
-        """Random shapes (log-uniform over the accepted range) at levels
-        1e-30 to 1 from either end, within 1e-10 relative of scipy's
-        gammaincinv.  Two levels first: chisq:20 and gamma:10:1 at p = 0.97,
-        where an earlier Newton search overflowed.  A quantile below the
-        smallest normal float reads below it too (0.0 where it underflows),
-        as the docstring states."""
-        for spec, scale in (("gamma:10:1", 1.0), ("chisq:20", 2.0)):
-            want = scale * gammaincinv(10.0, 0.97)  # 16.7312 at scale 1
-            assert abs(parse_distribution(spec).quantile(0.97) - want) <= 1e-10 * want
-        rng = np.random.default_rng(27)
-        tiny, underflows = np.finfo(float).tiny, 0
-        for _ in range(3000):
-            k = float(np.exp(rng.uniform(math.log(SHAPE_MIN), math.log(SHAPE_MAX))))
-            tail = float(10.0 ** -rng.uniform(0.0, 30.0))
-            p = tail if rng.random() < 0.5 else 1.0 - tail
-            if not 0.0 < p < 1.0:
-                continue
-            got, want = FadingDistribution("gamma", (k, 1.0)).quantile(p), gammaincinv(k, p)
-            if want < tiny:
-                underflows += got == 0.0
-                assert got < tiny, (k, p, got, want)
-            else:
-                assert abs(got - want) <= 1e-10 * want, (k, p, got, want)
-        assert underflows > 0
-
-    def test_point_mass_cdf_and_quantile(self):
+    def test_point_mass_cdf(self):
         d = parse_distribution("const:2")
         np.testing.assert_array_equal(d.cdf(np.array([1.0, 2.0, 3.0])), [0.0, 1.0, 1.0])
-        assert d.quantile(0.5) == 2.0
 
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, dlsec, dlsec.cli; "
@@ -311,38 +273,6 @@ class TestInverseMoments:
     def test_point_mass(self):
         assert inverse_moment(parse_distribution("const:2")) == 0.5
 
-    def test_truncated_moment(self):
-        """chisq:4 above 1: int_1^inf e^{-x/2}/4 dx = e^{-1/2}/2 by hand."""
-        d = parse_distribution("chisq:4")
-        got = truncated_inverse_moment(d, 1.0)
-        assert math.isclose(got, math.exp(-0.5) / 2.0, rel_tol=1e-14, abs_tol=0.0)
-        # degenerate cases
-        assert truncated_inverse_moment(parse_distribution("const:2"), 1.0) == 0.5
-        assert truncated_inverse_moment(parse_distribution("const:2"), 3.0) == 0.0
-
-
-    @pytest.mark.parametrize("k", [0.05, 0.5, 0.9, 1.0, 1.0001, 1.5, 2.0])
-    def test_truncated_moment_where_the_cutoff_ratio_underflows(self, k):
-        """y = h_min / theta below the normal floats, down to 10^-1454:
-        within 1e-12 of mpmath's Gamma(k - 1, y) / (Gamma(k) theta) (the
-        log form's exp of a log near 700 carries about 700 ulps of 1).
-        Shapes <= 1 read inf here, and 1 < k < 2 the untruncated moment,
-        which overstates it near k = 1 by an order of magnitude."""
-        mpmath.mp.dps = 40
-        for theta, h_min in ((1e300, 1e-30), (1e308, 1e-10), (1e200, 1e-200),
-                             (1.0, 5e-324), (1e10, 1e-310), (1.7e308, 5e-324)):
-            got = truncated_inverse_moment(FadingDistribution("gamma", (k, theta)), h_min)
-            y = mpmath.mpf(h_min) / mpmath.mpf(theta)
-            want = mpmath.gammainc(k - 1.0, y) / (mpmath.gamma(k) * theta)
-            assert abs(got / want - 1) <= 1e-12, (theta, h_min, got, want)
-
-    def test_trunc_inv_calibrates_where_the_cutoff_ratio_underflows(self):
-        """gamma:0.5:1e300 above 1e-30: E[1/h; h >= 1e-30] is 1.128e-135,
-        not a divergent E[1/h]."""
-        pol = calibrate("trunc-inv", parse_distribution("gamma:0.5:1e300"),
-                        parse_distribution("chisq:4"), 1.0, h_min=1e-30)
-        assert math.isclose(1.0 / pol.c, 1.1283791670955e-135, rel_tol=1e-12)
-
 
 class TestInverseMinMoment:
     def test_degenerate_pair(self):
@@ -417,21 +347,6 @@ class TestMomentsAgainstScipy:
             want = reference.inverse_min_moment(atom, cont)
             for pair in ((atom, cont), (cont, atom)):
                 assert math.isclose(inverse_min_moment(*pair), want, rel_tol=self.REL), pair
-
-    def test_truncated(self):
-        """Shapes 0.05 to 50, k = 1 and k within 1e-6 of 1 included, at
-        h_min / theta from 1e-12 to 700."""
-        rng = np.random.default_rng(2)
-        shapes = np.concatenate([rng.uniform(SHAPE_MIN, SHAPE_MAX, 150), [1.0],
-                                 1.0 + rng.uniform(-1e-6, 1e-6, 20)])
-        ys = 10.0 ** rng.uniform(-12.0, math.log10(700.0), shapes.size)
-        for k, s, y in zip(shapes, self.scales(rng, shapes.size), ys):
-            d = FadingDistribution("gamma", (k, s))
-            h_min = float(y * s)
-            assert math.isclose(truncated_inverse_moment(d, h_min),
-                                reference.truncated_inverse_moment(d, h_min),
-                                rel_tol=self.REL), (d, h_min)
-
 
 class TestStateAndExpectation:
     def test_state_validation(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlsec.bounds as bounds_module
-from dlsec.bounds import fixed_point_rate, key_rate, resolve_menu_entry
+from dlsec.bounds import fixed_point_rate, key_rate
 from dlsec.cli import FIXED_POINT_TOL
 from dlsec.fading import FadingDistribution, pair_rule
 from dlsec.numerics import flip_point
@@ -55,11 +55,9 @@ gamma_laws = st.builds(
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(dist_m=gamma_laws, dist_e=gamma_laws, pbar_db=st.floats(0.0, 50.0),
-       family=st.sampled_from(["main-inv", "trunc-inv"]))
-def test_fixed_point_matches_closed_form(dist_m, dist_e, pbar_db, family):
-    family, h_min = resolve_menu_entry(family, dist_m)
-    pol = calibrate(family, dist_m, dist_e, 10.0 ** (pbar_db / 10.0), h_min)
+@given(dist_m=gamma_laws, dist_e=gamma_laws, pbar_db=st.floats(0.0, 50.0))
+def test_fixed_point_matches_closed_form(dist_m, dist_e, pbar_db):
+    pol = calibrate("main-inv", dist_m, dist_e, 10.0 ** (pbar_db / 10.0))
     r_star, diag = fixed_point_rate(pol, dist_m, dist_e)
     assert r_star == pytest.approx(oracle_fixed_point(pol, dist_m, dist_e),
                                    rel=1e-12, abs=0.0)
@@ -81,12 +79,11 @@ def random_gamma(rng):
 
 
 def test_fixed_point_matches_bisection(monkeypatch):
-    """Random gamma pairs under main-inv and trunc-inv (median cutoff), and
-    const on a point-mass main gain (const:v against a gamma law): R* is
-    within FIXED_POINT_TOL R_d of the bisection root.  Each case runs at
-    its own delay floor and at one pinned below its root, where R* = R_d;
-    trunc-inv's own floor is 0 on these laws, so it runs at K(0) instead,
-    a floor that never binds (K(R) <= K(0))."""
+    """Random gamma pairs under main-inv, and const on a point-mass main
+    gain (const:v against a gamma law): R* is within FIXED_POINT_TOL R_d of
+    the bisection root.  Each case runs at its own delay floor, or, for the
+    second main-inv pair, at K(0), a floor that never binds (K(R) <= K(0)),
+    and then at one pinned below its root, where R* = R_d."""
     rng = np.random.default_rng(31)
     binding = {"key_rate": 0, "r_d_floor": 0}
 
@@ -101,15 +98,14 @@ def test_fixed_point_matches_bisection(monkeypatch):
     for _ in range(40):
         de, p_bar = random_gamma(rng), float(10.0 ** rng.uniform(-1.0, 5.0))
         atom = FadingDistribution("const", (float(10.0 ** rng.uniform(-2.0, 2.0)),))
-        for dm, entry in ((random_gamma(rng), "main-inv"), (random_gamma(rng), "trunc-inv"),
-                          (atom, "const")):
-            family, h_min = resolve_menu_entry(entry, dm)
-            pol = calibrate(family, dm, de, p_bar, h_min)
+        for dm, family, own_floor in ((random_gamma(rng), "main-inv", True),
+                                      (random_gamma(rng), "main-inv", False),
+                                      (atom, "const", True)):
+            pol = calibrate(family, dm, de, p_bar)
             gap, k_zero = secrecy_gap(pol, dm, de)
             if k_zero == 0.0:
                 continue
             w = pair_rule(dm, de).w
-            root = check(pol, dm, de, gap, w,
-                         k_zero if entry == "trunc-inv" else delay_floor(pol, dm))
+            root = check(pol, dm, de, gap, w, delay_floor(pol, dm) if own_floor else k_zero)
             check(pol, dm, de, gap, w, root * float(rng.uniform(0.05, 0.95)))
     assert binding["key_rate"] >= 100 and binding["r_d_floor"] >= 100, binding

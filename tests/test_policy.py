@@ -1,6 +1,7 @@
 """Power policy tests: evaluation, CSI capability, calibration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,11 +26,6 @@ class TestPower:
         assert pol.power(3.0, 100.0) == 1.0
         assert pol.power(3.0) == 1.0
 
-    def test_truncated_below_cutoff(self):
-        pol = PowerPolicy("trunc-inv", c=3.0, h_min=1.0)
-        assert pol.power(0.5, 2.0) == 0.0
-        assert pol.power(2.0) == 1.5
-
     def test_constant(self):
         pol = PowerPolicy("const", c=5.0)
         np.testing.assert_array_equal(pol.power(np.array([0.1, 7.0])), [5.0, 5.0])
@@ -43,7 +39,7 @@ class TestPower:
         h_m = CHISQ4.sample(rng, 10_000)
         h_e = CHISQ4.sample(rng, 10_000)
         for pol in (PowerPolicy("const", 5.0), PowerPolicy("full-inv", 2.0),
-                    PowerPolicy("main-inv", 3.0), PowerPolicy("trunc-inv", 3.0, 1.0)):
+                    PowerPolicy("main-inv", 3.0)):
             p = pol.power(h_m, h_e)
             assert np.all(p >= 0.0) and np.all(np.isfinite(p))
 
@@ -52,10 +48,9 @@ class TestPower:
         rng = RngSeed(1).generator()
         h_m = CHISQ4.sample(rng, 1_000)
         h_e = CHISQ4.sample(rng, 1_000)
-        for family, h_min in (("full-inv", 0.0), ("main-inv", 0.0),
-                              ("trunc-inv", 0.7)):
-            p1 = PowerPolicy(family, 1.3, h_min).power(h_m, h_e)
-            p2 = PowerPolicy(family, 2.6, h_min).power(h_m, h_e)
+        for family in ("full-inv", "main-inv"):
+            p1 = PowerPolicy(family, 1.3).power(h_m, h_e)
+            p2 = PowerPolicy(family, 2.6).power(h_m, h_e)
             np.testing.assert_allclose(p2, 2.0 * p1, rtol=1e-14)
 
 
@@ -64,17 +59,12 @@ class TestPolicyChecks:
         with pytest.raises(ValueError, match="unknown policy family 'waterfill'"):
             PowerPolicy("waterfill", 1.0)
         with pytest.raises(ValueError, match="unknown policy family 'waterfill'"):
-            _power_moment("waterfill", CHISQ4, CHISQ4, 0.0)
+            _power_moment("waterfill", CHISQ4, CHISQ4)
 
     @pytest.mark.parametrize("c", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
     def test_scale_must_be_finite_and_nonnegative(self, c):
         with pytest.raises(ValueError, match="scale must be finite and >= 0"):
             PowerPolicy("const", c)
-
-    @pytest.mark.parametrize("h_min", [0.0, -1.0, math.nan])
-    def test_truncation_needs_a_positive_cutoff(self, h_min):
-        with pytest.raises(ValueError, match="trunc-inv needs a positive cutoff"):
-            PowerPolicy("trunc-inv", 1.0, h_min)
 
     def test_zero_scale_spends_nothing(self):
         """E[P] of c = 0 is 0, also where the family's moment diverges
@@ -85,15 +75,25 @@ class TestPolicyChecks:
 
 class TestGrammar:
     def test_parse(self):
-        assert parse_policy("const") == ("const", 0.0)
-        assert parse_policy("FULL-INV") == ("full-inv", 0.0)
-        assert parse_policy("trunc-inv:0.5") == ("trunc-inv", 0.5)
+        assert parse_policy("const") == "const"
+        assert parse_policy(" FULL-INV ") == "full-inv"
+        assert parse_policy("main-inv") == "main-inv"
 
-    @pytest.mark.parametrize("text", ["waterfill", "trunc-inv", "trunc-inv:-1",
-                                      "trunc-inv:x", "const:3"])
+    @pytest.mark.parametrize("text", ["waterfill", "const:3", "main-inv:0.5", ""])
     def test_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^bad policy spec {re.escape(repr(text))}: "):
             parse_policy(text)
+
+    @pytest.mark.parametrize("text", ["trunc-inv", "trunc-inv:0.5", " Trunc-Inv ",
+                                      "trunc-inv:-1", "trunc-inv:x"])
+    def test_trunc_inv_is_retired(self, text):
+        """Every spelling of trunc-inv, bare or with a cutoff, is refused
+        with the reason: it sends nothing below its cutoff."""
+        with pytest.raises(ValueError, match="trunc-inv is retired: truncated inversion "
+                                             "sends nothing below its cutoff"):
+            parse_policy(text)
+        with pytest.raises(ValueError, match="unknown policy family 'trunc-inv'"):
+            PowerPolicy("trunc-inv", 1.0)
 
 
 class TestCalibrate:
@@ -142,14 +142,6 @@ class TestCalibrate:
                            match=f"^{family}: {name} is finite but overflows the float range"):
             calibrate(family, dist_m, CHISQ4, 1.0)
 
-    def test_infinite_cutoff_is_infeasible(self):
-        """A trunc-inv cutoff of inf (the median of gamma:50:1e308, or
-        trunc-inv:inf) never transmits: the truncated moment there is 0."""
-        huge = parse_distribution("gamma:50:1e308")
-        for dist_m in (huge, CHISQ4):
-            with pytest.raises(NonInvertibleChannelError, match="h_min=inf never transmits"):
-                calibrate("trunc-inv", dist_m, CHISQ4, 100.0, float("inf"))
-
     def test_infinite_budget_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
             calibrate("const", CHISQ4, CHISQ4, float("inf"))
@@ -157,40 +149,20 @@ class TestCalibrate:
     def test_budget_met_with_equality(self):
         """E[P] meets the budget with equality (relative 1e-9)."""
         p_bar = 7.0
-        for family, h_min in (("const", 0.0), ("main-inv", 0.0),
-                              ("full-inv", 0.0), ("trunc-inv", 0.8)):
-            pol = calibrate(family, CHISQ4, GAMMA21, p_bar, h_min)
+        for family in ("const", "main-inv", "full-inv"):
+            pol = calibrate(family, CHISQ4, GAMMA21, p_bar)
             got = expected_power(pol, CHISQ4, GAMMA21)
             assert abs(got - p_bar) <= 1e-9 * p_bar, (family, got)
-
-    def test_truncated_budget_across_cutoffs(self):
-        """E[P] = budget holds at every h_min on a grid."""
-        p_bar = 12.0
-        for h_min in (0.2, 0.5, 1.0, 2.0, 4.0):
-            pol = calibrate("trunc-inv", CHISQ4, CHISQ4, p_bar, h_min)
-            got = expected_power(pol, CHISQ4, CHISQ4)
-            assert abs(got - p_bar) <= 1e-9 * p_bar
 
     def test_budget_met_monte_carlo(self):
         """10^5-sample MC estimate of E[P] within 4 stderr of the budget.
 
-        The last two laws lie far from unit scale: a fixed 200-node
-        quadrature once read gamma:8:1000's E[1/min] 31 % high, and the
-        small-shape law's truncated moment at its median 99.9 % low."""
+        The last law lies far from unit scale: a fixed 200-node quadrature
+        once read gamma:8:1000's E[1/min] 31 % high."""
         p_bar = 10.0
         far = parse_distribution("gamma:8:1000")
-        small = parse_distribution("gamma:0.0507155:0.00941291")
-        for family, dist, h_min in (("main-inv", CHISQ4, 0.0),
-                                    ("full-inv", GAMMA21, 0.0),
-                                    ("trunc-inv", CHISQ4, 1.0),
-                                    ("full-inv", far, 0.0),
-                                    ("trunc-inv", small, small.quantile(0.5))):
-            pol = calibrate(family, dist, dist, p_bar, h_min)
+        for family, dist in (("main-inv", CHISQ4), ("full-inv", GAMMA21), ("full-inv", far)):
+            pol = calibrate(family, dist, dist, p_bar)
             est = mc_expect(lambda st, pol=pol: pol.power(st.h_m, st.h_e),
                             dist, dist, 100_000, RngSeed(42))
             assert abs(est.mean - p_bar) <= 4.0 * est.stderr, (family, est)
-
-    def test_truncated_never_transmitting(self):
-        with pytest.raises(ValueError, match="never transmits"):
-            calibrate("trunc-inv", parse_distribution("const:1"), CHISQ4, 5.0,
-                      h_min=2.0)

@@ -323,8 +323,30 @@ class TestMainScheme:
             assert r.key_generated == want
 
 
+def assert_delivery_rule(rep, bound):
+    """The stated delivery rule (see :mod:`dlsec.protocol`), block by block:
+    from super-block 2 on, a ``full`` block delivers _bits(r_s'') on its
+    direct lane plus _bits((1 - delta) r_o) on its pad lane, and a ``main``
+    block its pad lane alone, _bits((1 - delta) R*); a starved block skips
+    its pad lane.  Returns the pad lane's load."""
+    cfg = rep.config
+    full = cfg.scheme == "full"
+    pad_rate = (1.0 - cfg.delta) * (bound.diagnostics["r_o_chosen"] if full else bound.value)
+    pad = int(_bits(pad_rate, cfg.n1))
+    later = rep.records[rep.records.m >= 2]
+    direct = _bits(later.r_s_dprime, cfg.n1) if full else 0
+    served = later.key_consumed == pad
+    assert rep.schedule["otp_bits_per_block"] == pad
+    assert np.count_nonzero(~served) == rep.starvation_events
+    assert np.all(later.data_delivered == direct + np.where(served, pad, 0))
+    assert np.all(later.insecure_bits == 0)
+    return pad
+
+
 class TestScheduleFromBound:
-    """full and main run the scheme of the lower bound on their policy."""
+    """full and main run the scheme of the lower bound on their policy, and
+    every case delivers by the one rule of :func:`assert_delivery_rule`:
+    delta backs off the pad lane alone."""
 
     def test_point_mass_full_delivers_lower_full(self):
         """const:1000 / const:0.01 at p_bar = 1: lower_full takes kappa =
@@ -335,11 +357,29 @@ class TestScheduleFromBound:
                              policy="const", a=20, b=5, n1=1000, seed=RngSeed(0))
         bound = lower_full(config.dist_m, config.dist_e, config.p_bar, family_menu=["const"])
         rep = simulate(config)
+        assert assert_delivery_rule(rep, bound) == 0
         want = int(_bits(bound.value, config.n1))
         assert want == 9953
         assert np.all(rep.records.data_delivered[rep.records.m >= 2] == want)
         assert rep.config.q_kappa == bound.diagnostics["q_kappa"] == 1000.0
         assert rep.insecure_fraction == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_point_mass_full_at_the_cli_defaults(self, seed):
+        """const:1000 / const:0.01 at the CLI defaults (20 dB, full-inv,
+        delta = 0.05): lower_full takes kappa = v_m, so r_o = 0 and the
+        whole bound rides the direct lane, which delta does not back off.
+        Every later block delivers 156 097 bits, the whole bound, not the
+        148 292 of (1 - delta) lower_full."""
+        dm, de = parse_distribution("const:1000"), parse_distribution("const:0.01")
+        config = SimConfig(scheme="full", dist_m=dm, dist_e=de, p_bar=100.0,
+                           seed=RngSeed(seed))
+        bound = lower_full(dm, de, 100.0, [config.policy_spec()])
+        rep = simulate(config)
+        assert assert_delivery_rule(rep, bound) == 0
+        assert np.all(rep.records.data_delivered[rep.records.m >= 2] == 156_097)
+        assert int(_bits(bound.value, config.n1)) == 156_097
+        assert int(_bits((1.0 - config.delta) * bound.value, config.n1)) == 148_292
 
     @pytest.mark.parametrize("spec_m, spec_e", [("chisq:4", "chisq:4"),
                                                 ("gamma:3:2", "gamma:2:1")])
@@ -350,7 +390,8 @@ class TestScheduleFromBound:
         delta = 0.05), the blocks of super-blocks 2 on of a starvation-free
         run carry, on average, exactly the bits of (1 - delta) times the
         scheme's lower bound, within half a bit of its unrounded load
-        (chisq:4 full: 6 047 against 6 047.37; main: 4 152 against 4 151.50).
+        (chisq:4 full: 6 047 against 6 047.37; main: 4 152 against 4 151.50):
+        at kappa = 0, r_s'' is 0, so the pad lane carries everything.
         The seeds are pinned starvation-free: main at seed 2 starves."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         config = SimConfig(scheme=scheme, dist_m=dm, dist_e=de, p_bar=100.0,
@@ -358,6 +399,7 @@ class TestScheduleFromBound:
         bound = (lower_full if scheme == "full" else lower_main)(dm, de, 100.0,
                                                                 [config.policy_spec()])
         rep = simulate(config)
+        assert_delivery_rule(rep, bound)
         assert rep.starvation_events == 0
         later = rep.records[rep.records.m >= 2]
         secure = float(np.mean(later.data_delivered - later.insecure_bits))
@@ -378,6 +420,7 @@ class TestScheduleFromBound:
                            seed=RngSeed(seed))
         bound = lower_main(dm, de, 100.0, [config.policy_spec()])
         rep = simulate(config)
+        assert assert_delivery_rule(rep, bound) == want
         assert rep.starvation_events == 0
         later = rep.records[rep.records.m >= 2]
         secure = float(np.mean(later.data_delivered - later.insecure_bits))
@@ -410,9 +453,10 @@ class TestScheduleFromBound:
         monkeypatch.setattr(protocol_module, "expected_key_share", counted)
         rep = simulate(make_config(q_kappa=0.7, policy=policy, a=5, b=2))
         assert calls == [policy]
-        diag = lower_full(CHISQ4, CHISQ4, 100.0, [policy], q_kappa=0.7).diagnostics
+        bound = lower_full(CHISQ4, CHISQ4, 100.0, [policy], q_kappa=0.7)
         share = rep.to_json_dict()["schedule"]["key_share_expected"]
-        assert share == diag.get("r_s_prime_expected", share) > 0.0
+        assert share == bound.diagnostics.get("r_s_prime_expected", share) > 0.0
+        assert_delivery_rule(rep, bound)
 
     def test_main_rejects_a_full_csi_policy(self):
         with pytest.raises(CsiError, match="'full-inv' needs full CSI"):

@@ -51,14 +51,14 @@ class TestPerStateRates:
     def test_zero_power_at_infinite_kappa(self):
         """Where P = 0, log(1 + P q) is 0 at kappa = inf too, without a
         warning; where P > 0 the key share vanishes."""
-        pol = PowerPolicy("trunc-inv", 2.0, h_min=1.0)
         state = ChannelState(np.array([0.5, 4.0]), np.array([0.25, 1.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = per_state_rates(pol, state, kappa=math.inf)
-        assert r.r_s_prime.tolist() == [0.0, 0.0]
-        assert r.r_s_dprime.tolist() == r.r_s.tolist()
-        assert r.r_main[0] == 0.0 and r.r_main[1] > 0.0
+        for c in (0.0, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = per_state_rates(PowerPolicy("const", c), state, kappa=math.inf)
+            assert r.r_s_prime.tolist() == [0.0, 0.0]
+            assert r.r_s_dprime.tolist() == r.r_s.tolist()
+            assert np.all(r.r_main == 0.0) if c == 0.0 else np.all(r.r_main > 0.0)
 
     def test_log_rate_splits_only_where_the_product_overflows(self):
         """log1p(p h) bit for bit where p h is finite, log p + log h where
@@ -167,14 +167,13 @@ class TestErgodicSecrecyRate:
                         dm, de, 200_000, RngSeed(99, stream))
         assert abs(quad - est.mean) <= 4.0 * est.stderr
 
-    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
+    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv"])
     def test_key_share_equals_secrecy_rate_at_q_he(self, family):
         """q = h_e makes r_s' = r_s at every state, so the shared gap is the
         key share too, and it is the per-state path's r_s on the pair list:
         bit for bit for const, within the ratio form's ulp bound for the
         inversion families, and its mean is the list's weighted sum."""
-        h_min = CHISQ4.quantile(0.5) if family == "trunc-inv" else 0.0
-        pol = calibrate(family, CHISQ4, CHISQ4, 100.0, h_min)
+        pol = calibrate(family, CHISQ4, CHISQ4, 100.0)
         hm, he, w, _, _ = pair_list(CHISQ4, CHISQ4, 200)
         per_state = per_state_rates(pol, ChannelState(hm, he))
         gap, ers = secrecy_gap(pol, CHISQ4, CHISQ4)
@@ -225,29 +224,28 @@ class TestErgodicSecrecyRate:
         ("gamma:0.5:1", "exp:0.001"), ("const:2", "chisq:4"), ("chisq:4", "const:0.5"),
         ("const:3", "const:1"), ("exp:1", "gamma:7:0.2"),
     ])
-    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv:0.7"])
+    @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv"])
     def test_gap_is_the_ratio_form_on_the_pair_list(self, spec_m, spec_e, family):
         """One value per pair of the reference list: the ratio form bit for
         bit, and within 5 ulps of max(r_s, log1p(c)) of the product form,
         r_s of per_state_rates at the list's states (bit for bit for const,
         whose formula is unchanged)."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
-        fam, h_min = family.split(":")[0], float(family.partition(":")[2] or 0.0)
         try:
-            pol = calibrate(fam, dm, de, 100.0, h_min)
+            pol = calibrate(family, dm, de, 100.0)
         except NonInvertibleChannelError:
-            pol = PowerPolicy(fam, 3.0, h_min)  # any scale will do
+            pol = PowerPolicy(family, 3.0)  # any scale will do
         r_s = secrecy_gap(pol, dm, de, 64)[0]
         hm, he, _, _, _ = pair_list(dm, de, 64)
         assert r_s.tobytes() == ratio_gap(pol, hm, he).tobytes()
         product = per_state_rates(pol, ChannelState(hm, he)).r_s if hm.size else hm
         assert np.array_equal(product, product_gap(pol, hm, he))
-        if fam == "const":
+        if family == "const":
             assert np.array_equal(r_s, product)
         assert np.all(np.abs(r_s - product) <= ulp_bound(pol, product))
 
 
-@pytest.mark.parametrize("family", ["const", "full-inv", "main-inv", "trunc-inv"])
+@pytest.mark.parametrize("family", ["const", "full-inv", "main-inv"])
 def test_gap_is_zero_off_the_list_and_the_per_state_rate_on_it(family):
     """On random law pairs and budgets (-30 to 200 dB): at every node pair
     of the flat grid off the list (h_m <= h_e), per_state_rates' r_s, and
@@ -258,11 +256,10 @@ def test_gap_is_zero_off_the_list_and_the_per_state_rate_on_it(family):
     for _ in range(40):
         dm, de = random_law(rng), random_law(rng)
         p_bar = float(10.0 ** rng.uniform(-3.0, 20.0))
-        h_min = dm.quantile(0.5) if family == "trunc-inv" else 0.0
         try:
-            pol = calibrate(family, dm, de, p_bar, h_min)
+            pol = calibrate(family, dm, de, p_bar)
         except NonInvertibleChannelError:
-            pol = PowerPolicy(family, p_bar, h_min)  # any scale will do
+            pol = PowerPolicy(family, p_bar)  # any scale will do
         hm, he, w = flat_grid(dm, de, 32)
         off = hm <= he
         with np.errstate(over="ignore", invalid="ignore"):
@@ -289,13 +286,6 @@ class TestDelayFloor:
         assert abs(delay_floor(PowerPolicy("full-inv", 3.0), CHISQ4)
                    - math.log(4.0)) < 1e-15
 
-    def test_truncated_floor(self):
-        pol = PowerPolicy("trunc-inv", 3.0, h_min=1.0)
-        assert delay_floor(pol, CHISQ4) == 0.0
-        assert abs(delay_floor(pol, parse_distribution("const:2"))
-                   - math.log(4.0)) < 1e-15
-        assert delay_floor(pol, parse_distribution("const:0.5")) == 0.0
-
     def test_degenerate_constant_power(self):
         pol = PowerPolicy("const", 2.0)
         assert abs(delay_floor(pol, parse_distribution("const:3")) - math.log(7.0)) < 1e-15
@@ -307,8 +297,7 @@ class TestDelayFloor:
         h_e = CHISQ4.sample(rng, 1_000_000)
         for pol in (calibrate("full-inv", CHISQ4, CHISQ4, 20.0),
                     calibrate("main-inv", CHISQ4, CHISQ4, 20.0),
-                    calibrate("const", CHISQ4, CHISQ4, 20.0),
-                    calibrate("trunc-inv", CHISQ4, CHISQ4, 20.0, 1.0)):
+                    calibrate("const", CHISQ4, CHISQ4, 20.0)):
             floor = delay_floor(pol, CHISQ4)
             r_main = np.log1p(pol.power(h_m, h_e) * h_m)
             assert floor <= r_main.min() + 1e-12, pol.family
@@ -344,14 +333,13 @@ class TestSupportFloors:
 
 
 def grid_policies(dm, de, p_bar):
-    """The four families at ``p_bar``, trunc-inv at the median main gain;
-    a family that does not calibrate takes the budget as its scale."""
-    for family in ("const", "full-inv", "main-inv", "trunc-inv"):
-        h_min = dm.quantile(0.5) if family == "trunc-inv" else 0.0
+    """The three families at ``p_bar``; a family that does not calibrate
+    takes the budget as its scale."""
+    for family in ("const", "full-inv", "main-inv"):
         try:
-            yield calibrate(family, dm, de, p_bar, h_min)
+            yield calibrate(family, dm, de, p_bar)
         except NonInvertibleChannelError:
-            yield PowerPolicy(family, min(p_bar, 1e300), h_min)
+            yield PowerPolicy(family, min(p_bar, 1e300))
 
 
 class TestRatioFormGaps:
@@ -366,7 +354,7 @@ class TestRatioFormGaps:
 
     def cases(self):
         rng = np.random.default_rng(25)
-        pairs = [(random_law(rng), random_law(rng)) for _ in range(60)]
+        pairs = [(random_law(rng), random_law(rng)) for _ in range(80)]
         pairs += [tuple(map(parse_distribution, pair)) for pair in self.LAW_PAIRS]
         for dm, de in pairs:
             for p_bar in (float(10.0 ** rng.uniform(-3.0, 20.0)),
