@@ -128,6 +128,8 @@ class TestEagerReference:
         ("chisq:4", "chisq:4", 0.0, None, None, "const"),
         ("chisq:4", "chisq:4", 100.0, None, 0.5, "full-inv"),
         ("exp:1", "exp:1", 100.0, None, 0.5, "const"),
+        ("chisq:4", "chisq:4", 100.0, ["main-inv"], None, "main-inv"),
+        ("chisq:4", "chisq:4", 100.0, ["main-inv"], 0.5, "main-inv"),
         ("const:2", "chisq:4", 100.0, None, None, "full-inv"),
     ])
     def test_equals_eager_evaluation(self, spec_m, spec_e, p_bar, menu, q_kappa, family):

@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
+from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution, _gamma_pq,
                           inverse_min_moment, inverse_moment, invertible, pair_rule,
                           parse_distribution)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
@@ -175,6 +176,16 @@ class TestLawAgainstScipy:
         scalar = np.array([d.cdf(float(v)) for v in x[::7]])
         np.testing.assert_allclose(scalar, want[::7], rtol=1e-12, atol=0.0)
 
+    def test_upper_tail(self, k, scale):
+        """Q(k, x / scale), which inverse_min_moment reads for an atom
+        against a gamma law, within 1e-12 relative of the survival function
+        into the far upper tail (Q down to 1e-99), where 1 - cdf has no
+        digits left."""
+        x = law_points(k) * scale
+        got = np.array([_gamma_pq(k, v / scale)[1] for v in x.tolist()])
+        want = stats.gamma.sf(x, a=k, scale=scale)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
 
 class TestLawEdges:
     def test_cdf_outside_the_open_half_line(self):
@@ -311,6 +322,32 @@ class TestInverseMinMoment:
         want = (1.0 - math.exp(-1.0)) / 2.0 + math.exp(-1.0)
         assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
 
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.9, 1.0, 1.0001, 1.5, 2.0, 7.5, 50.0])
+    def test_atom_against_gamma_at_extreme_scales(self, k):
+        """An atom v against Gamma(k, theta) with scales from 1e-307 to
+        1e308 (v / theta from 1e-300 to 1e300): within 1e-14 of mpmath's
+        P(k - 1, y) / ((k - 1) theta) + Q(k, y) / v, y = v / theta, in
+        either order of the pair; inf where that passes the float range,
+        and at every shape <= 1, where the moment diverges."""
+        mpmath.mp.dps = 40
+        for theta, v in ((1e300, 1e300), (1e300, 3e299), (1e308, 1e308), (1e-300, 2e-300),
+                         (1e-300, 1e-301), (1e-307, 1e-307), (1e-150, 1e150),
+                         (1e150, 1e-150)):
+            atom, cont = FadingDistribution("const", (v,)), FadingDistribution("gamma", (k, theta))
+            got = inverse_min_moment(atom, cont)
+            assert inverse_min_moment(cont, atom) == got
+            if k <= 1.0:
+                assert got == math.inf
+                continue
+            theta_mp = mpmath.mpf(theta)
+            y = v / theta_mp
+            want = (mpmath.gammainc(k - 1.0, 0, y, regularized=True) / ((k - 1.0) * theta_mp)
+                    + mpmath.gammainc(k, y, mpmath.inf, regularized=True) / v)
+            if want > sys.float_info.max:
+                assert got == math.inf, (theta, v)
+            else:
+                assert abs(got / float(want) - 1.0) <= 1e-14, (theta, v, got, want)
+
     def test_dominates_single_moment(self):
         """min(h_m, h_e) <= h_m pointwise, so the min moment dominates."""
         for text in ("chisq:4", "gamma:2:1", "gamma:3:0.5", "const:2"):
@@ -347,6 +384,7 @@ class TestMomentsAgainstScipy:
             want = reference.inverse_min_moment(atom, cont)
             for pair in ((atom, cont), (cont, atom)):
                 assert math.isclose(inverse_min_moment(*pair), want, rel_tol=self.REL), pair
+
 
 class TestStateAndExpectation:
     def test_state_validation(self):

@@ -4,6 +4,7 @@ and on the default menus no law or budget makes a bound raise."""
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from dlsec.bounds import lower_full, lower_main, upper_full, upper_main, usable
 from dlsec.fading import FadingDistribution, parse_distribution
@@ -40,6 +41,25 @@ def extreme_law(rng):
     if kind == 1:
         return FadingDistribution("exp", (scale,))
     return FadingDistribution("gamma", (float(10.0 ** rng.uniform(-1.3, 1.69)), scale))
+
+
+@pytest.mark.parametrize("spec_m, spec_e, p_bar", [
+    ("chisq:4", "chisq:4", 100.0),
+    ("exp:1", "exp:1", 100.0),
+    ("gamma:3:0.01", "exp:2", 1e4),
+    ("gamma:0.5:2", "gamma:0.8:0.1", 1e4),
+    ("chisq:4", "const:2", 0.0),
+    ("const:2", "chisq:4", 100.0),
+])
+def test_default_menus_equal_the_eager_pass(spec_m, spec_e, p_bar):
+    """Named law pairs (invertible, non-invertible, point masses, zero
+    budget): each bound on its default menu gives the eager pass's value,
+    policy, diagnostics (by repr), fallback flag and usable outcome."""
+    dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
+    for bound in FOUR_BOUNDS:
+        got = bound_outcome(bound, dm, de, p_bar)
+        assert not isinstance(got[0], type), (bound.__name__, got)
+        assert got == eager_outcome(lambda: eager_bound(bound, dm, de, p_bar, None))
 
 
 def test_default_menus_raise_nothing_on_extreme_laws():

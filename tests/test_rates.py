@@ -225,14 +225,15 @@ class TestErgodicSecrecyRate:
         ("const:3", "const:1"), ("exp:1", "gamma:7:0.2"),
     ])
     @pytest.mark.parametrize("family", ["const", "full-inv", "main-inv"])
-    def test_gap_is_the_ratio_form_on_the_pair_list(self, spec_m, spec_e, family):
-        """One value per pair of the reference list: the ratio form bit for
-        bit, and within 5 ulps of max(r_s, log1p(c)) of the product form,
-        r_s of per_state_rates at the list's states (bit for bit for const,
-        whose formula is unchanged)."""
+    @pytest.mark.parametrize("p_bar", [0.01, 100.0, 1e8])
+    def test_gap_is_the_ratio_form_on_the_pair_list(self, spec_m, spec_e, family, p_bar):
+        """One value per pair of the reference list, at -20, 20 and 80 dB:
+        the ratio form bit for bit, and within 5 ulps of max(r_s, log1p(c))
+        of the product form, r_s of per_state_rates at the list's states
+        (bit for bit for const, whose formula is unchanged)."""
         dm, de = parse_distribution(spec_m), parse_distribution(spec_e)
         try:
-            pol = calibrate(family, dm, de, 100.0)
+            pol = calibrate(family, dm, de, p_bar)
         except NonInvertibleChannelError:
             pol = PowerPolicy(family, 3.0)  # any scale will do
         r_s = secrecy_gap(pol, dm, de, 64)[0]
