@@ -199,7 +199,8 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
     probability) and E[r_s'] is non-increasing in kappa, so kappa = 0
     (q = h_e) is optimal.  A point-mass pair has no outage: every kappa
     gives r_s - r_s' + min{r_s', cap} <= r_s, and kappa = v_m (r_s' = 0)
-    attains r_s, so the first maximum of kappa = 0 and v_m is taken.
+    attains r_s.  kappa = 0 (r_s' = r_s) is worth min{r_s, cap}, so it is
+    taken unless cap < r_s, and then kappa = v_m is.
 
     The pad rate r_o = min{E[r_s'], cap}, cap = ess-inf min(r_main, r_eve),
     fits the key budget and the common rate by construction, and
@@ -220,28 +221,23 @@ def lower_full(dist_m: FadingDistribution, dist_e: FadingDistribution, p_bar: fl
             return 0.0, {"q_kappa": kappa0, "r_o_chosen": 0.0, "r_o_cap": cap,
                          "r_dprime_floor": 0.0, "binding": "r_o_cap"}
 
-        def value_at(kappa: float) -> tuple[float, dict]:
-            key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
-            dfloor = 0.0
-            if point_mass:  # the rule is the atom at weight 1: E[r_s''] is its ess-inf
-                dfloor = max(ergodic_secrecy_rate(pol, dist_m, dist_e, nodes) - key_mean, 0.0)
-            r_o = min(key_mean, cap)
-            return dfloor + r_o, {
-                "q_kappa": kappa,
-                "r_o_chosen": r_o,
-                "r_o_cap": cap,
-                "r_s_prime_expected": key_mean,
-                "r_dprime_floor": dfloor,
-                "binding": "r_o_cap" if cap <= key_mean else "r_s_prime_expected",
-            }
-
-        value, diag = value_at(kappa0)
-        if point_mass and q_kappa is None:
-            # kappa = v_m zeroes the key share, so the whole r_s is direct
-            direct = value_at(dist_m.params[0])
-            if direct[0] > value:
-                value, diag = direct
-        return value, diag
+        kappa = kappa0
+        key_mean = expected_key_share(pol, dist_m, dist_e, kappa=kappa, nodes=nodes)
+        dfloor = 0.0
+        if point_mass:  # the rule is the atom at weight 1: E[r_s''] is its ess-inf
+            ers = ergodic_secrecy_rate(pol, dist_m, dist_e, nodes)
+            if q_kappa is None and cap < ers:  # kappa = v_m: the whole r_s is direct
+                kappa, key_mean = dist_m.atom, 0.0
+            dfloor = max(ers - key_mean, 0.0)
+        r_o = min(key_mean, cap)
+        return dfloor + r_o, {
+            "q_kappa": kappa,
+            "r_o_chosen": r_o,
+            "r_o_cap": cap,
+            "r_s_prime_expected": key_mean,
+            "r_dprime_floor": dfloor,
+            "binding": "r_o_cap" if cap <= key_mean else "r_s_prime_expected",
+        }
 
     return _best(dist_m, dist_e, p_bar, family_menu, FULL_CSI, objective)
 
@@ -336,7 +332,7 @@ def _digamma(x: float) -> float:
 def _log_moments(dist: FadingDistribution) -> tuple[float, float, float]:
     """(loc, shape, psi) with E[log h] = log loc + psi; an atom v is (v, 1, 0)."""
     if dist.is_degenerate:
-        return dist.params[0], 1.0, 0.0
+        return dist.atom, 1.0, 0.0
     return dist.scale, dist.shape, _digamma(dist.shape)
 
 
@@ -356,11 +352,11 @@ def _log_excess(top: FadingDistribution, bottom: FadingDistribution,
     (softplus is np.logaddexp(0, .)): nothing underflows or cancels.
     """
     if top.is_degenerate and bottom.is_degenerate:
-        return max(_log_ratio(top.params[0], bottom.params[0]), 0.0), 0.0
+        return max(_log_ratio(top.atom, bottom.atom), 0.0), 0.0
     log_s, log_1ms, log_ds, steps = tanh_sinh_nodes(nodes)
     if top.is_degenerate or bottom.is_degenerate:
-        law, atom, sigma = (bottom, top, 1.0) if top.is_degenerate else (top, bottom, -1.0)
-        k, log_y = law.shape, _log_ratio(atom.params[0], law.scale)
+        law, mass, sigma = (bottom, top, 1.0) if top.is_degenerate else (top, bottom, -1.0)
+        k, log_y = law.shape, _log_ratio(mass.atom, law.scale)
         # log(y s^sigma), capped where e^-(y s^sigma) is 0 anyway, so exp cannot overflow
         log_g = np.minimum(log_y + sigma * log_s, 700.0)
         log_density = (k * log_y + (sigma * k - 1.0) * log_s - np.exp(log_g)

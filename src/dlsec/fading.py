@@ -11,21 +11,20 @@ shape > 1), never numerically: quadrature silently truncates the
 singularity and would report a misleading finite number.  A finite moment
 past the float range (gamma:1.5:1e-323) reads inf, reported as overflow.
 
-The gamma law is evaluated with numpy and :mod:`math` alone.  The cdf is
-the regularized lower incomplete gamma P(k, y): a power series below
-y = k + 1 and a modified-Lentz continued fraction for Q = 1 - P above it
-(Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2), in pure
-:mod:`math` on one scalar; an array maps it element by element.  The
-inverse moments that calibrate channel inversion are closed forms on the
-same recurrences and the regularized incomplete beta (Numerical Recipes
-section 6.4), so they hold for every scale the grammar accepts.
+The gamma law is evaluated with numpy and :mod:`math` alone.  The inverse
+moments that calibrate channel inversion are closed forms on the
+regularized incomplete gamma P(k, y) and Q = 1 - P, by a power series
+below y = k + 1 and a modified-Lentz continued fraction above it
+(Numerical Recipes 3rd ed. section 6.2; DLMF 8.7.1 and 8.9.2), and on the
+regularized incomplete beta (Numerical Recipes section 6.4), in pure
+:mod:`math` on one scalar, so they hold for every scale the grammar accepts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -128,10 +127,19 @@ class FadingDistribution:
         gamma   Gamma(shape, scale)
         exp     exponential with the given mean (= Gamma(1, mean))
         const   degenerate point mass (not absolutely continuous)
+
+    The grammar is decoded once, on construction: ``shape`` and ``scale``
+    are the canonical gamma of a continuous law (None on a point mass),
+    and ``atom`` is a point mass's value (None on a continuous law).  They
+    take no part in ``==``, ``hash`` or ``repr``, so chisq:4 and gamma:2:2
+    stay two laws.
     """
 
     kind: str
     params: tuple
+    shape: float | None = field(init=False, compare=False, repr=False)
+    scale: float | None = field(init=False, compare=False, repr=False)
+    atom: float | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -145,36 +153,25 @@ class FadingDistribution:
             raise ValueError(f"{self.kind} needs positive finite parameters, got {p}")
         if self.kind == "chisq" and not p[0].is_integer():
             raise ValueError(f"chisq needs a positive integer dof, got {p}")
-        if not self.is_degenerate and not SHAPE_MIN <= self.shape <= SHAPE_MAX:
-            raise ValueError(f"gamma shape {self.shape:g} of {self.kind} is outside "
+        to_gamma = _KINDS[self.kind][1]
+        shape, scale = to_gamma(*p) if to_gamma else (None, None)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "atom", None if to_gamma else p[0])
+        if to_gamma and not SHAPE_MIN <= shape <= SHAPE_MAX:
+            raise ValueError(f"gamma shape {shape:g} of {self.kind} is outside "
                              f"[{SHAPE_MIN:g}, {SHAPE_MAX:g}], where the law is evaluated")
 
     # --- structure ---
 
     @property
     def is_degenerate(self) -> bool:
-        return _KINDS[self.kind][1] is None
-
-    def _gamma(self, name: str) -> tuple[float, float]:
-        to_gamma = _KINDS[self.kind][1]
-        if to_gamma is None:
-            raise ValueError(f"a point mass has no gamma {name}")
-        return to_gamma(*self.params)
-
-    @property
-    def shape(self) -> float:
-        """Canonical gamma shape of a continuous law."""
-        return self._gamma("shape")[0]
-
-    @property
-    def scale(self) -> float:
-        """Canonical gamma scale of a continuous law."""
-        return self._gamma("scale")[1]
+        return self.atom is not None
 
     @property
     def support_min(self) -> float:
         """Lower edge of the support (0 for every continuous kind)."""
-        return self.params[0] if self.is_degenerate else 0.0
+        return 0.0 if self.atom is None else self.atom
 
     def spec(self) -> str:
         """Back to the grammar string, e.g. 'chisq:4' or 'gamma:2:1'."""
@@ -195,16 +192,6 @@ class FadingDistribution:
         out = np.exp((k - 1.0) * np.log(y) - y - math.lgamma(k)) / theta
         return float(out) if arr.ndim == 0 else out
 
-    def cdf(self, x) -> float | np.ndarray:
-        """P(h <= x): 0 below the support, 1 at x = inf, NaN at NaN."""
-        arr = np.asarray(x, dtype=float)
-        if self.is_degenerate:
-            out = (arr >= self.params[0]).astype(float)
-        else:
-            k, theta = self.shape, self.scale
-            out = np.reshape([_gamma_pq(k, v / theta)[0] for v in arr.ravel().tolist()], arr.shape)
-        return float(out) if out.ndim == 0 else out
-
     def sample(self, rng: RngSeed | np.random.Generator, n: int) -> np.ndarray:
         """n iid draws; deterministic given an RngSeed."""
         if n < 1:
@@ -212,7 +199,7 @@ class FadingDistribution:
         if isinstance(rng, RngSeed):
             rng = rng.generator()
         if self.is_degenerate:
-            return np.full(n, self.params[0])
+            return np.full(n, self.atom)
         # numpy draws chisquare(d) as 2 * standard_gamma(d / 2) and
         # exponential(mu) as mu * standard_exponential, which standard_gamma
         # returns at shape 1, so one call gives the same bits for every kind.
@@ -249,7 +236,7 @@ def inverse_moment(dist: FadingDistribution) -> float:
     """
     if not invertible(dist):
         return math.inf
-    scale = dist.params[0] if dist.is_degenerate else (dist.shape - 1.0) * dist.scale
+    scale = dist.atom if dist.is_degenerate else (dist.shape - 1.0) * dist.scale
     return 1.0 / scale if scale > 0.0 else math.inf  # (k-1)*theta can underflow to 0
 
 
@@ -267,10 +254,10 @@ def inverse_min_moment(dist_m: FadingDistribution, dist_e: FadingDistribution) -
     if not invertible(dist_m, dist_e):
         return math.inf
     if dist_m.is_degenerate and dist_e.is_degenerate:
-        return 1.0 / min(dist_m.params[0], dist_e.params[0])
+        return 1.0 / min(dist_m.atom, dist_e.atom)
     if dist_m.is_degenerate or dist_e.is_degenerate:
-        atom, cont = (dist_m, dist_e) if dist_m.is_degenerate else (dist_e, dist_m)
-        v, k, theta = atom.params[0], cont.shape, cont.scale
+        mass, cont = (dist_m, dist_e) if dist_m.is_degenerate else (dist_e, dist_m)
+        v, k, theta = mass.atom, cont.shape, cont.scale
         return _gamma_pq(k - 1.0, v / theta)[0] / (k - 1.0) / theta + _gamma_pq(k, v / theta)[1] / v
     (k_m, t_m), (k_e, t_e) = (dist_m.shape, dist_m.scale), (dist_e.shape, dist_e.scale)
     # u* and 1 - u* each from a quotient of the scales, so neither overflows
@@ -337,7 +324,7 @@ def _law_rule(dist: FadingDistribution, nodes: int) -> tuple[np.ndarray, np.ndar
     """Half-line nodes with the density folded into the weights, or a
     point mass's atom with weight 1."""
     if dist.is_degenerate:
-        return np.array([dist.params[0]]), np.array([1.0])
+        return np.array([dist.atom]), np.array([1.0])
     x, w = halfline_nodes(nodes)
     return x, w * dist.pdf(x)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 # The canonical gamma shapes accepted: the range the recurrences are tested
 # on against scipy.  Far outside it they stall or lose accuracy (at shape
-# 1e10 the median's cdf reads 0.49998).
+# 1e10, P(k, y) at the median reads 0.49998).
 SHAPE_MIN, SHAPE_MAX = 0.05, 50.0
 
 # The quadrature sizes both rules accept.  The cap bounds the cost: leggauss

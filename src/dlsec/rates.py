@@ -203,6 +203,6 @@ def common_rate_floor(policy: PowerPolicy, dist_m: FadingDistribution,
     if policy.family == "full-inv":
         return float(np.log1p(policy.c))
     if dist_m.is_degenerate and dist_e.is_degenerate:
-        r = per_state_rates(policy, ChannelState(dist_m.params[0], dist_e.params[0]))
+        r = per_state_rates(policy, ChannelState(dist_m.atom, dist_e.atom))
         return float(min(r.r_main, r.r_eve))
     return 0.0

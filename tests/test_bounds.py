@@ -272,6 +272,26 @@ class TestPointMassKappaSearch:
                               env=child_env(), timeout=60, check=True)
         assert math.isfinite(float(proc.stdout))
 
+    @pytest.mark.parametrize("spec_m, kappa", [("const:2", 0.0), ("const:100", 100.0)])
+    @pytest.mark.parametrize("menu", [None, ["main-inv"], ["full-inv", "const"]])
+    def test_one_key_share_per_scored_entry(self, spec_m, kappa, menu, monkeypatch):
+        """kappa = 0 and kappa = v_m are compared in closed form, so E[r_s']
+        is read once per scored entry, at kappa = 0.  Against const:1 at
+        p_bar 10 the cap log(11) is above r_s on const:2, so kappa = 0 is
+        kept, and below it on const:100, so kappa = v_m is taken.  Every
+        entry ties on a point-mass pair, so one is scored."""
+        import dlsec.bounds as bounds_module
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["kappa"])
+            return rates_module.expected_key_share(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "expected_key_share", counted)
+        got = lower_full(parse_distribution(spec_m), parse_distribution("const:1"), 10.0, menu)
+        assert calls == [0.0]
+        assert got.diagnostics["q_kappa"] == kappa
+
     def test_negative_pinned_kappa_rejected(self):
         atom = parse_distribution("const:2")
         with pytest.raises(ValueError, match="kappa"):

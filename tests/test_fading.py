@@ -1,5 +1,6 @@
 """Fading distribution tests: grammar, densities, sampling, inverse moments."""
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dlsec.fading import (SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution, _gamma_pq,
-                          inverse_min_moment, inverse_moment, invertible, pair_rule,
+from dlsec.fading import (_KINDS, SHAPE_MAX, SHAPE_MIN, ChannelState, FadingDistribution,
+                          _gamma_pq, inverse_min_moment, inverse_moment, invertible, pair_rule,
                           parse_distribution)
 from dlsec.numerics import RngSeed, halfline_nodes, weighted_sum
 
@@ -60,13 +61,12 @@ class TestGrammar:
     def test_canonical_gamma_of_each_kind(self, text, shape, scale, spec):
         d = parse_distribution(text)
         assert (d.shape, d.scale, d.spec(), d.is_degenerate) == (shape, scale, spec, False)
+        assert (d.shape, d.scale, d.atom) == (*_KINDS[d.kind][1](*d.params), None)
 
     def test_point_mass_has_no_canonical_gamma(self):
         d = parse_distribution("const:2.5")
         assert (d.spec(), d.is_degenerate, d.support_min) == ("const:2.5", True, 2.5)
-        for name in ("shape", "scale"):
-            with pytest.raises(ValueError, match=f"a point mass has no gamma {name}"):
-                getattr(d, name)
+        assert (d.shape, d.scale, d.atom) == (None, None, 2.5)
 
     @pytest.mark.parametrize("kind,params", [
         ("chisq", ()), ("chisq", (4, 4)), ("gamma", (2,)), ("gamma", (2, 1, 1)),
@@ -101,6 +101,36 @@ class TestGrammar:
 
     def test_range_is_the_one_tested_against_scipy(self):
         assert (SHAPE_MIN, SHAPE_MAX) == (min(LAW_SHAPES), max(LAW_SHAPES))
+
+
+class TestDecodedLaw:
+    """``shape``, ``scale`` and ``atom`` are decoded on construction and
+    are not part of the law's identity: ``==``, ``hash`` and ``repr`` read
+    ``kind`` and ``params`` alone, so every cache keyed on a law keeps its
+    keys."""
+
+    @pytest.mark.parametrize("text", ["chisq:4", "gamma:0.3:7", "exp:0.25", "const:2.5"])
+    def test_identity_reads_kind_and_params_only(self, text):
+        d = parse_distribution(text)
+        assert repr(d) == f"FadingDistribution(kind={d.kind!r}, params={d.params!r})"
+        assert hash(d) == hash((d.kind, d.params))
+        assert d == FadingDistribution(d.kind, d.params)
+
+    def test_chisq_and_gamma_stay_two_laws(self):
+        """chisq:4 is Gamma(2, 2), yet a law is its grammar string."""
+        c, g = parse_distribution("chisq:4"), parse_distribution("gamma:2:2")
+        assert (c.shape, c.scale) == (g.shape, g.scale) and c != g
+
+    @pytest.mark.parametrize("name", ["shape", "scale", "atom"])
+    @pytest.mark.parametrize("text", ["exp:1", "const:2"])
+    def test_frozen(self, text, name):
+        d = parse_distribution(text)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, 3.0)
+
+    def test_decoded_values_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            FadingDistribution("exp", (1.0,), shape=2.0)
 
 
 class TestPdf:
@@ -168,13 +198,12 @@ class TestLawAgainstScipy:
         assert np.all(np.abs(got - want) <= tol)
 
     def test_cdf(self, k, scale):
-        """1e-12 relative, on the array path and on the scalar path."""
+        """P(k, x / scale), which inverse_min_moment reads for an atom
+        against a gamma law, within 1e-12 relative of the cdf."""
         x = law_points(k) * scale
-        d = FadingDistribution("gamma", (k, scale))
+        got = np.array([_gamma_pq(k, v / scale)[0] for v in x.tolist()])
         want = stats.gamma.cdf(x, a=k, scale=scale)
-        np.testing.assert_allclose(d.cdf(x), want, rtol=1e-12, atol=0.0)
-        scalar = np.array([d.cdf(float(v)) for v in x[::7]])
-        np.testing.assert_allclose(scalar, want[::7], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_upper_tail(self, k, scale):
         """Q(k, x / scale), which inverse_min_moment reads for an atom
@@ -189,15 +218,10 @@ class TestLawAgainstScipy:
 
 class TestLawEdges:
     def test_cdf_outside_the_open_half_line(self):
-        d = parse_distribution("gamma:2:3")
-        assert d.cdf(0.0) == 0.0 and d.cdf(-1.0) == 0.0 and d.cdf(math.inf) == 1.0
-        assert math.isnan(d.cdf(math.nan))
-        got = d.cdf(np.array([-1.0, 0.0, math.inf, math.nan]))
-        np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, math.nan])
-
-    def test_point_mass_cdf(self):
-        d = parse_distribution("const:2")
-        np.testing.assert_array_equal(d.cdf(np.array([1.0, 2.0, 3.0])), [0.0, 1.0, 1.0])
+        """(P, Q) is exact at y <= 0 and y = inf, and NaN stays NaN."""
+        assert _gamma_pq(2.0, 0.0) == _gamma_pq(2.0, -1.0) == (0.0, 1.0)
+        assert _gamma_pq(2.0, math.inf) == (1.0, 0.0)
+        assert all(math.isnan(v) for v in _gamma_pq(2.0, math.nan))
 
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, dlsec, dlsec.cli; "

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dlsec.bounds import lower_full, lower_main
-from dlsec.fading import parse_distribution
+from dlsec.fading import FadingDistribution, parse_distribution
 from dlsec.numerics import RngSeed
 from dlsec.policy import CsiError
 from dlsec.protocol import LN2, MAX_BLOCKS, SimConfig, _bits, _spent_after_release, simulate
@@ -469,6 +470,20 @@ class TestBaselineScheme:
         rep = simulate(make_config(scheme="baseline", a=100, b=100))
         stderr = math.sqrt(0.25 / 10_000)
         assert abs(rep.outage_fraction - 0.5) <= 3.0 * stderr
+
+    def test_outage_fraction_on_unequal_gamma_pairs(self):
+        """P(h_e >= h_m) = P(1 - U >= u*) for U ~ Beta(k_m, k_e) and
+        u* = theta_m / (theta_m + theta_e) (Lukacs coordinates), on 30
+        seeded pairs that are not iid; 4 binomial stderr at 2e4 blocks."""
+        rng = np.random.default_rng(33)
+        for i in range(30):
+            (k_m, k_e), (t_m, t_e) = rng.uniform(0.3, 8.0, 2), 10.0 ** rng.uniform(-1.0, 1.0, 2)
+            rep = simulate(make_config(scheme="baseline", a=200, b=100, seed=RngSeed(i),
+                                       dist_m=FadingDistribution("gamma", (k_m, t_m)),
+                                       dist_e=FadingDistribution("gamma", (k_e, t_e))))
+            p = stats.beta.sf(t_m / (t_m + t_e), k_e, k_m)
+            stderr = math.sqrt(p * (1.0 - p) / 20_000)
+            assert abs(rep.outage_fraction - p) <= 4.0 * stderr, (k_m, t_m, k_e, t_e)
 
     def test_outage_blocks_deliver_nothing(self):
         rep = simulate(make_config(scheme="baseline", a=100, b=10))
